@@ -4,8 +4,9 @@
              [--format csv,json,svg] [--threads N] [--log-scale]
              [--set section.key=value]...
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-convergence error,
-4 I/O error.  Errors are reported as a one-line JSON record on stderr.
+Exit codes: 0 success, 1 the config is valid but no state can be formed
+(e.g. an annulus of zero area), 2 configuration error, 3 numerical-convergence
+error, 4 I/O error.  Errors are reported as a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -64,60 +65,50 @@ def cmd_rates(config: RunConfig) -> list:
     return written
 
 
-def _emitted_matrix(config: RunConfig, basis, t: float, enh: float):
-    coh = spectral.CoherenceParams(enh)
-    quad = config.grid.k_integration
-    if config.qubit is not None:
-        return pair_state.rho_total_superposition(
-            config.qubit,
-            config.winding,
-            basis,
-            config.geometry,
-            config.detuning_for_dm,
-            t,
-            config.junction,
-            coh,
-            quad,
-        )
-    return pair_state.rho_total(
-        config.winding,
-        basis,
-        config.geometry,
-        config.detuning_for_dm,
-        t,
-        config.junction,
-        coh,
-        quad,
-    )
-
-
 def cmd_dm(config: RunConfig) -> list:
     """Density matrices for every (temperature, enhancement): dm_{t}_{enh}.json."""
     basis = config.basis()
+    if config.qubit is not None:
+        coherent = pair_state.rho_superposition(
+            config.qubit, config.winding, basis, config.geometry
+        )
+    else:
+        coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
+    incoherent = pair_state.rho_bqp(basis, config.geometry)
     written = []
     for t in config.grid.temperatures:
+        # unit enhancement gives the raw channel rates, re-weighted per enhancement below
+        s_cp, s_bqp = spectral.mixing_rates(
+            config.detuning_for_dm,
+            t,
+            config.junction,
+            spectral.CoherenceParams(1.0),
+            config.grid.k_integration,
+        )
         for enh in config.enhancements:
-            rho = _emitted_matrix(config, basis, t, enh)
+            rho = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp)
             stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
             path = os.path.join(config.out_dir, f"{stem}.json")
             outputs.write_json(path, rho.to_json_dict())
             written.append(path)
             if "svg" in config.formats:
-                magnitudes = abs(rho.entries)
-                populated = [
-                    i for i in range(len(basis)) if magnitudes[i].max() > 1e-15
-                ]
-                sub = magnitudes[populated][:, populated]
-                labels = [_pair_label(basis.pairs[i]) for i in populated]
-                svg = outputs.svg_matrix(
-                    sub,
-                    labels,
-                    f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
-                )
-                svg_path = os.path.join(config.out_dir, f"{stem}.svg")
-                outputs.write_text(svg_path, svg)
-                written.append(svg_path)
+                written.append(_write_matrix_svg(config, rho, stem, t, enh))
     return written
+
+
+def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
+    """Heatmap of |rho| over the populated pairs; its large temporaries die on return."""
+    magnitudes = abs(rho.entries)
+    populated = [i for i in range(len(rho.basis)) if magnitudes[i].max() > 1e-15]
+    labels = [_pair_label(rho.basis.pairs[i]) for i in populated]
+    svg = outputs.svg_matrix(
+        magnitudes[populated][:, populated],
+        labels,
+        f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
+    )
+    path = os.path.join(config.out_dir, f"{stem}.svg")
+    outputs.write_text(path, svg)
+    return path
 
 
 def cmd_fidelity(config: RunConfig) -> list:

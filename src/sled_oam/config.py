@@ -3,8 +3,10 @@
 Configs are flat INI-style files with ``key = value`` lines grouped into
 sections.  Every key has a documented default, so a minimal file (even just a
 material preset) expands to a complete run; unknown sections or keys are
-rejected by name.  Built-in figure presets (``fig2`` .. ``fig5``) ship with
-the package and can be passed anywhere a config path is accepted.
+rejected by name.  An empty value unsets an optional key (one whose default
+is ``None``) and is an error for any other key.  Built-in figure presets
+(``fig2`` .. ``fig5``) ship with the package and can be passed anywhere a
+config path is accepted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .bcs import MATERIAL_PRESETS, JunctionParams, gaas_nb_junction
 from .errors import ConfigError, DomainError
 from .modes import AnnulusGeometry
-from .pair_state import OamPairBasis, QubitState
+from .pair_state import OamPairBasis, QubitState, sector_pairs
 from .spectral import KQuadrature, SpectralGrid
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
@@ -194,14 +196,17 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     defaulted: list = []
 
     def raw(section: str, key: str) -> str | None:
-        if parser.has_option(section, key):
-            value = parser.get(section, key).strip()
+        default = _SCHEMA[section][key]
+        value = parser.get(section, key, fallback="").strip()
+        if value:
             resolved[f"{section}.{key}"] = value
             return value
-        default = _SCHEMA[section][key]
-        if default is not None:
-            resolved[f"{section}.{key}"] = default
-            defaulted.append(f"{section}.{key}")
+        if default is None:
+            return None  # absent or empty: an optional key stays unset
+        if parser.has_option(section, key):
+            raise ConfigError(f"{section}.{key}: empty value; only optional keys can be unset")
+        resolved[f"{section}.{key}"] = default
+        defaulted.append(f"{section}.{key}")
         return default
 
     def floatval(section, key):
@@ -312,7 +317,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         raise ConfigError("output.threads: must be >= 0 (0 means auto)")
     log_scale = _parse_bool(raw("output", "log_scale"), "output.log_scale")
 
-    return RunConfig(
+    config = RunConfig(
         junction=junction,
         material_name=preset,
         geometry=geometry,
@@ -330,3 +335,13 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         resolved=resolved,
         defaulted=tuple(defaulted),
     )
+    # rho_cp and bell_target need the +winding sector; a counterclockwise amplitude also
+    # needs the -winding one
+    basis = config.basis()
+    for ls in (winding, -winding) if qubit is not None and qubit.b != 0 else (winding,):
+        if not sector_pairs(basis, ls):
+            raise ConfigError(
+                f"emission.winding: no detected pair has total OAM {ls} "
+                f"(|l| <= {basis.l_max} over {len(basis)} pairs)"
+            )
+    return config

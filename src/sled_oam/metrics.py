@@ -225,13 +225,19 @@ def fidelity_curve(
         target = bell_target(basis, ls)
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
+    coherent = pair_state.rho_cp(ls, basis, geom)
+    incoherent = pair_state.rho_bqp(basis, geom)
     values = np.empty((len(temps), len(enhancements)))
     for i, t in enumerate(temps):
+        try:
+            # unit enhancement gives the raw channel rates, re-weighted per enhancement below
+            s_cp, s_bqp = spectral.mixing_rates(d, t, jp, spectral.CoherenceParams(1.0), quad)
+        except SledOamError as exc:
+            raise type(exc)(f"{exc} (at t={t})") from exc
         for j, enh in enumerate(enhancements):
             try:
-                rho = pair_state.rho_total(
-                    ls, basis, geom, d, t, jp, spectral.CoherenceParams(enh), quad
-                )
+                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
+                rho = pair_state.mixture(coherent, incoherent, r_cp, s_bqp)
                 values[i, j] = fidelity(rho, target)
             except SledOamError as exc:
                 raise type(exc)(f"{exc} (at t={t}, enhancement={enh})") from exc

@@ -4,7 +4,9 @@ A pair state lives on an ordered basis of (l1, l2) OAM labels (radial index
 fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background.  Mixtures are weighted by the spectral rates evaluated
-at a fixed detuning.
+at a fixed detuning; ``mixture`` is the rate-free algebra, so a run can build
+the channel matrices once and only re-weight them per temperature and
+enhancement.
 """
 
 from __future__ import annotations
@@ -200,31 +202,23 @@ def rho_superposition(
     return PairDensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
-def _mixture(
-    coherent: PairDensityMatrix,
-    basis: OamPairBasis,
-    geom: AnnulusGeometry,
-    d: float,
-    t: float,
-    jp: JunctionParams,
-    coh: spectral.CoherenceParams,
-    quad: spectral.KQuadrature,
+def mixture(
+    coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
 ) -> PairDensityMatrix:
-    incoherent = rho_bqp(basis, geom)
+    """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
     tr_cp = coherent.trace()
     tr_bqp = incoherent.trace()
     if tr_cp <= 0 or tr_bqp <= 0:
         raise DegenerateMixtureError(
             f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
         )
-    r_cp, r_bqp = spectral.mixing_rates(d, t, jp, coh, quad)
     total = r_cp + r_bqp
     if total <= 0:
         raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
     entries = (r_cp / total) * (coherent.entries / tr_cp) + (r_bqp / total) * (
         incoherent.entries / tr_bqp
     )
-    return PairDensityMatrix(basis, entries).normalize()
+    return PairDensityMatrix(coherent.basis, entries).normalize()
 
 
 def rho_total(
@@ -238,7 +232,9 @@ def rho_total(
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
     """Trace-1 rate-weighted mixture of the coherent and incoherent channels."""
-    return _mixture(rho_cp(ls, basis, geom), basis, geom, d, t, jp, coh, quad)
+    return mixture(
+        rho_cp(ls, basis, geom), rho_bqp(basis, geom), *spectral.mixing_rates(d, t, jp, coh, quad)
+    )
 
 
 def rho_total_superposition(
@@ -253,4 +249,8 @@ def rho_total_superposition(
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
     """Trace-1 mixture with the coherent channel carrying a qubit superposition."""
-    return _mixture(rho_superposition(q, ls, basis, geom), basis, geom, d, t, jp, coh, quad)
+    return mixture(
+        rho_superposition(q, ls, basis, geom),
+        rho_bqp(basis, geom),
+        *spectral.mixing_rates(d, t, jp, coh, quad),
+    )

@@ -27,6 +27,13 @@ The relative scale of the two channels is set by the number of band states
 within one quasiparticle coherence patch (``patch_area_um2`` times the 2D
 density of states); the coherent amplitude is proportional to that state
 count, the incoherent rate to its first power.
+
+Both channels come from one evaluator, ``_channel_rates``: per reduced
+temperature it builds the band tables once and returns the raw rates of both
+channels for a tuple of detunings.  Each kernel is built as K(d) + K(-d), so
+both rates are exactly even in d and each |d| is evaluated only once.  The
+evaluator also holds the only doubled-node ``verify`` check.  ``s_cp``,
+``s_bqp``, ``mixing_rates`` and the rate surfaces are thin callers of it.
 """
 
 from __future__ import annotations
@@ -151,97 +158,98 @@ class _BandTables:
         self.gamma = jp.broadening
         self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
 
-    def pair_kernel(self, d_mev: float) -> np.ndarray:
+    def _kernels(self, d_mev: float) -> "tuple[np.ndarray, np.ndarray]":
+        """Pair and quasiparticle kernels at one signed detuning (meV)."""
         ig = 1j * self.gamma
-        w = self.uv_n * self.uv_p
-        return w * (
-            self.fb_n * self.fb_p / (d_mev - self.e_n - self.e_p + ig)
-            - self.fb_n * self.f_p / (d_mev - self.e_n + self.e_p + ig)
-            - self.f_n * self.fb_p / (d_mev + self.e_n - self.e_p + ig)
-            + self.f_n * self.f_p / (d_mev + self.e_n + self.e_p + ig)
+        den_mm = d_mev - self.e_n - self.e_p + ig
+        den_mp = d_mev - self.e_n + self.e_p + ig
+        den_pm = d_mev + self.e_n - self.e_p + ig
+        den_pp = d_mev + self.e_n + self.e_p + ig
+        pair = self.uv_n * self.uv_p * (
+            self.fb_n * self.fb_p / den_mm
+            - self.fb_n * self.f_p / den_mp
+            - self.f_n * self.fb_p / den_pm
+            + self.f_n * self.f_p / den_pp
         )
-
-    def quasiparticle_kernel(self, d_mev: float) -> np.ndarray:
-        ig = 1j * self.gamma
-        return (
-            self.v2_n * self.v2_p * self.fb_n * self.fb_p / (d_mev - self.e_n - self.e_p + ig)
-            + self.v2_n * self.u2_p * self.fb_n * self.f_p / (d_mev - self.e_n + self.e_p + ig)
-            + self.u2_n * self.v2_p * self.f_n * self.fb_p / (d_mev + self.e_n - self.e_p + ig)
-            + self.u2_n * self.u2_p * self.f_n * self.f_p / (d_mev + self.e_n + self.e_p + ig)
+        quasiparticle = (
+            self.v2_n * self.v2_p * self.fb_n * self.fb_p / den_mm
+            + self.v2_n * self.u2_p * self.fb_n * self.f_p / den_mp
+            + self.u2_n * self.v2_p * self.f_n * self.fb_p / den_pm
+            + self.u2_n * self.u2_p * self.f_n * self.f_p / den_pp
         )
+        return pair, quasiparticle
 
-    def coherent_rate(self, d_delta0: float, delta0: float) -> float:
+    def rates(self, d_delta0: float, delta0: float) -> "tuple[float, float]":
+        """Raw (coherent, incoherent) rates; each kernel is K(d) + K(-d), so even in d."""
         d = d_delta0 * delta0
-        kern = self.pair_kernel(d) + self.pair_kernel(-d)
-        amp = self.patch_states * np.trapezoid(kern, self.eps)
-        return float(abs(amp) ** 2)
-
-    def incoherent_rate(self, d_delta0: float, delta0: float) -> float:
-        d = d_delta0 * delta0
-        kern = self.quasiparticle_kernel(d) + self.quasiparticle_kernel(-d)
-        return float(self.patch_states * np.trapezoid(np.abs(kern) ** 2, self.eps))
+        pair_plus, qp_plus = self._kernels(d)
+        pair_minus, qp_minus = self._kernels(-d)
+        amp = self.patch_states * np.trapezoid(pair_plus + pair_minus, self.eps)
+        incoherent = self.patch_states * np.trapezoid(np.abs(qp_plus + qp_minus) ** 2, self.eps)
+        return float(abs(amp) ** 2), float(incoherent)
 
 
-def _checked_rate(evaluate, d: float, t: float, jp, quad: KQuadrature, channel: str) -> float:
-    value = evaluate(_BandTables(t, jp, quad, quad.nodes), d, jp.sc.delta0)
+def _channel_rates(t: float, jp: bcs.JunctionParams, quad: KQuadrature, detunings) -> list:
+    """Raw (coherent, incoherent) rate pairs at reduced temperature t, one per detuning.
+
+    One band table serves both channels and every detuning; each |d| is
+    evaluated once.  With ``quad.verify`` every rate is re-evaluated on a
+    second table at doubled node count.
+    """
+    magnitudes = [abs(d) for d in detunings]
+
+    def evaluate(nodes: int) -> dict:
+        tables = _BandTables(t, jp, quad, nodes)
+        by_magnitude: dict = {}
+        for m in magnitudes:
+            if m not in by_magnitude:
+                by_magnitude[m] = tables.rates(m, jp.sc.delta0)
+        return by_magnitude
+
+    coarse = evaluate(quad.nodes)
     if quad.verify:
-        refined = evaluate(_BandTables(t, jp, quad, 2 * quad.nodes), d, jp.sc.delta0)
-        scale = max(abs(value), abs(refined))
-        if scale > 0 and abs(refined - value) > CONVERGENCE_RTOL * scale:
-            raise ConvergenceError(
-                f"{channel} rate at d={d}, t={t} changed by more than 0.1% when "
-                f"doubling quadrature nodes ({value} vs {refined})",
-                coarse=value,
-                refined=refined,
-            )
-    return value
+        for magnitude, refined_pair in evaluate(2 * quad.nodes).items():
+            for channel, value, refined in zip(
+                ("coherent", "incoherent"), coarse[magnitude], refined_pair
+            ):
+                scale = max(abs(value), abs(refined))
+                if scale > 0 and abs(refined - value) > CONVERGENCE_RTOL * scale:
+                    raise ConvergenceError(
+                        f"{channel} rate at d={magnitude}, t={t} changed by more than "
+                        f"0.1% when doubling quadrature nodes ({value} vs {refined})",
+                        coarse=value,
+                        refined=refined,
+                    )
+    return [coarse[m] for m in magnitudes]
 
 
 def s_cp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()) -> float:
     """Coherent-channel spectral rate at detuning d (delta0 units), reduced temperature t."""
-    return _checked_rate(
-        lambda tab, dd, d0: tab.coherent_rate(dd, d0), d, t, jp, quad, "coherent"
-    )
+    return _channel_rates(t, jp, quad, (d,))[0][0]
 
 
 def s_bqp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()) -> float:
     """Incoherent-channel spectral rate at detuning d (delta0 units), reduced temperature t."""
-    return _checked_rate(
-        lambda tab, dd, d0: tab.incoherent_rate(dd, d0), d, t, jp, quad, "incoherent"
-    )
+    return _channel_rates(t, jp, quad, (d,))[0][1]
 
 
-def _raw_surface(
+def rate_surface(
     grid: SpectralGrid, jp: bcs.JunctionParams, channel: str, workers: int = 1
-) -> np.ndarray:
-    quad = grid.k_integration
-    method = "coherent_rate" if channel == "cp" else "incoherent_rate"
+) -> RateSurface:
+    """Evaluate one channel on the full grid, normalized to the coherent maximum."""
+    if channel not in ("cp", "bqp"):
+        raise DomainError(f"channel must be 'cp' or 'bqp', got {channel!r}")
+    cp, bqp = rate_surfaces(grid, jp, workers)
+    return cp if channel == "cp" else bqp
 
-    def row(t: float) -> np.ndarray:
-        tables = _BandTables(t, jp, quad, quad.nodes)
-        rate = getattr(tables, method)
-        out = np.empty(len(grid.detunings))
-        for j, d in enumerate(grid.detunings):
-            try:
-                out[j] = rate(d, jp.sc.delta0)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"{exc} (grid point t={t}, d={d})", exc.coarse, exc.refined
-                ) from exc
-        if quad.verify:
-            fine = _BandTables(t, jp, quad, 2 * quad.nodes)
-            rate_fine = getattr(fine, method)
-            for j, d in enumerate(grid.detunings):
-                refined = rate_fine(d, jp.sc.delta0)
-                scale = max(abs(out[j]), abs(refined))
-                if scale > 0 and abs(refined - out[j]) > CONVERGENCE_RTOL * scale:
-                    raise ConvergenceError(
-                        f"{channel} surface not converged at grid point t={t}, d={d}: "
-                        f"{out[j]} vs {refined} at doubled nodes",
-                        coarse=out[j],
-                        refined=refined,
-                    )
-        return out
+
+def rate_surfaces(
+    grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
+) -> "tuple[RateSurface, RateSurface]":
+    """Both channels on one grid, normalized to the coherent maximum."""
+
+    def row(t: float) -> list:
+        return _channel_rates(t, jp, grid.k_integration, grid.detunings)
 
     if workers == 1 or len(grid.temperatures) == 1:
         rows = [row(t) for t in grid.temperatures]
@@ -249,37 +257,11 @@ def _raw_surface(
         n = workers if workers > 0 else None
         with ThreadPoolExecutor(max_workers=n) as pool:
             rows = list(pool.map(row, grid.temperatures))
-    return np.vstack(rows)
-
-
-def rate_surface(
-    grid: SpectralGrid, jp: bcs.JunctionParams, channel: str, workers: int = 1
-) -> RateSurface:
-    """Evaluate one channel on the full grid, normalized to the coherent maximum.
-
-    For ``channel="bqp"`` the coherent surface is evaluated on the same grid
-    solely to supply the shared normalization.
-    """
-    if channel not in ("cp", "bqp"):
-        raise DomainError(f"channel must be 'cp' or 'bqp', got {channel!r}")
-    raw = _raw_surface(grid, jp, channel, workers)
-    if channel == "cp":
-        norm = float(raw.max())
-    else:
-        norm = float(_raw_surface(grid, jp, "cp", workers).max())
-    return RateSurface(grid=grid, values=raw / norm, channel=channel, normalization=norm)
-
-
-def rate_surfaces(
-    grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
-) -> "tuple[RateSurface, RateSurface]":
-    """Both channels on one grid without recomputing the coherent reference."""
-    raw_cp = _raw_surface(grid, jp, "cp", workers)
-    raw_bqp = _raw_surface(grid, jp, "bqp", workers)
-    norm = float(raw_cp.max())
+    raw = np.array(rows)  # (n_temperatures, n_detunings, channel)
+    norm = float(raw[..., 0].max())
     return (
-        RateSurface(grid, raw_cp / norm, "cp", norm),
-        RateSurface(grid, raw_bqp / norm, "bqp", norm),
+        RateSurface(grid, raw[..., 0] / norm, "cp", norm),
+        RateSurface(grid, raw[..., 1] / norm, "bqp", norm),
     )
 
 
@@ -295,4 +277,5 @@ def mixing_rates(
     The coherent rate is multiplied by the circumference-to-dephasing-length
     enhancement; the incoherent rate is not.
     """
-    return coh.enhancement * s_cp(d, t, jp, quad), s_bqp(d, t, jp, quad)
+    coherent, incoherent = _channel_rates(t, jp, quad, (d,))[0]
+    return coh.enhancement * coherent, incoherent

@@ -191,6 +191,62 @@ class TestErrorReporting:
         assert "threads" in record["message"]
 
 
+    @pytest.mark.parametrize("command, winding", [("dm", "7"), ("fidelity", "3")])
+    def test_unreachable_winding_exits_2(self, tmp_path, capsys, command, winding):
+        args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", f"emission.winding={winding}"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "emission.winding" in record["message"]
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_counterclockwise_amplitude_needs_the_negative_sector(self, tmp_path, capsys):
+        args = ["dm", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        args += ["--set", "emission.l_values=0, 1"]  # reaches total OAM +1 but not -1
+        clockwise = ["--set", "emission.qubit_a=1, 0", "--set", "emission.qubit_b=0, 0"]
+        both = ["--set", "emission.qubit_a=0.8, 0", "--set", "emission.qubit_b=0.6, 0"]
+        assert main(args + clockwise) == 0
+        assert main(args + both) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert "emission.winding" in record["message"] and "-1" in record["message"]
+
+    def test_empty_value_unsets_an_optional_key(self, tmp_path):
+        text = FAST.replace("l_max = 1\n", "l_max = 1\nl_values = 0, 1\n")
+        restricted = write_config(tmp_path, text, name="restricted.conf")
+        plain, unset = str(tmp_path / "plain"), str(tmp_path / "unset")
+        assert main(["fidelity", "--config", write_config(tmp_path), "--out", plain]) == 0
+        args = ["fidelity", "--config", restricted, "--out", unset]
+        assert main(args + ["--set", "emission.l_values="]) == 0
+        for name in ("fidelity.csv", "fidelity.svg"):
+            blobs = []
+            for out in (plain, unset):
+                with open(os.path.join(out, name), "rb") as fh:
+                    blobs.append(fh.read())
+            assert blobs[0] == blobs[1]
+        echoes = [check_manifest(out)["config"] for out in (plain, unset)]
+        for echo in echoes:
+            del echo["output.directory"]
+        assert echoes[0] == echoes[1]
+        assert "emission.l_values" not in echoes[1]
+
+    def test_empty_value_for_a_key_with_default_exits_2(self, tmp_path, capsys):
+        args = ["rates", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", "grid.detuning_min="]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "grid.detuning_min" in record["message"]
+
+    def test_valid_config_without_a_formable_state_exits_1(self, tmp_path, capsys):
+        # r_outer equal to the default r_inner leaves an annulus of zero area
+        args = ["dm", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", "geometry.r_outer_um=4.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DegenerateMixtureError"
+        assert "trace" in record["message"]
+
+
 class TestConvergenceGate:
     def test_unresolvable_resonance_exits_with_code_3(self, tmp_path, capsys):
         args = [
