@@ -259,6 +259,12 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     if d_points < 2:
         raise ConfigError("grid.detuning_points: need at least 2 points")
     temps = _parse_list(raw("grid", "temperatures"), "grid.temperatures", _parse_float)
+    # steps 1-n, 3-n, ..., n-1 and one rounding per point: a symmetric range
+    # gives d[i] == -d[n-1-i] exactly, so each |d| is evaluated once.  Each
+    # half scales its own endpoint, so an asymmetric range still fails the
+    # grid's symmetry check.
+    steps = np.arange(1 - d_points, d_points, 2)
+    detunings = np.where(steps < 0, -d_min, d_max) * steps / (d_points - 1)
     try:
         quad = KQuadrature(
             nodes=intval("grid", "quadrature_nodes"),
@@ -267,7 +273,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
             verify=_parse_bool(raw("grid", "verify_quadrature"), "grid.verify_quadrature"),
         )
         grid = SpectralGrid(
-            detunings=tuple(np.linspace(d_min, d_max, d_points)),
+            detunings=tuple(detunings),
             temperatures=temps,
             k_integration=quad,
         )

@@ -34,6 +34,14 @@ channels for a tuple of detunings.  Each kernel is built as K(d) + K(-d), so
 both rates are exactly even in d and each |d| is evaluated only once.  The
 evaluator also holds the only doubled-node ``verify`` check.  ``s_cp``,
 ``s_bqp``, ``mixing_rates`` and the rate surfaces are thin callers of it.
+
+Every factor of the kernels that does not depend on the detuning (the pair
+weight, the four occupation products, the four quasiparticle numerators) is
+built once per band table, so a detuning costs only the four denominators and
+eight divisions per sign.  Those factors keep the operand order of the full
+per-detuning expressions on purpose: the rates stay bit for bit what the
+unhoisted kernels give, which ``tests/test_properties.py`` checks against a
+verbatim copy of them.
 """
 
 from __future__ import annotations
@@ -124,7 +132,16 @@ class RateSurface:
 
 
 class _BandTables:
-    """Per-temperature arrays shared by every detuning evaluation."""
+    """Per-temperature arrays shared by every detuning evaluation.
+
+    Everything in the two kernels that does not depend on the detuning is
+    built here once: the pair weight ``u_n v_n u_p v_p``, the four occupation
+    products that weight the pair-propagator poles and the four
+    quasiparticle numerators.  Each factor keeps the operand order of the
+    original per-detuning expression and is stored as complex128, the cast
+    numpy applies on every real/complex division anyway, so the rates are bit
+    for bit those of evaluating the full expressions at every detuning.
+    """
 
     def __init__(self, t: float, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
         if not 0.0 < t < 1.0:
@@ -143,18 +160,27 @@ class _BandTables:
         self.eps = eps
         self.e_n = bcs.quasiparticle_energy(xi_n, delta_n)
         self.e_p = bcs.quasiparticle_energy(xi_p, delta_p)
-        self.f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
-        self.f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
-        self.fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
-        self.fb_p = bcs.fermi_occupation_complement(self.e_p, t_kelvin)
+        f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
+        f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
+        fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
+        fb_p = bcs.fermi_occupation_complement(self.e_p, t_kelvin)
         # pair (anomalous) weight u v = delta / 2E per band
-        self.uv_n = delta_n / (2.0 * self.e_n)
-        self.uv_p = delta_p / (2.0 * self.e_p)
-        # normal-propagator weights
+        self.uv = (delta_n / (2.0 * self.e_n)) * (delta_p / (2.0 * self.e_p))
+        # pole weights, one per denominator d -+ E^n -+ E^p (mm, mp, pm, pp)
+        self.pair_weights = tuple(
+            w.astype(np.complex128) for w in (fb_n * fb_p, fb_n * f_p, f_n * fb_p, f_n * f_p)
+        )
         u2_n, v2_n = bcs.coherence_factors(xi_n, delta_n)
         u2_p, v2_p = bcs.coherence_factors(xi_p, delta_p)
-        self.u2_n, self.v2_n = u2_n, v2_n
-        self.u2_p, self.v2_p = u2_p, v2_p
+        self.qp_weights = tuple(
+            w.astype(np.complex128)
+            for w in (
+                v2_n * v2_p * fb_n * fb_p,
+                v2_n * u2_p * fb_n * f_p,
+                u2_n * v2_p * f_n * fb_p,
+                u2_n * u2_p * f_n * f_p,
+            )
+        )
         self.gamma = jp.broadening
         self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
 
@@ -165,18 +191,10 @@ class _BandTables:
         den_mp = d_mev - self.e_n + self.e_p + ig
         den_pm = d_mev + self.e_n - self.e_p + ig
         den_pp = d_mev + self.e_n + self.e_p + ig
-        pair = self.uv_n * self.uv_p * (
-            self.fb_n * self.fb_p / den_mm
-            - self.fb_n * self.f_p / den_mp
-            - self.f_n * self.fb_p / den_pm
-            + self.f_n * self.f_p / den_pp
-        )
-        quasiparticle = (
-            self.v2_n * self.v2_p * self.fb_n * self.fb_p / den_mm
-            + self.v2_n * self.u2_p * self.fb_n * self.f_p / den_mp
-            + self.u2_n * self.v2_p * self.f_n * self.fb_p / den_pm
-            + self.u2_n * self.u2_p * self.f_n * self.f_p / den_pp
-        )
+        w_mm, w_mp, w_pm, w_pp = self.pair_weights
+        pair = self.uv * (w_mm / den_mm - w_mp / den_mp - w_pm / den_pm + w_pp / den_pp)
+        q_mm, q_mp, q_pm, q_pp = self.qp_weights
+        quasiparticle = q_mm / den_mm + q_mp / den_mp + q_pm / den_pm + q_pp / den_pp
         return pair, quasiparticle
 
     def rates(self, d_delta0: float, delta0: float) -> "tuple[float, float]":

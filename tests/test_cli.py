@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from sled_oam import spectral
 from sled_oam.cli import main
 from sled_oam.pair_state import PairDensityMatrix
 
@@ -77,6 +78,30 @@ class TestRates:
         detunings = [r[1] for r in rows]
         assert temps == [0.3] * 5 + [0.7] * 5
         assert detunings[:5] == sorted(detunings[:5])
+
+
+    def test_fig2_rows_are_exact_mirror_images(self, tmp_path, monkeypatch):
+        evaluated = []
+        rates = spectral._BandTables.rates
+        monkeypatch.setattr(
+            spectral._BandTables,
+            "rates",
+            lambda tables, d, delta0: evaluated.append(d) or rates(tables, d, delta0),
+        )
+        out = str(tmp_path / "out")
+        args = ["rates", "--config", "fig2", "--out", out, "--threads", "1"]
+        args += ["--set", "grid.quadrature_nodes=256", "--set", "grid.temperatures=0.3, 0.9"]
+        assert main(args) == 0
+        assert len(evaluated) == 2 * 61  # one evaluation per |d| and temperature
+        for name in ("rates_cp.csv", "rates_bqp.csv"):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            assert len(rows) == 2 * 121
+            for block in (rows[:121], rows[121:]):
+                for row, mirror in zip(block, reversed(block)):
+                    assert row[0] == mirror[0]
+                    assert float(row[1]) == -float(mirror[1])
+                    assert row[2] == mirror[2]
 
 
 class TestDm:
@@ -190,6 +215,14 @@ class TestErrorReporting:
         record = json.loads(capsys.readouterr().err.strip())
         assert "threads" in record["message"]
 
+
+    def test_asymmetric_detuning_range_exits_2(self, tmp_path, capsys):
+        args = ["rates", "--config", "fig2", "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", "grid.detuning_max=4"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"] == "grid: detuning grid must be symmetric about zero"
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("command, winding", [("dm", "7"), ("fidelity", "3")])
     def test_unreachable_winding_exits_2(self, tmp_path, capsys, command, winding):

@@ -132,6 +132,12 @@ class TestPresets:
             config = load_config(name)
             assert config.grid.temperatures
 
+    def test_fig2_grid_is_exactly_symmetric(self):
+        d = load_config("fig2").grid.detunings
+        assert d == tuple(k / 10 for k in range(-60, 61))  # one rounding per point
+        assert all(d[i] == -d[120 - i] for i in range(121))
+        assert len({abs(x) for x in d}) == 61
+
     def test_fig5_uses_restricted_basis(self):
         config = load_config("fig5")
         assert config.winding == 1
