@@ -20,7 +20,7 @@ import time
 from . import __version__, outputs, pair_state, spectral
 from .config import PRESET_NAMES, RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, SledOamError
-from .metrics import bell_target, fidelity_curve
+from .metrics import fidelity_curve
 
 THREADS_ENV_VAR = "SLED_OAM_THREADS"
 
@@ -67,6 +67,8 @@ def cmd_rates(config: RunConfig) -> list:
 
 def cmd_dm(config: RunConfig) -> list:
     """Density matrices for every (temperature, enhancement): dm_{t}_{enh}.json."""
+    _check_file_tokens("grid.temperatures", config.grid.temperatures)
+    _check_file_tokens("emission.enhancements", config.enhancements)
     basis = config.basis()
     if config.qubit is not None:
         coherent = pair_state.rho_superposition(
@@ -74,26 +76,32 @@ def cmd_dm(config: RunConfig) -> list:
         )
     else:
         coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
-    incoherent = pair_state.rho_bqp(basis, config.geometry)
     written = []
-    for t in config.grid.temperatures:
-        # unit enhancement gives the raw channel rates, re-weighted per enhancement below
-        s_cp, s_bqp = spectral.mixing_rates(
-            config.detuning_for_dm,
-            t,
-            config.junction,
-            spectral.CoherenceParams(1.0),
-            config.grid.k_integration,
-        )
-        for enh in config.enhancements:
-            rho = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp)
-            stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
-            path = os.path.join(config.out_dir, f"{stem}.json")
-            outputs.write_json(path, rho.to_json_dict())
-            written.append(path)
-            if "svg" in config.formats:
-                written.append(_write_matrix_svg(config, rho, stem, t, enh))
+    for t, enh, rho in pair_state.mixtures(
+        coherent,
+        pair_state.rho_bqp(basis, config.geometry),
+        config.detuning_for_dm,
+        config.grid.temperatures,
+        config.enhancements,
+        config.junction,
+        config.grid.k_integration,
+    ):
+        stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
+        path = os.path.join(config.out_dir, f"{stem}.json")
+        outputs.write_json(path, rho.to_json_dict())
+        written.append(path)
+        if "svg" in config.formats:
+            written.append(_write_matrix_svg(config, rho, stem, t, enh))
     return written
+
+
+def _check_file_tokens(key: str, values) -> None:
+    """Distinct values that print alike would overwrite each other's dm files."""
+    first = {}
+    for value in values:
+        token = _num_token(value)
+        if first.setdefault(token, value) != value:
+            raise ConfigError(f"{key}: {first[token]!r} and {value!r} share file token {token!r}")
 
 
 def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
@@ -113,17 +121,15 @@ def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -
 
 def cmd_fidelity(config: RunConfig) -> list:
     """Bell-state fidelity versus temperature per enhancement: fidelity.csv."""
-    basis = config.basis()
     table = fidelity_curve(
         config.grid.temperatures,
         config.enhancements,
         config.winding,
-        basis,
+        config.basis(),
         config.geometry,
         config.detuning_for_dm,
         config.junction,
         quad=config.grid.k_integration,
-        target=bell_target(basis, config.winding),
     )
     rows = [
         (t, enh, table.values[i, j])

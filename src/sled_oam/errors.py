@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+from contextlib import contextmanager
+
 
 class SledOamError(Exception):
     """Base class for all simulator errors."""
@@ -35,3 +37,13 @@ class DegenerateMixtureError(SledOamError, ValueError):
 
 class ConfigError(SledOamError, ValueError):
     """A run configuration failed to parse or validate."""
+
+
+@contextmanager
+def at_point(t: float, enhancement: float):
+    """Append the point to the message of a simulator error, keeping its type and attributes."""
+    try:
+        yield
+    except SledOamError as exc:
+        exc.args = (f"{exc} (at t={t}, enhancement={enhancement})",)
+        raise

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError, SledOamError
+from .errors import ContractError, ConvergenceError, at_point
 from .modes import AnnulusGeometry
 from .pair_state import OamPairBasis, PairDensityMatrix
 
@@ -158,7 +158,7 @@ def bell_target(basis: OamPairBasis, ls) -> TargetState:
     For a winding of 1 detected with l in {0, 1} this is the symmetric
     two-photon Bell state (|0,1> + |1,0>)/sqrt(2).
     """
-    ls = pair_state._ls_value(ls)
+    ls = int(ls)
     members = pair_state.sector_pairs(basis, ls)
     if not members:
         raise ContractError(f"basis has no pairs with total OAM {ls}")
@@ -226,19 +226,11 @@ def fidelity_curve(
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     coherent = pair_state.rho_cp(ls, basis, geom)
-    incoherent = pair_state.rho_bqp(basis, geom)
-    values = np.empty((len(temps), len(enhancements)))
-    for i, t in enumerate(temps):
-        try:
-            # unit enhancement gives the raw channel rates, re-weighted per enhancement below
-            s_cp, s_bqp = spectral.mixing_rates(d, t, jp, spectral.CoherenceParams(1.0), quad)
-        except SledOamError as exc:
-            raise type(exc)(f"{exc} (at t={t})") from exc
-        for j, enh in enumerate(enhancements):
-            try:
-                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
-                rho = pair_state.mixture(coherent, incoherent, r_cp, s_bqp)
-                values[i, j] = fidelity(rho, target)
-            except SledOamError as exc:
-                raise type(exc)(f"{exc} (at t={t}, enhancement={enh})") from exc
+    values = []
+    for t, enh, rho in pair_state.mixtures(
+        coherent, pair_state.rho_bqp(basis, geom), d, temps, enhancements, jp, quad
+    ):
+        with at_point(t, enh):
+            values.append(fidelity(rho, target))
+    values = np.array(values).reshape(len(temps), len(enhancements))
     return FidelityTable(temps, enhancements, values)

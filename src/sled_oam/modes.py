@@ -177,35 +177,3 @@ def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry, rel_tol: float = 1e
     """
     lo_mode, hi_mode = sorted((a, b))
     return _kappa_cached(lo_mode, hi_mode, geom, rel_tol)
-
-
-def k_factor(
-    alpha: ModeIndex,
-    beta: ModeIndex,
-    gamma: ModeIndex,
-    delta: ModeIndex,
-    geom: AnnulusGeometry,
-) -> float:
-    """Transverse-profile factor of a density-matrix entry: kappa(a,b) * kappa(c,d)."""
-    return kappa(alpha, beta, geom) * kappa(gamma, delta, geom)
-
-
-@dataclass(frozen=True)
-class KappaTable:
-    """Precomputed overlap values for a fixed geometry and mode set."""
-
-    geometry: AnnulusGeometry
-    entries: dict
-
-    @classmethod
-    def build(cls, modes, geom: AnnulusGeometry) -> "KappaTable":
-        modes = sorted(set(modes))
-        entries = {}
-        for i, a in enumerate(modes):
-            for b in modes[i:]:
-                entries[(a, b)] = kappa(a, b, geom)
-        return cls(geometry=geom, entries=entries)
-
-    def get(self, a: ModeIndex, b: ModeIndex) -> float:
-        lo_mode, hi_mode = sorted((a, b))
-        return self.entries[(lo_mode, hi_mode)]

@@ -4,9 +4,9 @@ A pair state lives on an ordered basis of (l1, l2) OAM labels (radial index
 fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background.  Mixtures are weighted by the spectral rates evaluated
-at a fixed detuning; ``mixture`` is the rate-free algebra, so a run can build
-the channel matrices once and only re-weight them per temperature and
-enhancement.
+at a fixed detuning; ``mixtures`` sweeps them over (temperature, enhancement)
+from channel matrices built once, and every mixture of the package is formed
+there.
 """
 
 from __future__ import annotations
@@ -18,17 +18,10 @@ import numpy as np
 
 from . import spectral
 from .bcs import JunctionParams
-from .errors import ContractError, DegenerateMixtureError, DomainError, EmptySectorError
+from .errors import ContractError, DegenerateMixtureError, DomainError, EmptySectorError, at_point
 from .modes import AnnulusGeometry, ModeIndex, kappa
 
 HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class WindingNumber:
-    """Number of 2*pi phase turns of the order parameter around the ring."""
-
-    ls: int
 
 
 @dataclass(frozen=True)
@@ -146,15 +139,6 @@ class PairDensityMatrix:
         return cls(basis, entries)
 
 
-def normalize(m: PairDensityMatrix) -> PairDensityMatrix:
-    """Scale entries so the trace is 1."""
-    return m.normalize()
-
-
-def _ls_value(ls) -> int:
-    return ls.ls if isinstance(ls, WindingNumber) else int(ls)
-
-
 def _kappa_vector(basis: OamPairBasis, geom: AnnulusGeometry) -> np.ndarray:
     return np.array(
         [kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom) for l1, l2 in basis.pairs]
@@ -173,7 +157,7 @@ def _sector_vector(basis: OamPairBasis, geom: AnnulusGeometry, ls: int) -> np.nd
 
 def rho_cp(ls, basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
     """Unnormalized coherent-channel matrix: overlap outer product on the ls sector."""
-    v = _sector_vector(basis, geom, _ls_value(ls))
+    v = _sector_vector(basis, geom, int(ls))
     return PairDensityMatrix(basis, np.outer(v, v).astype(complex))
 
 
@@ -192,7 +176,7 @@ def rho_superposition(
     its overlap amplitudes; the matrix is the corresponding outer product.
     A sector is only required to be populated when its amplitude is nonzero.
     """
-    ls = _ls_value(ls)
+    ls = int(ls)
     n = len(basis)
     psi = np.zeros(n, dtype=complex)
     if q.a != 0:
@@ -221,6 +205,23 @@ def mixture(
     return PairDensityMatrix(coherent.basis, entries).normalize()
 
 
+def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()):
+    """Yield (t, enhancement, trace-1 mixture) of two channel matrices over a grid.
+
+    Temperature-major and one at a time, so a caller can write or reduce each
+    mixture before the next is formed.  Rate errors pass through unchanged;
+    mixture errors gain the (t, enhancement) point.
+    """
+    for t in temperatures:
+        # unit enhancement gives the raw channel rates, re-weighted per enhancement below
+        s_cp, s_bqp = spectral.mixing_rates(d, t, jp, spectral.CoherenceParams(1.0), quad)
+        for enh in enhancements:
+            with at_point(t, enh):
+                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
+                rho = mixture(coherent, incoherent, r_cp, s_bqp)
+            yield t, enh, rho
+
+
 def rho_total(
     ls,
     basis: OamPairBasis,
@@ -232,9 +233,9 @@ def rho_total(
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
     """Trace-1 rate-weighted mixture of the coherent and incoherent channels."""
-    return mixture(
-        rho_cp(ls, basis, geom), rho_bqp(basis, geom), *spectral.mixing_rates(d, t, jp, coh, quad)
-    )
+    coherent = rho_cp(ls, basis, geom)
+    [(_, _, rho)] = mixtures(coherent, rho_bqp(basis, geom), d, (t,), (coh.enhancement,), jp, quad)
+    return rho
 
 
 def rho_total_superposition(
@@ -249,8 +250,6 @@ def rho_total_superposition(
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
     """Trace-1 mixture with the coherent channel carrying a qubit superposition."""
-    return mixture(
-        rho_superposition(q, ls, basis, geom),
-        rho_bqp(basis, geom),
-        *spectral.mixing_rates(d, t, jp, coh, quad),
-    )
+    coherent = rho_superposition(q, ls, basis, geom)
+    [(_, _, rho)] = mixtures(coherent, rho_bqp(basis, geom), d, (t,), (coh.enhancement,), jp, quad)
+    return rho

@@ -251,16 +251,6 @@ def s_bqp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadr
     return _channel_rates(t, jp, quad, (d,))[0][1]
 
 
-def rate_surface(
-    grid: SpectralGrid, jp: bcs.JunctionParams, channel: str, workers: int = 1
-) -> RateSurface:
-    """Evaluate one channel on the full grid, normalized to the coherent maximum."""
-    if channel not in ("cp", "bqp"):
-        raise DomainError(f"channel must be 'cp' or 'bqp', got {channel!r}")
-    cp, bqp = rate_surfaces(grid, jp, workers)
-    return cp if channel == "cp" else bqp
-
-
 def rate_surfaces(
     grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
 ) -> "tuple[RateSurface, RateSurface]":

@@ -279,6 +279,31 @@ class TestErrorReporting:
         assert record["error"] == "DegenerateMixtureError"
         assert "trace" in record["message"]
 
+    @pytest.mark.parametrize(
+        "key, values, token",
+        [
+            ("grid.temperatures", "0.1234567, 0.1234568", "0.123457"),
+            ("emission.enhancements", "10, 10.000001", "10"),
+        ],
+    )
+    def test_dm_values_sharing_a_file_token_exit_2(self, tmp_path, capsys, key, values, token):
+        out = tmp_path / "out"
+        args = ["dm", "--config", write_config(tmp_path), "--out", str(out)]
+        assert main(args + ["--set", f"{key}={values}"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert key in record["message"] and repr(token) in record["message"]
+        assert os.listdir(out) == []
+
+    def test_dm_and_fidelity_report_a_mixture_error_alike(self, tmp_path, capsys):
+        records = []
+        for command in ("dm", "fidelity"):
+            args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / command)]
+            assert main(args + ["--set", "geometry.r_outer_um=4.0"]) == 1
+            records.append(json.loads(capsys.readouterr().err))
+        assert records[0] == records[1]
+        assert records[0]["message"].endswith(" (at t=0.3, enhancement=10.0)")
+
 
 class TestConvergenceGate:
     def test_unresolvable_resonance_exits_with_code_3(self, tmp_path, capsys):
@@ -355,3 +380,20 @@ class TestThreadPlumbing:
         assert main(["rates", "--config", write_config(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert "SLED_OAM_THREADS" in record["message"]
+
+
+class TestPresets:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["dm", "--config", "fig4"], ["dm_0.5_100", "dm_0.9_100"]),
+            (["fidelity", "--config", "fig5"], ["fidelity"]),
+        ],
+    )
+    def test_preset_writes_its_file_set(self, tmp_path, argv, expected):
+        out = str(tmp_path / "out")
+        assert main(argv + ["--out", out]) == 0
+        data = ".json" if argv[0] == "dm" else ".csv"
+        files = sorted(stem + ext for stem in expected for ext in (data, ".svg"))
+        assert sorted(check_manifest(out)["outputs"]) == files
+        assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])

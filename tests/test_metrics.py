@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 
 from sled_oam import (
+    CoherenceParams,
     ContractError,
+    ConvergenceError,
     KQuadrature,
     OamPairBasis,
     PairDensityMatrix,
@@ -12,8 +14,10 @@ from sled_oam import (
     eigh,
     fidelity,
     fidelity_curve,
+    mixing_rates,
     sqrtm_psd,
 )
+from sled_oam.config import load_config
 
 
 def random_hermitian(rng, n):
@@ -212,3 +216,28 @@ class TestFidelityCurve:
         assert table.values.shape == (3, 2)
         assert np.all(table.values[:, 1] >= table.values[:, 0])
         assert np.all((table.values >= 0.0) & (table.values <= 1.0 + 1e-12))
+
+    def test_rate_error_passes_through_with_its_estimates(self):
+        config = load_config(
+            "fig3", ["material.dephasing_time_fs=1e5", "grid.verify_quadrature=true"]
+        )
+        t, quad = config.grid.temperatures[0], config.grid.k_integration
+        with pytest.raises(ConvergenceError) as direct:
+            mixing_rates(config.detuning_for_dm, t, config.junction, CoherenceParams(1.0), quad)
+        with pytest.raises(ConvergenceError) as swept:
+            fidelity_curve(
+                config.grid.temperatures,
+                config.enhancements,
+                config.winding,
+                config.basis(),
+                config.geometry,
+                config.detuning_for_dm,
+                config.junction,
+                quad,
+            )
+        assert direct.value.coarse is not None and direct.value.refined is not None
+        assert (swept.value.coarse, swept.value.refined) == (
+            direct.value.coarse,
+            direct.value.refined,
+        )
+        assert str(swept.value) == str(direct.value)

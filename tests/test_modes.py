@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from sled_oam import AnnulusGeometry, DomainError, KappaTable, ModeIndex, k_factor, kappa, lg_radial
+from sled_oam import AnnulusGeometry, DomainError, ModeIndex, kappa, lg_radial
 from sled_oam.errors import ConvergenceError
 from sled_oam.modes import generalized_laguerre
 
@@ -64,7 +64,8 @@ class TestLgRadial:
 
 class TestKappa:
     def test_full_plane_diagonal_is_one(self):
-        for mode in (ModeIndex(0, 0), ModeIndex(0, 3), ModeIndex(1, 1), ModeIndex(2, 2)):
+        modes = (ModeIndex(0, 0), ModeIndex(0, 1), ModeIndex(0, 3), ModeIndex(1, 1), ModeIndex(2, 2))
+        for mode in modes:
             assert kappa(mode, mode, FULL_PLANE) == pytest.approx(1.0, abs=1e-10)
 
     def test_symmetric_exactly(self, rng):
@@ -112,40 +113,13 @@ class TestKappa:
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
     def test_empty_annulus_is_zero(self):
-        geom = AnnulusGeometry(4.0, 4.0, 2.0)
-        assert kappa(ModeIndex(0, 0), ModeIndex(0, 1), geom) == 0.0
+        for geom in (AnnulusGeometry(4.0, 4.0, 2.0), AnnulusGeometry(2.0, 2.0, 1.0)):
+            assert kappa(ModeIndex(0, 0), ModeIndex(0, 1), geom) == 0.0
 
     def test_unreachable_tolerance_raises(self):
         geom = AnnulusGeometry(1.0, 9.0, 2.5)
         with pytest.raises(ConvergenceError):
             kappa(ModeIndex(0, 2), ModeIndex(1, 1), geom, rel_tol=1e-30)
-
-
-class TestKFactor:
-    def test_identical_modes_full_plane(self):
-        m = ModeIndex(0, 1)
-        assert k_factor(m, m, m, m, FULL_PLANE) == pytest.approx(1.0, abs=2e-10)
-
-    def test_pair_swap_symmetry(self):
-        geom = AnnulusGeometry(4.0, 5.0, 6.4)
-        a, b, c, d = (ModeIndex(0, l) for l in (0, 2, -1, 3))
-        assert k_factor(a, b, c, d, geom) == k_factor(c, d, a, b, geom)
-
-    def test_empty_support_gives_zero(self):
-        geom = AnnulusGeometry(2.0, 2.0, 1.0)
-        a, b, c, d = (ModeIndex(0, l) for l in (0, 1, 0, 1))
-        assert k_factor(a, b, c, d, geom) == 0.0
-
-
-class TestKappaTable:
-    def test_build_and_lookup(self):
-        geom = AnnulusGeometry(4.0, 5.0, 6.4)
-        modes = [ModeIndex(0, l) for l in range(-2, 3)]
-        table = KappaTable.build(modes, geom)
-        for a in modes:
-            for b in modes:
-                assert table.get(a, b) == kappa(a, b, geom)
-                assert table.get(a, b) == table.get(b, a)
 
 
 class TestGeometry:

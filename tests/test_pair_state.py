@@ -14,10 +14,7 @@ from sled_oam import (
     OamPairBasis,
     PairDensityMatrix,
     QubitState,
-    WindingNumber,
     kappa,
-    k_factor,
-    normalize,
     rho_bqp,
     rho_cp,
     rho_superposition,
@@ -75,7 +72,7 @@ class TestQubitState:
 class TestRhoCp:
     def test_populated_pairs_winding_two(self, geometry):
         basis = OamPairBasis.full(3)
-        rho = rho_cp(WindingNumber(2), basis, geometry)
+        rho = rho_cp(2, basis, geometry)
         populated = [
             basis.pairs[i] for i in range(len(basis)) if rho.entries[i, i].real > 0
         ]
@@ -131,7 +128,7 @@ class TestRhoBqp:
         for i, (l1, l2) in enumerate(basis.pairs):
             a, b = ModeIndex(0, l1), ModeIndex(0, l2)
             assert rho.entries[i, i].real == pytest.approx(
-                k_factor(a, b, a, b, geometry), rel=1e-12
+                kappa(a, b, geometry) ** 2, rel=1e-12
             )
 
 
@@ -145,7 +142,7 @@ class TestRhoTotal:
         basis = OamPairBasis.full(2)
         rho = rho_total(2, basis, geometry, 5.0, 0.5, junction,
                         CoherenceParams(1e12), FUZZ_QUAD)
-        pure = normalize(rho_cp(2, basis, geometry))
+        pure = rho_cp(2, basis, geometry).normalize()
         assert np.max(np.abs(rho.entries - pure.entries)) < 1e-9
 
     def test_diagonal_background_grows_with_temperature(self, junction, geometry):
@@ -161,7 +158,7 @@ class TestRhoTotal:
 
     def test_mixture_distance_monotone_in_incoherent_share(self, junction, geometry):
         basis = OamPairBasis.full(2)
-        pure = normalize(rho_cp(2, basis, geometry))
+        pure = rho_cp(2, basis, geometry).normalize()
         distances = []
         for enh in (1e6, 1e3, 100.0, 10.0, 1.0):
             rho = rho_total(2, basis, geometry, 5.0, 0.5, junction,
@@ -246,18 +243,18 @@ class TestNormalize:
     def test_identity(self):
         basis = OamPairBasis.from_l_values([0, 1])
         rho = PairDensityMatrix(basis, np.eye(4, dtype=complex))
-        assert np.allclose(normalize(rho).entries, np.eye(4) / 4.0, rtol=0, atol=1e-16)
+        assert np.allclose(rho.normalize().entries, np.eye(4) / 4.0, rtol=0, atol=1e-16)
 
     def test_idempotent(self, geometry):
-        rho = normalize(rho_cp(2, OamPairBasis.full(2), geometry))
-        again = normalize(rho)
+        rho = rho_cp(2, OamPairBasis.full(2), geometry).normalize()
+        again = rho.normalize()
         assert np.max(np.abs(again.entries - rho.entries)) <= 1e-15
 
     def test_zero_trace_rejected(self):
         basis = OamPairBasis.from_l_values([0])
         rho = PairDensityMatrix(basis, np.zeros((1, 1), dtype=complex))
         with pytest.raises(ContractError):
-            normalize(rho)
+            rho.normalize()
 
 
 class TestMatrixContracts:

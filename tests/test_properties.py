@@ -7,8 +7,9 @@ are exact mirror images, and fidelity curves equal to the one-shot mixture at
 every point, all bit for bit.  The band-table rates must equal, bit for bit, a
 verbatim copy of the kernels as they were before their per-temperature
 factors were hoisted.  Small random ``dm`` and ``fidelity`` runs must write
-Hermitian, positive semidefinite, trace-1 matrices and fidelities in [0, 1],
-and the mode overlap ``kappa`` must be symmetric in its two modes.
+Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
+the one-shot mixture at its (temperature, enhancement), and fidelities in
+[0, 1], and the mode overlap ``kappa`` must be symmetric in its two modes.
 """
 
 import json
@@ -38,10 +39,12 @@ from sled_oam import (
     kappa,
     rate_surfaces,
     rho_total,
+    rho_total_superposition,
     s_bqp,
     s_cp,
 )
 from sled_oam.cli import main
+from sled_oam.config import load_config
 from sled_oam.constants import dos_2d_per_mev_um2
 from sled_oam.spectral import _BandTables
 
@@ -244,6 +247,7 @@ def small_runs(draw):
 @SETTINGS
 @given(overrides=small_runs())
 def test_every_dm_matrix_is_a_density_matrix(overrides):
+    config = load_config("fig3", overrides[1::2])
     with tempfile.TemporaryDirectory() as out:
         assert main(["dm", "--config", "fig3", "--out", out, "--format", "json"] + overrides) == 0
         names = [name for name in os.listdir(out) if name.startswith("dm_")]
@@ -254,6 +258,24 @@ def test_every_dm_matrix_is_a_density_matrix(overrides):
             assert np.abs(rho - rho.conj().T).max() <= 1e-12
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert float(np.linalg.eigvalsh(rho).min()) >= -1e-10
+        expected = {
+            f"dm_{t:g}_{enh:g}.json": one_shot_dm(config, t, enh)
+            for t in config.grid.temperatures
+            for enh in config.enhancements
+        }
+        assert sorted(names) == sorted(expected)
+        for name, rho in expected.items():
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                assert json.load(fh) == rho.to_json_dict()
+
+
+def one_shot_dm(config, t, enh):
+    """The matrix ``dm`` must write at (t, enh), formed by the one-shot mixture."""
+    args = (config.winding, config.basis(), config.geometry, config.detuning_for_dm, t)
+    args += (config.junction, CoherenceParams(enh), config.grid.k_integration)
+    if config.qubit is None:
+        return rho_total(*args)
+    return rho_total_superposition(config.qubit, *args)
 
 
 @SETTINGS

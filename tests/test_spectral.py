@@ -8,7 +8,6 @@ from sled_oam import (
     SpectralGrid,
     gaas_nb_junction,
     mixing_rates,
-    rate_surface,
     rate_surfaces,
     s_bqp,
     s_cp,
@@ -53,10 +52,6 @@ class TestValidation:
         with pytest.raises(DomainError):
             CoherenceParams(0.5)
 
-    def test_channel_name(self, junction):
-        with pytest.raises(DomainError):
-            rate_surface(SMALL_GRID, junction, "qp")
-
 
 class TestDetuningSymmetry:
     def test_both_channels_exactly_even(self, junction, fast_quad):
@@ -71,8 +66,7 @@ class TestDetuningSymmetry:
             temperatures=(0.3, 0.9),
             k_integration=KQuadrature(nodes=512),
         )
-        for channel in ("cp", "bqp"):
-            surface = rate_surface(grid, junction, channel)
+        for surface in rate_surfaces(grid, junction):
             mirrored = surface.values[:, ::-1]
             assert np.abs(surface.values - mirrored).max() <= 1e-10 * surface.values.max()
 
@@ -109,23 +103,23 @@ class TestConvergence:
             k_integration=KQuadrature(nodes=64, verify=True),
         )
         with pytest.raises(ConvergenceError) as err:
-            rate_surface(grid, jp, "cp")
+            rate_surfaces(grid, jp)[0]
         assert "t=" in str(err.value) and "d=" in str(err.value)
 
 
 class TestRateSurface:
     def test_shape_and_finiteness(self, junction):
-        surface = rate_surface(SMALL_GRID, junction, "cp")
+        surface = rate_surfaces(SMALL_GRID, junction)[0]
         assert surface.values.shape == (2, 3)
         assert np.all(np.isfinite(surface.values))
         assert np.all(surface.values >= 0.0)
 
     def test_cp_max_exactly_one(self, junction):
-        surface = rate_surface(SMALL_GRID, junction, "cp")
+        surface = rate_surfaces(SMALL_GRID, junction)[0]
         assert surface.values.max() == 1.0
 
     def test_bqp_normalized_by_cp_reference(self, junction):
-        bqp_alone = rate_surface(SMALL_GRID, junction, "bqp")
+        bqp_alone = rate_surfaces(SMALL_GRID, junction)[1]
         cp, bqp = rate_surfaces(SMALL_GRID, junction)
         assert np.array_equal(bqp_alone.values, bqp.values)
         assert bqp_alone.normalization == cp.normalization
@@ -136,8 +130,8 @@ class TestRateSurface:
             temperatures=(0.2, 0.5, 0.8),
             k_integration=KQuadrature(nodes=256),
         )
-        seq = rate_surface(grid, junction, "cp", workers=1)
-        par = rate_surface(grid, junction, "cp", workers=4)
+        seq = rate_surfaces(grid, junction, workers=1)[0]
+        par = rate_surfaces(grid, junction, workers=4)[0]
         assert np.array_equal(seq.values, par.values)
 
     def test_gap_collapse_pulls_peak_inward(self, junction):
@@ -146,7 +140,7 @@ class TestRateSurface:
             temperatures=(0.1, 0.95),
             k_integration=KQuadrature(nodes=1024),
         )
-        surface = rate_surface(grid, junction, "cp")
+        surface = rate_surfaces(grid, junction)[0]
         ds = np.asarray(grid.detunings)
         argmax_cold = abs(ds[int(np.argmax(surface.values[0]))])
         argmax_hot = abs(ds[int(np.argmax(surface.values[1]))])
@@ -158,7 +152,7 @@ class TestRateSurface:
             temperatures=(0.7, 0.8, 0.9, 0.95),
             k_integration=KQuadrature(nodes=1024),
         )
-        surface = rate_surface(grid, junction, "cp")
+        surface = rate_surfaces(grid, junction)[0]
         col = surface.values[:, 2]
         assert all(a > b for a, b in zip(col, col[1:]))
 
