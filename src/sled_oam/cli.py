@@ -17,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, outputs, pair_state, spectral
 from .config import PRESET_NAMES, RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, SledOamError
@@ -107,7 +109,7 @@ def _check_file_tokens(key: str, values) -> None:
 def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
     """Heatmap of |rho| over the populated pairs; its large temporaries die on return."""
     magnitudes = abs(rho.entries)
-    populated = [i for i in range(len(rho.basis)) if magnitudes[i].max() > 1e-15]
+    populated = np.flatnonzero(magnitudes.max(axis=1, initial=0.0) > 1e-15)
     labels = [_pair_label(rho.basis.pairs[i]) for i in populated]
     svg = outputs.svg_matrix(
         magnitudes[populated][:, populated],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,11 @@ class TargetState:
         if abs(norm - 1.0) > 1e-12:
             raise ContractError(f"target state must have unit norm, got {norm}")
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Square root of the projector |psi><psi|, decomposed once per target."""
+        return sqrtm_psd(np.outer(self.coefficients, self.coefficients.conj()))
+
 
 def bell_target(basis: OamPairBasis, ls) -> TargetState:
     """Equal-amplitude superposition of all basis pairs with total OAM ls.
@@ -182,8 +188,7 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
     if abs(tr - 1.0) > 1e-9:
         raise ContractError(f"density matrix must have unit trace, got {tr}")
     psi = target.coefficients
-    rho_t = np.outer(psi, psi.conj())
-    root = sqrtm_psd(rho_t)
+    root = target.root
     inner = root @ rho.entries @ root
     inner = 0.5 * (inner + inner.conj().T)
     general = float(np.trace(sqrtm_psd(inner)).real) ** 2

@@ -1,9 +1,14 @@
 """File emission: CSV tables, JSON payloads, minimal SVG plots, run manifest.
 
 Numbers are written in their shortest round-trip decimal form, so identical
-inputs always produce byte-identical files.  SVG output is deliberately
-simple -- colored rects for heatmaps, polylines for curves -- and needs no
-external renderer.
+inputs always produce byte-identical files.  JSON payloads are laid out
+exactly as ``json.dumps(payload, indent=2)`` would, but every list of scalars
+goes through the C encoder in one call.  SVG output is deliberately simple --
+colored rects for heatmaps, polylines for curves -- and needs no external
+renderer.  Both heatmaps (``svg_heatmap`` for rate surfaces, ``svg_matrix``
+for density matrices) take their cell colours from one colour map,
+``_colors``, which maps a whole row of scaled values at a time with the same
+floating-point operations, cell for cell, as a scalar evaluation would.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-_VIRIDIS_STOPS = (
+_VIRIDIS_STOPS = np.array([
     (0.267, 0.005, 0.329),
     (0.283, 0.141, 0.458),
     (0.254, 0.265, 0.530),
@@ -28,7 +33,7 @@ _VIRIDIS_STOPS = (
     (0.478, 0.821, 0.318),
     (0.741, 0.873, 0.150),
     (0.993, 0.906, 0.144),
-)
+])
 
 
 def fmt(value: float) -> str:
@@ -48,7 +53,37 @@ def write_csv(path: str, header: str, rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write ``json.dumps(payload, indent=2)``, byte for byte, and a final newline."""
+    write_text(path, _indented_json(payload, "\n") + "\n")
+
+
+def _indented_json(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value whose line starts with ``newline``.
+
+    The pure-Python encoder that ``indent`` selects is slow on large number
+    lists, so a list without a nested list, tuple or dict is one C-encoder
+    call whose item separator carries the line break and the indent.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+        body = ("," + inner).join(
+            json.dumps(key) + ": " + _indented_json(value, inner) for key, value in obj.items()
+        )
+        return "{" + inner + body + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
+            body = ("," + inner).join(_indented_json(item, inner) for item in obj)
+        else:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj)
 
 
 def sha256_of(path: str) -> str:
@@ -85,15 +120,34 @@ def write_manifest(
     return path
 
 
-def _color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
+def _colors(scaled) -> list:
+    """Viridis hex colours of a row of values scaled to [0, 1].
+
+    Each cell goes through the same float operations in the same order as
+    the scalar formula: clip, ``pos = 10 v``, truncated stop index capped at
+    9, ``(1 - frac) * stop_i + frac * stop_(i+1)``, and ``rint(255 c)``,
+    which rounds half to even like ``round``.  Callers pass one row at a
+    time, so no temporary grows with the whole matrix.
+    """
+    v = np.clip(np.asarray(scaled, dtype=float), 0.0, 1.0)
+    if np.isnan(v).any():
+        raise ValueError("cannot colour NaN")
     pos = v * (len(_VIRIDIS_STOPS) - 1)
-    i = min(int(pos), len(_VIRIDIS_STOPS) - 2)
-    frac = pos - i
-    rgb = tuple(
-        (1 - frac) * _VIRIDIS_STOPS[i][c] + frac * _VIRIDIS_STOPS[i + 1][c] for c in range(3)
+    i = np.minimum(pos.astype(np.intp), len(_VIRIDIS_STOPS) - 2)
+    frac = (pos - i)[:, None]
+    lo, hi = _VIRIDIS_STOPS[i], _VIRIDIS_STOPS[i + 1]
+    rgb = np.rint(255 * ((1 - frac) * lo + frac * hi)).astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    distinct, index = np.unique(packed, return_inverse=True)
+    names = ["#%06x" % p for p in distinct.tolist()]
+    return [names[k] for k in index.tolist()]
+
+
+def _rect_row(xs, y: str, dims: str, scaled) -> str:
+    """One heatmap row as its cell rects, one per line, joined while the row is small."""
+    return "\n".join(
+        f'<rect x="{x}" y="{y}" {dims} fill="{c}"/>' for x, c in zip(xs, _colors(scaled))
     )
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
 
 
 def _scaled(value: float, vmax: float, log_scale: bool, decades: float = 6.0) -> float:
@@ -128,14 +182,12 @@ def svg_heatmap(
         f'<text x="{left + plot_w / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
+    xs = [f"{left + j * cell_w:.2f}" for j in range(n_cols)]
+    dims = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
     for i in range(n_rows):
-        y = top + (n_rows - 1 - i) * cell_h
-        for j in range(n_cols):
-            color = _color(_scaled(float(values[i, j]), vmax, log_scale))
-            parts.append(
-                f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" '
-                f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="{color}"/>'
-            )
+        y = f"{top + (n_rows - 1 - i) * cell_h:.2f}"
+        scaled = [_scaled(float(v), vmax, log_scale) for v in values[i]]
+        parts.append(_rect_row(xs, y, dims, scaled))
     tick_idx = sorted({0, n_cols // 2, n_cols - 1})
     for j in tick_idx:
         x = left + (j + 0.5) * cell_w
@@ -175,13 +227,11 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
         f'<text x="{left + size / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
+    xs = [f"{left + j * cell:.2f}" for j in range(n)]
+    dims = f'width="{cell:.2f}" height="{cell:.2f}"'
     for i in range(n):
-        for j in range(n):
-            color = _color(float(values[i, j]) / vmax if vmax > 0 else 0.0)
-            parts.append(
-                f'<rect x="{left + j * cell:.2f}" y="{top + i * cell:.2f}" '
-                f'width="{cell:.2f}" height="{cell:.2f}" fill="{color}"/>'
-            )
+        y = f"{top + i * cell:.2f}"
+        parts.append(_rect_row(xs, y, dims, values[i] / vmax if vmax > 0 else np.zeros(n)))
     font = max(6, min(11, int(cell) - 2))
     for j, label in enumerate(labels):
         x = left + (j + 0.5) * cell

@@ -41,7 +41,10 @@ built once per band table, so a detuning costs only the four denominators and
 eight divisions per sign.  Those factors keep the operand order of the full
 per-detuning expressions on purpose: the rates stay bit for bit what the
 unhoisted kernels give, which ``tests/test_properties.py`` checks against a
-verbatim copy of them.
+verbatim copy of them.  The kernels and both trapezoid sums run in place in
+work arrays of the band table, which like the factors start on pages, so no
+detuning allocates and the kernel time does not depend on where the
+process's earlier allocations left numpy's buffers.
 """
 
 from __future__ import annotations
@@ -131,6 +134,40 @@ class RateSurface:
     normalization: float
 
 
+# Every band-table array starts on a page.  Numpy's own buffers are only
+# 16-byte aligned, at addresses set by whatever the process allocated before,
+# and the kernel time followed them: up to 25% from one process to the next
+# on AVX-512 hardware, which loads whole cache lines.
+_PAGE = 4096
+
+# The four poles d -+ E^n -+ E^p + i Gamma (mm, mp, pm, pp): how each builds
+# its denominator from the two band energies and how its pair term joins the
+# running pair sum (the first term starts it).
+_POLES = (
+    (np.subtract, np.subtract, None),
+    (np.subtract, np.add, np.subtract),
+    (np.add, np.subtract, np.subtract),
+    (np.add, np.add, np.add),
+)
+
+
+def _aligned_arrays(nodes: int, dtypes) -> list:
+    """One uninitialized array of ``nodes`` elements per dtype, each starting on a page.
+
+    Each array is its own allocation, so at 4096 nodes none reaches the
+    128 KiB at which malloc maps memory instead of reusing its heap; freeing
+    such a mapping would raise that threshold and keep later, larger
+    allocations resident after they are freed.
+    """
+    arrays = []
+    for dt in dtypes:
+        size = nodes * np.dtype(dt).itemsize
+        raw = np.empty(size + _PAGE, np.uint8)
+        offset = -raw.ctypes.data % _PAGE
+        arrays.append(raw[offset : offset + size].view(dt))
+    return arrays
+
+
 class _BandTables:
     """Per-temperature arrays shared by every detuning evaluation.
 
@@ -138,9 +175,14 @@ class _BandTables:
     built here once: the pair weight ``u_n v_n u_p v_p``, the four occupation
     products that weight the pair-propagator poles and the four
     quasiparticle numerators.  Each factor keeps the operand order of the
-    original per-detuning expression and is stored as complex128, the cast
-    numpy applies on every real/complex division anyway, so the rates are bit
-    for bit those of evaluating the full expressions at every detuning.
+    original per-detuning expression and is stored as complex128, the exact
+    cast numpy applies to it in every real/complex operation anyway.  The
+    kernels and the trapezoid sums run in place in work arrays held here, one
+    ufunc call per operation of the full expressions, in their order, so the
+    rates are bit for bit those of evaluating the full expressions at every
+    detuning with ``np.trapezoid``.  No call casts an array, so none needs a
+    buffer of its own.  Every one of these arrays starts on a page (see
+    ``_aligned_arrays``); a table is for one thread at a time.
     """
 
     def __init__(self, t: float, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
@@ -154,56 +196,99 @@ class _BandTables:
         delta_p = delta * jp.valence.gap_scale
         t_kelvin = t * jp.sc.tc
 
+        factors = _aligned_arrays(nodes, (np.float64,) * 3 + (np.complex128,) * 10)
+        self.e_n, self.e_p, self.dx, self.uv, self._dx_complex = factors[:5]
+        self.pair_weights = tuple(factors[5:9])
+        self.qp_weights = tuple(factors[9:])
+
         eps = np.linspace(0.0, mu_n + quad.cutoff_delta0 * jp.sc.delta0, nodes)
         xi_n = eps - mu_n
         xi_p = mass_ratio * eps - mu_p
-        self.eps = eps
-        self.e_n = bcs.quasiparticle_energy(xi_n, delta_n)
-        self.e_p = bcs.quasiparticle_energy(xi_p, delta_p)
+        self.e_n[:] = bcs.quasiparticle_energy(xi_n, delta_n)
+        self.e_p[:] = bcs.quasiparticle_energy(xi_p, delta_p)
         f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
         f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
         fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
         fb_p = bcs.fermi_occupation_complement(self.e_p, t_kelvin)
         # pair (anomalous) weight u v = delta / 2E per band
-        self.uv = (delta_n / (2.0 * self.e_n)) * (delta_p / (2.0 * self.e_p))
+        self.uv[:] = (delta_n / (2.0 * self.e_n)) * (delta_p / (2.0 * self.e_p))
         # pole weights, one per denominator d -+ E^n -+ E^p (mm, mp, pm, pp)
-        self.pair_weights = tuple(
-            w.astype(np.complex128) for w in (fb_n * fb_p, fb_n * f_p, f_n * fb_p, f_n * f_p)
-        )
+        for slot, (a, b) in zip(
+            self.pair_weights, ((fb_n, fb_p), (fb_n, f_p), (f_n, fb_p), (f_n, f_p))
+        ):
+            slot[:] = a * b
         u2_n, v2_n = bcs.coherence_factors(xi_n, delta_n)
         u2_p, v2_p = bcs.coherence_factors(xi_p, delta_p)
-        self.qp_weights = tuple(
-            w.astype(np.complex128)
-            for w in (
-                v2_n * v2_p * fb_n * fb_p,
-                v2_n * u2_p * fb_n * f_p,
-                u2_n * v2_p * f_n * fb_p,
-                u2_n * u2_p * f_n * f_p,
-            )
-        )
+        for slot, (a, b, c, e) in zip(
+            self.qp_weights,
+            (
+                (v2_n, v2_p, fb_n, fb_p),
+                (v2_n, u2_p, fb_n, f_p),
+                (u2_n, v2_p, f_n, fb_p),
+                (u2_n, u2_p, f_n, f_p),
+            ),
+        ):
+            slot[:] = a * b * c * e
+        # the node spacing, as np.trapezoid's diff(eps) computes it
+        np.subtract(eps[1:], eps[:-1], out=self.dx[:-1])
+        self._dx_complex[:-1] = self.dx[:-1]
+        # the work arrays come after the temporaries above are gone, so the
+        # two never hold memory at the same time
+        del eps, xi_n, xi_p, f_n, f_p, fb_n, fb_p, u2_n, v2_n, u2_p, v2_p, a, b, c, e
+        work = _aligned_arrays(nodes, (np.float64,) * 2 + (np.complex128,) * 6)
+        self._near, self._mag, self._den, self._term = work[:4]
+        self._sums = work[4:]
         self.gamma = jp.broadening
+        # den = near + i Gamma adds the imaginary parts 0.0 (near cast to
+        # complex) and Gamma at every node and detuning, so they are set once
+        self._den.imag = 0.0 + (1j * self.gamma).imag
         self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
 
-    def _kernels(self, d_mev: float) -> "tuple[np.ndarray, np.ndarray]":
-        """Pair and quasiparticle kernels at one signed detuning (meV)."""
-        ig = 1j * self.gamma
-        den_mm = d_mev - self.e_n - self.e_p + ig
-        den_mp = d_mev - self.e_n + self.e_p + ig
-        den_pm = d_mev + self.e_n - self.e_p + ig
-        den_pp = d_mev + self.e_n + self.e_p + ig
-        w_mm, w_mp, w_pm, w_pp = self.pair_weights
-        pair = self.uv * (w_mm / den_mm - w_mp / den_mp - w_pm / den_pm + w_pp / den_pp)
-        q_mm, q_mp, q_pm, q_pp = self.qp_weights
-        quasiparticle = q_mm / den_mm + q_mp / den_mp + q_pm / den_pm + q_pp / den_pp
-        return pair, quasiparticle
+    def _kernels(self, d_mev: float, pair: np.ndarray, quasiparticle: np.ndarray) -> None:
+        """Pair and quasiparticle kernels at one signed detuning (meV), written in place.
+
+        Term by term ``uv * (w_mm/den_mm - w_mp/den_mp - w_pm/den_pm + w_pp/den_pp)``
+        and ``q_mm/den_mm + q_mp/den_mp + q_pm/den_pm + q_pp/den_pp``, summed left
+        to right, with ``den = d -+ E^n -+ E^p + i Gamma``.
+        """
+        ig_real = (1j * self.gamma).real
+        near, den, term = self._near, self._den, self._term
+        poles = zip(_POLES, self.pair_weights, self.qp_weights)
+        for (op_n, op_p, join), w, q in poles:
+            op_n(d_mev, self.e_n, out=near)
+            op_p(near, self.e_p, out=near)
+            np.add(near, ig_real, out=den.real)
+            if join is None:
+                np.divide(w, den, out=pair)
+                np.divide(q, den, out=quasiparticle)
+            else:
+                np.divide(w, den, out=term)
+                join(pair, term, out=pair)
+                np.divide(q, den, out=term)
+                np.add(quasiparticle, term, out=quasiparticle)
+        np.multiply(self.uv, pair, out=pair)
+
+    @staticmethod
+    def _trapezoid(y: np.ndarray, dx: np.ndarray, scratch: np.ndarray):
+        """``np.trapezoid(y, eps)``, operation for operation, in ``scratch``; ``dx`` = diff(eps)."""
+        s = scratch[:-1]
+        np.add(y[1:], y[:-1], out=s)
+        np.multiply(dx[:-1], s, out=s)
+        np.divide(s, 2.0, out=s)
+        return s.sum()
 
     def rates(self, d_delta0: float, delta0: float) -> "tuple[float, float]":
         """Raw (coherent, incoherent) rates; each kernel is K(d) + K(-d), so even in d."""
         d = d_delta0 * delta0
-        pair_plus, qp_plus = self._kernels(d)
-        pair_minus, qp_minus = self._kernels(-d)
-        amp = self.patch_states * np.trapezoid(pair_plus + pair_minus, self.eps)
-        incoherent = self.patch_states * np.trapezoid(np.abs(qp_plus + qp_minus) ** 2, self.eps)
+        pair, qp, pair_minus, qp_minus = self._sums
+        self._kernels(d, pair, qp)
+        self._kernels(-d, pair_minus, qp_minus)
+        np.add(pair, pair_minus, out=pair)
+        amp = self.patch_states * self._trapezoid(pair, self._dx_complex, self._term)
+        np.add(qp, qp_minus, out=qp)
+        np.abs(qp, out=self._mag)
+        np.square(self._mag, out=self._mag)
+        incoherent = self.patch_states * self._trapezoid(self._mag, self.dx, self._near)
         return float(abs(amp) ** 2), float(incoherent)
 
 

@@ -352,6 +352,26 @@ class TestSvgOutputs:
             root = ET.parse(os.path.join(out, name)).getroot()
             assert root.tag.endswith("svg")
 
+    def test_log_scale_heatmaps_on_the_fig2_grid(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        fast = ["--set", "grid.quadrature_nodes=256"]
+        linear, log = str(tmp_path / "linear"), str(tmp_path / "log")
+        assert main(["rates", "--config", "fig2", "--out", linear] + fast) == 0
+        assert main(["rates", "--config", "fig2", "--out", log, "--log-scale"] + fast) == 0
+        assert check_manifest(log)["config"]["output.log_scale"] == "true"
+        for name in ("rates_cp", "rates_bqp"):
+            with open(os.path.join(linear, f"{name}.csv"), "rb") as a, open(
+                os.path.join(log, f"{name}.csv"), "rb"
+            ) as b:
+                assert a.read() == b.read()
+            fills = []
+            for out in (linear, log):
+                root = ET.parse(os.path.join(out, f"{name}.svg")).getroot()
+                fills.append([r.get("fill") for r in root.iter() if r.tag.endswith("rect")])
+            assert len(fills[0]) == len(fills[1]) == 121 * 19
+            assert fills[0] != fills[1]
+
     def test_manifest_records_defaults(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["fidelity", "--config", write_config(tmp_path), "--out", out]) == 0

@@ -17,6 +17,7 @@ from sled_oam import (
     mixing_rates,
     sqrtm_psd,
 )
+from sled_oam import metrics
 from sled_oam.config import load_config
 
 
@@ -216,6 +217,19 @@ class TestFidelityCurve:
         assert table.values.shape == (3, 2)
         assert np.all(table.values[:, 1] >= table.values[:, 0])
         assert np.all((table.values >= 0.0) & (table.values <= 1.0 + 1e-12))
+
+    def test_target_root_is_decomposed_once_per_curve(self, junction, geometry, monkeypatch):
+        calls = []
+
+        def counting_eigh(a):
+            calls.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(metrics, "eigh", counting_eigh)
+        basis = OamPairBasis.from_l_values([0, 1])
+        args = ((0.2, 0.5, 0.8), (10.0, 100.0), 1, basis, geometry, 5.0, junction)
+        fidelity_curve(*args, quad=KQuadrature(nodes=256))
+        assert len(calls) == 3 * 2 + 1
 
     def test_rate_error_passes_through_with_its_estimates(self):
         config = load_config(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sled_oam import (
     s_cp,
 )
 from sled_oam.errors import ConvergenceError
+from sled_oam.spectral import _BandTables
 
 SMALL_GRID = SpectralGrid(
     detunings=(-1.0, 0.0, 1.0),
@@ -204,3 +207,28 @@ class TestMixingRates:
     def test_both_rates_positive(self, junction, fast_quad):
         r_cp, r_bqp = mixing_rates(5.0, 0.3, junction, CoherenceParams(100.0), fast_quad)
         assert r_cp > 0 and r_bqp > 0
+
+
+class TestBandTableLayout:
+    """Band-table arrays start on pages, and evaluating a detuning allocates no
+    array of node length."""
+
+    @pytest.mark.parametrize("nodes", [64, 257, 4096])
+    def test_every_array_starts_on_a_page(self, junction, nodes):
+        tables = _BandTables(0.5, junction, KQuadrature(nodes=nodes), nodes)
+        arrays = [
+            tables.e_n, tables.e_p, tables.dx, tables.uv, *tables.pair_weights, *tables.qp_weights
+        ]
+        assert all(a.ctypes.data % 4096 == 0 and a.shape == (nodes,) for a in arrays)
+
+    def test_a_detuning_allocates_no_node_array(self, junction):
+        nodes = 4096
+        tables = _BandTables(0.5, junction, KQuadrature(nodes=nodes), nodes)
+        tables.rates(1.0, junction.sc.delta0)
+        tracemalloc.start()
+        try:
+            tables.rates(1.5, junction.sc.delta0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nodes * 8  # below one float64 array of node length
