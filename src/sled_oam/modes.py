@@ -6,14 +6,16 @@ the pair density matrix only through radial overlaps of pairs of mode
 profiles integrated over the annulus.
 
 Profiles are normalized so that the full-plane overlap of a mode with itself
-is exactly 1 (the azimuthal 2*pi is factored out throughout).
+is exactly 1 (the azimuthal 2*pi is factored out throughout).  A profile,
+and so every overlap, depends on l only through |l|, bit for bit.
+``kappa`` keeps no cache: each call integrates afresh, and a caller that
+needs many overlaps (``pair_state``) computes each distinct one once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import ConvergenceError, DomainError
 
 MAX_RADIAL_NODES = 8
 MAX_OAM = 12
+KAPPA_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True, order=True)
@@ -146,8 +149,12 @@ def _adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 
     return recurse(lo, hi, f_lo, f_mid, f_hi, whole, abs_tol, 0)
 
 
-@lru_cache(maxsize=None)
-def _kappa_cached(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry, rel_tol: float) -> float:
+def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry) -> float:
+    """Radial overlap of two mode profiles over the annulus.
+
+    Symmetric in the two modes bit for bit, since the integrand's product
+    commutes; equals 1 on the diagonal when the annulus covers the full plane.
+    """
     lo = geom.r_inner
     hi = min(geom.r_outer, _envelope_radius(a, b, geom.waist))
     if hi <= lo:
@@ -159,21 +166,6 @@ def _kappa_cached(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry, rel_tol: fl
     # scale the absolute tolerance by the L1 mass of the integrand so that
     # near-cancelling oscillatory products still resolve correctly
     sample = np.linspace(lo, hi, 513)
-    l1 = float(
-        np.trapezoid(
-            np.abs(lg_radial(a, geom.waist, sample) * lg_radial(b, geom.waist, sample)) * sample,
-            sample,
-        )
-    )
-    abs_tol = rel_tol * max(l1, 1e-30)
-    return _adaptive_simpson(integrand, lo, hi, abs_tol)
-
-
-def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry, rel_tol: float = 1e-10) -> float:
-    """Radial overlap of two mode profiles over the annulus.
-
-    Symmetric in the two modes; equals 1 on the diagonal when the annulus
-    covers the full plane.
-    """
-    lo_mode, hi_mode = sorted((a, b))
-    return _kappa_cached(lo_mode, hi_mode, geom, rel_tol)
+    profiles = lg_radial(a, geom.waist, sample) * lg_radial(b, geom.waist, sample)
+    l1 = float(np.trapezoid(np.abs(profiles) * sample, sample))
+    return _adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * max(l1, 1e-30))

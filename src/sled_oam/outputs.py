@@ -9,6 +9,8 @@ renderer.  Both heatmaps (``svg_heatmap`` for rate surfaces, ``svg_matrix``
 for density matrices) take their cell colours from one colour map,
 ``_colors``, which maps a whole row of scaled values at a time with the same
 floating-point operations, cell for cell, as a scalar evaluation would.
+Every document gets its final newline from an empty last part of its join,
+or as a write of its own, never by copying the whole text once more.
 """
 
 from __future__ import annotations
@@ -41,20 +43,22 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, *texts: str) -> None:
+    """Write the texts one after another."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def write_csv(path: str, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    write_text(path, "\n".join(lines) + "\n")
+    lines.append("")
+    write_text(path, "\n".join(lines))
 
 
 def write_json(path: str, payload: dict) -> None:
     """Write ``json.dumps(payload, indent=2)``, byte for byte, and a final newline."""
-    write_text(path, _indented_json(payload, "\n") + "\n")
+    write_text(path, _indented_json(payload, "\n"), "\n")
 
 
 def _indented_json(obj, newline: str) -> str:
@@ -210,8 +214,8 @@ def svg_heatmap(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def svg_matrix(values: np.ndarray, labels, title: str) -> str:
@@ -246,8 +250,8 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
             f'<text x="{left - 6:.1f}" y="{y + 3:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="{font}">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:
@@ -310,5 +314,5 @@ def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

@@ -12,6 +12,7 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -71,7 +72,7 @@ class OamPairBasis:
     @classmethod
     def from_l_values(cls, l_values) -> "OamPairBasis":
         values = sorted(set(int(v) for v in l_values))
-        l_max = max(abs(v) for v in values)
+        l_max = max((abs(v) for v in values), default=0)
         return cls(list(product(values, values)), l_max)
 
     def index(self, pair) -> int:
@@ -131,7 +132,7 @@ class PairDensityMatrix:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PairDensityMatrix":
         pairs = [tuple(p) for p in payload["basis"]]
-        l_max = max(max(abs(l1), abs(l2)) for l1, l2 in pairs)
+        l_max = max((max(abs(l1), abs(l2)) for l1, l2 in pairs), default=0)
         basis = OamPairBasis(pairs, l_max)
         entries = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
             payload["im"], dtype=float
@@ -139,31 +140,41 @@ class PairDensityMatrix:
         return cls(basis, entries)
 
 
-def _kappa_vector(basis: OamPairBasis, geom: AnnulusGeometry) -> np.ndarray:
-    return np.array(
-        [kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom) for l1, l2 in basis.pairs]
-    )
+@lru_cache(maxsize=16)
+def _overlap_table(geom: AnnulusGeometry, magnitudes: tuple) -> np.ndarray:
+    """kappa by (|l1|, |l2|) at m = 0: one integral per unordered pair of ``magnitudes``."""
+    table = np.zeros((magnitudes[-1] + 1,) * 2)
+    for i, l1 in enumerate(magnitudes):
+        for l2 in magnitudes[i:]:
+            table[l1, l2] = table[l2, l1] = kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom)
+    table.flags.writeable = False  # every caller of the cache gets this one array
+    return table
 
 
-def _sector_vector(basis: OamPairBasis, geom: AnnulusGeometry, ls: int) -> np.ndarray:
-    """Overlap vector restricted to the total-OAM = ls sector; raises when empty."""
+def _overlaps(basis: OamPairBasis, geom: AnnulusGeometry) -> np.ndarray:
+    """kappa of each basis pair, read from the table shared by every basis on its |l| values."""
+    l1, l2 = np.abs(np.array(basis.pairs)).T
+    # a Python set, since np.unique would import numpy.ma (about 1 MB) on first use
+    return _overlap_table(geom, tuple(sorted({*l1.tolist(), *l2.tolist()})))[l1, l2]
+
+
+def _sector_mask(basis: OamPairBasis, ls: int) -> np.ndarray:
+    """Which basis pairs have total OAM ls; raises when none has."""
     mask = np.array([l1 + l2 == ls for l1, l2 in basis.pairs])
     if not mask.any():
-        raise EmptySectorError(
-            f"no pair in the basis has total OAM {ls} (l_max={basis.l_max})"
-        )
-    return _kappa_vector(basis, geom) * mask
+        raise EmptySectorError(f"no pair in the basis has total OAM {ls} (l_max={basis.l_max})")
+    return mask
 
 
 def rho_cp(ls, basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
     """Unnormalized coherent-channel matrix: overlap outer product on the ls sector."""
-    v = _sector_vector(basis, geom, int(ls))
+    v = _sector_mask(basis, int(ls)) * _overlaps(basis, geom)
     return PairDensityMatrix(basis, np.outer(v, v).astype(complex))
 
 
 def rho_bqp(basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
     """Unnormalized incoherent-channel matrix: diagonal of squared overlaps."""
-    v = _kappa_vector(basis, geom)
+    v = _overlaps(basis, geom)
     return PairDensityMatrix(basis, np.diag(v * v).astype(complex))
 
 
@@ -176,13 +187,10 @@ def rho_superposition(
     its overlap amplitudes; the matrix is the corresponding outer product.
     A sector is only required to be populated when its amplitude is nonzero.
     """
-    ls = int(ls)
-    n = len(basis)
-    psi = np.zeros(n, dtype=complex)
-    if q.a != 0:
-        psi += q.a * _sector_vector(basis, geom, ls)
-    if q.b != 0:
-        psi += q.b * _sector_vector(basis, geom, -ls)
+    psi = np.zeros(len(basis), dtype=complex)
+    for amplitude, sector in ((q.a, int(ls)), (q.b, -int(ls))):
+        if amplitude != 0:
+            psi += amplitude * (_sector_mask(basis, sector) * _overlaps(basis, geom))
     return PairDensityMatrix(basis, np.outer(psi, psi.conj()))
 
 

@@ -49,6 +49,7 @@ process's earlier allocations left numpy's buffers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -344,10 +345,11 @@ def rate_surfaces(
     def row(t: float) -> list:
         return _channel_rates(t, jp, grid.k_integration, grid.detunings)
 
-    if workers == 1 or len(grid.temperatures) == 1:
+    # 0 = auto: one worker per core, never more than there are temperatures
+    n = workers or min(os.cpu_count() or 1, len(grid.temperatures))
+    if n == 1 or len(grid.temperatures) == 1:
         rows = [row(t) for t in grid.temperatures]
     else:
-        n = workers if workers > 0 else None
         with ThreadPoolExecutor(max_workers=n) as pool:
             rows = list(pool.map(row, grid.temperatures))
     raw = np.array(rows)  # (n_temperatures, n_detunings, channel)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from sled_oam import spectral
+from sled_oam import kappa, pair_state, spectral
 from sled_oam.cli import main
 from sled_oam.pair_state import PairDensityMatrix
 
@@ -132,6 +132,22 @@ class TestDm:
                     continue  # diagonal carries the incoherent background
                 if not (pi[0] + pi[1] == 1 and pj[0] + pj[1] == 1):
                     assert value == 0.0
+
+    def test_one_overlap_per_unordered_magnitude_pair(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_kappa(a, b, geom):
+            calls.append((a, b))
+            return kappa(a, b, geom)
+
+        pair_state._overlap_table.cache_clear()
+        monkeypatch.setattr(pair_state, "kappa", counting_kappa)
+        out = str(tmp_path / "out")
+        args = ["dm", "--config", write_config(tmp_path), "--out", out, "--set", "emission.l_max=6"]
+        assert main(args) == 0
+        # 7 values of |l| give 28 unordered pairs, each integrated once for all matrices
+        assert len(calls) == len(set(calls)) == 28
+        assert all(a.m == b.m == 0 and 0 <= a.l <= b.l for a, b in calls)
 
     def test_omitted_qubit_equals_trivial_qubit(self, tmp_path):
         base = write_config(tmp_path, name="plain.conf")

@@ -5,7 +5,7 @@ import scipy.special
 
 from sled_oam import AnnulusGeometry, DomainError, ModeIndex, kappa, lg_radial
 from sled_oam.errors import ConvergenceError
-from sled_oam.modes import generalized_laguerre
+from sled_oam.modes import _adaptive_simpson, generalized_laguerre
 
 FULL_PLANE = AnnulusGeometry(r_inner=0.0, r_outer=1e3, waist=2.0)
 
@@ -117,9 +117,13 @@ class TestKappa:
             assert kappa(ModeIndex(0, 0), ModeIndex(0, 1), geom) == 0.0
 
     def test_unreachable_tolerance_raises(self):
-        geom = AnnulusGeometry(1.0, 9.0, 2.5)
+        a, b = ModeIndex(0, 2), ModeIndex(1, 1)
+
+        def integrand(r):
+            return lg_radial(a, 2.5, r) * lg_radial(b, 2.5, r) * r
+
         with pytest.raises(ConvergenceError):
-            kappa(ModeIndex(0, 2), ModeIndex(1, 1), geom, rel_tol=1e-30)
+            _adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-30)
 
 
 class TestGeometry:

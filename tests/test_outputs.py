@@ -6,7 +6,8 @@ heatmap loops) and ``json.dumps(payload, indent=2)`` write.  The inputs cover
 the 11 colour stops, the values where ``255 * c`` lands exactly on .5 (where
 round-half-even and round-half-up differ), all-zero and 1x1 matrices, log
 heatmaps with zeros and values below the six-decade floor, and JSON payloads
-with -0.0, empty rows and non-finite numbers.
+with -0.0, empty rows and non-finite numbers.  ``write_csv`` must end every
+line, the last one included, with one newline.
 """
 
 import json
@@ -322,3 +323,12 @@ def test_write_json_is_json_dumps_with_indent_2(payload):
 )
 def test_write_json_edge_payloads(payload):
     assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [[], [(1.0, -0.0)], [(0.1, 2.5e-300), (math.inf, 3)]])
+def test_write_csv_is_one_line_per_row_with_a_final_newline(rows, tmp_path):
+    path = str(tmp_path / "table.csv")
+    outputs.write_csv(path, "a,b", rows)
+    expected = "".join(line + "\n" for line in ["a,b", *(f"{a!r},{float(b)!r}" for a, b in rows)])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == expected

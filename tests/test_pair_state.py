@@ -1,9 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from sled_oam import (
+    pair_state,
     AnnulusGeometry,
     CoherenceParams,
     ContractError,
@@ -50,6 +52,12 @@ class TestBasis:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             OamPairBasis([(0, 5)], 3)
+
+    def test_empty_bases_raise_domain_error(self):
+        with pytest.raises(DomainError, match="empty"):
+            OamPairBasis.from_l_values([])
+        with pytest.raises(DomainError, match="empty"):
+            PairDensityMatrix.from_json_dict({"basis": [], "re": [], "im": []})
 
     def test_index_lookup(self):
         basis = OamPairBasis.full(2)
@@ -316,3 +324,108 @@ class TestSectorHelpers:
         basis = OamPairBasis.full(3)
         assert sector_pairs(basis, 2) == [(-1, 3), (0, 2), (1, 1), (2, 0), (3, -1)]
         assert sector_pairs(basis, 7) == []
+
+
+# The per-pair construction the matrices had before they shared one |l| table,
+# copied verbatim: an overlap cache keyed on the sorted signed modes and one
+# overlap vector per matrix and sector.
+@functools.lru_cache(maxsize=None)
+def _old_kappa_cached(a, b, geom):
+    return kappa(a, b, geom)
+
+
+def _old_kappa(a, b, geom):
+    lo_mode, hi_mode = sorted((a, b))
+    return _old_kappa_cached(lo_mode, hi_mode, geom)
+
+
+def _old_kappa_vector(basis, geom):
+    return np.array(
+        [_old_kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom) for l1, l2 in basis.pairs]
+    )
+
+
+def _old_sector_vector(basis, geom, ls):
+    mask = np.array([l1 + l2 == ls for l1, l2 in basis.pairs])
+    if not mask.any():
+        raise EmptySectorError(
+            f"no pair in the basis has total OAM {ls} (l_max={basis.l_max})"
+        )
+    return _old_kappa_vector(basis, geom) * mask
+
+
+def _old_rho_cp(ls, basis, geom):
+    v = _old_sector_vector(basis, geom, int(ls))
+    return np.outer(v, v).astype(complex)
+
+
+def _old_rho_bqp(basis, geom):
+    v = _old_kappa_vector(basis, geom)
+    return np.diag(v * v).astype(complex)
+
+
+def _old_rho_superposition(q, ls, basis, geom):
+    ls = int(ls)
+    n = len(basis)
+    psi = np.zeros(n, dtype=complex)
+    if q.a != 0:
+        psi += q.a * _old_sector_vector(basis, geom, ls)
+    if q.b != 0:
+        psi += q.b * _old_sector_vector(basis, geom, -ls)
+    return np.outer(psi, psi.conj())
+
+
+def _same_outcome(new, old):
+    """Both raise the same error class, or both return bit-identical entries."""
+    try:
+        expected = old()
+    except EmptySectorError:
+        with pytest.raises(EmptySectorError):
+            new()
+        return
+    assert np.array_equal(new().entries, expected)
+
+
+class TestSharedOverlapTable:
+    BASES = [
+        OamPairBasis.full(2),
+        OamPairBasis.from_l_values([-3, 0, 2]),
+        OamPairBasis.from_l_values([-4, -1, 1, 5]),
+        OamPairBasis.from_l_values([6]),
+        OamPairBasis([(-2, 1), (0, 0), (3, -3), (1, 2)], 3),
+    ]
+    GEOMETRIES = [AnnulusGeometry.default(), AnnulusGeometry(0.5, 3.0, 1.7)]
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    @pytest.mark.parametrize("basis", BASES, ids=repr)
+    def test_matrices_equal_the_per_pair_construction(self, basis, geom):
+        qubits = [
+            QubitState(1.0, 0.0),
+            QubitState(0.0, 1.0),
+            QubitState.from_polar(0.6, 0.3, 0.8, -1.1),
+        ]
+        _same_outcome(lambda: rho_bqp(basis, geom), lambda: _old_rho_bqp(basis, geom))
+        for ls in range(-2 * basis.l_max, 2 * basis.l_max + 1):
+            _same_outcome(lambda: rho_cp(ls, basis, geom), lambda: _old_rho_cp(ls, basis, geom))
+            for q in qubits:
+                _same_outcome(
+                    lambda: rho_superposition(q, ls, basis, geom),
+                    lambda: _old_rho_superposition(q, ls, basis, geom),
+                )
+
+    def test_one_integral_per_unordered_magnitude_pair(self, monkeypatch):
+        calls = []
+
+        def counting_kappa(a, b, geom):
+            calls.append((a, b))
+            return kappa(a, b, geom)
+
+        pair_state._overlap_table.cache_clear()
+        monkeypatch.setattr(pair_state, "kappa", counting_kappa)
+        geom = AnnulusGeometry(1.0, 4.0, 2.5)
+        basis = OamPairBasis.from_l_values([-3, 0, 2, 3])
+        rho_cp(-1, basis, geom)
+        rho_bqp(basis, geom)
+        rho_superposition(QubitState.from_polar(0.6, 0.0, 0.8, 0.0), 3, basis, geom)
+        pairs = [(a.l, b.l) for a, b in calls]
+        assert sorted(pairs) == [(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]

@@ -13,6 +13,7 @@ from sled_oam import (
     rate_surfaces,
     s_bqp,
     s_cp,
+    spectral,
 )
 from sled_oam.errors import ConvergenceError
 from sled_oam.spectral import _BandTables
@@ -136,6 +137,30 @@ class TestRateSurface:
         seq = rate_surfaces(grid, junction, workers=1)[0]
         par = rate_surfaces(grid, junction, workers=4)[0]
         assert np.array_equal(seq.values, par.values)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(0, 2, [2]), (0, 8, [3]), (0, 1, []), (0, None, []), (4, 2, [4]), (1, 8, [])],
+    )
+    def test_auto_workers_are_capped_by_cores_and_temperatures(
+        self, junction, monkeypatch, workers, cpus, expected
+    ):
+        requested = []
+
+        class Spy(spectral.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                requested.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(spectral.os, "cpu_count", lambda: cpus)
+        grid = SpectralGrid(
+            detunings=(-1.0, 0.0, 1.0),
+            temperatures=(0.2, 0.5, 0.8),
+            k_integration=KQuadrature(nodes=64),
+        )
+        rate_surfaces(grid, junction, workers=workers)
+        assert requested == expected
 
     def test_gap_collapse_pulls_peak_inward(self, junction):
         grid = SpectralGrid(
