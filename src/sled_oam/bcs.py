@@ -51,7 +51,6 @@ class BandParams:
 
     effective_mass: float
     quasi_fermi_level: float
-    label: str = "conduction"
     gap_scale: float = 1.0
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class BandParams:
             raise DomainError(
                 f"quasi_fermi_level must be positive, got {self.quasi_fermi_level}"
             )
-        if self.label not in ("conduction", "valence"):
-            raise DomainError(f"label must be 'conduction' or 'valence', got {self.label!r}")
         if not self.gap_scale > 0:
             raise DomainError(f"gap_scale must be positive, got {self.gap_scale}")
 
@@ -71,40 +68,19 @@ class BandParams:
 class JunctionParams:
     """Full electronic description of the emitting p-n junction.
 
-    ``offset_energy`` is the energy separation of the two quasi Fermi levels,
-    i.e. the center of the two-photon emission spectrum; ``dephasing_time``
-    sets the resonance broadening ``HBAR_MEV_FS / dephasing_time``.
+    ``dephasing_time`` sets the resonance broadening ``HBAR_MEV_FS / dephasing_time``.
     """
 
     sc: SuperconductorParams
     conduction: BandParams
     valence: BandParams
     dephasing_time: float
-    offset_energy: float
 
     def __post_init__(self):
         if not self.dephasing_time > 0 or not math.isfinite(self.dephasing_time):
             raise DomainError(
                 f"dephasing_time must be positive and finite, got {self.dephasing_time}"
             )
-        if not self.offset_energy > 0:
-            raise DomainError(f"offset_energy must be positive, got {self.offset_energy}")
-
-    @classmethod
-    def from_band_gap(
-        cls,
-        sc: SuperconductorParams,
-        conduction: BandParams,
-        valence: BandParams,
-        band_gap: float,
-        dephasing_time: float,
-    ) -> "JunctionParams":
-        """Build junction parameters with the offset energy derived from the band gap.
-
-        The offset is the band gap plus both quasi Fermi levels.
-        """
-        offset = band_gap + abs(conduction.quasi_fermi_level) + abs(valence.quasi_fermi_level)
-        return cls(sc, conduction, valence, dephasing_time, offset)
 
     @property
     def broadening(self) -> float:
@@ -215,7 +191,6 @@ def gaas_nb_junction(
     hole_mass: float = 0.45,
     electron_density_cm2: float = 1e12,
     hole_density_cm2: float = 1e12,
-    band_gap: float = 1519.0,
     dephasing_time: float = 1000.0,
     gap_scale_conduction: float = 1.0,
     gap_scale_valence: float = 1.0,
@@ -230,19 +205,13 @@ def gaas_nb_junction(
     conduction = BandParams(
         effective_mass=electron_mass,
         quasi_fermi_level=fermi_level_from_density(electron_density_cm2, electron_mass),
-        label="conduction",
         gap_scale=gap_scale_conduction,
     )
     valence = BandParams(
         effective_mass=hole_mass,
         quasi_fermi_level=fermi_level_from_density(hole_density_cm2, hole_mass),
-        label="valence",
         gap_scale=gap_scale_valence,
     )
     sc = SuperconductorParams(delta0=delta0, tc=tc)
-    return JunctionParams.from_band_gap(sc, conduction, valence, band_gap, dephasing_time)
+    return JunctionParams(sc, conduction, valence, dephasing_time)
 
-
-MATERIAL_PRESETS = {
-    "GaAs-Nb": gaas_nb_junction,
-}

@@ -24,8 +24,6 @@ from .config import PRESET_NAMES, RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, SledOamError
 from .metrics import fidelity_curve
 
-THREADS_ENV_VAR = "SLED_OAM_THREADS"
-
 
 def _num_token(value: float) -> str:
     return f"{value:g}"
@@ -37,7 +35,7 @@ def _pair_label(pair) -> str:
 
 def cmd_rates(config: RunConfig) -> list:
     """Rate surfaces for both channels: rates_cp.csv, rates_bqp.csv (+ heatmaps)."""
-    cp, bqp = spectral.rate_surfaces(config.grid, config.junction, workers=config.threads or 0)
+    cp, bqp = spectral.rate_surfaces(config.grid, config.junction, workers=config.threads)
     written = []
     temps = config.grid.temperatures
     detunings = config.grid.detunings
@@ -183,12 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", help="output directory (overrides output.directory)")
         cmd.add_argument("--format", help="comma list of csv,json,svg (overrides output.formats)")
-        cmd.add_argument("--threads", type=int, help="worker threads, 0 = auto")
+        cmd.add_argument(
+            "--threads", type=int, help="worker threads, 0 = auto (overrides output.threads)"
+        )
         cmd.add_argument(
             "--log-scale",
             action="store_const",
             const=True,
-            help="use a logarithmic color scale in SVG heatmaps",
+            help="logarithmic color scale in rate-surface SVG heatmaps (dm matrices stay linear)",
         )
         cmd.add_argument(
             "--set",
@@ -207,16 +207,8 @@ def _flag_overrides(args: argparse.Namespace) -> list:
         overrides.append(f"output.directory={args.out}")
     if args.format is not None:
         overrides.append(f"output.formats={args.format}")
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV_VAR):
-        try:
-            threads = int(os.environ[THREADS_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {os.environ[THREADS_ENV_VAR]!r}"
-            ) from exc
-    if threads is not None:
-        overrides.append(f"output.threads={threads}")
+    if args.threads is not None:
+        overrides.append(f"output.threads={args.threads}")
     if args.log_scale is not None:
         overrides.append("output.log_scale=true")
     return overrides

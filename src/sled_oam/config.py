@@ -1,12 +1,11 @@
 """Run-configuration parsing and validation.
 
 Configs are flat INI-style files with ``key = value`` lines grouped into
-sections.  Every key has a documented default, so a minimal file (even just a
-material preset) expands to a complete run; unknown sections or keys are
-rejected by name.  An empty value unsets an optional key (one whose default
-is ``None``) and is an error for any other key.  Built-in figure presets
-(``fig2`` .. ``fig5``) ship with the package and can be passed anywhere a
-config path is accepted.
+sections.  Every key has a documented default, so an empty file is a complete
+config; unknown sections or keys are rejected by name.  An empty value unsets
+an optional key (one whose default is ``None``) and is an error for any other
+key.  Built-in figure presets (``fig2`` .. ``fig5``) ship with the package and
+can be passed anywhere a config path is accepted.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from importlib import resources
 
 import numpy as np
 
-from .bcs import MATERIAL_PRESETS, JunctionParams, gaas_nb_junction
+from .bcs import JunctionParams, gaas_nb_junction
 from .errors import ConfigError, DomainError
-from .modes import AnnulusGeometry
+from .modes import MAX_OAM, AnnulusGeometry
 from .pair_state import OamPairBasis, QubitState, sector_pairs
 from .spectral import KQuadrature, SpectralGrid
 
@@ -32,14 +31,12 @@ _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 # section -> key -> default string; None marks "no default, optional key"
 _SCHEMA = {
     "material": {
-        "preset": "GaAs-Nb",
         "delta0_mev": "1.4",
         "tc_k": "9.2",
         "electron_mass": "0.067",
         "hole_mass": "0.45",
         "electron_density_cm2": "1e12",
         "hole_density_cm2": "1e12",
-        "band_gap_mev": "1519.0",
         "dephasing_time_fs": "1000.0",
         "gap_scale_conduction": "1.0",
         "gap_scale_valence": "1.0",
@@ -50,7 +47,6 @@ _SCHEMA = {
         "waist_um": None,  # default derived: (r_inner + r_outer)/sqrt(2)
     },
     "grid": {
-        "detuning_min": "-6.0",
         "detuning_max": "6.0",
         "detuning_points": "121",
         "temperatures": _DEFAULT_TEMPS,
@@ -82,7 +78,6 @@ class RunConfig:
     """Fully resolved and validated run parameters."""
 
     junction: JunctionParams
-    material_name: str
     geometry: AnnulusGeometry
     grid: SpectralGrid
     winding: int
@@ -216,11 +211,6 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         return _parse_int(raw(section, key), f"{section}.{key}")
 
     # material
-    preset = raw("material", "preset")
-    if preset not in MATERIAL_PRESETS:
-        raise ConfigError(
-            f"material.preset: unknown preset {preset!r}; known: {sorted(MATERIAL_PRESETS)}"
-        )
     try:
         junction = gaas_nb_junction(
             delta0=floatval("material", "delta0_mev"),
@@ -229,7 +219,6 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
             hole_mass=floatval("material", "hole_mass"),
             electron_density_cm2=floatval("material", "electron_density_cm2"),
             hole_density_cm2=floatval("material", "hole_density_cm2"),
-            band_gap=floatval("material", "band_gap_mev"),
             dephasing_time=floatval("material", "dephasing_time_fs"),
             gap_scale_conduction=floatval("material", "gap_scale_conduction"),
             gap_scale_valence=floatval("material", "gap_scale_valence"),
@@ -253,18 +242,15 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         raise ConfigError(f"geometry: {exc}") from exc
 
     # grid
-    d_min = floatval("grid", "detuning_min")
     d_max = floatval("grid", "detuning_max")
     d_points = intval("grid", "detuning_points")
     if d_points < 2:
         raise ConfigError("grid.detuning_points: need at least 2 points")
     temps = _parse_list(raw("grid", "temperatures"), "grid.temperatures", _parse_float)
-    # steps 1-n, 3-n, ..., n-1 and one rounding per point: a symmetric range
-    # gives d[i] == -d[n-1-i] exactly, so each |d| is evaluated once.  Each
-    # half scales its own endpoint, so an asymmetric range still fails the
-    # grid's symmetry check.
+    # steps 1-n, 3-n, ..., n-1 and one rounding per point: d[i] == -d[n-1-i]
+    # exactly, so each |d| is evaluated once
     steps = np.arange(1 - d_points, d_points, 2)
-    detunings = np.where(steps < 0, -d_min, d_max) * steps / (d_points - 1)
+    detunings = d_max * steps / (d_points - 1)
     try:
         quad = KQuadrature(
             nodes=intval("grid", "quadrature_nodes"),
@@ -283,8 +269,8 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     # emission
     winding = intval("emission", "winding")
     l_max = intval("emission", "l_max")
-    if l_max < 0:
-        raise ConfigError("emission.l_max: must be non-negative")
+    if not 0 <= l_max <= MAX_OAM:
+        raise ConfigError(f"emission.l_max: must lie in [0, {MAX_OAM}], got {l_max}")
     l_values_raw = raw("emission", "l_values")
     l_values = (
         _parse_list(l_values_raw, "emission.l_values", _parse_int)
@@ -325,7 +311,6 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
 
     config = RunConfig(
         junction=junction,
-        material_name=preset,
         geometry=geometry,
         grid=grid,
         winding=winding,

@@ -140,7 +140,6 @@ class TargetState:
 
     basis: OamPairBasis
     coefficients: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
@@ -172,7 +171,7 @@ def bell_target(basis: OamPairBasis, ls) -> TargetState:
     for p in members:
         coeff[basis.index(p)] = 1.0
     coeff /= np.linalg.norm(coeff)
-    return TargetState(basis, coeff, description=f"equal superposition, total OAM {ls}")
+    return TargetState(basis, coeff)
 
 
 def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:

@@ -166,27 +166,18 @@ class TestFermiLevel:
 
 
 class TestJunctionParams:
-    def test_offset_from_band_gap(self):
-        sc = SuperconductorParams(1.4, 9.2)
-        cb = BandParams(0.067, 35.7, "conduction")
-        vb = BandParams(0.45, 5.3, "valence")
-        jp = JunctionParams.from_band_gap(sc, cb, vb, band_gap=1519.0, dephasing_time=1000.0)
-        assert jp.offset_energy == pytest.approx(1519.0 + 35.7 + 5.3, rel=1e-14)
-
     def test_broadening_from_dephasing(self):
         jp = gaas_nb_junction(dephasing_time=1000.0)
         assert jp.broadening == pytest.approx(0.6582119565476075, rel=1e-12)
 
     def test_invalid_parameters(self):
         sc = SuperconductorParams(1.4, 9.2)
-        cb = BandParams(0.067, 35.7, "conduction")
-        vb = BandParams(0.45, 5.3, "valence")
+        cb = BandParams(0.067, 35.7)
+        vb = BandParams(0.45, 5.3)
         with pytest.raises(DomainError):
-            JunctionParams(sc, cb, vb, dephasing_time=0.0, offset_energy=100.0)
+            JunctionParams(sc, cb, vb, dephasing_time=0.0)
         with pytest.raises(DomainError):
-            JunctionParams(sc, cb, vb, dephasing_time=1000.0, offset_energy=-1.0)
-        with pytest.raises(DomainError):
-            BandParams(-0.1, 30.0, "conduction")
+            BandParams(-0.1, 30.0)
         with pytest.raises(DomainError):
             SuperconductorParams(0.0, 9.2)
 

@@ -10,11 +10,7 @@ from sled_oam.cli import main
 from sled_oam.pair_state import PairDensityMatrix
 
 FAST = """
-[material]
-preset = GaAs-Nb
-
 [grid]
-detuning_min = -2.0
 detuning_max = 2.0
 detuning_points = 5
 temperatures = 0.3, 0.7
@@ -232,12 +228,23 @@ class TestErrorReporting:
         assert "threads" in record["message"]
 
 
-    def test_asymmetric_detuning_range_exits_2(self, tmp_path, capsys):
-        args = ["rates", "--config", "fig2", "--out", str(tmp_path / "out")]
-        assert main(args + ["--set", "grid.detuning_max=4"]) == 2
+    @pytest.mark.parametrize(
+        "key", ["material.preset", "material.band_gap_mev", "grid.detuning_min"]
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key):
+        args = ["rates", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", f"{key}=1"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "message": f"unknown config key {key}"}
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["dm", "fidelity"])
+    def test_unsupported_l_max_exits_2(self, tmp_path, capsys, command):
+        args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--set", "emission.l_max=13"]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
-        assert record["message"] == "grid: detuning grid must be symmetric about zero"
+        assert "emission.l_max" in record["message"]
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("command, winding", [("dm", "7"), ("fidelity", "3")])
@@ -280,10 +287,10 @@ class TestErrorReporting:
 
     def test_empty_value_for_a_key_with_default_exits_2(self, tmp_path, capsys):
         args = ["rates", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
-        assert main(args + ["--set", "grid.detuning_min="]) == 2
+        assert main(args + ["--set", "grid.detuning_max="]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
-        assert "grid.detuning_min" in record["message"]
+        assert "grid.detuning_max" in record["message"]
 
     def test_valid_config_without_a_formable_state_exits_1(self, tmp_path, capsys):
         # r_outer equal to the default r_inner leaves an annulus of zero area
@@ -396,26 +403,11 @@ class TestSvgOutputs:
 
 
 class TestThreadPlumbing:
-    def test_env_variable_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLED_OAM_THREADS", "2")
+    def test_threads_flag_is_recorded_as_output_threads(self, tmp_path):
         out = str(tmp_path / "out")
-        assert main(["rates", "--config", write_config(tmp_path), "--out", out]) == 0
-        manifest = check_manifest(out)
-        assert manifest["config"]["output.threads"] == "2"
-
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLED_OAM_THREADS", "2")
-        out = str(tmp_path / "out")
-        args = ["rates", "--config", write_config(tmp_path), "--out", out, "--threads", "1"]
-        assert main(args) == 0
-        manifest = check_manifest(out)
-        assert manifest["config"]["output.threads"] == "1"
-
-    def test_bad_env_value_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SLED_OAM_THREADS", "many")
-        assert main(["rates", "--config", write_config(tmp_path)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert "SLED_OAM_THREADS" in record["message"]
+        path = write_config(tmp_path, FAST + "threads = 2\n")  # FAST ends in [output]
+        assert main(["rates", "--config", path, "--out", out, "--threads", "1"]) == 0
+        assert check_manifest(out)["config"]["output.threads"] == "1"
 
 
 class TestPresets:

@@ -1,14 +1,16 @@
+import configparser
 import math
+import os
+import re
 
 import pytest
 
-from sled_oam.config import PRESET_NAMES, load_config
+from sled_oam.config import _SCHEMA, PRESET_NAMES, load_config
 from sled_oam.errors import ConfigError
+from sled_oam.modes import MAX_OAM
 
-MINIMAL = """
-[material]
-preset = GaAs-Nb
-"""
+MINIMAL = ""
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write(tmp_path, text, name="run.conf"):
@@ -20,7 +22,6 @@ def write(tmp_path, text, name="run.conf"):
 class TestDefaults:
     def test_minimal_file_expands_to_full_config(self, tmp_path):
         config = load_config(write(tmp_path, MINIMAL))
-        assert config.material_name == "GaAs-Nb"
         assert len(config.grid.temperatures) == 19
         assert len(config.grid.detunings) == 121
         assert config.winding == 2
@@ -46,20 +47,19 @@ class TestDefaults:
 class TestRejection:
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="material.bogus"):
-            load_config(write(tmp_path, MINIMAL + "bogus = 3\n"))
+            load_config(write(tmp_path, "[material]\nbogus = 3\n"))
 
     def test_unknown_section_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[detector\]"):
             load_config(write(tmp_path, MINIMAL + "[detector]\nkind = slm\n"))
 
-    def test_asymmetric_detuning_grid(self, tmp_path):
-        text = MINIMAL + "[grid]\ndetuning_min = -6.0\ndetuning_max = 5.0\n"
-        with pytest.raises(ConfigError, match="symmetric"):
-            load_config(write(tmp_path, text))
+    def test_nonpositive_detuning_max(self, tmp_path):
+        with pytest.raises(ConfigError, match="increasing"):
+            load_config(write(tmp_path, "[grid]\ndetuning_max = 0\n"))
 
     def test_bad_number_names_key(self, tmp_path):
         with pytest.raises(ConfigError, match="material.tc_k"):
-            load_config(write(tmp_path, MINIMAL + "tc_k = warm\n"))
+            load_config(write(tmp_path, "[material]\ntc_k = warm\n"))
 
     def test_temperature_outside_open_interval(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -86,6 +86,15 @@ class TestRejection:
         with pytest.raises(ConfigError, match="enhancements"):
             load_config(write(tmp_path, MINIMAL + "[emission]\nenhancements = 0.5\n"))
 
+    @pytest.mark.parametrize("l_max", [-1, MAX_OAM + 1])
+    def test_l_max_outside_supported_range(self, tmp_path, l_max):
+        with pytest.raises(ConfigError, match="emission.l_max"):
+            load_config(write(tmp_path, f"[emission]\nl_max = {l_max}\n"))
+
+    def test_l_max_at_supported_bound(self, tmp_path):
+        config = load_config(write(tmp_path, f"[emission]\nl_max = {MAX_OAM}\n"))
+        assert config.basis().l_max == MAX_OAM
+
     def test_l_values_above_l_max(self, tmp_path):
         text = MINIMAL + "[emission]\nl_max = 1\nl_values = 0, 2\n"
         with pytest.raises(ConfigError, match="l_values"):
@@ -97,7 +106,7 @@ class TestRejection:
 
     def test_parse_error_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="parse"):
-            load_config(write(tmp_path, "[material\npreset = GaAs-Nb\n"))
+            load_config(write(tmp_path, "[material\ntc_k = 9.2\n"))
 
 
 class TestOverrides:
@@ -152,3 +161,12 @@ class TestPresets:
         assert config.grid.temperatures == (0.5, 0.9)
         assert config.enhancements == (10.0, 100.0)
         assert config.detuning_for_dm == 5.0
+
+
+def test_readme_sample_lists_the_schema_keys():
+    with open(README, encoding="utf-8") as fh:
+        sample = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(sample)
+    documented = {section: list(parser[section]) for section in parser.sections()}
+    assert documented == {section: list(keys) for section, keys in _SCHEMA.items()}
