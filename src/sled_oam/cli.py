@@ -158,6 +158,18 @@ def cmd_fidelity(config: RunConfig) -> list:
 
 
 _COMMANDS = {"rates": cmd_rates, "dm": cmd_dm, "fidelity": cmd_fidelity}
+# the format of the data files each command always writes
+_DATA_FORMATS = {"rates": "csv", "dm": "json", "fidelity": "csv"}
+
+
+def _check_data_format(command: str, formats) -> None:
+    """A format list without the command's data format would be ignored, not obeyed."""
+    needed = _DATA_FORMATS[command]
+    if needed not in formats:
+        raise ConfigError(
+            f"output.formats: {command} writes {needed} data files, so the list must "
+            f"include {needed!r}, got {','.join(formats)!r}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +236,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = load_config(args.config, _flag_overrides(args))
+        _check_data_format(args.command, config.formats)
         os.makedirs(config.out_dir, exist_ok=True)
         written = _COMMANDS[args.command](config)
         outputs.write_manifest(

@@ -243,6 +243,10 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
 
     # grid
     d_max = floatval("grid", "detuning_max")
+    if not d_max > 0:
+        raise ConfigError(
+            f"grid.detuning_max: must be > 0 for strictly increasing detunings, got {d_max!r}"
+        )
     d_points = intval("grid", "detuning_points")
     if d_points < 2:
         raise ConfigError("grid.detuning_points: need at least 2 points")

@@ -2,9 +2,12 @@
 
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
-built on top of it.  The general mixed-state fidelity is evaluated alongside
-the pure-target shortcut <psi|rho|psi>, and the two must agree -- this
-cross-validates the whole eigenvalue pipeline on every call.
+built on top of it.  Its sweeps visit only the rows coupled to another row,
+which for a Bell target is its one total-OAM sector (5 of 49 rows for fig3);
+the result is bit for bit that of visiting every pair (see ``eigh``).  The
+general mixed-state fidelity is evaluated alongside the pure-target shortcut
+<psi|rho|psi>, and the two must agree -- this cross-validates the whole
+eigenvalue pipeline on every call.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ def eigh(a: np.ndarray) -> HermitianEigen:
 
     Sweeps run until the off-diagonal Frobenius norm drops below 1e-13 of the
     matrix norm.  Returns ascending eigenvalues and the matching unitary.
+
+    A sweep visits, in the usual lexicographic order, only the pairs (p, q)
+    of rows that have a nonzero off-diagonal entry in the input.  That is
+    exact: a rotation at (p, q) changes only rows and columns p and q, and an
+    entry ``work[r, p]`` of an uncoupled row r becomes c*0 - s*conj(phase)*0,
+    a signed zero, so every pair left out is one the full loop would skip as
+    zero.  The rotations themselves still act on full-length rows and
+    columns, and the convergence test on the whole matrix, so every bit of
+    the result is that of the full loop.
     """
     a = _check_hermitian(a)
     n = a.shape[0]
@@ -65,13 +77,17 @@ def eigh(a: np.ndarray) -> HermitianEigen:
         np.fill_diagonal(od, 0.0)
         return float(np.linalg.norm(od))
 
+    # the only rows a rotation can reach (see above)
+    coupled = a != 0
+    np.fill_diagonal(coupled, False)
+    active = np.flatnonzero(coupled.any(axis=0) | coupled.any(axis=1)).tolist()
     converged = False
     for _ in range(MAX_SWEEPS):
         if off_norm() <= JACOBI_OFF_TOL * norm:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
+        for i, p in enumerate(active):
+            for q in active[i + 1 :]:
                 apq = work[p, q]
                 mag = abs(apq)
                 if mag == 0.0:
@@ -89,23 +105,25 @@ def eigh(a: np.ndarray) -> HermitianEigen:
                         t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                s_phase = s * phase
+                s_conj = s * np.conj(phase)
                 # right-multiply by the rotation (columns), then left by its adjoint (rows)
                 col_p = work[:, p].copy()
                 col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(phase) * col_q
-                work[:, q] = s * phase * col_p + c * col_q
+                work[:, p] = c * col_p - s_conj * col_q
+                work[:, q] = s_phase * col_p + c * col_q
                 row_p = work[p, :].copy()
                 row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * phase * row_q
-                work[q, :] = s * np.conj(phase) * row_p + c * row_q
+                work[p, :] = c * row_p - s_phase * row_q
+                work[q, :] = s_conj * row_p + c * row_q
                 work[p, q] = 0.0
                 work[q, p] = 0.0
                 work[p, p] = work[p, p].real
                 work[q, q] = work[q, q].real
                 vcol_p = vecs[:, p].copy()
                 vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                vecs[:, q] = s * phase * vcol_p + c * vcol_q
+                vecs[:, p] = c * vcol_p - s_conj * vcol_q
+                vecs[:, q] = s_phase * vcol_p + c * vcol_q
     if not converged:
         raise ConvergenceError(
             f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps", coarse=off_norm()

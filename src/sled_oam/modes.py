@@ -8,14 +8,18 @@ profiles integrated over the annulus.
 Profiles are normalized so that the full-plane overlap of a mode with itself
 is exactly 1 (the azimuthal 2*pi is factored out throughout).  A profile,
 and so every overlap, depends on l only through |l|, bit for bit.
-``kappa`` keeps no cache: each call integrates afresh, and a caller that
-needs many overlaps (``pair_state``) computes each distinct one once.
+``kappa`` keeps no cache of overlaps: each call integrates afresh, and a
+caller that needs many overlaps (``pair_state``) computes each distinct one
+once.  The profile values its integrand samples are shared, though, through
+a bounded cache keyed by (|l|, m, waist, r), so the overlaps of one table
+evaluate each profile once at every point their quadratures have in common.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +28,9 @@ from .errors import ConvergenceError, DomainError
 MAX_RADIAL_NODES = 8
 MAX_OAM = 12
 KAPPA_REL_TOL = 1e-10
+# profile values kept for reuse across overlaps: an l_max = 6 table samples
+# about 1150 distinct points
+PROFILE_CACHE_POINTS = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -103,6 +110,12 @@ def lg_radial(mode: ModeIndex, waist: float, r):
     return val
 
 
+@lru_cache(maxsize=PROFILE_CACHE_POINTS)
+def _profile_point(abs_l: int, m: int, waist: float, r: float) -> float:
+    """``lg_radial`` at one radius, shared by every overlap that samples it."""
+    return lg_radial(ModeIndex(m, abs_l), waist, r)
+
+
 def _envelope_radius(a: ModeIndex, b: ModeIndex, waist: float) -> float:
     """Radius beyond which the profile product is negligible (< ~1e-16 of peak).
 
@@ -154,14 +167,19 @@ def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry) -> float:
 
     Symmetric in the two modes bit for bit, since the integrand's product
     commutes; equals 1 on the diagonal when the annulus covers the full plane.
+    The integrand reads its profile values through the shared
+    ``_profile_point`` cache; a cached value is the very float ``lg_radial``
+    returns, so the result does not depend on what the cache holds.
     """
     lo = geom.r_inner
     hi = min(geom.r_outer, _envelope_radius(a, b, geom.waist))
     if hi <= lo:
         return 0.0
 
+    la, lb, waist = abs(a.l), abs(b.l), geom.waist
+
     def integrand(r: float) -> float:
-        return lg_radial(a, geom.waist, r) * lg_radial(b, geom.waist, r) * r
+        return _profile_point(la, a.m, waist, r) * _profile_point(lb, b.m, waist, r) * r
 
     # scale the absolute tolerance by the L1 mass of the integrand so that
     # near-cancelling oscillatory products still resolve correctly

@@ -175,7 +175,9 @@ class _BandTables:
     Everything in the two kernels that does not depend on the detuning is
     built here once: the pair weight ``u_n v_n u_p v_p``, the four occupation
     products that weight the pair-propagator poles and the four
-    quasiparticle numerators.  Each factor keeps the operand order of the
+    quasiparticle numerators.  The coherence factors u^2, v^2 are built from
+    the stored energies as ``bcs.coherence_factors`` builds them, so each band
+    takes one ``hypot``, not two.  Each factor keeps the operand order of the
     original per-detuning expression and is stored as complex128, the exact
     cast numpy applies to it in every real/complex operation anyway.  The
     kernels and the trapezoid sums run in place in work arrays held here, one
@@ -207,6 +209,10 @@ class _BandTables:
         xi_p = mass_ratio * eps - mu_p
         self.e_n[:] = bcs.quasiparticle_energy(xi_n, delta_n)
         self.e_p[:] = bcs.quasiparticle_energy(xi_p, delta_p)
+        # E = hypot(xi, delta) vanishes only where a vanished gap meets xi = 0
+        for e, delta in ((self.e_n, delta_n), (self.e_p, delta_p)):
+            if delta == 0.0 and not e.all():
+                raise DomainError("coherence factors are singular at xi = delta = 0")
         f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
         f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
         fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
@@ -218,8 +224,12 @@ class _BandTables:
             self.pair_weights, ((fb_n, fb_p), (fb_n, f_p), (f_n, fb_p), (f_n, f_p))
         ):
             slot[:] = a * b
-        u2_n, v2_n = bcs.coherence_factors(xi_n, delta_n)
-        u2_p, v2_p = bcs.coherence_factors(xi_p, delta_p)
+        # u^2, v^2 = (1 +- xi/E)/2 as bcs.coherence_factors gives them, from the
+        # energies above instead of a second hypot per band
+        ratio = xi_n / self.e_n
+        u2_n, v2_n = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
+        ratio = xi_p / self.e_p
+        u2_p, v2_p = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
         for slot, (a, b, c, e) in zip(
             self.qp_weights,
             (
@@ -235,7 +245,7 @@ class _BandTables:
         self._dx_complex[:-1] = self.dx[:-1]
         # the work arrays come after the temporaries above are gone, so the
         # two never hold memory at the same time
-        del eps, xi_n, xi_p, f_n, f_p, fb_n, fb_p, u2_n, v2_n, u2_p, v2_p, a, b, c, e
+        del eps, xi_n, xi_p, f_n, f_p, fb_n, fb_p, ratio, u2_n, v2_n, u2_p, v2_p, a, b, c, e
         work = _aligned_arrays(nodes, (np.float64,) * 2 + (np.complex128,) * 6)
         self._near, self._mag, self._den, self._term = work[:4]
         self._sums = work[4:]

@@ -238,6 +238,21 @@ class TestErrorReporting:
         assert record == {"error": "ConfigError", "message": f"unknown config key {key}"}
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "command, formats, needed",
+        [("rates", "json", "csv"), ("dm", "csv,svg", "json"), ("fidelity", "json,svg", "csv")],
+    )
+    def test_formats_without_the_data_format_exit_2(
+        self, tmp_path, capsys, command, formats, needed
+    ):
+        args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--format", formats]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("output.formats:")
+        assert repr(needed) in record["message"]
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("command", ["dm", "fidelity"])
     def test_unsupported_l_max_exits_2(self, tmp_path, capsys, command):
         args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]

@@ -57,6 +57,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match="increasing"):
             load_config(write(tmp_path, "[grid]\ndetuning_max = 0\n"))
 
+    @pytest.mark.parametrize("d_max", ["0", "-1", "-0.0"])
+    def test_nonpositive_detuning_max_names_its_key(self, tmp_path, d_max):
+        with pytest.raises(ConfigError, match=r"^grid\.detuning_max: must be > 0"):
+            load_config(write(tmp_path, ""), [f"grid.detuning_max={d_max}"])
+
     def test_bad_number_names_key(self, tmp_path):
         with pytest.raises(ConfigError, match="material.tc_k"):
             load_config(write(tmp_path, "[material]\ntc_k = warm\n"))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sled_oam import (
+    modes,
     pair_state,
     AnnulusGeometry,
     CoherenceParams,
@@ -429,3 +430,38 @@ class TestSharedOverlapTable:
         rho_superposition(QubitState.from_polar(0.6, 0.0, 0.8, 0.0), 3, basis, geom)
         pairs = [(a.l, b.l) for a, b in calls]
         assert sorted(pairs) == [(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]
+
+
+class TestSharedProfilePoints:
+    """The overlaps of one table share the profile values their quadratures sample."""
+
+    @pytest.mark.parametrize(
+        "geom", [AnnulusGeometry.default(), AnnulusGeometry(0.0, 20.0, 3.0)], ids=repr
+    )
+    def test_table_entries_equal_standalone_overlaps(self, geom):
+        magnitudes = tuple(range(7))
+        pair_state._overlap_table.cache_clear()
+        modes._profile_point.cache_clear()
+        table = pair_state._overlap_table(geom, magnitudes)
+        standalone = np.zeros_like(table)
+        for i, l1 in enumerate(magnitudes):
+            for l2 in magnitudes[i:]:
+                modes._profile_point.cache_clear()
+                value = kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom)
+                standalone[l1, l2] = standalone[l2, l1] = value
+        assert np.array_equal(table, standalone)
+
+    def test_l_max_6_table_evaluates_each_shared_point_once(self, monkeypatch):
+        calls = []
+        lg_radial = modes.lg_radial
+
+        def counting_lg_radial(mode, waist, r):
+            calls.append(mode)
+            return lg_radial(mode, waist, r)
+
+        monkeypatch.setattr(modes, "lg_radial", counting_lg_radial)
+        pair_state._overlap_table.cache_clear()
+        modes._profile_point.cache_clear()
+        pair_state._overlap_table(AnnulusGeometry.default(), tuple(range(7)))
+        # 6240 evaluations when each of the 28 overlaps sampled its own profiles
+        assert len(calls) < 1300

@@ -8,6 +8,7 @@ from sled_oam import (
     DomainError,
     KQuadrature,
     SpectralGrid,
+    bcs,
     gaas_nb_junction,
     mixing_rates,
     rate_surfaces,
@@ -51,6 +52,16 @@ class TestValidation:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
                 s_cp(1.0, bad, junction, fast_quad)
+
+    def test_vanished_gap_at_a_zero_kinetic_energy_node_is_singular(self, monkeypatch):
+        # mu_n = 1 meV is exactly node 1 of the 64 nodes on [0, 63] meV
+        sc = bcs.SuperconductorParams(delta0=1.0, tc=9.2)
+        band = bcs.BandParams(effective_mass=0.067, quasi_fermi_level=1.0)
+        jp = bcs.JunctionParams(sc, band, band, dephasing_time=1000.0)
+        quad = KQuadrature(nodes=64, cutoff_delta0=62.0)
+        monkeypatch.setattr(bcs, "gap_at_temperature", lambda sc, t: 0.0)
+        with pytest.raises(DomainError, match="singular"):
+            _BandTables(0.5, jp, quad, quad.nodes)
 
     def test_enhancement_bound(self):
         with pytest.raises(DomainError):
