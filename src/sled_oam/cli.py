@@ -60,7 +60,7 @@ def cmd_rates(config: RunConfig) -> list:
                 log_scale=config.log_scale,
             )
             svg_path = os.path.join(config.out_dir, f"{name}.svg")
-            outputs.write_text(svg_path, svg)
+            outputs.write_text(svg_path, *svg)
             written.append(svg_path)
     return written
 
@@ -115,7 +115,7 @@ def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -
         f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
     )
     path = os.path.join(config.out_dir, f"{stem}.svg")
-    outputs.write_text(path, svg)
+    outputs.write_text(path, *svg)
     return path
 
 
@@ -152,7 +152,7 @@ def cmd_fidelity(config: RunConfig) -> list:
             "fidelity",
         )
         svg_path = os.path.join(config.out_dir, "fidelity.svg")
-        outputs.write_text(svg_path, svg)
+        outputs.write_text(svg_path, *svg)
         written.append(svg_path)
     return written
 

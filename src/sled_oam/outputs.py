@@ -3,14 +3,17 @@
 Numbers are written in their shortest round-trip decimal form, so identical
 inputs always produce byte-identical files.  JSON payloads are laid out
 exactly as ``json.dumps(payload, indent=2)`` would, but every list of scalars
-goes through the C encoder in one call.  SVG output is deliberately simple --
-colored rects for heatmaps, polylines for curves -- and needs no external
-renderer.  Both heatmaps (``svg_heatmap`` for rate surfaces, ``svg_matrix``
-for density matrices) take their cell colours from one colour map,
-``_colors``, which maps a whole row of scaled values at a time with the same
-floating-point operations, cell for cell, as a scalar evaluation would.
-Every document gets its final newline from an empty last part of its join,
-or as a write of its own, never by copying the whole text once more.
+goes through the C encoder in one call, and a matrix of floats (a density
+matrix's ``re``/``im``) formats each distinct bit pattern once.  SVG output
+is deliberately simple -- colored rects for heatmaps, polylines for curves --
+and needs no external renderer.  Both heatmaps (``svg_heatmap`` for rate
+surfaces, ``svg_matrix`` for density matrices) build their rows in
+``_rect_rows``, which scales and colours each distinct cell value once, with
+the same floating-point operations as a scalar evaluation would, and lays
+each row out from pieces built once per heatmap.  The SVG writers return
+their document as a list of parts, each ending in its newline, which
+``write_text`` writes one after another: the document is never joined in
+memory, and every part exists before the file is opened.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -43,10 +47,10 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_text(path: str, *texts: str) -> None:
-    """Write the texts one after another."""
+def write_text(path: str, *parts: str) -> None:
+    """Write the parts one after another."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(texts)
+        fh.writelines(parts)
 
 
 def write_csv(path: str, header: str, rows) -> None:
@@ -66,7 +70,8 @@ def _indented_json(obj, newline: str) -> str:
 
     The pure-Python encoder that ``indent`` selects is slow on large number
     lists, so a list without a nested list, tuple or dict is one C-encoder
-    call whose item separator carries the line break and the indent.
+    call whose item separator carries the line break and the indent, and a
+    list of float rows goes through ``_float_rows``.
     """
     inner = newline + "  "
     if isinstance(obj, dict):
@@ -82,12 +87,55 @@ def _indented_json(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
+        kinds = set(map(type, obj))
+        if kinds == {list} and _is_float_matrix(obj):
+            body = _float_rows(obj, inner)
+        elif any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
             body = ("," + inner).join(_indented_json(item, inner) for item in obj)
         else:
             body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
         return "[" + inner + body + newline + "]"
     return json.dumps(obj)
+
+
+def _distinct(values: np.ndarray):
+    """The sorted distinct values and, in the shape of ``values``, each one's index.
+
+    ``np.unique(values, return_inverse=True)`` up to NaN (each NaN stays
+    apart in the distinct values, and every NaN cell points to the first),
+    but a sort and a binary search instead of an indirect sort.
+    """
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _is_float_matrix(rows: list) -> bool:
+    """Whether the lists ``rows`` are non-empty, of one length and hold only ``float``s."""
+    width = len(rows[0])
+    return (
+        width > 0
+        and all(len(row) == width for row in rows)
+        and set(map(type, chain.from_iterable(rows))) == {float}
+    )
+
+
+def _float_rows(rows: list, newline: str) -> str:
+    """The rows of an indented float matrix, each distinct float formatted once.
+
+    The distinct bit patterns (so -0.0 stays apart from 0.0) go through one
+    C-encoder call, which writes each exactly as ``json.dumps`` does, NaN and
+    Infinity included; every row is then one join of the formatted cells.
+    """
+    distinct, inverse = _distinct(np.array(rows, dtype=np.float64).view(np.int64))
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    cells = np.array(texts, dtype=object)[inverse].tolist()
+    inner = newline + "  "
+    return ("," + newline).join(
+        "[" + inner + ("," + inner).join(row) + newline + "]" for row in cells
+    )
 
 
 def sha256_of(path: str) -> str:
@@ -125,13 +173,12 @@ def write_manifest(
 
 
 def _colors(scaled) -> list:
-    """Viridis hex colours of a row of values scaled to [0, 1].
+    """Viridis hex colours of values scaled to [0, 1].
 
-    Each cell goes through the same float operations in the same order as
+    Each value goes through the same float operations in the same order as
     the scalar formula: clip, ``pos = 10 v``, truncated stop index capped at
     9, ``(1 - frac) * stop_i + frac * stop_(i+1)``, and ``rint(255 c)``,
-    which rounds half to even like ``round``.  Callers pass one row at a
-    time, so no temporary grows with the whole matrix.
+    which rounds half to even like ``round``.
     """
     v = np.clip(np.asarray(scaled, dtype=float), 0.0, 1.0)
     if np.isnan(v).any():
@@ -147,11 +194,26 @@ def _colors(scaled) -> list:
     return [names[k] for k in index.tolist()]
 
 
-def _rect_row(xs, y: str, dims: str, scaled) -> str:
-    """One heatmap row as its cell rects, one per line, joined while the row is small."""
-    return "\n".join(
-        f'<rect x="{x}" y="{y}" {dims} fill="{c}"/>' for x, c in zip(xs, _colors(scaled))
+def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str) -> list:
+    """Heatmap rows as parts, one rect per line, each line ending in a newline.
+
+    A cell's colour depends only on its value, so ``scale`` maps the distinct
+    values of the whole matrix to [0, 1] and each is coloured once; every
+    cell then reads its rect's tail through the inverse index.  A row is the
+    per-column heads ``<rect x=".." y="`` with the row's y and the cells'
+    tails filled in, joined once.
+    """
+    distinct, inverse = _distinct(values)
+    tails = np.array(
+        [f'" {dims} fill="{color}"/>\n' for color in _colors(scale(distinct))], dtype=object
     )
+    row = [piece for x in xs for piece in (f'<rect x="{x}" y="', "", "")]
+    rows = []
+    for y, cells in zip(ys, tails[inverse].tolist()):
+        row[1::3] = [y] * len(cells)
+        row[2::3] = cells
+        rows.append("".join(row))
+    return rows
 
 
 def _scaled(value: float, vmax: float, log_scale: bool, decades: float = 6.0) -> float:
@@ -173,8 +235,8 @@ def svg_heatmap(
     ylabel: str,
     vmax: float,
     log_scale: bool = False,
-) -> str:
-    """Rect-per-cell heatmap; rows run bottom-up so the y axis increases upward."""
+) -> list:
+    """Rect-per-cell heatmap as parts; rows run bottom-up so the y axis increases upward."""
     n_rows, n_cols = values.shape
     cell_w = max(2.0, min(14.0, 720.0 / n_cols))
     cell_h = max(2.0, min(24.0, 420.0 / n_rows))
@@ -187,39 +249,42 @@ def svg_heatmap(
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     xs = [f"{left + j * cell_w:.2f}" for j in range(n_cols)]
+    ys = [f"{top + (n_rows - 1 - i) * cell_h:.2f}" for i in range(n_rows)]
     dims = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
-    for i in range(n_rows):
-        y = f"{top + (n_rows - 1 - i) * cell_h:.2f}"
-        scaled = [_scaled(float(v), vmax, log_scale) for v in values[i]]
-        parts.append(_rect_row(xs, y, dims, scaled))
+
+    def scale(distinct):
+        return [_scaled(v, vmax, log_scale) for v in distinct.tolist()]
+
+    rows = _rect_rows(values, scale, xs, ys, dims)
+    tail = []
     tick_idx = sorted({0, n_cols // 2, n_cols - 1})
     for j in tick_idx:
         x = left + (j + 0.5) * cell_w
-        parts.append(
+        tail.append(
             f'<text x="{x:.1f}" y="{top + plot_h + 16:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{x_ticks[j]}</text>'
         )
     for i in sorted({0, n_rows // 2, n_rows - 1}):
         y = top + (n_rows - 1 - i) * cell_h + cell_h / 2
-        parts.append(
+        tail.append(
             f'<text x="{left - 8:.1f}" y="{y + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{y_ticks[i]}</text>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{left + plot_w / 2:.1f}" y="{top + plot_h + 40:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    parts += ["</svg>", ""]
-    return "\n".join(parts)
+    tail.append("</svg>")
+    return [line + "\n" for line in parts] + rows + [line + "\n" for line in tail]
 
 
-def svg_matrix(values: np.ndarray, labels, title: str) -> str:
-    """Square magnitude heatmap with pair labels on both axes."""
+def svg_matrix(values: np.ndarray, labels, title: str) -> list:
+    """Square magnitude heatmap as parts, with pair labels on both axes."""
     n = values.shape[0]
     vmax = float(values.max()) if values.size else 1.0
     cell = max(6.0, min(26.0, 560.0 / max(n, 1)))
@@ -232,30 +297,34 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     xs = [f"{left + j * cell:.2f}" for j in range(n)]
+    ys = [f"{top + i * cell:.2f}" for i in range(n)]
     dims = f'width="{cell:.2f}" height="{cell:.2f}"'
-    for i in range(n):
-        y = f"{top + i * cell:.2f}"
-        parts.append(_rect_row(xs, y, dims, values[i] / vmax if vmax > 0 else np.zeros(n)))
+
+    def scale(distinct):
+        return distinct / vmax if vmax > 0 else np.zeros(distinct.shape)
+
+    rows = _rect_rows(values, scale, xs, ys, dims)
+    tail = []
     font = max(6, min(11, int(cell) - 2))
     for j, label in enumerate(labels):
         x = left + (j + 0.5) * cell
-        parts.append(
+        tail.append(
             f'<text x="{x:.1f}" y="{top - 6:.1f}" text-anchor="start" '
             f'font-family="sans-serif" font-size="{font}" '
             f'transform="rotate(-60 {x:.1f} {top - 6:.1f})">{label}</text>'
         )
     for i, label in enumerate(labels):
         y = top + (i + 0.5) * cell
-        parts.append(
+        tail.append(
             f'<text x="{left - 6:.1f}" y="{y + 3:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="{font}">{label}</text>'
         )
-    parts += ["</svg>", ""]
-    return "\n".join(parts)
+    tail.append("</svg>")
+    return [line + "\n" for line in parts] + rows + [line + "\n" for line in tail]
 
 
-def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:
-    """Polyline chart; ``series`` maps a label to a list of y values in [0, 1]."""
+def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> list:
+    """Polyline chart as parts; ``series`` maps a label to a list of y values in [0, 1]."""
     left, top, plot_w, plot_h = 70.0, 40.0, 560.0, 360.0
     width, height = left + plot_w + 160.0, top + plot_h + 70.0
     x_lo, x_hi = min(x_values), max(x_values)
@@ -314,5 +383,5 @@ def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    parts += ["</svg>", ""]
-    return "\n".join(parts)
+    parts.append("</svg>")
+    return [line + "\n" for line in parts]

@@ -181,8 +181,9 @@ class _BandTables:
     original per-detuning expression and is stored as complex128, the exact
     cast numpy applies to it in every real/complex operation anyway.  The
     kernels and the trapezoid sums run in place in work arrays held here, one
-    ufunc call per operation of the full expressions, in their order, so the
-    rates are bit for bit those of evaluating the full expressions at every
+    ufunc call per operation of the full expressions, in their order (the
+    trapezoid's exact halving is folded into the stored step), so the rates
+    are bit for bit those of evaluating the full expressions at every
     detuning with ``np.trapezoid``.  No call casts an array, so none needs a
     buffer of its own.  Every one of these arrays starts on a page (see
     ``_aligned_arrays``); a table is for one thread at a time.
@@ -200,7 +201,7 @@ class _BandTables:
         t_kelvin = t * jp.sc.tc
 
         factors = _aligned_arrays(nodes, (np.float64,) * 3 + (np.complex128,) * 10)
-        self.e_n, self.e_p, self.dx, self.uv, self._dx_complex = factors[:5]
+        self.e_n, self.e_p, self.half_dx, self.uv, self._half_dx_complex = factors[:5]
         self.pair_weights = tuple(factors[5:9])
         self.qp_weights = tuple(factors[9:])
 
@@ -240,9 +241,10 @@ class _BandTables:
             ),
         ):
             slot[:] = a * b * c * e
-        # the node spacing, as np.trapezoid's diff(eps) computes it
-        np.subtract(eps[1:], eps[:-1], out=self.dx[:-1])
-        self._dx_complex[:-1] = self.dx[:-1]
+        # half the node spacing: diff(eps) as np.trapezoid computes it, halved
+        np.subtract(eps[1:], eps[:-1], out=self.half_dx[:-1])
+        np.divide(self.half_dx[:-1], 2.0, out=self.half_dx[:-1])
+        self._half_dx_complex[:-1] = self.half_dx[:-1]
         # the work arrays come after the temporaries above are gone, so the
         # two never hold memory at the same time
         del eps, xi_n, xi_p, f_n, f_p, fb_n, fb_p, ratio, u2_n, v2_n, u2_p, v2_p, a, b, c, e
@@ -280,12 +282,16 @@ class _BandTables:
         np.multiply(self.uv, pair, out=pair)
 
     @staticmethod
-    def _trapezoid(y: np.ndarray, dx: np.ndarray, scratch: np.ndarray):
-        """``np.trapezoid(y, eps)``, operation for operation, in ``scratch``; ``dx`` = diff(eps)."""
+    def _trapezoid(y: np.ndarray, half_dx: np.ndarray, scratch: np.ndarray):
+        """``np.trapezoid(y, eps)``, bit for bit, in ``scratch``; ``half_dx`` = diff(eps) / 2.
+
+        np.trapezoid sums ``dx * (y[1:] + y[:-1]) / 2.0``; halving is an exact
+        scaling while the terms stay normal (dx is about 0.02 meV), so the
+        stored half step gives the same terms without a division per node.
+        """
         s = scratch[:-1]
         np.add(y[1:], y[:-1], out=s)
-        np.multiply(dx[:-1], s, out=s)
-        np.divide(s, 2.0, out=s)
+        np.multiply(half_dx[:-1], s, out=s)
         return s.sum()
 
     def rates(self, d_delta0: float, delta0: float) -> "tuple[float, float]":
@@ -295,11 +301,11 @@ class _BandTables:
         self._kernels(d, pair, qp)
         self._kernels(-d, pair_minus, qp_minus)
         np.add(pair, pair_minus, out=pair)
-        amp = self.patch_states * self._trapezoid(pair, self._dx_complex, self._term)
+        amp = self.patch_states * self._trapezoid(pair, self._half_dx_complex, self._term)
         np.add(qp, qp_minus, out=qp)
         np.abs(qp, out=self._mag)
         np.square(self._mag, out=self._mag)
-        incoherent = self.patch_states * self._trapezoid(self._mag, self.dx, self._near)
+        incoherent = self.patch_states * self._trapezoid(self._mag, self.half_dx, self._near)
         return float(abs(amp) ** 2), float(incoherent)
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sled_oam import kappa, pair_state, spectral
+from sled_oam import cli, kappa, pair_state, spectral
 from sled_oam.cli import main
+from sled_oam.config import load_config
 from sled_oam.pair_state import PairDensityMatrix
 
 FAST = """
@@ -389,6 +391,63 @@ class TestSvgOutputs:
         for name in svgs:
             root = ET.parse(os.path.join(out, name)).getroot()
             assert root.tag.endswith("svg")
+
+    def _infinite_entry(self, config):
+        """A density matrix whose |rho| / max scales one cell to inf / inf = NaN."""
+        basis = config.basis()
+        entries = np.eye(len(basis), dtype=complex) / len(basis)
+        entries[0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            return PairDensityMatrix(basis, entries)
+
+    def test_a_nan_cell_leaves_no_matrix_svg(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        config = load_config(write_config(tmp_path), [f"output.directory={out}"])
+        rho = self._infinite_entry(config)
+        with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
+            cli._write_matrix_svg(config, rho, "dm_bad", 0.3, 10.0)
+        assert not os.listdir(out)
+
+    def test_a_nan_cell_stops_dm_before_its_svg_is_opened(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config = load_config(write_config(tmp_path), [f"output.directory={out}"])
+        out.mkdir()
+        rho = self._infinite_entry(config)
+        monkeypatch.setattr(pair_state, "mixtures", lambda *args: iter([(0.3, 10.0, rho)]))
+        with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
+            cli.cmd_dm(config)
+        assert os.listdir(out) == ["dm_0.3_10.json"]
+
+    def test_the_l_max_6_matrix_svg_is_never_joined(self, tmp_path):
+        """One 169-pair heatmap (2.0 MB of text) written through its parts peaks
+        below 3.5 MB of Python memory; a joined copy of the document would not fit."""
+        out = tmp_path / "out"
+        out.mkdir()
+        config = load_config("fig3", ["emission.l_max=6", f"output.directory={out}"])
+        basis = config.basis()
+        _, _, rho = next(
+            pair_state.mixtures(
+                pair_state.rho_cp(config.winding, basis, config.geometry),
+                pair_state.rho_bqp(basis, config.geometry),
+                config.detuning_for_dm,
+                config.grid.temperatures,
+                config.enhancements,
+                config.junction,
+                config.grid.k_integration,
+            )
+        )
+        cli._write_matrix_svg(config, rho, "warm", 0.5, 10.0)  # first-call caches
+        tracemalloc.start()
+        try:
+            path = cli._write_matrix_svg(config, rho, "dm", 0.5, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count("<rect ") == 169 * 169 and len(text) > 2e6
+        assert peak < 3.5e6
 
     def test_log_scale_heatmaps_on_the_fig2_grid(self, tmp_path):
         import xml.etree.ElementTree as ET

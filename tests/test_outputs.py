@@ -1,13 +1,15 @@
-"""Byte identity of the row-vectorized writers with the per-cell formulas.
+"""Byte identity of the per-distinct-value writers with the per-cell formulas.
 
 ``svg_matrix``, ``svg_heatmap`` and ``write_json`` must write exactly what the
 per-cell versions below (verbatim copies of the scalar colour map and the two
 heatmap loops) and ``json.dumps(payload, indent=2)`` write.  The inputs cover
 the 11 colour stops, the values where ``255 * c`` lands exactly on .5 (where
 round-half-even and round-half-up differ), all-zero and 1x1 matrices, log
-heatmaps with zeros and values below the six-decade floor, and JSON payloads
-with -0.0, empty rows and non-finite numbers.  ``write_csv`` must end every
-line, the last one included, with one newline.
+heatmaps with zeros and values below the six-decade floor, JSON payloads
+with -0.0, empty rows and non-finite numbers, and matrices drawn from a few
+values so that cells repeat, as in a density matrix.  The SVG writers return
+parts that each end in a newline; their join is the document.  ``write_csv``
+must end every line, the last one included, with one newline.
 """
 
 import json
@@ -154,6 +156,12 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _document(parts: list) -> str:
+    """The document a writer's parts make, each of them ending in a newline."""
+    assert all(part.endswith("\n") for part in parts)
+    return "".join(parts)
+
+
 def _channels(v: float) -> list:
     """255 * c per channel, as the scalar colour map computes it before rounding."""
     pos = v * 10
@@ -241,12 +249,14 @@ def square_matrices(draw):
 @example(np.array([[2.5]]))
 def test_svg_matrix_is_byte_identical(values):
     labels = [f"({k},{-k})" for k in range(len(values))]
-    assert outputs.svg_matrix(values, labels, "|rho|") == svg_matrix(values, labels, "|rho|")
+    assert _document(outputs.svg_matrix(values, labels, "|rho|")) == svg_matrix(
+        values, labels, "|rho|"
+    )
 
 
 def test_svg_matrix_of_an_empty_matrix():
     empty = np.zeros((0, 0))
-    assert outputs.svg_matrix(empty, [], "empty") == svg_matrix(empty, [], "empty")
+    assert _document(outputs.svg_matrix(empty, [], "empty")) == svg_matrix(empty, [], "empty")
 
 
 @st.composite
@@ -273,8 +283,65 @@ def test_svg_heatmap_is_byte_identical(case):
     rows, cols = values.shape
     ticks = [f"{j:g}" for j in range(cols)], [f"{i:g}" for i in range(rows)]
     args = (values, *ticks, "t", "x", "y")
-    new = outputs.svg_heatmap(*args, vmax=vmax, log_scale=log_scale)
+    new = _document(outputs.svg_heatmap(*args, vmax=vmax, log_scale=log_scale))
     assert new == svg_heatmap(*args, vmax=vmax, log_scale=log_scale)
+
+
+def _outcome(write):
+    """What a writer returns, or the type of the error it raises (inf / inf is NaN)."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return write()
+    except ValueError:
+        return ValueError
+
+
+# the values that tell writers apart: both zeros, NaN, both infinities, the
+# smallest subnormal, a colour stop and values where 255 * c lands on .5
+POOL_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.5, *HALF_CASES[:8]]
+
+
+@st.composite
+def pooled_matrices(draw, min_side=0):
+    """Float matrices up to 40x40 whose cells repeat at most six values."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(POOL_VALUES), st.floats(-1e3, 1e3)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows, cols = draw(st.integers(min_side, 40)), draw(st.integers(min_side, 40))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return [cells[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
+@SETTINGS
+@given(pooled_matrices(min_side=1))
+def test_svg_matrix_of_repeated_values_is_byte_identical(rows):
+    values = np.array(rows)
+    square = values[: min(values.shape), : min(values.shape)]
+    labels = [str(k) for k in range(len(square))]
+    new = _outcome(lambda: _document(outputs.svg_matrix(square, labels, "m")))
+    assert new == _outcome(lambda: svg_matrix(square, labels, "m"))
+
+
+@SETTINGS
+@given(pooled_matrices(min_side=1), st.sampled_from([1.0, 0.0, 250.0, math.inf]), st.booleans())
+def test_svg_heatmap_of_repeated_values_is_byte_identical(rows, vmax, log_scale):
+    values = np.array(rows)
+    ticks = [str(j) for j in range(values.shape[1])], [str(i) for i in range(values.shape[0])]
+    args = (values, *ticks, "t", "x", "y")
+    new = _outcome(lambda: _document(outputs.svg_heatmap(*args, vmax=vmax, log_scale=log_scale)))
+    assert new == _outcome(lambda: svg_heatmap(*args, vmax=vmax, log_scale=log_scale))
+
+
+def test_a_nan_cell_raises_the_colour_error():
+    values = np.array([[0.25, math.nan], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="cannot colour NaN"):
+        outputs.svg_heatmap(values, ["a", "b"], ["c", "d"], "t", "x", "y", vmax=1.0)
+    with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
+        outputs.svg_matrix(np.array([[math.inf, 0.0], [0.0, 1.0]]), ["a", "b"], "m")
 
 
 numbers = st.one_of(
@@ -311,6 +378,46 @@ def _written(payload) -> str:
 @SETTINGS
 @given(st.one_of(dm_payloads, json_values))
 def test_write_json_is_json_dumps_with_indent_2(payload):
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@SETTINGS
+@given(pooled_matrices(), pooled_matrices())
+def test_write_json_of_repeated_floats_is_json_dumps_with_indent_2(re, im):
+    payload = {"basis": [[0, 1]], "re": re, "im": im}
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_write_json_of_a_sparse_density_matrix():
+    n = 169
+    re = [[0.0] * n for _ in range(n)]
+    for i in range(0, n, 13):
+        re[i][i] = 1.0 / 13
+        for j in range(0, n, 26):
+            re[i][j] = re[j][i] = -0.0 if i == j else 0.1 * (1 + (i * j) % 7) / 13
+    payload = {
+        "basis": [[l1, l2] for l1 in range(-6, 7) for l2 in range(-6, 7)],
+        "re": re,
+        "im": [[0.0] * n for _ in range(n)],
+    }
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.5, True], [1.0, 2.0]],
+        [[0.5, 1], [1.0, 2.0]],
+        [[0.5, 1.0], [2.0]],
+        [(0.5, 1.0), (2.0, -0.0)],
+        [[0.5, 1.0], (2.0, -0.0)],
+        [[0.5, np.float64(1.0)], [1.0, 2.0]],
+        [[], []],
+        [[0.5, None], [1.0, 2.0]],
+    ],
+)
+def test_write_json_of_rows_that_are_no_float_matrix(rows):
+    payload = {"re": rows, "nested": [rows]}
     assert _written(payload) == json.dumps(payload, indent=2) + "\n"
 
 

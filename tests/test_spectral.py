@@ -253,7 +253,7 @@ class TestBandTableLayout:
     def test_every_array_starts_on_a_page(self, junction, nodes):
         tables = _BandTables(0.5, junction, KQuadrature(nodes=nodes), nodes)
         arrays = [
-            tables.e_n, tables.e_p, tables.dx, tables.uv, *tables.pair_weights, *tables.qp_weights
+            tables.e_n, tables.e_p, tables.half_dx, tables.uv, *tables.pair_weights, *tables.qp_weights
         ]
         assert all(a.ctypes.data % 4096 == 0 and a.shape == (nodes,) for a in arrays)
 
