@@ -33,10 +33,10 @@ def _pair_label(pair) -> str:
     return f"({pair[0]},{pair[1]})"
 
 
-def cmd_rates(config: RunConfig) -> list:
+def cmd_rates(config: RunConfig) -> dict:
     """Rate surfaces for both channels: rates_cp.csv, rates_bqp.csv (+ heatmaps)."""
     cp, bqp = spectral.rate_surfaces(config.grid, config.junction, workers=config.threads)
-    written = []
+    written = {}
     temps = config.grid.temperatures
     detunings = config.grid.detunings
     for surface, name in ((cp, "rates_cp"), (bqp, "rates_bqp")):
@@ -45,9 +45,11 @@ def cmd_rates(config: RunConfig) -> list:
             for i, t in enumerate(temps)
             for j, d in enumerate(detunings)
         ]
-        path = os.path.join(config.out_dir, f"{name}.csv")
-        outputs.write_csv(path, "t_over_tc,detuning_over_delta0,rate_normalized", rows)
-        written.append(path)
+        written[f"{name}.csv"] = outputs.write_csv(
+            os.path.join(config.out_dir, f"{name}.csv"),
+            "t_over_tc,detuning_over_delta0,rate_normalized",
+            rows,
+        )
         if "svg" in config.formats:
             svg = outputs.svg_heatmap(
                 surface.values,
@@ -59,13 +61,13 @@ def cmd_rates(config: RunConfig) -> list:
                 vmax=1.0,
                 log_scale=config.log_scale,
             )
-            svg_path = os.path.join(config.out_dir, f"{name}.svg")
-            outputs.write_text(svg_path, *svg)
-            written.append(svg_path)
+            written[f"{name}.svg"] = outputs.write_text(
+                os.path.join(config.out_dir, f"{name}.svg"), *svg
+            )
     return written
 
 
-def cmd_dm(config: RunConfig) -> list:
+def cmd_dm(config: RunConfig) -> dict:
     """Density matrices for every (temperature, enhancement): dm_{t}_{enh}.json."""
     _check_file_tokens("grid.temperatures", config.grid.temperatures)
     _check_file_tokens("emission.enhancements", config.enhancements)
@@ -76,7 +78,7 @@ def cmd_dm(config: RunConfig) -> list:
         )
     else:
         coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
-    written = []
+    written = {}
     for t, enh, rho in pair_state.mixtures(
         coherent,
         pair_state.rho_bqp(basis, config.geometry),
@@ -87,11 +89,11 @@ def cmd_dm(config: RunConfig) -> list:
         config.grid.k_integration,
     ):
         stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
-        path = os.path.join(config.out_dir, f"{stem}.json")
-        outputs.write_json(path, rho.to_json_dict())
-        written.append(path)
+        written[f"{stem}.json"] = outputs.write_json(
+            os.path.join(config.out_dir, f"{stem}.json"), rho.basis.pairs, rho.entries
+        )
         if "svg" in config.formats:
-            written.append(_write_matrix_svg(config, rho, stem, t, enh))
+            written[f"{stem}.svg"] = _write_matrix_svg(config, rho, stem, t, enh)
     return written
 
 
@@ -105,7 +107,10 @@ def _check_file_tokens(key: str, values) -> None:
 
 
 def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
-    """Heatmap of |rho| over the populated pairs; its large temporaries die on return."""
+    """Write {stem}.svg, the heatmap of |rho| over the populated pairs; return its digest.
+
+    Its large temporaries die on return.
+    """
     magnitudes = abs(rho.entries)
     populated = np.flatnonzero(magnitudes.max(axis=1, initial=0.0) > 1e-15)
     labels = [_pair_label(rho.basis.pairs[i]) for i in populated]
@@ -114,12 +119,10 @@ def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -
         labels,
         f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
     )
-    path = os.path.join(config.out_dir, f"{stem}.svg")
-    outputs.write_text(path, *svg)
-    return path
+    return outputs.write_text(os.path.join(config.out_dir, f"{stem}.svg"), *svg)
 
 
-def cmd_fidelity(config: RunConfig) -> list:
+def cmd_fidelity(config: RunConfig) -> dict:
     """Bell-state fidelity versus temperature per enhancement: fidelity.csv."""
     table = fidelity_curve(
         config.grid.temperatures,
@@ -136,9 +139,11 @@ def cmd_fidelity(config: RunConfig) -> list:
         for i, t in enumerate(table.temperatures)
         for j, enh in enumerate(table.enhancements)
     ]
-    path = os.path.join(config.out_dir, "fidelity.csv")
-    outputs.write_csv(path, "t_over_tc,enhancement,fidelity", rows)
-    written = [path]
+    written = {
+        "fidelity.csv": outputs.write_csv(
+            os.path.join(config.out_dir, "fidelity.csv"), "t_over_tc,enhancement,fidelity", rows
+        )
+    }
     if "svg" in config.formats:
         series = {
             f"L/L_phi = {_num_token(enh)}": table.values[:, j]
@@ -151,12 +156,13 @@ def cmd_fidelity(config: RunConfig) -> list:
             "T / Tc",
             "fidelity",
         )
-        svg_path = os.path.join(config.out_dir, "fidelity.svg")
-        outputs.write_text(svg_path, *svg)
-        written.append(svg_path)
+        written["fidelity.svg"] = outputs.write_text(
+            os.path.join(config.out_dir, "fidelity.svg"), *svg
+        )
     return written
 
 
+# each command returns the SHA-256 digest of every file it wrote, by file name
 _COMMANDS = {"rates": cmd_rates, "dm": cmd_dm, "fidelity": cmd_fidelity}
 # the format of the data files each command always writes
 _DATA_FORMATS = {"rates": "csv", "dm": "json", "fidelity": "csv"}

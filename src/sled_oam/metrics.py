@@ -41,8 +41,8 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if scale > 0 and float(np.abs(a - a.conj().T).max()) > 1e-10 * scale:
+    scale = float(np.abs(a).max(initial=0.0))
+    if not float(np.abs(a - a.conj().T).max(initial=0.0)) <= 1e-10 * scale:
         raise ContractError("matrix is not Hermitian within 1e-10 of its magnitude")
     return a
 

@@ -1,19 +1,22 @@
-"""File emission: CSV tables, JSON payloads, minimal SVG plots, run manifest.
+"""File emission: CSV tables, density-matrix JSON, minimal SVG plots, run manifest.
 
 Numbers are written in their shortest round-trip decimal form, so identical
-inputs always produce byte-identical files.  JSON payloads are laid out
-exactly as ``json.dumps(payload, indent=2)`` would, but every list of scalars
-goes through the C encoder in one call, and a matrix of floats (a density
-matrix's ``re``/``im``) formats each distinct bit pattern once.  SVG output
-is deliberately simple -- colored rects for heatmaps, polylines for curves --
-and needs no external renderer.  Both heatmaps (``svg_heatmap`` for rate
-surfaces, ``svg_matrix`` for density matrices) build their rows in
-``_rect_rows``, which scales and colours each distinct cell value once, with
-the same floating-point operations as a scalar evaluation would, and lays
-each row out from pieces built once per heatmap.  The SVG writers return
-their document as a list of parts, each ending in its newline, which
-``write_text`` writes one after another: the document is never joined in
-memory, and every part exists before the file is opened.
+inputs always produce byte-identical files.  ``write_text`` performs every
+file write: it encodes each part once, writes it and feeds the same bytes to
+SHA-256, so each writer returns the digest of the bytes as written and the
+manifest lists those digests without reading any file back.  A density
+matrix's JSON is laid out exactly as ``json.dumps(payload, indent=2)`` lays
+out ``PairDensityMatrix.to_json_dict``, but is built from the basis pairs and
+the complex array, formatting each distinct bit pattern of ``re`` and ``im``
+once.  SVG output is deliberately simple -- colored rects for heatmaps,
+polylines for curves -- and needs no external renderer.  Both heatmaps
+(``svg_heatmap`` for rate surfaces, ``svg_matrix`` for density matrices)
+build their rows in ``_rect_rows``, which scales and colours each distinct
+cell value once, with the same floating-point operations as a scalar
+evaluation would, and lays each row out from pieces built once per heatmap.
+The SVG writers return their document as a list of parts, each ending in its
+newline, which ``write_text`` writes one after another: the document is
+never joined in memory, and every part exists before the file is opened.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import json
 import math
 import os
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -47,55 +49,41 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_text(path: str, *parts: str) -> None:
-    """Write the parts one after another."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(parts)
+def write_text(path: str, *parts: str) -> str:
+    """Write the parts one after another; return the SHA-256 hex digest of the file."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            data = part.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
-def write_csv(path: str, header: str, rows) -> None:
+def write_csv(path: str, header: str, rows) -> str:
     lines = [header]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
     lines.append("")
-    write_text(path, "\n".join(lines))
+    return write_text(path, "\n".join(lines))
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Write ``json.dumps(payload, indent=2)``, byte for byte, and a final newline."""
-    write_text(path, _indented_json(payload, "\n"), "\n")
+def write_json(path: str, pairs, entries: np.ndarray) -> str:
+    """Write a density matrix over ``pairs`` as ``json.dumps(payload, indent=2)`` and a newline.
 
-
-def _indented_json(obj, newline: str) -> str:
-    """``json.dumps(obj, indent=2)`` for a value whose line starts with ``newline``.
-
-    The pure-Python encoder that ``indent`` selects is slow on large number
-    lists, so a list without a nested list, tuple or dict is one C-encoder
-    call whose item separator carries the line break and the indent, and a
-    list of float rows goes through ``_float_rows``.
+    The payload is ``{"basis": pairs, "re": entries.real, "im": entries.imag}``
+    as lists, the form of ``PairDensityMatrix.to_json_dict``.
     """
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {key!r}")
-        body = ("," + inner).join(
-            json.dumps(key) + ": " + _indented_json(value, inner) for key, value in obj.items()
-        )
-        return "{" + inner + body + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {list} and _is_float_matrix(obj):
-            body = _float_rows(obj, inner)
-        elif any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
-            body = ("," + inner).join(_indented_json(item, inner) for item in obj)
-        else:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj)
+    basis = ",\n    ".join(f"[\n      {l1},\n      {l2}\n    ]" for l1, l2 in pairs)
+    return write_text(
+        path,
+        '{\n  "basis": [\n    ',
+        basis,
+        '\n  ],\n  "re": [\n    ',
+        _float_rows(entries.real),
+        '\n  ],\n  "im": [\n    ',
+        _float_rows(entries.imag),
+        "\n  ]\n}\n",
+    )
 
 
 def _distinct(values: np.ndarray):
@@ -112,57 +100,40 @@ def _distinct(values: np.ndarray):
     return distinct, np.searchsorted(distinct, values)
 
 
-def _is_float_matrix(rows: list) -> bool:
-    """Whether the lists ``rows`` are non-empty, of one length and hold only ``float``s."""
-    width = len(rows[0])
-    return (
-        width > 0
-        and all(len(row) == width for row in rows)
-        and set(map(type, chain.from_iterable(rows))) == {float}
-    )
-
-
-def _float_rows(rows: list, newline: str) -> str:
-    """The rows of an indented float matrix, each distinct float formatted once.
+def _float_rows(matrix: np.ndarray) -> str:
+    """A float matrix's rows as ``json.dumps`` indents them under a key; each value formatted once.
 
     The distinct bit patterns (so -0.0 stays apart from 0.0) go through one
     C-encoder call, which writes each exactly as ``json.dumps`` does, NaN and
     Infinity included; every row is then one join of the formatted cells.
     """
-    distinct, inverse = _distinct(np.array(rows, dtype=np.float64).view(np.int64))
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+    distinct, inverse = _distinct(bits)
     texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     cells = np.array(texts, dtype=object)[inverse].tolist()
-    inner = newline + "  "
-    return ("," + newline).join(
-        "[" + inner + ("," + inner).join(row) + newline + "]" for row in cells
-    )
-
-
-def sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in cells)
 
 
 def write_manifest(
-    out_dir: str, config_echo: dict, defaults, version: str, duration: float, files
+    out_dir: str, config_echo: dict, defaults, version: str, duration: float, files: dict
 ) -> str:
-    """Write manifest.json atomically after all other outputs exist."""
+    """Write manifest.json atomically after all other outputs exist.
+
+    ``files`` maps each output's file name to the digest its writer returned.
+    """
     payload = {
         "tool": "sled-oam",
         "version": version,
         "duration_seconds": duration,
         "config": dict(sorted(config_echo.items())),
         "defaults_used": sorted(defaults),
-        "outputs": {os.path.basename(p): sha256_of(p) for p in sorted(files)},
+        "outputs": files,
     }
     path = os.path.join(out_dir, "manifest.json")
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".manifest.tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text(tmp, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:

@@ -11,6 +11,7 @@ there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -105,7 +106,7 @@ class PairDensityMatrix:
         if entries.shape != (n, n):
             raise ContractError(f"entries shape {entries.shape} does not match basis size {n}")
         scale = max(1.0, float(np.abs(entries).max()) if entries.size else 1.0)
-        if float(np.abs(entries - entries.conj().T).max()) > HERMITICITY_TOL * scale:
+        if not float(np.abs(entries - entries.conj().T).max()) <= HERMITICITY_TOL * scale:
             raise ContractError("matrix is not Hermitian within tolerance")
         self.basis = basis
         self.entries = entries
@@ -207,6 +208,8 @@ def mixture(
     total = r_cp + r_bqp
     if total <= 0:
         raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
+    if not math.isfinite(total):
+        raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
     entries = (r_cp / total) * (coherent.entries / tr_cp) + (r_bqp / total) * (
         incoherent.entries / tr_bqp
     )

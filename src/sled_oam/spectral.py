@@ -49,6 +49,7 @@ process's earlier allocations left numpy's buffers.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -313,8 +314,9 @@ def _channel_rates(t: float, jp: bcs.JunctionParams, quad: KQuadrature, detuning
     """Raw (coherent, incoherent) rate pairs at reduced temperature t, one per detuning.
 
     One band table serves both channels and every detuning; each |d| is
-    evaluated once.  With ``quad.verify`` every rate is re-evaluated on a
-    second table at doubled node count.
+    evaluated once.  A rate that is not finite raises ConvergenceError.  With
+    ``quad.verify`` every rate is re-evaluated on a second table at doubled
+    node count.
     """
     magnitudes = [abs(d) for d in detunings]
 
@@ -323,7 +325,13 @@ def _channel_rates(t: float, jp: bcs.JunctionParams, quad: KQuadrature, detuning
         by_magnitude: dict = {}
         for m in magnitudes:
             if m not in by_magnitude:
-                by_magnitude[m] = tables.rates(m, jp.sc.delta0)
+                rates = tables.rates(m, jp.sc.delta0)
+                if not all(map(math.isfinite, rates)):
+                    raise ConvergenceError(
+                        f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
+                        f"with {nodes} quadrature nodes: {rates}"
+                    )
+                by_magnitude[m] = rates
         return by_magnitude
 
     coarse = evaluate(quad.nodes)
@@ -356,7 +364,7 @@ def s_bqp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadr
 def rate_surfaces(
     grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
 ) -> "tuple[RateSurface, RateSurface]":
-    """Both channels on one grid, normalized to the coherent maximum."""
+    """Both channels on one grid, normalized to the coherent maximum, which must be > 0."""
 
     def row(t: float) -> list:
         return _channel_rates(t, jp, grid.k_integration, grid.detunings)
@@ -370,6 +378,8 @@ def rate_surfaces(
             rows = list(pool.map(row, grid.temperatures))
     raw = np.array(rows)  # (n_temperatures, n_detunings, channel)
     norm = float(raw[..., 0].max())
+    if not norm > 0:
+        raise ConvergenceError(f"the coherent rate peaks at {norm}, so it cannot normalize")
     return (
         RateSurface(grid, raw[..., 0] / norm, "cp", norm),
         RateSurface(grid, raw[..., 1] / norm, "bqp", norm),

@@ -345,6 +345,37 @@ class TestErrorReporting:
         assert records[0]["message"].endswith(" (at t=0.3, enhancement=10.0)")
 
 
+class TestNonFiniteResults:
+    """Overflowing settings exit with a one-line JSON error and write no data file."""
+
+    @pytest.mark.parametrize("formats", ["csv", "csv,svg"])
+    def test_infinite_rates_exit_3(self, tmp_path, capsys, formats):
+        out = tmp_path / "out"
+        args = ["rates", "--config", "fig2", "--out", str(out), "--format", formats]
+        for setting in ("temperatures=0.5", "detuning_points=3", "quadrature_nodes=64"):
+            args += ["--set", f"grid.{setting}"]
+        assert main(args + ["--set", "grid.patch_area_um2=1e308"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConvergenceError"
+        assert "|d|=6.0, t=0.5 is not finite" in record["message"]
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["dm", "fidelity"])
+    def test_an_infinite_total_rate_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--config", write_config(tmp_path), "--out", str(out)]
+        assert main(args + ["--set", "emission.enhancements=1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DegenerateMixtureError"
+        assert record["message"].startswith("total rate is not finite")
+        assert record["message"].endswith(" (at t=0.3, enhancement=1e+308)")
+        assert os.listdir(out) == []
+
+
 class TestConvergenceGate:
     def test_unresolvable_resonance_exits_with_code_3(self, tmp_path, capsys):
         args = [
@@ -393,12 +424,14 @@ class TestSvgOutputs:
             assert root.tag.endswith("svg")
 
     def _infinite_entry(self, config):
-        """A density matrix whose |rho| / max scales one cell to inf / inf = NaN."""
+        """A density matrix whose |rho| / max scales one cell to inf / inf = NaN.
+
+        The constructor rejects a non-finite entry, so it is put into a built matrix.
+        """
         basis = config.basis()
-        entries = np.eye(len(basis), dtype=complex) / len(basis)
-        entries[0, 0] = np.inf
-        with np.errstate(invalid="ignore"):
-            return PairDensityMatrix(basis, entries)
+        rho = PairDensityMatrix(basis, np.eye(len(basis), dtype=complex) / len(basis))
+        rho.entries[0, 0] = np.inf
+        return rho
 
     def test_a_nan_cell_leaves_no_matrix_svg(self, tmp_path):
         out = tmp_path / "out"
@@ -440,11 +473,11 @@ class TestSvgOutputs:
         cli._write_matrix_svg(config, rho, "warm", 0.5, 10.0)  # first-call caches
         tracemalloc.start()
         try:
-            path = cli._write_matrix_svg(config, rho, "dm", 0.5, 10.0)
+            cli._write_matrix_svg(config, rho, "dm", 0.5, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        with open(path, encoding="utf-8") as fh:
+        with open(out / "dm.svg", encoding="utf-8") as fh:
             text = fh.read()
         assert text.count("<rect ") == 169 * 169 and len(text) > 2e6
         assert peak < 3.5e6

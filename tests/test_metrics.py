@@ -74,6 +74,12 @@ class TestEigh:
         with pytest.raises(ContractError):
             eigh(a)
 
+    def test_non_finite_entry_rejected(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = np.nan
+        with pytest.raises(ContractError):
+            eigh(a)
+
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):
             eigh(np.zeros((2, 3)))

@@ -2,16 +2,19 @@
 
 ``svg_matrix``, ``svg_heatmap`` and ``write_json`` must write exactly what the
 per-cell versions below (verbatim copies of the scalar colour map and the two
-heatmap loops) and ``json.dumps(payload, indent=2)`` write.  The inputs cover
-the 11 colour stops, the values where ``255 * c`` lands exactly on .5 (where
-round-half-even and round-half-up differ), all-zero and 1x1 matrices, log
-heatmaps with zeros and values below the six-decade floor, JSON payloads
-with -0.0, empty rows and non-finite numbers, and matrices drawn from a few
-values so that cells repeat, as in a density matrix.  The SVG writers return
-parts that each end in a newline; their join is the document.  ``write_csv``
-must end every line, the last one included, with one newline.
+heatmap loops) and ``json.dumps(rho.to_json_dict(), indent=2)`` write.  The
+inputs cover the 11 colour stops, the values where ``255 * c`` lands exactly
+on .5 (where round-half-even and round-half-up differ), all-zero and 1x1
+matrices, log heatmaps with zeros and values below the six-decade floor,
+density matrices with -0.0, the smallest subnormal, a single pair and
+non-finite cells, and matrices drawn from a few values so that cells repeat,
+as in a density matrix.  The SVG writers return parts that each end in a
+newline; their join is the document.  ``write_csv`` must end every line, the
+last one included, with one newline, and ``write_text`` returns the SHA-256
+of the bytes it wrote.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -23,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sled_oam import outputs
+from sled_oam.pair_state import OamPairBasis, PairDensityMatrix
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -302,7 +306,7 @@ POOL_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.5, *HALF_CASE
 
 
 @st.composite
-def pooled_matrices(draw, min_side=0):
+def pooled_matrices(draw):
     """Float matrices up to 40x40 whose cells repeat at most six values."""
     pool = draw(
         st.lists(
@@ -311,13 +315,13 @@ def pooled_matrices(draw, min_side=0):
             max_size=6,
         )
     )
-    rows, cols = draw(st.integers(min_side, 40)), draw(st.integers(min_side, 40))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
     return [cells[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 @SETTINGS
-@given(pooled_matrices(min_side=1))
+@given(pooled_matrices())
 def test_svg_matrix_of_repeated_values_is_byte_identical(rows):
     values = np.array(rows)
     square = values[: min(values.shape), : min(values.shape)]
@@ -327,7 +331,7 @@ def test_svg_matrix_of_repeated_values_is_byte_identical(rows):
 
 
 @SETTINGS
-@given(pooled_matrices(min_side=1), st.sampled_from([1.0, 0.0, 250.0, math.inf]), st.booleans())
+@given(pooled_matrices(), st.sampled_from([1.0, 0.0, 250.0, math.inf]), st.booleans())
 def test_svg_heatmap_of_repeated_values_is_byte_identical(rows, vmax, log_scale):
     values = np.array(rows)
     ticks = [str(j) for j in range(values.shape[1])], [str(i) for i in range(values.shape[0])]
@@ -344,92 +348,75 @@ def test_a_nan_cell_raises_the_colour_error():
         outputs.svg_matrix(np.array([[math.inf, 0.0], [0.0, 1.0]]), ["a", "b"], "m")
 
 
-numbers = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324]),
-    st.integers(-(10**20), 10**20),
-)
-dm_payloads = st.fixed_dictionaries(
-    {
-        "basis": st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), max_size=4),
-        "re": st.lists(st.lists(numbers, max_size=5), max_size=5),
-        "im": st.lists(st.lists(numbers, max_size=5), max_size=5),
-    }
-)
-json_values = st.recursive(
-    st.one_of(numbers, st.booleans(), st.none(), st.text(max_size=4)),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.tuples(inner, inner),
-        st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    ),
-    max_leaves=20,
-)
+# finite cell values that tell float formatters apart, and the non-finite ones
+# a density matrix can only hold when they are put into it after its checks
+DM_VALUES = [-0.0, 0.0, 5e-324, 0.5, 1 / 13, -0.1, 1e-300, 2.5e300, *HALF_CASES[:4]]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def _written(payload) -> str:
+@st.composite
+def density_matrices(draw):
+    """Hermitian matrices over up to 8 pairs whose cells repeat a few values."""
+    pairs = draw(
+        st.lists(st.sampled_from(OamPairBasis.full(2).pairs), min_size=1, max_size=8, unique=True)
+    )
+    n = len(pairs)
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(DM_VALUES), st.floats(-1e3, 1e3)), min_size=1, max_size=4
+        )
+    )
+    re, im = (
+        np.array(draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n)))
+        .reshape(n, n)
+        for _ in range(2)
+    )
+    entries = np.empty((n, n), dtype=complex)
+    entries.real, entries.imag = re, im
+    lower = np.tril_indices(n, -1)
+    entries[lower] = entries.T[lower].conj()
+    entries.imag[np.diag_indices(n)] = np.copysign(0.0, im.diagonal())
+    rho = PairDensityMatrix(OamPairBasis(pairs, 2), entries)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        part = rho.entries.real if draw(st.booleans()) else rho.entries.imag
+        part[i, j] = draw(st.sampled_from(NON_FINITE))
+    return rho
+
+
+def _written_json(rho) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "payload.json")
-        outputs.write_json(path, payload)
+        path = os.path.join(tmp, "dm.json")
+        outputs.write_json(path, rho.basis.pairs, rho.entries)
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
 
 
 @SETTINGS
-@given(st.one_of(dm_payloads, json_values))
-def test_write_json_is_json_dumps_with_indent_2(payload):
-    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-@SETTINGS
-@given(pooled_matrices(), pooled_matrices())
-def test_write_json_of_repeated_floats_is_json_dumps_with_indent_2(re, im):
-    payload = {"basis": [[0, 1]], "re": re, "im": im}
-    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+@given(density_matrices())
+@example(PairDensityMatrix(OamPairBasis([(0, 0)], 0), np.array([[-0.0]])))
+@example(PairDensityMatrix(OamPairBasis([(1, -1)], 1), np.array([[5e-324]])))
+def test_write_json_is_json_dumps_of_the_dict_form(rho):
+    assert _written_json(rho) == json.dumps(rho.to_json_dict(), indent=2) + "\n"
 
 
 def test_write_json_of_a_sparse_density_matrix():
     n = 169
-    re = [[0.0] * n for _ in range(n)]
+    re = np.zeros((n, n))
     for i in range(0, n, 13):
-        re[i][i] = 1.0 / 13
+        re[i, i] = 1.0 / 13
         for j in range(0, n, 26):
-            re[i][j] = re[j][i] = -0.0 if i == j else 0.1 * (1 + (i * j) % 7) / 13
-    payload = {
-        "basis": [[l1, l2] for l1 in range(-6, 7) for l2 in range(-6, 7)],
-        "re": re,
-        "im": [[0.0] * n for _ in range(n)],
-    }
-    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+            re[i, j] = re[j, i] = -0.0 if i == j else 0.1 * (1 + (i * j) % 7) / 13
+    rho = PairDensityMatrix(OamPairBasis.full(6), re.astype(complex))
+    assert _written_json(rho) == json.dumps(rho.to_json_dict(), indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[0.5, True], [1.0, 2.0]],
-        [[0.5, 1], [1.0, 2.0]],
-        [[0.5, 1.0], [2.0]],
-        [(0.5, 1.0), (2.0, -0.0)],
-        [[0.5, 1.0], (2.0, -0.0)],
-        [[0.5, np.float64(1.0)], [1.0, 2.0]],
-        [[], []],
-        [[0.5, None], [1.0, 2.0]],
-    ],
-)
-def test_write_json_of_rows_that_are_no_float_matrix(rows):
-    payload = {"re": rows, "nested": [rows]}
-    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"basis": [], "re": [[-0.0, math.nan], [], [math.inf, -math.inf]], "im": [[]]},
-        {"nan": math.nan, "zero": -0.0, "mixed": [1, [math.inf], {}, "\u00e9"], "empty": {}},
-    ],
-)
-def test_write_json_edge_payloads(payload):
-    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+@pytest.mark.parametrize("parts", [(), ("",), ("a,b\n", "\u00e9\u00b5", "<svg/>\n" * 3000)])
+def test_write_text_returns_the_sha256_of_the_file(parts, tmp_path):
+    path = str(tmp_path / "out.txt")
+    digest = outputs.write_text(path, *parts)
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
 
 
 @pytest.mark.parametrize("rows", [[], [(1.0, -0.0)], [(0.1, 2.5e-300), (math.inf, 3)]])

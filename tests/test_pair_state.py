@@ -10,6 +10,7 @@ from sled_oam import (
     AnnulusGeometry,
     CoherenceParams,
     ContractError,
+    DegenerateMixtureError,
     DomainError,
     EmptySectorError,
     KQuadrature,
@@ -273,6 +274,21 @@ class TestMatrixContracts:
         bad[0, 1] = 1.0
         with pytest.raises(ContractError):
             PairDensityMatrix(basis, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, value):
+        basis = OamPairBasis.from_l_values([0, 1])
+        bad = np.eye(4, dtype=complex)
+        bad[2, 2] = value
+        with pytest.raises(ContractError):
+            PairDensityMatrix(basis, bad)
+
+    def test_non_finite_total_rate_rejected(self, geometry):
+        basis = OamPairBasis.full(1)
+        coherent, incoherent = rho_cp(1, basis, geometry), rho_bqp(basis, geometry)
+        for r_cp in (np.inf, np.nan):
+            with pytest.raises(DegenerateMixtureError, match="total rate is not finite"):
+                pair_state.mixture(coherent, incoherent, r_cp, 1.0)
 
     def test_shape_mismatch_rejected(self):
         basis = OamPairBasis.from_l_values([0, 1])

@@ -122,6 +122,21 @@ class TestConvergence:
         assert "t=" in str(err.value) and "d=" in str(err.value)
 
 
+class TestNonFiniteRates:
+    def test_an_infinite_rate_raises_before_the_doubling_check(self, junction):
+        # inf and its doubled-node inf differ by inf - inf = NaN, which no tolerance rejects
+        quad = KQuadrature(nodes=64, patch_area_um2=1e308, verify=True)
+        with pytest.raises(ConvergenceError, match=r"at \|d\|=2.0, t=0.5 is not finite"):
+            s_cp(-2.0, 0.5, junction, quad)
+
+    def test_a_vanished_coherent_maximum_raises(self, junction, monkeypatch):
+        monkeypatch.setattr(
+            spectral, "_channel_rates", lambda t, jp, quad, detunings: [(0.0, 1.0)] * len(detunings)
+        )
+        with pytest.raises(ConvergenceError, match="coherent rate peaks at 0.0"):
+            rate_surfaces(SMALL_GRID, junction)
+
+
 class TestRateSurface:
     def test_shape_and_finiteness(self, junction):
         surface = rate_surfaces(SMALL_GRID, junction)[0]
