@@ -1,11 +1,15 @@
 """Command-line entry point.
 
     sled-oam rates|dm|fidelity --config <path-or-preset> [--out DIR]
-             [--format csv,json,svg] [--threads N] [--log-scale]
-             [--set section.key=value]...
+             [--threads N] [--log-scale] [--set section.key=value]...
+
+``rates`` and ``fidelity`` write CSV, ``dm`` writes JSON; ``output.svg`` adds
+the plots.
 
 Exit codes: 0 success, 1 the config is valid but no state can be formed
-(e.g. an annulus of zero area), 2 configuration error, 3 numerical-convergence
+(e.g. an annulus of zero area), 2 configuration error (including a
+``grid.cutoff_delta0`` outside (0, 1e6] or a ``material.dephasing_time_fs``
+outside [1e-12, 1e12], which would overflow the rates), 3 numerical-convergence
 error, 4 I/O error.  Errors are reported as a one-line JSON record on stderr.
 """
 
@@ -50,7 +54,7 @@ def cmd_rates(config: RunConfig) -> dict:
             "t_over_tc,detuning_over_delta0,rate_normalized",
             rows,
         )
-        if "svg" in config.formats:
+        if config.svg:
             svg = outputs.svg_heatmap(
                 surface.values,
                 [_num_token(d) for d in detunings],
@@ -92,7 +96,7 @@ def cmd_dm(config: RunConfig) -> dict:
         written[f"{stem}.json"] = outputs.write_json(
             os.path.join(config.out_dir, f"{stem}.json"), rho.basis.pairs, rho.entries
         )
-        if "svg" in config.formats:
+        if config.svg:
             written[f"{stem}.svg"] = _write_matrix_svg(config, rho, stem, t, enh)
     return written
 
@@ -144,7 +148,7 @@ def cmd_fidelity(config: RunConfig) -> dict:
             os.path.join(config.out_dir, "fidelity.csv"), "t_over_tc,enhancement,fidelity", rows
         )
     }
-    if "svg" in config.formats:
+    if config.svg:
         series = {
             f"L/L_phi = {_num_token(enh)}": table.values[:, j]
             for j, enh in enumerate(table.enhancements)
@@ -164,18 +168,6 @@ def cmd_fidelity(config: RunConfig) -> dict:
 
 # each command returns the SHA-256 digest of every file it wrote, by file name
 _COMMANDS = {"rates": cmd_rates, "dm": cmd_dm, "fidelity": cmd_fidelity}
-# the format of the data files each command always writes
-_DATA_FORMATS = {"rates": "csv", "dm": "json", "fidelity": "csv"}
-
-
-def _check_data_format(command: str, formats) -> None:
-    """A format list without the command's data format would be ignored, not obeyed."""
-    needed = _DATA_FORMATS[command]
-    if needed not in formats:
-        raise ConfigError(
-            f"output.formats: {command} writes {needed} data files, so the list must "
-            f"include {needed!r}, got {','.join(formats)!r}"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"config file path or built-in preset ({', '.join(PRESET_NAMES)})",
         )
         cmd.add_argument("--out", help="output directory (overrides output.directory)")
-        cmd.add_argument("--format", help="comma list of csv,json,svg (overrides output.formats)")
         cmd.add_argument(
-            "--threads", type=int, help="worker threads, 0 = auto (overrides output.threads)"
+            "--threads",
+            type=int,
+            help="worker threads for rates, one temperature each, 0 = auto; dm and "
+            "fidelity run on one thread (overrides output.threads)",
         )
         cmd.add_argument(
             "--log-scale",
@@ -223,8 +217,6 @@ def _flag_overrides(args: argparse.Namespace) -> list:
     overrides = list(args.overrides)
     if args.out is not None:
         overrides.append(f"output.directory={args.out}")
-    if args.format is not None:
-        overrides.append(f"output.formats={args.format}")
     if args.threads is not None:
         overrides.append(f"output.threads={args.threads}")
     if args.log_scale is not None:
@@ -242,7 +234,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = load_config(args.config, _flag_overrides(args))
-        _check_data_format(args.command, config.formats)
         os.makedirs(config.out_dir, exist_ok=True)
         written = _COMMANDS[args.command](config)
         outputs.write_manifest(

@@ -26,6 +26,13 @@ from .spectral import KQuadrature, SpectralGrid
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
+# Ranges that keep the rate arithmetic finite.  A cutoff of 1e200 gap units
+# overflows the squared coherent amplitude.  The broadening hbar / tau is
+# infinite below 3.7e-306 fs, and where a node sits on a resonance (d = 0 at
+# the Fermi level) the squared rates overflow once tau passes about 1e156 fs.
+MAX_CUTOFF_DELTA0 = 1e6
+DEPHASING_FS_RANGE = (1e-12, 1e12)
+
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 
 # section -> key -> default string; None marks "no default, optional key"
@@ -66,7 +73,7 @@ _SCHEMA = {
     },
     "output": {
         "directory": "out",
-        "formats": "csv,json",
+        "svg": "false",
         "threads": "0",
         "log_scale": "false",
     },
@@ -87,7 +94,7 @@ class RunConfig:
     enhancements: tuple
     qubit: QubitState | None
     out_dir: str
-    formats: tuple
+    svg: bool
     threads: int
     log_scale: bool
     resolved: dict
@@ -211,6 +218,10 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         return _parse_int(raw(section, key), f"{section}.{key}")
 
     # material
+    tau = floatval("material", "dephasing_time_fs")
+    lo, hi = DEPHASING_FS_RANGE
+    if not lo <= tau <= hi:
+        raise ConfigError(f"material.dephasing_time_fs: must lie in [{lo:g}, {hi:g}], got {tau!r}")
     try:
         junction = gaas_nb_junction(
             delta0=floatval("material", "delta0_mev"),
@@ -219,7 +230,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
             hole_mass=floatval("material", "hole_mass"),
             electron_density_cm2=floatval("material", "electron_density_cm2"),
             hole_density_cm2=floatval("material", "hole_density_cm2"),
-            dephasing_time=floatval("material", "dephasing_time_fs"),
+            dephasing_time=tau,
             gap_scale_conduction=floatval("material", "gap_scale_conduction"),
             gap_scale_valence=floatval("material", "gap_scale_valence"),
         )
@@ -255,10 +266,15 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     # exactly, so each |d| is evaluated once
     steps = np.arange(1 - d_points, d_points, 2)
     detunings = d_max * steps / (d_points - 1)
+    cutoff = floatval("grid", "cutoff_delta0")
+    if not 0 < cutoff <= MAX_CUTOFF_DELTA0:
+        raise ConfigError(
+            f"grid.cutoff_delta0: must lie in (0, {MAX_CUTOFF_DELTA0:g}], got {cutoff!r}"
+        )
     try:
         quad = KQuadrature(
             nodes=intval("grid", "quadrature_nodes"),
-            cutoff_delta0=floatval("grid", "cutoff_delta0"),
+            cutoff_delta0=cutoff,
             patch_area_um2=floatval("grid", "patch_area_um2"),
             verify=_parse_bool(raw("grid", "verify_quadrature"), "grid.verify_quadrature"),
         )
@@ -302,12 +318,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
 
     # output
     out_dir = raw("output", "directory")
-    formats = tuple(
-        s.strip().lower() for s in raw("output", "formats").split(",") if s.strip()
-    )
-    for fmt in formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"output.formats: unknown format {fmt!r}")
+    svg = _parse_bool(raw("output", "svg"), "output.svg")
     threads = intval("output", "threads")
     if threads < 0:
         raise ConfigError("output.threads: must be >= 0 (0 means auto)")
@@ -324,7 +335,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         enhancements=enhancements,
         qubit=qubit,
         out_dir=out_dir,
-        formats=formats,
+        svg=svg,
         threads=threads,
         log_scale=log_scale,
         resolved=resolved,

@@ -235,16 +235,13 @@ def fidelity_curve(
     d: float,
     jp: JunctionParams,
     quad: spectral.KQuadrature = spectral.KQuadrature(),
-    target: TargetState | None = None,
 ) -> FidelityTable:
-    """Fidelity of the emitted mixture against a target state across (t, enhancement).
+    """Fidelity of the emitted mixture across (t, enhancement) against ``bell_target(basis, ls)``.
 
-    The default target is the equal-amplitude state on the +ls sector, which
-    is the symmetric Bell state in the standard winding-1, l in {0, 1}
-    configuration.
+    That target is the equal-amplitude state on the +ls sector, which is the
+    symmetric Bell state in the standard winding-1, l in {0, 1} configuration.
     """
-    if target is None:
-        target = bell_target(basis, ls)
+    target = bell_target(basis, ls)
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     coherent = pair_state.rho_cp(ls, basis, geom)

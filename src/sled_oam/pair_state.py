@@ -224,8 +224,7 @@ def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spect
     mixture errors gain the (t, enhancement) point.
     """
     for t in temperatures:
-        # unit enhancement gives the raw channel rates, re-weighted per enhancement below
-        s_cp, s_bqp = spectral.mixing_rates(d, t, jp, spectral.CoherenceParams(1.0), quad)
+        s_cp, s_bqp = spectral.mixing_rates(d, t, jp, quad)
         for enh in enhancements:
             with at_point(t, enh):
                 r_cp = spectral.CoherenceParams(enh).enhancement * s_cp

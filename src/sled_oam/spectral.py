@@ -32,8 +32,9 @@ Both channels come from one evaluator, ``_channel_rates``: per reduced
 temperature it builds the band tables once and returns the raw rates of both
 channels for a tuple of detunings.  Each kernel is built as K(d) + K(-d), so
 both rates are exactly even in d and each |d| is evaluated only once.  The
-evaluator also holds the only doubled-node ``verify`` check.  ``s_cp``,
-``s_bqp``, ``mixing_rates`` and the rate surfaces are thin callers of it.
+evaluator also holds the only doubled-node ``verify`` check.
+``mixing_rates`` (one detuning) and ``rate_surfaces`` (a grid) are thin
+callers of it.
 
 Every factor of the kernels that does not depend on the detuning (the pair
 weight, the four occupation products, the four quasiparticle numerators) is
@@ -351,16 +352,6 @@ def _channel_rates(t: float, jp: bcs.JunctionParams, quad: KQuadrature, detuning
     return [coarse[m] for m in magnitudes]
 
 
-def s_cp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()) -> float:
-    """Coherent-channel spectral rate at detuning d (delta0 units), reduced temperature t."""
-    return _channel_rates(t, jp, quad, (d,))[0][0]
-
-
-def s_bqp(d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()) -> float:
-    """Incoherent-channel spectral rate at detuning d (delta0 units), reduced temperature t."""
-    return _channel_rates(t, jp, quad, (d,))[0][1]
-
-
 def rate_surfaces(
     grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
 ) -> "tuple[RateSurface, RateSurface]":
@@ -387,16 +378,10 @@ def rate_surfaces(
 
 
 def mixing_rates(
-    d: float,
-    t: float,
-    jp: bcs.JunctionParams,
-    coh: CoherenceParams,
-    quad: KQuadrature = KQuadrature(),
+    d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()
 ) -> "tuple[float, float]":
-    """Channel weights entering the density-matrix mixture at one detuning.
+    """Raw (coherent, incoherent) rates at detuning d (delta0 units), reduced temperature t.
 
-    The coherent rate is multiplied by the circumference-to-dephasing-length
-    enhancement; the incoherent rate is not.
+    The mixtures weight the coherent rate by the enhancement themselves.
     """
-    coherent, incoherent = _channel_rates(t, jp, quad, (d,))[0]
-    return coh.enhancement * coherent, incoherent
+    return _channel_rates(t, jp, quad, (d,))[0]

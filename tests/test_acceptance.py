@@ -256,8 +256,8 @@ def test_criterion_9_thread_count_determinism(tmp_path):
                     out,
                     "--threads",
                     str(threads),
-                    "--format",
-                    "csv,json",
+                    "--set",
+                    "output.svg=false",
                 ]
             )
             assert code == 0

@@ -24,7 +24,7 @@ l_max = 1
 enhancements = 10, 100
 
 [output]
-formats = csv,json,svg
+svg = true
 """
 
 
@@ -240,20 +240,28 @@ class TestErrorReporting:
         assert record == {"error": "ConfigError", "message": f"unknown config key {key}"}
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize(
-        "command, formats, needed",
-        [("rates", "json", "csv"), ("dm", "csv,svg", "json"), ("fidelity", "json,svg", "csv")],
-    )
-    def test_formats_without_the_data_format_exit_2(
-        self, tmp_path, capsys, command, formats, needed
-    ):
-        args = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
-        assert main(args + ["--format", formats]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ConfigError"
-        assert record["message"].startswith("output.formats:")
-        assert repr(needed) in record["message"]
-        assert not os.path.exists(tmp_path / "out")
+    def test_svg_is_the_only_output_choice(self, tmp_path, capsys):
+        # each command writes one data format; output.svg only adds the plots
+        data_files = {
+            "rates": ["rates_bqp.csv", "rates_cp.csv"],
+            "dm": [f"dm_{t}_{enh}.json" for t in ("0.3", "0.7") for enh in ("10", "100")],
+            "fidelity": ["fidelity.csv"],
+        }
+        old = write_config(tmp_path, FAST + "formats = csv,json\n", name="old.conf")
+        new = write_config(tmp_path)
+        for command, names in data_files.items():
+            out = tmp_path / command
+            args = [command, "--out", str(out)]
+            assert main(args + ["--config", old]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record == {"error": "ConfigError", "message": "unknown config key output.formats"}
+            with pytest.raises(SystemExit) as exc:
+                main(args + ["--config", new, "--format", "csv"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
+            assert not os.path.exists(out)
+            assert main(args + ["--config", new, "--set", "output.svg=false"]) == 0
+            assert sorted(os.listdir(out)) == sorted(names + ["manifest.json"])
 
     @pytest.mark.parametrize("command", ["dm", "fidelity"])
     def test_unsupported_l_max_exits_2(self, tmp_path, capsys, command):
@@ -348,10 +356,10 @@ class TestErrorReporting:
 class TestNonFiniteResults:
     """Overflowing settings exit with a one-line JSON error and write no data file."""
 
-    @pytest.mark.parametrize("formats", ["csv", "csv,svg"])
-    def test_infinite_rates_exit_3(self, tmp_path, capsys, formats):
+    @pytest.mark.parametrize("svg", ["false", "true"])
+    def test_infinite_rates_exit_3(self, tmp_path, capsys, svg):
         out = tmp_path / "out"
-        args = ["rates", "--config", "fig2", "--out", str(out), "--format", formats]
+        args = ["rates", "--config", "fig2", "--out", str(out), "--set", f"output.svg={svg}"]
         for setting in ("temperatures=0.5", "detuning_points=3", "quadrature_nodes=64"):
             args += ["--set", f"grid.{setting}"]
         assert main(args + ["--set", "grid.patch_area_um2=1e308"]) == 3
@@ -361,6 +369,28 @@ class TestNonFiniteResults:
         assert record["error"] == "ConvergenceError"
         assert "|d|=6.0, t=0.5 is not finite" in record["message"]
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid.cutoff_delta0", "1e308"),
+            ("grid.cutoff_delta0", "1e200"),
+            ("material.dephasing_time_fs", "1e-320"),
+        ],
+    )
+    def test_settings_that_would_overflow_exit_2_at_load(self, tmp_path, capsys, key, value):
+        # before any arithmetic: numpy would warn (an error in this suite) and then fail
+        out = tmp_path / "out"
+        args = ["rates", "--config", "fig2", "--out", str(out), "--set", "output.svg=false"]
+        for setting in ("temperatures=0.5", "detuning_points=3", "quadrature_nodes=64"):
+            args += ["--set", f"grid.{setting}"]
+        assert main(args + ["--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{key}: must lie in ")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["dm", "fidelity"])
     def test_an_infinite_total_rate_exits_1(self, tmp_path, capsys, command):

@@ -83,9 +83,35 @@ class TestRejection:
         with pytest.raises(ConfigError, match="threads"):
             load_config(write(tmp_path, MINIMAL + "[output]\nthreads = -2\n"))
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError, match="formats"):
-            load_config(write(tmp_path, MINIMAL + "[output]\nformats = csv,pdf\n"))
+    def test_svg_must_be_a_boolean(self, tmp_path):
+        with pytest.raises(ConfigError, match="output.svg"):
+            load_config(write(tmp_path, MINIMAL + "[output]\nsvg = pdf\n"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid.cutoff_delta0", "0"),
+            ("grid.cutoff_delta0", "1000000.1"),
+            ("grid.cutoff_delta0", "1e308"),
+            ("material.dephasing_time_fs", "0"),
+            ("material.dephasing_time_fs", "9.9e-13"),
+            ("material.dephasing_time_fs", "1e-320"),
+            ("material.dephasing_time_fs", "1.1e12"),
+        ],
+    )
+    def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must lie in "):
+            load_config(write(tmp_path, MINIMAL), [f"{key}={value}"])
+
+    def test_range_ends_and_the_sharp_resonance_load(self, tmp_path):
+        for setting in (
+            "grid.cutoff_delta0=1e6",
+            "grid.cutoff_delta0=5e-324",
+            "material.dephasing_time_fs=1e-12",
+            "material.dephasing_time_fs=1e12",
+            "material.dephasing_time_fs=1e5",
+        ):
+            load_config(write(tmp_path, MINIMAL), [setting])
 
     def test_enhancement_below_one(self, tmp_path):
         with pytest.raises(ConfigError, match="enhancements"):

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from sled_oam import (
-    CoherenceParams,
     ContractError,
     ConvergenceError,
     KQuadrature,
@@ -243,7 +242,7 @@ class TestFidelityCurve:
         )
         t, quad = config.grid.temperatures[0], config.grid.k_integration
         with pytest.raises(ConvergenceError) as direct:
-            mixing_rates(config.detuning_for_dm, t, config.junction, CoherenceParams(1.0), quad)
+            mixing_rates(config.detuning_for_dm, t, config.junction, quad)
         with pytest.raises(ConvergenceError) as swept:
             fidelity_curve(
                 config.grid.temperatures,

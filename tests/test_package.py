@@ -10,6 +10,8 @@ RETIRED = {
     "_ls_value": pair_state,
     "normalize": pair_state,
     "rate_surface": spectral,
+    "s_bqp": spectral,
+    "s_cp": spectral,
 }
 
 

@@ -10,9 +10,13 @@ factors were hoisted.  Small random ``dm`` and ``fidelity`` runs must write
 Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
 the one-shot mixture at its (temperature, enhancement), and fidelities in
 [0, 1], and the mode overlap ``kappa`` must be symmetric in its two modes
-and blind to the sign of l, bit for bit.
+and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
+cutoff and dephasing time must succeed or exit 2 or 3 with a one-line JSON
+error, without a warning.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -38,11 +42,10 @@ from sled_oam import (
     fidelity_curve,
     gaas_nb_junction,
     kappa,
+    mixing_rates,
     rate_surfaces,
     rho_total,
     rho_total_superposition,
-    s_bqp,
-    s_cp,
 )
 from sled_oam.cli import main
 from sled_oam.config import load_config
@@ -81,13 +84,14 @@ def test_surfaces_are_normalized_point_rates_and_mirror_symmetric(
     try:
         cp, bqp = rate_surfaces(grid, junction)
     except ConvergenceError:
-        fails_somewhere(lambda d, t: s_cp(d, t, junction, quad), points)
+        fails_somewhere(lambda d, t: mixing_rates(d, t, junction, quad), points)
         return
     assert cp.normalization == bqp.normalization
     for i, t in enumerate(temps):
         for j, d in enumerate(detunings):
-            assert cp.values[i, j] == s_cp(d, t, junction, quad) / cp.normalization
-            assert bqp.values[i, j] == s_bqp(d, t, junction, quad) / bqp.normalization
+            r_cp, r_bqp = mixing_rates(d, t, junction, quad)
+            assert cp.values[i, j] == r_cp / cp.normalization
+            assert bqp.values[i, j] == r_bqp / bqp.normalization
     for surface in (cp, bqp):
         assert np.array_equal(surface.values, surface.values[:, ::-1])
 
@@ -122,7 +126,7 @@ def test_fidelity_curve_equals_one_shot_mixture(
 
     try:
         table = fidelity_curve(
-            temps, enhancements, winding, basis, geometry, d, junction, quad, target
+            temps, enhancements, winding, basis, geometry, d, junction, quad
         )
     except ConvergenceError:
         fails_somewhere(one_shot, points)
@@ -250,7 +254,8 @@ def small_runs(draw):
 def test_every_dm_matrix_is_a_density_matrix(overrides):
     config = load_config("fig3", overrides[1::2])
     with tempfile.TemporaryDirectory() as out:
-        assert main(["dm", "--config", "fig3", "--out", out, "--format", "json"] + overrides) == 0
+        args = ["dm", "--config", "fig3", "--out", out, "--set", "output.svg=false"]
+        assert main(args + overrides) == 0
         names = [name for name in os.listdir(out) if name.startswith("dm_")]
         assert names
         for name in names:
@@ -283,12 +288,39 @@ def one_shot_dm(config, t, enh):
 @given(overrides=small_runs())
 def test_every_fidelity_lies_in_the_unit_interval(overrides):
     with tempfile.TemporaryDirectory() as out:
-        args = ["fidelity", "--config", "fig3", "--out", out, "--format", "csv"]
+        args = ["fidelity", "--config", "fig3", "--out", out, "--set", "output.svg=false"]
         assert main(args + overrides) == 0
         path = os.path.join(out, "fidelity.csv")
         values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
         assert values.size
         assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+@SETTINGS
+@given(
+    log_cutoff=st.floats(-323.3, 308.25),  # log10 of the smallest and largest positive doubles
+    log_tau=st.floats(-323.3, 308.25),
+)
+def test_any_positive_cutoff_and_dephasing_time_fail_cleanly(log_cutoff, log_tau):
+    """A run succeeds or exits 2 or 3 with one JSON line; warnings are errors in this suite."""
+    args = ["rates", "--config", "fig2"]
+    for setting in (
+        "grid.temperatures=0.5",
+        "grid.detuning_points=3",
+        "grid.quadrature_nodes=64",
+        f"grid.cutoff_delta0={10.0**log_cutoff!r}",
+        f"material.dephasing_time_fs={10.0**log_tau!r}",
+    ):
+        args += ["--set", setting]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main(args + ["--out", out])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (2, 3)
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
 modes = st.builds(ModeIndex, m=st.integers(0, 2), l=st.integers(-6, 6))

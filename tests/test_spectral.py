@@ -7,13 +7,13 @@ from sled_oam import (
     CoherenceParams,
     DomainError,
     KQuadrature,
+    OamPairBasis,
     SpectralGrid,
     bcs,
     gaas_nb_junction,
     mixing_rates,
+    pair_state,
     rate_surfaces,
-    s_bqp,
-    s_cp,
     spectral,
 )
 from sled_oam.errors import ConvergenceError
@@ -51,7 +51,7 @@ class TestValidation:
     def test_temperature_domain_of_rates(self, junction, fast_quad):
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
-                s_cp(1.0, bad, junction, fast_quad)
+                mixing_rates(1.0, bad, junction, fast_quad)[0]
 
     def test_vanished_gap_at_a_zero_kinetic_energy_node_is_singular(self, monkeypatch):
         # mu_n = 1 meV is exactly node 1 of the 64 nodes on [0, 63] meV
@@ -72,8 +72,9 @@ class TestDetuningSymmetry:
     def test_both_channels_exactly_even(self, junction, fast_quad):
         for t in (0.1, 0.5, 0.9):
             for d in (0.3, 1.7, 2.0, 4.9):
-                assert s_cp(d, t, junction, fast_quad) == s_cp(-d, t, junction, fast_quad)
-                assert s_bqp(d, t, junction, fast_quad) == s_bqp(-d, t, junction, fast_quad)
+                assert mixing_rates(d, t, junction, fast_quad) == mixing_rates(
+                    -d, t, junction, fast_quad
+                )
 
     def test_surfaces_mirror_symmetric(self, junction):
         grid = SpectralGrid(
@@ -90,8 +91,8 @@ class TestPositivity:
     def test_rates_nonnegative(self, junction, fast_quad):
         for t in (0.05, 0.5, 0.95):
             for d in np.linspace(-6, 6, 13):
-                assert s_cp(d, t, junction, fast_quad) >= 0.0
-                assert s_bqp(d, t, junction, fast_quad) >= 0.0
+                assert mixing_rates(d, t, junction, fast_quad)[0] >= 0.0
+                assert mixing_rates(d, t, junction, fast_quad)[1] >= 0.0
 
 
 class TestConvergence:
@@ -99,15 +100,15 @@ class TestConvergence:
         quad = KQuadrature(nodes=4096, verify=True)
         for t in (0.1, 0.9):
             for d in (0.0, 2.0, 5.0):
-                s_cp(d, t, junction, quad)
-                s_bqp(d, t, junction, quad)
+                mixing_rates(d, t, junction, quad)[0]
+                mixing_rates(d, t, junction, quad)[1]
 
     def test_sharp_resonance_on_coarse_grid_raises(self):
         # tiny broadening at minimal node count cannot resolve the resonance
         jp = gaas_nb_junction(dephasing_time=1e6)
         quad = KQuadrature(nodes=64, verify=True)
         with pytest.raises(ConvergenceError) as err:
-            s_cp(2.0, 0.1, jp, quad)
+            mixing_rates(2.0, 0.1, jp, quad)[0]
         assert err.value.coarse is not None and err.value.refined is not None
 
     def test_surface_error_carries_grid_point(self):
@@ -127,7 +128,7 @@ class TestNonFiniteRates:
         # inf and its doubled-node inf differ by inf - inf = NaN, which no tolerance rejects
         quad = KQuadrature(nodes=64, patch_area_um2=1e308, verify=True)
         with pytest.raises(ConvergenceError, match=r"at \|d\|=2.0, t=0.5 is not finite"):
-            s_cp(-2.0, 0.5, junction, quad)
+            mixing_rates(-2.0, 0.5, junction, quad)[0]
 
     def test_a_vanished_coherent_maximum_raises(self, junction, monkeypatch):
         monkeypatch.setattr(
@@ -214,13 +215,15 @@ class TestRateSurface:
 class TestPerBandGapOverride:
     def test_unity_scales_match_default(self, junction, fast_quad):
         scaled = gaas_nb_junction(gap_scale_conduction=1.0, gap_scale_valence=1.0)
-        assert s_cp(2.0, 0.3, scaled, fast_quad) == s_cp(2.0, 0.3, junction, fast_quad)
+        assert mixing_rates(2.0, 0.3, scaled, fast_quad) == mixing_rates(
+            2.0, 0.3, junction, fast_quad
+        )
 
     def test_pair_peak_tracks_sum_of_band_gaps(self):
         jp = gaas_nb_junction(gap_scale_valence=0.5)
         quad = KQuadrature(nodes=2048)
         ds = np.linspace(0.5, 3.0, 126)
-        vals = [s_cp(d, 0.1, jp, quad) for d in ds]
+        vals = [mixing_rates(d, 0.1, jp, quad)[0] for d in ds]
         peak = ds[int(np.argmax(vals))]
         assert peak == pytest.approx(1.5, abs=0.06)
 
@@ -229,7 +232,7 @@ class TestBroadening:
     @staticmethod
     def _fwhm(jp, quad):
         ds = np.linspace(0.5, 3.5, 301)
-        vals = np.array([s_cp(d, 0.1, jp, quad) for d in ds])
+        vals = np.array([mixing_rates(d, 0.1, jp, quad)[0] for d in ds])
         half = vals.max() / 2.0
         above = ds[vals >= half]
         return above[-1] - above[0]
@@ -242,21 +245,28 @@ class TestBroadening:
 
 
 class TestMixingRates:
-    def test_enhancement_scales_only_coherent_channel(self, junction, fast_quad):
-        r_cp_1, r_bqp_1 = mixing_rates(5.0, 0.5, junction, CoherenceParams(50.0), fast_quad)
-        r_cp_2, r_bqp_2 = mixing_rates(5.0, 0.5, junction, CoherenceParams(100.0), fast_quad)
-        assert r_cp_2 == 2.0 * r_cp_1
-        assert r_bqp_2 == r_bqp_1
+    def test_mixtures_scale_only_the_coherent_rate(self, junction, geometry, fast_quad):
+        basis = OamPairBasis.full(1)
+        coherent = pair_state.rho_cp(1, basis, geometry)
+        incoherent = pair_state.rho_bqp(basis, geometry)
+        r_cp, r_bqp = mixing_rates(5.0, 0.5, junction, fast_quad)
+        swept = pair_state.mixtures(
+            coherent, incoherent, 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
+        )
+        for _, enh, rho in swept:
+            expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp)
+            assert np.array_equal(rho.entries, expected.entries)
 
     def test_coherent_share_monotone_in_enhancement(self, junction, fast_quad):
+        r_cp, r_bqp = mixing_rates(5.0, 0.5, junction, fast_quad)
         shares = []
         for enh in (1.0, 10.0, 100.0, 1000.0):
-            r_cp, r_bqp = mixing_rates(5.0, 0.5, junction, CoherenceParams(enh), fast_quad)
-            shares.append(r_cp / (r_cp + r_bqp))
+            weighted = CoherenceParams(enh).enhancement * r_cp
+            shares.append(weighted / (weighted + r_bqp))
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
     def test_both_rates_positive(self, junction, fast_quad):
-        r_cp, r_bqp = mixing_rates(5.0, 0.3, junction, CoherenceParams(100.0), fast_quad)
+        r_cp, r_bqp = mixing_rates(5.0, 0.3, junction, fast_quad)
         assert r_cp > 0 and r_bqp > 0
 
 
