@@ -32,6 +32,11 @@ PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 # the Fermi level) the squared rates overflow once tau passes about 1e156 fs.
 MAX_CUTOFF_DELTA0 = 1e6
 DEPHASING_FS_RANGE = (1e-12, 1e12)
+# Effective masses, in electron masses.  Below about 1e-300 the Fermi level's
+# denominator underflows to zero, and an electron mass above about 1e150
+# overflows the band tables; real bands lie within 0.01-10, and every pair of
+# masses in this range gives finite rates at the ends of the two ranges above.
+EFFECTIVE_MASS_RANGE = (1e-3, 1e3)
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 
@@ -222,12 +227,17 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     lo, hi = DEPHASING_FS_RANGE
     if not lo <= tau <= hi:
         raise ConfigError(f"material.dephasing_time_fs: must lie in [{lo:g}, {hi:g}], got {tau!r}")
+    masses = {}
+    lo, hi = EFFECTIVE_MASS_RANGE
+    for key in ("electron_mass", "hole_mass"):
+        masses[key] = floatval("material", key)
+        if not lo <= masses[key] <= hi:
+            raise ConfigError(f"material.{key}: must lie in [{lo:g}, {hi:g}], got {masses[key]!r}")
     try:
         junction = gaas_nb_junction(
             delta0=floatval("material", "delta0_mev"),
             tc=floatval("material", "tc_k"),
-            electron_mass=floatval("material", "electron_mass"),
-            hole_mass=floatval("material", "hole_mass"),
+            **masses,
             electron_density_cm2=floatval("material", "electron_density_cm2"),
             hole_density_cm2=floatval("material", "hole_density_cm2"),
             dephasing_time=tau,

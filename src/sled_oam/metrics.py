@@ -2,19 +2,22 @@
 
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
-built on top of it.  Its sweeps visit only the rows coupled to another row,
-which for a Bell target is its one total-OAM sector (5 of 49 rows for fig3);
-the result is bit for bit that of visiting every pair (see ``eigh``).  The
-general mixed-state fidelity is evaluated alongside the pure-target shortcut
-<psi|rho|psi>, and the two must agree -- this cross-validates the whole
-eigenvalue pipeline on every call.
+built on top of it.  It decomposes a whole stack of matrices in one call, each
+bit for bit as if alone, and its sweeps visit only the rows coupled to another
+row, which for a Bell target is its one total-OAM sector (5 of 49 rows for
+fig3); the result is bit for bit that of visiting every pair (see ``eigh``).
+A fidelity sweep therefore decomposes the target-support blocks of all its
+points in one call and finishes each point at full size (see
+``_fidelities``).  The general mixed-state fidelity is evaluated alongside the
+pure-target shortcut <psi|rho|psi>, and the two must agree at every point --
+this cross-validates the whole eigenvalue pipeline on every call.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,7 +34,8 @@ FIDELITY_XCHECK_TOL = 1e-9
 
 @dataclass
 class HermitianEigen:
-    """Spectral decomposition: ascending eigenvalues, unitary eigenvector columns."""
+    """Spectral decomposition: ascending eigenvalues, unitary eigenvector columns
+    (per matrix, along the last axes, for a stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -39,99 +43,132 @@ class HermitianEigen:
 
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.abs(a).max(initial=0.0))
-    if not float(np.abs(a - a.conj().T).max(initial=0.0)) <= 1e-10 * scale:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ContractError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    axes = (-2, -1)
+    scale = np.abs(a).max(axis=axes, initial=0.0)
+    skew = np.abs(a - a.swapaxes(-2, -1).conj()).max(axis=axes, initial=0.0)
+    if not np.all(skew <= 1e-10 * scale):
         raise ContractError("matrix is not Hermitian within 1e-10 of its magnitude")
     return a
 
 
-def eigh(a: np.ndarray) -> HermitianEigen:
-    """Full eigendecomposition of a complex Hermitian matrix by cyclic Jacobi rotations.
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    # one np.linalg.norm per matrix, so each norm rounds as for that matrix alone
+    return np.array([float(np.linalg.norm(m)) for m in stack])
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-13 of the
-    matrix norm.  Returns ascending eigenvalues and the matching unitary.
+
+def eigh(a: np.ndarray) -> HermitianEigen:
+    """Eigendecomposition of a complex Hermitian matrix, or of a stack ``(..., n, n)``
+    of them, by cyclic Jacobi rotations.
+
+    Sweeps run until the off-diagonal Frobenius norm of a matrix drops below
+    1e-13 of its norm.  Returns ascending eigenvalues ``(..., n)`` and the
+    matching unitaries ``(..., n, n)``; a single matrix is a stack of one.
 
     A sweep visits, in the usual lexicographic order, only the pairs (p, q)
-    of rows that have a nonzero off-diagonal entry in the input.  That is
-    exact: a rotation at (p, q) changes only rows and columns p and q, and an
-    entry ``work[r, p]`` of an uncoupled row r becomes c*0 - s*conj(phase)*0,
-    a signed zero, so every pair left out is one the full loop would skip as
-    zero.  The rotations themselves still act on full-length rows and
-    columns, and the convergence test on the whole matrix, so every bit of
-    the result is that of the full loop.
+    of rows that have a nonzero off-diagonal entry in some input matrix.
+    That is exact: a rotation at (p, q) changes only rows and columns p and
+    q, and an entry ``work[r, p]`` of an uncoupled row r becomes
+    c*0 - s*conj(phase)*0, a signed zero, so every pair left out is one the
+    full loop would skip as zero.  The rotations themselves still act on
+    full-length rows and columns, and the convergence test on the whole
+    matrix, so every bit of the result is that of the full loop.
+
+    The matrices of a stack are rotated together, but each one exactly as if
+    it were decomposed alone: at each visited pair only the matrices whose
+    entry there is nonzero and which have not yet converged are rotated, and
+    their angles are computed elementwise with the scalar loop's operations
+    in its order (``np.hypot`` of the parts is the scalar ``abs``, and
+    broadcast complex products and complex-by-real quotients round as the
+    scalar ones do).  Norms are taken one matrix at a time.
     """
     a = _check_hermitian(a)
-    n = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(a))
-    if n == 1 or norm == 0.0:
-        vals = work.diagonal().real.copy()
-        order = np.argsort(vals, kind="stable")
-        return HermitianEigen(vals[order], vecs[:, order])
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    work = stack.copy()
+    vecs = np.broadcast_to(np.eye(n, dtype=complex), work.shape).copy()
+    tol = JACOBI_OFF_TOL * _frobenius_norms(stack)
+    diagonal = np.arange(n)
 
-    def off_norm() -> float:
-        od = work.copy()
-        np.fill_diagonal(od, 0.0)
-        return float(np.linalg.norm(od))
+    def off_norms(which: np.ndarray) -> np.ndarray:
+        od = work[which]
+        od[:, diagonal, diagonal] = 0.0
+        return _frobenius_norms(od)
 
     # the only rows a rotation can reach (see above)
-    coupled = a != 0
-    np.fill_diagonal(coupled, False)
-    active = np.flatnonzero(coupled.any(axis=0) | coupled.any(axis=1)).tolist()
-    converged = False
+    coupled = stack != 0
+    coupled[:, diagonal, diagonal] = False
+    active = np.flatnonzero(coupled.any(axis=(0, 1)) | coupled.any(axis=(0, 2))).tolist()
+    pending = np.arange(len(stack))
     for _ in range(MAX_SWEEPS):
-        if off_norm() <= JACOBI_OFF_TOL * norm:
-            converged = True
+        pending = pending[~(off_norms(pending) <= tol[pending])]
+        if not pending.size:
             break
         for i, p in enumerate(active):
             for q in active[i + 1 :]:
-                apq = work[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
+                apq = work[pending, p, q]
+                mag = np.hypot(apq.real, apq.imag)
+                rotated = mag != 0.0
+                if not rotated.any():
                     continue
+                k, apq, mag = pending[rotated], apq[rotated], mag[rotated]
                 phase = apq / mag
-                diff = float(work[q, q].real - work[p, p].real)
-                if abs(diff) > 2.0 * mag * 1e12:
-                    t = mag / diff  # first-order angle; exact formula would overflow
-                else:
-                    # inner rotation (|angle| <= pi/4), required for cyclic convergence
-                    tau = diff / (2.0 * mag)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                diff = work[k, q, q].real - work[k, p, p].real
+                t = np.empty_like(mag)
+                # first-order angle where the exact formula would overflow
+                wide = np.abs(diff) > 2.0 * mag * 1e12
+                t[wide] = mag[wide] / diff[wide]
+                # inner rotation (|angle| <= pi/4), required for cyclic convergence;
+                # -1/x rounds as -(1/x)
+                tau = diff[~wide] / (2.0 * mag[~wide])
+                inner = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t[~wide] = np.where(tau >= 0.0, inner, -inner)
+                c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                s_phase = s * phase
-                s_conj = s * np.conj(phase)
+                s_phase = (s * phase)[:, None]
+                s_conj = (s * np.conj(phase))[:, None]
+                c = c[:, None]
                 # right-multiply by the rotation (columns), then left by its adjoint (rows)
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s_conj * col_q
-                work[:, q] = s_phase * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s_phase * row_q
-                work[q, :] = s_conj * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s_conj * vcol_q
-                vecs[:, q] = s_phase * vcol_p + c * vcol_q
-    if not converged:
+                col_p = work[k, :, p]
+                col_q = work[k, :, q]
+                work[k, :, p] = c * col_p - s_conj * col_q
+                work[k, :, q] = s_phase * col_p + c * col_q
+                row_p = work[k, p, :]
+                row_q = work[k, q, :]
+                work[k, p, :] = c * row_p - s_phase * row_q
+                work[k, q, :] = s_conj * row_p + c * row_q
+                work[k, p, q] = 0.0
+                work[k, q, p] = 0.0
+                work[k, p, p] = work[k, p, p].real
+                work[k, q, q] = work[k, q, q].real
+                vcol_p = vecs[k, :, p]
+                vcol_q = vecs[k, :, q]
+                vecs[k, :, p] = c * vcol_p - s_conj * vcol_q
+                vecs[k, :, q] = s_phase * vcol_p + c * vcol_q
+    else:
+        where = f" (matrix {pending[0]} of the stack)" if a.ndim > 2 else ""
         raise ConvergenceError(
-            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps", coarse=off_norm()
+            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps{where}",
+            coarse=float(off_norms(pending).max()),
         )
 
-    vals = work.diagonal().real.copy()
-    order = np.argsort(vals, kind="stable")
-    return HermitianEigen(vals[order], vecs[:, order])
+    vals = work.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    return HermitianEigen(vals.reshape(a.shape[:-1]), vecs.reshape(a.shape))
+
+
+def _psd_root(decomp: HermitianEigen) -> np.ndarray:
+    """``sqrtm_psd`` from a matrix's decomposition."""
+    vals = decomp.eigenvalues
+    if vals.size and float(vals.min()) < -1e-10:
+        raise ContractError(f"matrix is not PSD: min eigenvalue {float(vals.min())}")
+    floor = 1e-12 * max(float(vals.max()), 0.0) if vals.size else 0.0
+    vals = np.where(vals < floor, 0.0, vals)
+    v = decomp.eigenvectors
+    return (v * np.sqrt(vals)) @ v.conj().T
 
 
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
@@ -142,14 +179,7 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     zero -- the square root would otherwise amplify them to ~1e-7 artifacts
     while they change S*S by less than the 1e-9 reconstruction tolerance.
     """
-    decomp = eigh(a)
-    vals = decomp.eigenvalues
-    if vals.size and float(vals.min()) < -1e-10:
-        raise ContractError(f"matrix is not PSD: min eigenvalue {float(vals.min())}")
-    floor = 1e-12 * max(float(vals.max()), 0.0) if vals.size else 0.0
-    vals = np.where(vals < floor, 0.0, vals)
-    v = decomp.eigenvectors
-    return (v * np.sqrt(vals)) @ v.conj().T
+    return _psd_root(eigh(a))
 
 
 @dataclass
@@ -197,24 +227,79 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
 
     Both the general mixed-state form and the pure-target shortcut
     <psi|rho|psi> are evaluated; a disagreement beyond 1e-9 means the
-    eigenvalue pipeline is broken and raises.
+    eigenvalue pipeline is broken and raises.  This is the one-point case of
+    the sweep in ``fidelity_curve``, and gives the same bits.
     """
-    if rho.basis != target.basis:
-        raise ContractError("density matrix and target state use different bases")
-    tr = rho.trace()
-    if abs(tr - 1.0) > 1e-9:
-        raise ContractError(f"density matrix must have unit trace, got {tr}")
+    [value] = _fidelities([(nullcontext, rho)], target)
+    return value
+
+
+def _fidelities(points, target: TargetState) -> list:
+    """Cross-checked general fidelity of each ``(context, rho)`` against ``target``.
+
+    ``context()`` is entered around each point's own work, so its errors can
+    name the point.  Three passes:
+
+    1. Per point, form ``inner = root @ rho @ root`` at full size and keep
+       only its block on the target's support S (nonzero entries of psi), and
+       the shortcut <psi|rho|psi>.  ``root`` is zero outside S x S, so
+       ``inner`` is too (exact, signed zeros).
+    2. Decompose the stack of blocks in one ``eigh`` call.  Every rotation is
+       the one the full-size solve makes, since it visits only coupled rows,
+       all inside S.  Only its convergence test differs: the norms are summed
+       over the block, the same nonzero terms grouped otherwise, so a result
+       could move only if a sweep ended within rounding of the threshold.
+    3. Per point, embed the block's eigenvectors into a full-size identity,
+       with eigenvalue 0 outside S, and sort stably as the full-size solve
+       does.  Every column with a nonzero root eigenvalue then sits where it
+       sat there and holds the same entries (outside S a +0 where that solve
+       may hold -0, which only ever meets zero terms), so the full-size root
+       and its trace, whose summation grouping depends on the positions of
+       the diagonal entries, keep their bits; the root and trace of the block
+       alone would not.
+
+    Only blocks and scalars are kept across points: full-size matrices exist
+    for one point at a time.
+    """
     psi = target.coefficients
     root = target.root
-    inner = root @ rho.entries @ root
-    inner = 0.5 * (inner + inner.conj().T)
-    general = float(np.trace(sqrtm_psd(inner)).real) ** 2
-    shortcut = float((psi.conj() @ rho.entries @ psi).real)
-    if abs(general - shortcut) > FIDELITY_XCHECK_TOL:
-        raise ContractError(
-            f"fidelity cross-check failed: general {general} vs shortcut {shortcut}"
-        )
-    return general
+    support = np.flatnonzero(psi)
+    block = np.ix_(support, support)
+    contexts, blocks, shortcuts = [], [], []
+    for context, rho in points:
+        with context():
+            if rho.basis != target.basis:
+                raise ContractError("density matrix and target state use different bases")
+            tr = rho.trace()
+            if abs(tr - 1.0) > 1e-9:
+                raise ContractError(f"density matrix must have unit trace, got {tr}")
+            inner = root @ rho.entries @ root
+            inner = 0.5 * (inner + inner.conj().T)
+            contexts.append(context)
+            blocks.append(inner[block])
+            shortcuts.append(float((psi.conj() @ rho.entries @ psi).real))
+    if not blocks:
+        return []
+    decomp = eigh(np.array(blocks))
+    n = len(psi)
+    values = []
+    for context, block_vals, block_vecs, shortcut in zip(
+        contexts, decomp.eigenvalues, decomp.eigenvectors, shortcuts
+    ):
+        with context():
+            vals = np.zeros(n)
+            vals[support] = block_vals
+            vecs = np.eye(n, dtype=complex)
+            vecs[block] = block_vecs
+            order = np.argsort(vals, kind="stable")
+            general_root = _psd_root(HermitianEigen(vals[order], vecs[:, order]))
+            general = float(np.trace(general_root).real) ** 2
+            if abs(general - shortcut) > FIDELITY_XCHECK_TOL:
+                raise ContractError(
+                    f"fidelity cross-check failed: general {general} vs shortcut {shortcut}"
+                )
+            values.append(general)
+    return values
 
 
 @dataclass
@@ -240,16 +325,16 @@ def fidelity_curve(
 
     That target is the equal-amplitude state on the +ls sector, which is the
     symmetric Bell state in the standard winding-1, l in {0, 1} configuration.
+    The general forms of all points share one stacked ``eigh`` call (see
+    ``_fidelities``); each value is the one ``fidelity`` gives for its mixture.
     """
     target = bell_target(basis, ls)
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     coherent = pair_state.rho_cp(ls, basis, geom)
-    values = []
-    for t, enh, rho in pair_state.mixtures(
+    sweep = pair_state.mixtures(
         coherent, pair_state.rho_bqp(basis, geom), d, temps, enhancements, jp, quad
-    ):
-        with at_point(t, enh):
-            values.append(fidelity(rho, target))
+    )
+    values = _fidelities(((partial(at_point, t, enh), rho) for t, enh, rho in sweep), target)
     values = np.array(values).reshape(len(temps), len(enhancements))
     return FidelityTable(temps, enhancements, values)

@@ -376,10 +376,14 @@ class TestNonFiniteResults:
             ("grid.cutoff_delta0", "1e308"),
             ("grid.cutoff_delta0", "1e200"),
             ("material.dephasing_time_fs", "1e-320"),
+            ("material.electron_mass", "1e-300"),
+            ("material.hole_mass", "1e-300"),
+            ("material.electron_mass", "1e200"),
         ],
     )
     def test_settings_that_would_overflow_exit_2_at_load(self, tmp_path, capsys, key, value):
-        # before any arithmetic: numpy would warn (an error in this suite) and then fail
+        # before any arithmetic: numpy would warn (an error in this suite) and then
+        # fail, or a tiny mass would divide by zero
         out = tmp_path / "out"
         args = ["rates", "--config", "fig2", "--out", str(out), "--set", "output.svg=false"]
         for setting in ("temperatures=0.5", "detuning_points=3", "quadrature_nodes=64"):

@@ -97,6 +97,12 @@ class TestRejection:
             ("material.dephasing_time_fs", "9.9e-13"),
             ("material.dephasing_time_fs", "1e-320"),
             ("material.dephasing_time_fs", "1.1e12"),
+            ("material.electron_mass", "0"),
+            ("material.electron_mass", "1e-300"),
+            ("material.electron_mass", "9.9e-4"),
+            ("material.hole_mass", "1e-300"),
+            ("material.hole_mass", "1000.1"),
+            ("material.hole_mass", "1e200"),
         ],
     )
     def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
@@ -110,6 +116,10 @@ class TestRejection:
             "material.dephasing_time_fs=1e-12",
             "material.dephasing_time_fs=1e12",
             "material.dephasing_time_fs=1e5",
+            "material.electron_mass=1e-3",
+            "material.electron_mass=1e3",
+            "material.hole_mass=1e-3",
+            "material.hole_mass=1e3",
         ):
             load_config(write(tmp_path, MINIMAL), [setting])
 

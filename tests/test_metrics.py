@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -72,6 +74,9 @@ class TestEigh:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(ContractError):
             eigh(a)
+        # one such matrix rejects a whole stack
+        with pytest.raises(ContractError, match="not Hermitian"):
+            eigh(np.array([random_hermitian(rng, 4), a]))
 
     def test_non_finite_entry_rejected(self):
         a = np.eye(3, dtype=complex)
@@ -80,14 +85,25 @@ class TestEigh:
             eigh(a)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ContractError):
-            eigh(np.zeros((2, 3)))
+        for shape in ((2, 3), (3,), (2, 2, 3)):
+            with pytest.raises(ContractError):
+                eigh(np.zeros(shape))
 
     def test_zero_and_scalar_matrices(self):
         out = eigh(np.zeros((3, 3), dtype=complex))
         assert np.array_equal(out.eigenvalues, np.zeros(3))
         out1 = eigh(np.array([[2.5]], dtype=complex))
         assert out1.eigenvalues[0] == 2.5
+
+    def test_an_unconverged_stack_names_the_matrix(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SWEEPS", 1)
+        stack = np.array([np.eye(4), random_hermitian(rng, 4)])
+        unconverged = r"in 1 sweeps \(matrix 1 of the stack\)$"
+        with pytest.raises(ConvergenceError, match=unconverged) as err:
+            eigh(stack)
+        assert err.value.coarse > 0.0
+        with pytest.raises(ConvergenceError, match=r"in 1 sweeps$"):
+            eigh(stack[1])
 
 
 class TestSqrtmPsd:
@@ -227,14 +243,41 @@ class TestFidelityCurve:
         calls = []
 
         def counting_eigh(a):
-            calls.append(len(a))
+            calls.append(np.shape(a))
             return eigh(a)
 
         monkeypatch.setattr(metrics, "eigh", counting_eigh)
         basis = OamPairBasis.from_l_values([0, 1])
         args = ((0.2, 0.5, 0.8), (10.0, 100.0), 1, basis, geometry, 5.0, junction)
         fidelity_curve(*args, quad=KQuadrature(nodes=256))
-        assert len(calls) == 3 * 2 + 1
+        # the target's projector once, then the 2 x 2 support blocks of all 3 x 2 points
+        assert calls == [(4, 4), (3 * 2, 2, 2)]
+
+    def test_sweep_memory_stays_below_2_mb(self):
+        # the benchmark's fidelity_scan grid: 95 temperatures x 3 enhancements on
+        # fig3's 49 pairs; full-size matrices of all 285 points would take 11 MB
+        temps = ",".join(f"{0.01 * i:g}" for i in range(1, 96))
+        config = load_config(
+            "fig3", [f"grid.temperatures={temps}", "emission.enhancements=10,30,100"]
+        )
+        args = (
+            config.grid.temperatures,
+            config.enhancements,
+            config.winding,
+            config.basis(),
+            config.geometry,
+            config.detuning_for_dm,
+            config.junction,
+            config.grid.k_integration,
+        )
+        tracemalloc.start()
+        try:
+            table = fidelity_curve(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.values.shape == (95, 3)
+        assert peak < 2_000_000
 
     def test_rate_error_passes_through_with_its_estimates(self):
         config = load_config(

@@ -1,12 +1,17 @@
-"""The coupled-rows Jacobi sweep against a verbatim copy of the full-loop one.
+"""The stacked, coupled-rows Jacobi sweep against a verbatim copy of the full-loop one.
 
 ``metrics.eigh`` visits only the pairs of rows coupled by a nonzero
-off-diagonal entry.  Its eigenvalues and eigenvectors must equal, bit for bit,
-those of the sweep over every pair, copied below as it was before the change,
-on random Hermitian matrices with some rows and columns zeroed and on rank-1
-projectors and projected states like the Bell target and ``inner`` of
-``fidelity``.  The general fidelity, and with it its cross-check against the
-pure-target shortcut, must still be evaluated at every point of a curve.
+off-diagonal entry, and decomposes a stack of matrices in one call.  Its
+eigenvalues and eigenvectors must equal, bit for bit, those of the sweep over
+every pair, copied below as it was before either change, applied matrix by
+matrix: on random Hermitian matrices with some rows and columns zeroed, on
+rank-1 projectors and projected states like the Bell target and ``inner`` of
+``fidelity``, and on stacks mixing such matrices with zero, diagonal and dense
+ones, which converge after different numbers of sweeps.  The fidelity, which
+decomposes only the target-support blocks of ``inner``, must equal bit for bit
+the fidelity from the full-size square root, copied below as it was before.
+The general fidelity, and with it its cross-check against the pure-target
+shortcut, must still be evaluated at every point of a curve.
 """
 
 import math
@@ -24,12 +29,14 @@ from sled_oam import (
     OamPairBasis,
     bell_target,
     eigh,
+    fidelity,
     fidelity_curve,
     pair_state,
 )
 from sled_oam import metrics
 from sled_oam.config import load_config
-from sled_oam.metrics import _check_hermitian
+from sled_oam.metrics import _check_hermitian, sqrtm_psd
+from sled_oam.pair_state import PairDensityMatrix
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -114,9 +121,9 @@ def complex_normal(rng, shape):
 
 
 @st.composite
-def hermitian_cases(draw):
-    """A Hermitian matrix, n <= 12, in one of the shapes ``fidelity`` decomposes."""
-    n = draw(st.integers(1, 12))
+def hermitian_cases(draw, n=None):
+    """A Hermitian matrix, n <= 12 if not given, in one of the shapes ``fidelity`` decomposes."""
+    n = draw(st.integers(1, 12)) if n is None else n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zeroed", "projector", "projected"]))
     support = rng.random(n) < draw(st.floats(0.0, 1.0))
@@ -150,6 +157,87 @@ def test_coupled_rows_sweep_equals_the_full_loop(a):
     assert_same_decomposition(a)
 
 
+@st.composite
+def hermitian_stacks(draw):
+    """A stack of 1-8 Hermitian n x n matrices, n <= 8, of mixed shapes and sweep counts."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = st.sampled_from(["case", "zero", "diagonal", "dense", "scaled"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=8))
+    stack = []
+    for kind in kinds:
+        if kind == "zero":
+            a = np.zeros((n, n), dtype=complex)  # converged before the first sweep
+        elif kind == "diagonal":
+            a = np.diag(rng.normal(size=n)).astype(complex)
+        elif kind == "dense":
+            g = complex_normal(rng, (n, n))  # several sweeps
+            a = 0.5 * (g + g.conj().T)
+        elif kind == "scaled":
+            g = complex_normal(rng, (n, n))  # nearly diagonal: one or two sweeps
+            a = np.diag(np.arange(n) * 10.0) + 1e-6 * (g + g.conj().T)
+        else:
+            a = draw(hermitian_cases(n))
+        stack.append(a)
+    return np.array(stack)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stack=hermitian_stacks())
+def test_stacked_sweep_equals_the_full_loop_per_matrix(stack):
+    ours = eigh(stack)
+    assert ours.eigenvalues.shape == stack.shape[:-1]
+    assert ours.eigenvectors.shape == stack.shape
+    for a, vals, vecs in zip(stack, ours.eigenvalues, ours.eigenvectors):
+        oracle = full_loop_eigh(a)
+        assert np.array_equal(vals, oracle.eigenvalues)
+        assert np.array_equal(vecs, oracle.eigenvectors)
+
+
+def test_stacks_of_any_leading_shape_decompose_per_matrix(rng):
+    g = complex_normal(rng, (2, 3, 4, 4))
+    stack = 0.5 * (g + g.conj().swapaxes(-2, -1))
+    stack[1, 2] = 0.0
+    ours = eigh(stack)
+    assert ours.eigenvalues.shape == (2, 3, 4) and ours.eigenvectors.shape == (2, 3, 4, 4)
+    for index in np.ndindex(2, 3):
+        oracle = full_loop_eigh(stack[index])
+        assert np.array_equal(ours.eigenvalues[index], oracle.eigenvalues)
+        assert np.array_equal(ours.eigenvectors[index], oracle.eigenvectors)
+
+
+def full_size_fidelity(rho, target):
+    """``metrics.fidelity``'s general form as it was before the sweep kept only
+    the target-support blocks: the square root of the whole ``inner``."""
+    root = target.root
+    inner = root @ rho.entries @ root
+    inner = 0.5 * (inner + inner.conj().T)
+    return float(np.trace(sqrtm_psd(inner)).real) ** 2
+
+
+@st.composite
+def targeted_mixtures(draw):
+    """A Bell target on a random small basis and a random density matrix on it."""
+    l_values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    basis = OamPairBasis.from_l_values(l_values)
+    winding = draw(st.sampled_from(sorted({l1 + l2 for l1, l2 in basis.pairs})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(basis)
+    g = complex_normal(rng, (n, int(rng.integers(1, n + 1))))
+    g[rng.random(n) < draw(st.floats(0.0, 0.8))] = 0.0  # rows the mixture does not reach
+    rho = g @ g.conj().T
+    if not np.trace(rho).real > 0:
+        rho = np.eye(n, dtype=complex)
+    return PairDensityMatrix(basis, rho / np.trace(rho).real), bell_target(basis, winding)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=targeted_mixtures())
+def test_block_fidelity_equals_the_full_size_square_root(case):
+    rho, target = case
+    assert fidelity(rho, target) == full_size_fidelity(rho, target)
+
+
 @pytest.mark.parametrize("t", [0.01, 0.5, 0.95])
 def test_fig3_fidelity_matrices_equal_the_full_loop(t):
     config = load_config("fig3", [f"grid.temperatures={t}", "emission.enhancements=10,100"])
@@ -170,6 +258,7 @@ def test_fig3_fidelity_matrices_equal_the_full_loop(t):
     for _, _, rho in mixtures:
         inner = root @ rho.entries @ root
         assert_same_decomposition(0.5 * (inner + inner.conj().T))
+        assert fidelity(rho, target) == full_size_fidelity(rho, target)
 
 
 class TestCrossCheckRunsEveryCall:
@@ -183,29 +272,37 @@ class TestCrossCheckRunsEveryCall:
 
     def test_general_fidelity_at_every_point(self, junction, geometry, monkeypatch):
         roots = []
-        sqrtm_psd = metrics.sqrtm_psd
+        psd_root = metrics._psd_root
 
-        def counting_sqrtm(a):
-            roots.append(len(a))
-            return sqrtm_psd(a)
+        def counting_root(decomp):
+            roots.append(decomp.eigenvectors.shape)
+            return psd_root(decomp)
 
-        monkeypatch.setattr(metrics, "sqrtm_psd", counting_sqrtm)
+        monkeypatch.setattr(metrics, "_psd_root", counting_root)
         self.curve(junction, geometry)
-        # the target's root once, then the general form at each of the 3 x 2 points
-        assert len(roots) == 1 + 3 * 2
+        # the target's root once, then the full-size general form at each of the 3 x 2 points
+        assert roots == [(4, 4)] * (1 + 3 * 2)
 
-    def test_a_wrong_general_fidelity_at_the_last_point_raises(
-        self, junction, geometry, monkeypatch
+    @pytest.mark.parametrize("skewed", [0, 5])
+    def test_a_wrong_general_fidelity_at_any_point_raises(
+        self, junction, geometry, monkeypatch, skewed
     ):
-        calls = []
-        sqrtm_psd = metrics.sqrtm_psd
+        stacks = []
+        decompose = metrics.eigh
 
-        def skewed_last_sqrtm(a):
-            calls.append(None)
-            root = sqrtm_psd(a)
-            return 1.01 * root if len(calls) == 1 + 3 * 2 else root
+        def skewed_eigh(a):
+            decomp = decompose(a)
+            if np.ndim(a) == 3:
+                # one point's eigenvalues scaled by 1.01**2: its root, and so the
+                # general form's trace, grows by 1.01
+                stacks.append(len(a))
+                decomp.eigenvalues[skewed] *= 1.01**2
+            return decomp
 
-        monkeypatch.setattr(metrics, "sqrtm_psd", skewed_last_sqrtm)
-        with pytest.raises(ContractError, match="cross-check"):
+        monkeypatch.setattr(metrics, "eigh", skewed_eigh)
+        with pytest.raises(ContractError, match="cross-check") as failed:
             self.curve(junction, geometry)
-        assert len(calls) == 1 + 3 * 2
+        assert stacks == [3 * 2]
+        temps, enhancements, _ = self.ARGS
+        t, enh = temps[skewed // 2], enhancements[skewed % 2]
+        assert str(failed.value).endswith(f" (at t={t}, enhancement={enh})")

@@ -11,8 +11,8 @@ Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
 the one-shot mixture at its (temperature, enhancement), and fidelities in
 [0, 1], and the mode overlap ``kappa`` must be symmetric in its two modes
 and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
-cutoff and dephasing time must succeed or exit 2 or 3 with a one-line JSON
-error, without a warning.
+cutoff and dephasing time, or any positive effective masses, must succeed or
+exit 2 or 3 with a one-line JSON error, without a warning.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sled_oam import (
@@ -302,14 +302,37 @@ def test_every_fidelity_lies_in_the_unit_interval(overrides):
     log_tau=st.floats(-323.3, 308.25),
 )
 def test_any_positive_cutoff_and_dephasing_time_fail_cleanly(log_cutoff, log_tau):
+    assert_small_rates_run_fails_cleanly(
+        f"grid.cutoff_delta0={10.0**log_cutoff!r}",
+        f"material.dephasing_time_fs={10.0**log_tau!r}",
+    )
+
+
+@SETTINGS
+@given(
+    log_electron=st.floats(-323.3, 308.25),
+    log_hole=st.floats(-323.3, 308.25),
+)
+# the corners of the accepted range, where the mass ratio is most extreme
+@example(log_electron=-3.0, log_hole=3.0)
+@example(log_electron=3.0, log_hole=-3.0)
+@example(log_electron=-3.0, log_hole=-3.0)
+@example(log_electron=3.0, log_hole=3.0)
+def test_any_positive_effective_masses_fail_cleanly(log_electron, log_hole):
+    assert_small_rates_run_fails_cleanly(
+        f"material.electron_mass={10.0**log_electron!r}",
+        f"material.hole_mass={10.0**log_hole!r}",
+    )
+
+
+def assert_small_rates_run_fails_cleanly(*settings):
     """A run succeeds or exits 2 or 3 with one JSON line; warnings are errors in this suite."""
     args = ["rates", "--config", "fig2"]
     for setting in (
         "grid.temperatures=0.5",
         "grid.detuning_points=3",
         "grid.quadrature_nodes=64",
-        f"grid.cutoff_delta0={10.0**log_cutoff!r}",
-        f"material.dephasing_time_fs={10.0**log_tau!r}",
+        *settings,
     ):
         args += ["--set", setting]
     err = io.StringIO()
