@@ -112,14 +112,14 @@ def gap_at_temperature(sc: SuperconductorParams, t: float) -> float:
     return sc.delta0 * math.tanh(1.74 * math.sqrt(sc.tc / t - 1.0))
 
 
-def quasiparticle_energy(xi, delta):
-    """Bogoliubov quasiparticle energy sqrt(delta^2 + xi^2), meV.
+def quasiparticle_energy(xi, delta, out=None):
+    """Bogoliubov quasiparticle energy sqrt(delta^2 + xi^2), meV, written to ``out`` if given.
 
     Accepts scalars or arrays; ``delta`` must be non-negative.
     """
     if np.any(np.asarray(delta) < 0):
         raise DomainError("delta must be non-negative")
-    return np.hypot(xi, delta)
+    return np.hypot(xi, delta, out=out)
 
 
 def coherence_factors(xi, delta):
@@ -148,27 +148,34 @@ def coherence_factors(xi, delta):
     return u_sq, v_sq
 
 
-def fermi_occupation(e, t: float):
+def fermi_occupation(e, t: float, out=None):
     """Fermi-Dirac occupation 1/(1 + exp(e / k_B t)) for energy in meV, t in K.
 
     At t = 0 the step limit is returned: 1 below, 1/2 at, 0 above zero energy.
+    With ``out`` every step is written there (``out`` may be ``e`` itself).
     """
     if t < 0:
         raise DomainError(f"temperature must be non-negative, got {t}")
     e = np.asarray(e, dtype=float)
     if t == 0:
         occ = np.where(e < 0, 1.0, np.where(e == 0, 0.5, 0.0))
+        if out is not None:
+            out[...] = occ
+            occ = out
     else:
         with np.errstate(over="ignore"):
-            occ = 1.0 / (1.0 + np.exp(e / (KB_MEV_PER_K * t)))
+            occ = np.divide(e, KB_MEV_PER_K * t, out=out)
+            occ = np.exp(occ, out=out)
+            occ = np.add(1.0, occ, out=out)
+            occ = np.divide(1.0, occ, out=out)
     if occ.ndim == 0:
         return float(occ)
     return occ
 
 
-def fermi_occupation_complement(e, t: float):
+def fermi_occupation_complement(e, t: float, out=None):
     """1 - f(e, t), evaluated as f(-e, t) so f + fbar = 1 holds exactly."""
-    return fermi_occupation(np.negative(e), t)
+    return fermi_occupation(np.negative(e, out=out), t, out=out)
 
 
 def fermi_level_from_density(density_cm2: float, mass: float) -> float:

@@ -7,10 +7,10 @@
 the plots.
 
 Exit codes: 0 success, 1 the config is valid but no state can be formed
-(e.g. an annulus of zero area), 2 configuration error (including a
-``grid.cutoff_delta0`` outside (0, 1e6] or a ``material.dephasing_time_fs``
-outside [1e-12, 1e12], which would overflow the rates), 3 numerical-convergence
-error, 4 I/O error.  Errors are reported as a one-line JSON record on stderr.
+(e.g. an annulus of zero area), 2 configuration error (including a setting
+outside the range that ``config`` bounds it to, which would overflow the
+rates), 3 numerical-convergence error, 4 I/O error.  Errors are reported as
+a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ def cmd_dm(config: RunConfig) -> dict:
         )
     else:
         coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
-    written = {}
-    for t, enh, rho in pair_state.mixtures(
+    sweep = pair_state.mixtures(
         coherent,
         pair_state.rho_bqp(basis, config.geometry),
         config.detuning_for_dm,
@@ -91,7 +90,10 @@ def cmd_dm(config: RunConfig) -> dict:
         config.enhancements,
         config.junction,
         config.grid.k_integration,
-    ):
+    )
+    del coherent  # the sweep keeps it divided by its trace, which is all it needs
+    written = {}
+    for t, enh, rho in sweep:
         stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
         written[f"{stem}.json"] = outputs.write_json(
             os.path.join(config.out_dir, f"{stem}.json"), rho.basis.pairs, rho.entries
@@ -193,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="worker threads for rates, one temperature each, 0 = auto; dm and "
-            "fidelity run on one thread (overrides output.threads)",
+            help="worker threads for rates, one slice of the temperatures each, 0 = auto; "
+            "dm and fidelity run on one thread (overrides output.threads)",
         )
         cmd.add_argument(
             "--log-scale",

@@ -37,6 +37,19 @@ DEPHASING_FS_RANGE = (1e-12, 1e12)
 # overflows the band tables; real bands lie within 0.01-10, and every pair of
 # masses in this range gives finite rates at the ends of the two ranges above.
 EFFECTIVE_MASS_RANGE = (1e-3, 1e3)
+# The zero-temperature gap, meV (1 ueV to 1 eV).  Below about 1e-137 meV the
+# coherent maximum is so small that the incoherent rates divided by it
+# overflow; above about 1e306 the energy cutoff overflows.
+DELTA0_MEV_RANGE = (1e-3, 1e3)
+# Areal carrier densities, cm^-2 (1e16 is about one carrier per atom of a
+# monolayer).  Above about 1e305 a Fermi level overflows to inf.
+DENSITY_CM2_RANGE = (1e6, 1e16)
+# The per-band gap multipliers.  Below about 1e-154 the normalized incoherent
+# rates overflow as for a tiny gap, above about 1e307 the pair weights do.
+GAP_SCALE_RANGE = (1e-3, 1e3)
+# The largest detuning, in gap units, like the cutoff; at 1.7e308 the
+# detuning grid itself overflows.
+MAX_DETUNING_DELTA0 = 1e6
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 
@@ -222,27 +235,25 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     def intval(section, key):
         return _parse_int(raw(section, key), f"{section}.{key}")
 
+    def bounded(section, key, limits):
+        lo, hi = limits
+        value = floatval(section, key)
+        if not lo <= value <= hi:
+            raise ConfigError(f"{section}.{key}: must lie in [{lo:g}, {hi:g}], got {value!r}")
+        return value
+
     # material
-    tau = floatval("material", "dephasing_time_fs")
-    lo, hi = DEPHASING_FS_RANGE
-    if not lo <= tau <= hi:
-        raise ConfigError(f"material.dephasing_time_fs: must lie in [{lo:g}, {hi:g}], got {tau!r}")
-    masses = {}
-    lo, hi = EFFECTIVE_MASS_RANGE
-    for key in ("electron_mass", "hole_mass"):
-        masses[key] = floatval("material", key)
-        if not lo <= masses[key] <= hi:
-            raise ConfigError(f"material.{key}: must lie in [{lo:g}, {hi:g}], got {masses[key]!r}")
     try:
         junction = gaas_nb_junction(
-            delta0=floatval("material", "delta0_mev"),
+            delta0=bounded("material", "delta0_mev", DELTA0_MEV_RANGE),
             tc=floatval("material", "tc_k"),
-            **masses,
-            electron_density_cm2=floatval("material", "electron_density_cm2"),
-            hole_density_cm2=floatval("material", "hole_density_cm2"),
-            dephasing_time=tau,
-            gap_scale_conduction=floatval("material", "gap_scale_conduction"),
-            gap_scale_valence=floatval("material", "gap_scale_valence"),
+            electron_mass=bounded("material", "electron_mass", EFFECTIVE_MASS_RANGE),
+            hole_mass=bounded("material", "hole_mass", EFFECTIVE_MASS_RANGE),
+            electron_density_cm2=bounded("material", "electron_density_cm2", DENSITY_CM2_RANGE),
+            hole_density_cm2=bounded("material", "hole_density_cm2", DENSITY_CM2_RANGE),
+            dephasing_time=bounded("material", "dephasing_time_fs", DEPHASING_FS_RANGE),
+            gap_scale_conduction=bounded("material", "gap_scale_conduction", GAP_SCALE_RANGE),
+            gap_scale_valence=bounded("material", "gap_scale_valence", GAP_SCALE_RANGE),
         )
     except DomainError as exc:
         raise ConfigError(f"material: {exc}") from exc
@@ -267,6 +278,10 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     if not d_max > 0:
         raise ConfigError(
             f"grid.detuning_max: must be > 0 for strictly increasing detunings, got {d_max!r}"
+        )
+    if not d_max <= MAX_DETUNING_DELTA0:
+        raise ConfigError(
+            f"grid.detuning_max: must lie in (0, {MAX_DETUNING_DELTA0:g}], got {d_max!r}"
         )
     d_points = intval("grid", "detuning_points")
     if d_points < 2:

@@ -331,9 +331,14 @@ def fidelity_curve(
     target = bell_target(basis, ls)
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
-    coherent = pair_state.rho_cp(ls, basis, geom)
     sweep = pair_state.mixtures(
-        coherent, pair_state.rho_bqp(basis, geom), d, temps, enhancements, jp, quad
+        pair_state.rho_cp(ls, basis, geom),
+        pair_state.rho_bqp(basis, geom),
+        d,
+        temps,
+        enhancements,
+        jp,
+        quad,
     )
     values = _fidelities(((partial(at_point, t, enh), rho) for t, enh, rho in sweep), target)
     values = np.array(values).reshape(len(temps), len(enhancements))

@@ -199,36 +199,60 @@ def mixture(
     coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
 ) -> PairDensityMatrix:
     """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
+    return _mixer(coherent, incoherent)(r_cp, r_bqp)
+
+
+def _mixer(coherent: PairDensityMatrix, incoherent: PairDensityMatrix):
+    """``mixture`` of these two channel matrices as a function of the two rates.
+
+    Each channel matrix is divided by its trace once, here, and not again per
+    pair of rates; every mixture still gets every check.  The function holds
+    only the quotients, not the two matrices.
+    """
+    basis = coherent.basis
     tr_cp = coherent.trace()
     tr_bqp = incoherent.trace()
-    if tr_cp <= 0 or tr_bqp <= 0:
-        raise DegenerateMixtureError(
-            f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
-        )
-    total = r_cp + r_bqp
-    if total <= 0:
-        raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
-    if not math.isfinite(total):
-        raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
-    entries = (r_cp / total) * (coherent.entries / tr_cp) + (r_bqp / total) * (
-        incoherent.entries / tr_bqp
-    )
-    return PairDensityMatrix(coherent.basis, entries).normalize()
+    degenerate = tr_cp <= 0 or tr_bqp <= 0
+    if not degenerate:
+        unit_cp = coherent.entries / tr_cp
+        unit_bqp = incoherent.entries / tr_bqp
+
+    def mix(r_cp: float, r_bqp: float) -> PairDensityMatrix:
+        if degenerate:
+            raise DegenerateMixtureError(
+                f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
+            )
+        total = r_cp + r_bqp
+        if total <= 0:
+            raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
+        if not math.isfinite(total):
+            raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
+        entries = (r_cp / total) * unit_cp + (r_bqp / total) * unit_bqp
+        return PairDensityMatrix(basis, entries).normalize()
+
+    return mix
 
 
 def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()):
     """Yield (t, enhancement, trace-1 mixture) of two channel matrices over a grid.
 
-    Temperature-major and one at a time, so a caller can write or reduce each
-    mixture before the next is formed.  Rate errors pass through unchanged;
-    mixture errors gain the (t, enhancement) point.
+    The rates of all temperatures come from one ``spectral.mixing_rates``
+    call, before the first mixture.  The mixtures follow temperature-major
+    and one at a time, so a caller can write or reduce each mixture before
+    the next is formed.  Rate errors pass through unchanged; mixture errors
+    gain the (t, enhancement) point.  Once the sweep has started it holds
+    only the channel matrices divided by their traces, so a caller that does
+    not keep the channel matrices does not hold both.
     """
-    for t in temperatures:
-        s_cp, s_bqp = spectral.mixing_rates(d, t, jp, quad)
+    temperatures = tuple(temperatures)
+    rates = spectral.mixing_rates(d, temperatures, jp, quad)
+    mix = _mixer(coherent, incoherent)
+    del coherent, incoherent
+    for t, (s_cp, s_bqp) in zip(temperatures, rates):
         for enh in enhancements:
             with at_point(t, enh):
                 r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
-                rho = mixture(coherent, incoherent, r_cp, s_bqp)
+                rho = mix(r_cp, s_bqp)
             yield t, enh, rho
 
 

@@ -28,24 +28,27 @@ within one quasiparticle coherence patch (``patch_area_um2`` times the 2D
 density of states); the coherent amplitude is proportional to that state
 count, the incoherent rate to its first power.
 
-Both channels come from one evaluator, ``_channel_rates``: per reduced
-temperature it builds the band tables once and returns the raw rates of both
-channels for a tuple of detunings.  Each kernel is built as K(d) + K(-d), so
-both rates are exactly even in d and each |d| is evaluated only once.  The
-evaluator also holds the only doubled-node ``verify`` check.
-``mixing_rates`` (one detuning) and ``rate_surfaces`` (a grid) are thin
-callers of it.
+Both channels come from one evaluator, ``_channel_rates``: for a sequence
+of reduced temperatures it builds one band table per node count, refills it
+in place for each temperature and returns the raw rates of both channels for
+a tuple of detunings.  Each kernel is built as K(d) + K(-d), so both rates
+are exactly even in d and each |d| is evaluated only once.  The evaluator
+also holds the only doubled-node ``verify`` check.  ``mixing_rates`` (one
+detuning over a temperature sweep) and ``rate_surfaces`` (a grid, one slice
+of temperatures per worker thread) are thin callers of it.
 
 Every factor of the kernels that does not depend on the detuning (the pair
 weight, the four occupation products, the four quasiparticle numerators) is
-built once per band table, so a detuning costs only the four denominators and
-eight divisions per sign.  Those factors keep the operand order of the full
-per-detuning expressions on purpose: the rates stay bit for bit what the
-unhoisted kernels give, which ``tests/test_properties.py`` checks against a
-verbatim copy of them.  The kernels and both trapezoid sums run in place in
-work arrays of the band table, which like the factors start on pages, so no
-detuning allocates and the kernel time does not depend on where the
-process's earlier allocations left numpy's buffers.
+rebuilt once per temperature, in place, so a detuning costs only the four
+denominators and eight divisions per sign.  Those factors keep the operand
+order of the full per-detuning expressions on purpose: the rates stay bit
+for bit what the unhoisted kernels give, which ``tests/test_properties.py``
+checks against a verbatim copy of them, for fresh and for refilled tables.
+The kernels and both trapezoid sums run in place in work arrays of the band
+table, which like the factors start on pages and are allocated once per
+sweep, so neither a temperature nor a detuning allocates and the kernel time
+does not depend on where the process's earlier allocations left numpy's
+buffers.
 """
 
 from __future__ import annotations
@@ -172,69 +175,113 @@ def _aligned_arrays(nodes: int, dtypes) -> list:
 
 
 class _BandTables:
-    """Per-temperature arrays shared by every detuning evaluation.
+    """Band arrays at one node count, refilled in place for each reduced temperature.
 
-    Everything in the two kernels that does not depend on the detuning is
-    built here once: the pair weight ``u_n v_n u_p v_p``, the four occupation
-    products that weight the pair-propagator poles and the four
-    quasiparticle numerators.  The coherence factors u^2, v^2 are built from
-    the stored energies as ``bcs.coherence_factors`` builds them, so each band
-    takes one ``hypot``, not two.  Each factor keeps the operand order of the
-    original per-detuning expression and is stored as complex128, the exact
-    cast numpy applies to it in every real/complex operation anyway.  The
-    kernels and the trapezoid sums run in place in work arrays held here, one
-    ufunc call per operation of the full expressions, in their order (the
-    trapezoid's exact halving is folded into the stored step), so the rates
-    are bit for bit those of evaluating the full expressions at every
-    detuning with ``np.trapezoid``.  No call casts an array, so none needs a
-    buffer of its own.  Every one of these arrays starts on a page (see
-    ``_aligned_arrays``); a table is for one thread at a time.
+    The constructor allocates every array once and builds what does not
+    depend on the temperature: xi_n and xi_p on the kinetic-energy grid, the
+    halved trapezoid step (also as complex128), the imaginary parts of the
+    denominators and of the stored weights, and the patch state count.
+    ``fill(t)`` rewrites everything in the two kernels that does not depend
+    on the detuning: the band energies, the pair weight ``u_n v_n u_p v_p``,
+    the four occupation products that weight the pair-propagator poles and
+    the four quasiparticle numerators.  The coherence factors u^2, v^2 are
+    built from the stored energies as ``bcs.coherence_factors`` builds them,
+    so each band takes one ``hypot``, not two.  Each factor keeps the operand
+    order of the original per-detuning expression and is stored as
+    complex128, the exact cast numpy applies to it in every real/complex
+    operation anyway.  The kernels and the trapezoid sums run in place in
+    work arrays held here, one ufunc call per operation of the full
+    expressions, in their order (the trapezoid's exact halving is folded into
+    the stored step), so the rates are bit for bit those of evaluating the
+    full expressions at every detuning with ``np.trapezoid``.  No call casts
+    an array, so none needs a buffer of its own, and ``fill`` writes its
+    intermediate arrays into float views of the kernels' work arrays, so
+    neither a refill nor a detuning allocates.  Every array starts on a page
+    (see ``_aligned_arrays``); a table is for one thread at a time.
     """
 
-    def __init__(self, t: float, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
-        if not 0.0 < t < 1.0:
-            raise DomainError(f"reduced temperature must lie in (0, 1), got {t}")
+    def __init__(self, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
+        self._jp = jp
+        arrays = _aligned_arrays(nodes, (np.float64,) * 7 + (np.complex128,) * 16)
+        self.e_n, self.e_p, self.half_dx, self._xi_n, self._xi_p, self._near, self._mag = arrays[:7]
+        self.uv, self._half_dx_complex, self._den, self._term = arrays[7:11]
+        self.pair_weights = tuple(arrays[11:15])
+        self.qp_weights = tuple(arrays[15:19])
+        self._sums = arrays[19:]
+
         mu_n = jp.conduction.quasi_fermi_level
         mu_p = jp.valence.quasi_fermi_level
         mass_ratio = jp.conduction.effective_mass / jp.valence.effective_mass
+        eps = np.linspace(0.0, mu_n + quad.cutoff_delta0 * jp.sc.delta0, nodes)
+        np.subtract(eps, mu_n, out=self._xi_n)
+        np.multiply(mass_ratio, eps, out=self._xi_p)
+        np.subtract(self._xi_p, mu_p, out=self._xi_p)
+        # half the node spacing: diff(eps) as np.trapezoid computes it, halved
+        np.subtract(eps[1:], eps[:-1], out=self.half_dx[:-1])
+        np.divide(self.half_dx[:-1], 2.0, out=self.half_dx[:-1])
+        self._half_dx_complex[:-1] = self.half_dx[:-1]
+        # the weights are real: fill writes their real parts, the zero
+        # imaginary parts of the cast to complex128 are set once
+        for w in (self.uv, *self.pair_weights, *self.qp_weights):
+            w.imag = 0.0
+        self._uv_real = self.uv.real
+        self._pair_real = [w.real for w in self.pair_weights]
+        self._qp_real = [w.real for w in self.qp_weights]
+        # fill's intermediates: float views of the work arrays that only the
+        # kernels write, never of _den, whose imaginary part is set once below
+        self._scratch = [
+            half for w in (*self._sums, self._term) for half in w.view(np.float64).reshape(2, nodes)
+        ]
+        self.gamma = jp.broadening
+        # den = near + i Gamma adds the imaginary parts 0.0 (near cast to
+        # complex) and Gamma at every node and detuning, so they are set once
+        self._den.imag = 0.0 + (1j * self.gamma).imag
+        self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
+
+    def fill(self, t: float) -> None:
+        """Rewrite the band energies and every detuning-free factor for reduced temperature t."""
+        if not 0.0 < t < 1.0:
+            raise DomainError(f"reduced temperature must lie in (0, 1), got {t}")
+        jp = self._jp
         delta = bcs.gap_at_temperature(jp.sc, t * jp.sc.tc)
         delta_n = delta * jp.conduction.gap_scale
         delta_p = delta * jp.valence.gap_scale
         t_kelvin = t * jp.sc.tc
 
-        factors = _aligned_arrays(nodes, (np.float64,) * 3 + (np.complex128,) * 10)
-        self.e_n, self.e_p, self.half_dx, self.uv, self._half_dx_complex = factors[:5]
-        self.pair_weights = tuple(factors[5:9])
-        self.qp_weights = tuple(factors[9:])
-
-        eps = np.linspace(0.0, mu_n + quad.cutoff_delta0 * jp.sc.delta0, nodes)
-        xi_n = eps - mu_n
-        xi_p = mass_ratio * eps - mu_p
-        self.e_n[:] = bcs.quasiparticle_energy(xi_n, delta_n)
-        self.e_p[:] = bcs.quasiparticle_energy(xi_p, delta_p)
+        bcs.quasiparticle_energy(self._xi_n, delta_n, out=self.e_n)
+        bcs.quasiparticle_energy(self._xi_p, delta_p, out=self.e_p)
         # E = hypot(xi, delta) vanishes only where a vanished gap meets xi = 0
         for e, delta in ((self.e_n, delta_n), (self.e_p, delta_p)):
             if delta == 0.0 and not e.all():
                 raise DomainError("coherence factors are singular at xi = delta = 0")
-        f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
-        f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
-        fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
-        fb_p = bcs.fermi_occupation_complement(self.e_p, t_kelvin)
+        f_n, f_p, fb_n, fb_p, u2_n, v2_n, u2_p, v2_p, tmp_n, tmp_p = self._scratch
+        bcs.fermi_occupation(self.e_n, t_kelvin, out=f_n)
+        bcs.fermi_occupation(self.e_p, t_kelvin, out=f_p)
+        bcs.fermi_occupation_complement(self.e_n, t_kelvin, out=fb_n)
+        bcs.fermi_occupation_complement(self.e_p, t_kelvin, out=fb_p)
         # pair (anomalous) weight u v = delta / 2E per band
-        self.uv[:] = (delta_n / (2.0 * self.e_n)) * (delta_p / (2.0 * self.e_p))
+        for uv, e, delta in ((tmp_n, self.e_n, delta_n), (tmp_p, self.e_p, delta_p)):
+            np.multiply(2.0, e, out=uv)
+            np.divide(delta, uv, out=uv)
+        np.multiply(tmp_n, tmp_p, out=self._uv_real)
         # pole weights, one per denominator d -+ E^n -+ E^p (mm, mp, pm, pp)
         for slot, (a, b) in zip(
-            self.pair_weights, ((fb_n, fb_p), (fb_n, f_p), (f_n, fb_p), (f_n, f_p))
+            self._pair_real, ((fb_n, fb_p), (fb_n, f_p), (f_n, fb_p), (f_n, f_p))
         ):
-            slot[:] = a * b
+            np.multiply(a, b, out=slot)
         # u^2, v^2 = (1 +- xi/E)/2 as bcs.coherence_factors gives them, from the
         # energies above instead of a second hypot per band
-        ratio = xi_n / self.e_n
-        u2_n, v2_n = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
-        ratio = xi_p / self.e_p
-        u2_p, v2_p = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
+        for xi, e, ratio, u2, v2 in (
+            (self._xi_n, self.e_n, tmp_n, u2_n, v2_n),
+            (self._xi_p, self.e_p, tmp_p, u2_p, v2_p),
+        ):
+            np.divide(xi, e, out=ratio)
+            np.add(1.0, ratio, out=u2)
+            np.multiply(0.5, u2, out=u2)
+            np.subtract(1.0, ratio, out=v2)
+            np.multiply(0.5, v2, out=v2)
         for slot, (a, b, c, e) in zip(
-            self.qp_weights,
+            self._qp_real,
             (
                 (v2_n, v2_p, fb_n, fb_p),
                 (v2_n, u2_p, fb_n, f_p),
@@ -242,22 +289,9 @@ class _BandTables:
                 (u2_n, u2_p, f_n, f_p),
             ),
         ):
-            slot[:] = a * b * c * e
-        # half the node spacing: diff(eps) as np.trapezoid computes it, halved
-        np.subtract(eps[1:], eps[:-1], out=self.half_dx[:-1])
-        np.divide(self.half_dx[:-1], 2.0, out=self.half_dx[:-1])
-        self._half_dx_complex[:-1] = self.half_dx[:-1]
-        # the work arrays come after the temporaries above are gone, so the
-        # two never hold memory at the same time
-        del eps, xi_n, xi_p, f_n, f_p, fb_n, fb_p, ratio, u2_n, v2_n, u2_p, v2_p, a, b, c, e
-        work = _aligned_arrays(nodes, (np.float64,) * 2 + (np.complex128,) * 6)
-        self._near, self._mag, self._den, self._term = work[:4]
-        self._sums = work[4:]
-        self.gamma = jp.broadening
-        # den = near + i Gamma adds the imaginary parts 0.0 (near cast to
-        # complex) and Gamma at every node and detuning, so they are set once
-        self._den.imag = 0.0 + (1j * self.gamma).imag
-        self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
+            np.multiply(a, b, out=slot)
+            np.multiply(slot, c, out=slot)
+            np.multiply(slot, e, out=slot)
 
     def _kernels(self, d_mev: float, pair: np.ndarray, quasiparticle: np.ndarray) -> None:
         """Pair and quasiparticle kernels at one signed detuning (meV), written in place.
@@ -303,71 +337,84 @@ class _BandTables:
         self._kernels(d, pair, qp)
         self._kernels(-d, pair_minus, qp_minus)
         np.add(pair, pair_minus, out=pair)
-        amp = self.patch_states * self._trapezoid(pair, self._half_dx_complex, self._term)
+        pair_sum = self._trapezoid(pair, self._half_dx_complex, self._term)
         np.add(qp, qp_minus, out=qp)
         np.abs(qp, out=self._mag)
         np.square(self._mag, out=self._mag)
-        incoherent = self.patch_states * self._trapezoid(self._mag, self.half_dx, self._near)
-        return float(abs(amp) ** 2), float(incoherent)
+        qp_sum = self._trapezoid(self._mag, self.half_dx, self._near)
+        # an overflow leaves inf, which the caller reports as not finite
+        with np.errstate(over="ignore"):
+            amp = self.patch_states * pair_sum
+            coherent = abs(amp) ** 2
+            incoherent = self.patch_states * qp_sum
+        return float(coherent), float(incoherent)
 
 
-def _channel_rates(t: float, jp: bcs.JunctionParams, quad: KQuadrature, detunings) -> list:
-    """Raw (coherent, incoherent) rate pairs at reduced temperature t, one per detuning.
+def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detunings) -> list:
+    """Raw (coherent, incoherent) rates: a row per reduced temperature, a pair per detuning.
 
-    One band table serves both channels and every detuning; each |d| is
-    evaluated once.  A rate that is not finite raises ConvergenceError.  With
-    ``quad.verify`` every rate is re-evaluated on a second table at doubled
-    node count.
+    One band table serves every temperature, both channels and every
+    detuning; it is refilled per temperature and freed on return, and each
+    |d| is evaluated once per temperature.  A rate that is not finite raises
+    ConvergenceError.  With ``quad.verify`` every rate is re-evaluated on a
+    second table at doubled node count, built only after the first is freed.
     """
     magnitudes = [abs(d) for d in detunings]
 
-    def evaluate(nodes: int) -> dict:
-        tables = _BandTables(t, jp, quad, nodes)
-        by_magnitude: dict = {}
-        for m in magnitudes:
-            if m not in by_magnitude:
-                rates = tables.rates(m, jp.sc.delta0)
-                if not all(map(math.isfinite, rates)):
-                    raise ConvergenceError(
-                        f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
-                        f"with {nodes} quadrature nodes: {rates}"
-                    )
-                by_magnitude[m] = rates
-        return by_magnitude
+    def sweep(nodes: int) -> list:
+        tables = _BandTables(jp, quad, nodes)
+        rows = []
+        for t in temperatures:
+            tables.fill(t)
+            by_magnitude: dict = {}
+            for m in magnitudes:
+                if m not in by_magnitude:
+                    rates = tables.rates(m, jp.sc.delta0)
+                    if not all(map(math.isfinite, rates)):
+                        raise ConvergenceError(
+                            f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
+                            f"with {nodes} quadrature nodes: {rates}"
+                        )
+                    by_magnitude[m] = rates
+            rows.append([by_magnitude[m] for m in magnitudes])
+        return rows
 
-    coarse = evaluate(quad.nodes)
+    coarse = sweep(quad.nodes)
     if quad.verify:
-        for magnitude, refined_pair in evaluate(2 * quad.nodes).items():
-            for channel, value, refined in zip(
-                ("coherent", "incoherent"), coarse[magnitude], refined_pair
-            ):
-                scale = max(abs(value), abs(refined))
-                if scale > 0 and abs(refined - value) > CONVERGENCE_RTOL * scale:
-                    raise ConvergenceError(
-                        f"{channel} rate at d={magnitude}, t={t} changed by more than "
-                        f"0.1% when doubling quadrature nodes ({value} vs {refined})",
-                        coarse=value,
-                        refined=refined,
-                    )
-    return [coarse[m] for m in magnitudes]
+        for t, row, refined_row in zip(temperatures, coarse, sweep(2 * quad.nodes)):
+            for magnitude, pair, refined_pair in zip(magnitudes, row, refined_row):
+                for channel, value, refined in zip(("coherent", "incoherent"), pair, refined_pair):
+                    scale = max(abs(value), abs(refined))
+                    if scale > 0 and abs(refined - value) > CONVERGENCE_RTOL * scale:
+                        raise ConvergenceError(
+                            f"{channel} rate at d={magnitude}, t={t} changed by more than "
+                            f"0.1% when doubling quadrature nodes ({value} vs {refined})",
+                            coarse=value,
+                            refined=refined,
+                        )
+    return coarse
 
 
 def rate_surfaces(
     grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
 ) -> "tuple[RateSurface, RateSurface]":
     """Both channels on one grid, normalized to the coherent maximum, which must be > 0."""
+    temps = grid.temperatures
 
-    def row(t: float) -> list:
-        return _channel_rates(t, jp, grid.k_integration, grid.detunings)
+    def rows(part) -> list:
+        return _channel_rates(part, jp, grid.k_integration, grid.detunings)
 
     # 0 = auto: one worker per core, never more than there are temperatures
-    n = workers or min(os.cpu_count() or 1, len(grid.temperatures))
-    if n == 1 or len(grid.temperatures) == 1:
-        rows = [row(t) for t in grid.temperatures]
+    n = workers or min(os.cpu_count() or 1, len(temps))
+    if n == 1 or len(temps) == 1:
+        raw = rows(temps)
     else:
+        # one contiguous slice of the temperatures, so one band table, per worker
+        bounds = [len(temps) * i // n for i in range(n + 1)]
+        parts = [temps[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
         with ThreadPoolExecutor(max_workers=n) as pool:
-            rows = list(pool.map(row, grid.temperatures))
-    raw = np.array(rows)  # (n_temperatures, n_detunings, channel)
+            raw = [row for part in pool.map(rows, parts) for row in part]
+    raw = np.array(raw)  # (n_temperatures, n_detunings, channel)
     norm = float(raw[..., 0].max())
     if not norm > 0:
         raise ConvergenceError(f"the coherent rate peaks at {norm}, so it cannot normalize")
@@ -378,10 +425,11 @@ def rate_surfaces(
 
 
 def mixing_rates(
-    d: float, t: float, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()
-) -> "tuple[float, float]":
-    """Raw (coherent, incoherent) rates at detuning d (delta0 units), reduced temperature t.
+    d: float, temperatures, jp: bcs.JunctionParams, quad: KQuadrature = KQuadrature()
+) -> list:
+    """Raw (coherent, incoherent) rates at detuning d (delta0 units), one per reduced temperature.
 
-    The mixtures weight the coherent rate by the enhancement themselves.
+    One band table serves the whole sweep.  The mixtures weight the coherent
+    rate by the enhancement themselves.
     """
-    return _channel_rates(t, jp, quad, (d,))[0]
+    return [row[0] for row in _channel_rates(temperatures, jp, quad, (d,))]

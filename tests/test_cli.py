@@ -357,12 +357,14 @@ class TestNonFiniteResults:
     """Overflowing settings exit with a one-line JSON error and write no data file."""
 
     @pytest.mark.parametrize("svg", ["false", "true"])
-    def test_infinite_rates_exit_3(self, tmp_path, capsys, svg):
+    # 1e200 leaves the rates finite until the coherent amplitude is squared
+    @pytest.mark.parametrize("area", ["1e308", "1e200"])
+    def test_infinite_rates_exit_3(self, tmp_path, capsys, svg, area):
         out = tmp_path / "out"
         args = ["rates", "--config", "fig2", "--out", str(out), "--set", f"output.svg={svg}"]
         for setting in ("temperatures=0.5", "detuning_points=3", "quadrature_nodes=64"):
             args += ["--set", f"grid.{setting}"]
-        assert main(args + ["--set", "grid.patch_area_um2=1e308"]) == 3
+        assert main(args + ["--set", f"grid.patch_area_um2={area}"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         record = json.loads(err)
@@ -379,6 +381,12 @@ class TestNonFiniteResults:
             ("material.electron_mass", "1e-300"),
             ("material.hole_mass", "1e-300"),
             ("material.electron_mass", "1e200"),
+            ("material.delta0_mev", "1.7e308"),
+            ("material.electron_density_cm2", "1.7e308"),
+            ("material.hole_density_cm2", "1.7e308"),
+            ("material.gap_scale_conduction", "1.7e308"),
+            ("material.gap_scale_valence", "1.7e308"),
+            ("grid.detuning_max", "1.7e308"),
         ],
     )
     def test_settings_that_would_overflow_exit_2_at_load(self, tmp_path, capsys, key, value):

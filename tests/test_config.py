@@ -103,6 +103,18 @@ class TestRejection:
             ("material.hole_mass", "1e-300"),
             ("material.hole_mass", "1000.1"),
             ("material.hole_mass", "1e200"),
+            ("material.delta0_mev", "9.9e-4"),
+            ("material.delta0_mev", "1.7e308"),
+            ("material.electron_density_cm2", "9.9e5"),
+            ("material.electron_density_cm2", "1.7e308"),
+            ("material.hole_density_cm2", "1.1e16"),
+            ("material.hole_density_cm2", "1.7e308"),
+            ("material.gap_scale_conduction", "0"),
+            ("material.gap_scale_conduction", "1.7e308"),
+            ("material.gap_scale_valence", "1e-300"),
+            ("material.gap_scale_valence", "1.7e308"),
+            ("grid.detuning_max", "1000000.1"),
+            ("grid.detuning_max", "1.7e308"),
         ],
     )
     def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
@@ -120,6 +132,13 @@ class TestRejection:
             "material.electron_mass=1e3",
             "material.hole_mass=1e-3",
             "material.hole_mass=1e3",
+            "material.delta0_mev=1e-3",
+            "material.delta0_mev=1e3",
+            "material.electron_density_cm2=1e6",
+            "material.hole_density_cm2=1e16",
+            "material.gap_scale_conduction=1e-3",
+            "material.gap_scale_valence=1e3",
+            "grid.detuning_max=1e6",
         ):
             load_config(write(tmp_path, MINIMAL), [setting])
 

@@ -285,7 +285,7 @@ class TestFidelityCurve:
         )
         t, quad = config.grid.temperatures[0], config.grid.k_integration
         with pytest.raises(ConvergenceError) as direct:
-            mixing_rates(config.detuning_for_dm, t, config.junction, quad)
+            mixing_rates(config.detuning_for_dm, (t,), config.junction, quad)[0]
         with pytest.raises(ConvergenceError) as swept:
             fidelity_curve(
                 config.grid.temperatures,

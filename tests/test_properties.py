@@ -6,13 +6,16 @@ surfaces that are the per-point rates divided by one normalization, rows that
 are exact mirror images, and fidelity curves equal to the one-shot mixture at
 every point, all bit for bit.  The band-table rates must equal, bit for bit, a
 verbatim copy of the kernels as they were before their per-temperature
-factors were hoisted.  Small random ``dm`` and ``fidelity`` runs must write
+factors were hoisted, and a table refilled for a second temperature must give
+the rates of a fresh table for it.  Small random ``dm`` and ``fidelity`` runs must write
 Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
 the one-shot mixture at its (temperature, enhancement), and fidelities in
 [0, 1], and the mode overlap ``kappa`` must be symmetric in its two modes
 and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
-cutoff and dephasing time, or any positive effective masses, must succeed or
-exit 2 or 3 with a one-line JSON error, without a warning.
+cutoff and dephasing time, any positive effective masses, or any positive
+value of the gap, a carrier density, a gap scale, the largest detuning or the
+patch area must succeed or exit 2 or 3 with a one-line JSON error, without a
+warning; at every corner of the ranges bounded at load it must succeed.
 """
 
 import contextlib
@@ -48,7 +51,16 @@ from sled_oam import (
     rho_total_superposition,
 )
 from sled_oam.cli import main
-from sled_oam.config import load_config
+from sled_oam.config import (
+    DELTA0_MEV_RANGE,
+    DENSITY_CM2_RANGE,
+    DEPHASING_FS_RANGE,
+    EFFECTIVE_MASS_RANGE,
+    GAP_SCALE_RANGE,
+    MAX_CUTOFF_DELTA0,
+    MAX_DETUNING_DELTA0,
+    load_config,
+)
 from sled_oam.constants import dos_2d_per_mev_um2
 from sled_oam.spectral import _BandTables
 
@@ -84,12 +96,12 @@ def test_surfaces_are_normalized_point_rates_and_mirror_symmetric(
     try:
         cp, bqp = rate_surfaces(grid, junction)
     except ConvergenceError:
-        fails_somewhere(lambda d, t: mixing_rates(d, t, junction, quad), points)
+        fails_somewhere(lambda d, t: mixing_rates(d, (t,), junction, quad)[0], points)
         return
     assert cp.normalization == bqp.normalization
     for i, t in enumerate(temps):
         for j, d in enumerate(detunings):
-            r_cp, r_bqp = mixing_rates(d, t, junction, quad)
+            r_cp, r_bqp = mixing_rates(d, (t,), junction, quad)[0]
             assert cp.values[i, j] == r_cp / cp.normalization
             assert bqp.values[i, j] == r_bqp / bqp.normalization
     for surface in (cp, bqp):
@@ -214,10 +226,32 @@ def test_band_table_rates_equal_the_unhoisted_kernels(
         gap_scale_valence=gap_scales[1],
     )
     quad = KQuadrature(nodes=nodes)
-    tables = _BandTables(t, jp, quad, nodes)
+    tables = _BandTables(jp, quad, nodes)
+    tables.fill(t)
     reference = _ReferenceTables(t, jp, quad, nodes)
     for d in detunings:
         assert tables.rates(d, jp.sc.delta0) == reference.rates(d, jp.sc.delta0)
+
+
+@SETTINGS
+@given(
+    temps=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    detunings=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4),
+    dephasing_time_fs=st.floats(10.0, 1e4),
+    nodes=st.sampled_from([64, 257]),
+)
+def test_a_refilled_band_table_equals_a_fresh_one(temps, detunings, dephasing_time_fs, nodes):
+    jp = gaas_nb_junction(dephasing_time=dephasing_time_fs)
+    quad = KQuadrature(nodes=nodes)
+    refilled = _BandTables(jp, quad, nodes)
+    refilled.fill(temps[0])
+    for d in detunings:  # leaves the work arrays, fill's scratch, written
+        refilled.rates(d, jp.sc.delta0)
+    refilled.fill(temps[1])
+    fresh = _BandTables(jp, quad, nodes)
+    fresh.fill(temps[1])
+    for d in detunings:
+        assert refilled.rates(d, jp.sc.delta0) == fresh.rates(d, jp.sc.delta0)
 
 
 @st.composite
@@ -325,8 +359,55 @@ def test_any_positive_effective_masses_fail_cleanly(log_electron, log_hole):
     )
 
 
-def assert_small_rates_run_fails_cleanly(*settings):
-    """A run succeeds or exits 2 or 3 with one JSON line; warnings are errors in this suite."""
+@pytest.mark.parametrize(
+    "key",
+    [
+        "material.delta0_mev",
+        "material.electron_density_cm2",
+        "material.hole_density_cm2",
+        "material.gap_scale_conduction",
+        "material.gap_scale_valence",
+        "grid.detuning_max",
+        "grid.patch_area_um2",
+    ],
+)
+@SETTINGS
+@given(log_value=st.floats(-323.3, 308.25))
+@example(log_value=math.log10(1.7e308))
+@example(log_value=200.0)
+def test_any_positive_material_or_grid_value_fails_cleanly(key, log_value):
+    assert_small_rates_run_fails_cleanly(f"{key}={10.0**log_value!r}")
+
+
+# the ends of every range that config bounds at load
+RANGE_ENDS = {
+    "material.delta0_mev": DELTA0_MEV_RANGE,
+    "material.electron_density_cm2": DENSITY_CM2_RANGE,
+    "material.hole_density_cm2": DENSITY_CM2_RANGE,
+    "material.gap_scale_conduction": GAP_SCALE_RANGE,
+    "material.gap_scale_valence": GAP_SCALE_RANGE,
+    "material.dephasing_time_fs": DEPHASING_FS_RANGE,
+    "material.electron_mass": EFFECTIVE_MASS_RANGE,
+    "material.hole_mass": EFFECTIVE_MASS_RANGE,
+    "grid.detuning_max": (5e-324, MAX_DETUNING_DELTA0),
+    "grid.cutoff_delta0": (5e-324, MAX_CUTOFF_DELTA0),
+}
+
+
+@SETTINGS
+@given(corner=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in RANGE_ENDS.items()}))
+@example(corner={k: lo for k, (lo, hi) in RANGE_ENDS.items()})
+@example(corner={k: hi for k, (lo, hi) in RANGE_ENDS.items()})
+def test_every_corner_of_the_bounded_ranges_gives_finite_rates(corner):
+    code = assert_small_rates_run_fails_cleanly(*(f"{k}={v!r}" for k, v in corner.items()))
+    assert code == 0
+
+
+def assert_small_rates_run_fails_cleanly(*settings) -> int:
+    """A run succeeds or exits 2 or 3 with one JSON line; warnings are errors in this suite.
+
+    Returns the exit code.
+    """
     args = ["rates", "--config", "fig2"]
     for setting in (
         "grid.temperatures=0.5",
@@ -344,6 +425,7 @@ def assert_small_rates_run_fails_cleanly(*settings):
     else:
         assert code in (2, 3)
         assert len(lines) == 1 and "error" in json.loads(lines[0])
+    return code
 
 
 modes = st.builds(ModeIndex, m=st.integers(0, 2), l=st.integers(-6, 6))

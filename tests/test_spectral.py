@@ -51,7 +51,7 @@ class TestValidation:
     def test_temperature_domain_of_rates(self, junction, fast_quad):
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
-                mixing_rates(1.0, bad, junction, fast_quad)[0]
+                mixing_rates(1.0, (bad,), junction, fast_quad)[0][0]
 
     def test_vanished_gap_at_a_zero_kinetic_energy_node_is_singular(self, monkeypatch):
         # mu_n = 1 meV is exactly node 1 of the 64 nodes on [0, 63] meV
@@ -61,7 +61,7 @@ class TestValidation:
         quad = KQuadrature(nodes=64, cutoff_delta0=62.0)
         monkeypatch.setattr(bcs, "gap_at_temperature", lambda sc, t: 0.0)
         with pytest.raises(DomainError, match="singular"):
-            _BandTables(0.5, jp, quad, quad.nodes)
+            _BandTables(jp, quad, quad.nodes).fill(0.5)
 
     def test_enhancement_bound(self):
         with pytest.raises(DomainError):
@@ -70,11 +70,11 @@ class TestValidation:
 
 class TestDetuningSymmetry:
     def test_both_channels_exactly_even(self, junction, fast_quad):
-        for t in (0.1, 0.5, 0.9):
-            for d in (0.3, 1.7, 2.0, 4.9):
-                assert mixing_rates(d, t, junction, fast_quad) == mixing_rates(
-                    -d, t, junction, fast_quad
-                )
+        temps = (0.1, 0.5, 0.9)
+        for d in (0.3, 1.7, 2.0, 4.9):
+            assert mixing_rates(d, temps, junction, fast_quad) == mixing_rates(
+                -d, temps, junction, fast_quad
+            )
 
     def test_surfaces_mirror_symmetric(self, junction):
         grid = SpectralGrid(
@@ -89,26 +89,23 @@ class TestDetuningSymmetry:
 
 class TestPositivity:
     def test_rates_nonnegative(self, junction, fast_quad):
-        for t in (0.05, 0.5, 0.95):
-            for d in np.linspace(-6, 6, 13):
-                assert mixing_rates(d, t, junction, fast_quad)[0] >= 0.0
-                assert mixing_rates(d, t, junction, fast_quad)[1] >= 0.0
+        for d in np.linspace(-6, 6, 13):
+            for r_cp, r_bqp in mixing_rates(d, (0.05, 0.5, 0.95), junction, fast_quad):
+                assert r_cp >= 0.0 and r_bqp >= 0.0
 
 
 class TestConvergence:
     def test_default_nodes_pass_doubling_check(self, junction):
         quad = KQuadrature(nodes=4096, verify=True)
-        for t in (0.1, 0.9):
-            for d in (0.0, 2.0, 5.0):
-                mixing_rates(d, t, junction, quad)[0]
-                mixing_rates(d, t, junction, quad)[1]
+        for d in (0.0, 2.0, 5.0):
+            mixing_rates(d, (0.1, 0.9), junction, quad)
 
     def test_sharp_resonance_on_coarse_grid_raises(self):
         # tiny broadening at minimal node count cannot resolve the resonance
         jp = gaas_nb_junction(dephasing_time=1e6)
         quad = KQuadrature(nodes=64, verify=True)
         with pytest.raises(ConvergenceError) as err:
-            mixing_rates(2.0, 0.1, jp, quad)[0]
+            mixing_rates(2.0, (0.1,), jp, quad)[0][0]
         assert err.value.coarse is not None and err.value.refined is not None
 
     def test_surface_error_carries_grid_point(self):
@@ -128,11 +125,13 @@ class TestNonFiniteRates:
         # inf and its doubled-node inf differ by inf - inf = NaN, which no tolerance rejects
         quad = KQuadrature(nodes=64, patch_area_um2=1e308, verify=True)
         with pytest.raises(ConvergenceError, match=r"at \|d\|=2.0, t=0.5 is not finite"):
-            mixing_rates(-2.0, 0.5, junction, quad)[0]
+            mixing_rates(-2.0, (0.5,), junction, quad)[0][0]
 
     def test_a_vanished_coherent_maximum_raises(self, junction, monkeypatch):
         monkeypatch.setattr(
-            spectral, "_channel_rates", lambda t, jp, quad, detunings: [(0.0, 1.0)] * len(detunings)
+            spectral,
+            "_channel_rates",
+            lambda temps, jp, quad, detunings: [[(0.0, 1.0)] * len(detunings)] * len(temps),
         )
         with pytest.raises(ConvergenceError, match="coherent rate peaks at 0.0"):
             rate_surfaces(SMALL_GRID, junction)
@@ -215,15 +214,15 @@ class TestRateSurface:
 class TestPerBandGapOverride:
     def test_unity_scales_match_default(self, junction, fast_quad):
         scaled = gaas_nb_junction(gap_scale_conduction=1.0, gap_scale_valence=1.0)
-        assert mixing_rates(2.0, 0.3, scaled, fast_quad) == mixing_rates(
-            2.0, 0.3, junction, fast_quad
-        )
+        assert mixing_rates(2.0, (0.3,), scaled, fast_quad)[0] == mixing_rates(
+            2.0, (0.3,), junction, fast_quad
+        )[0]
 
     def test_pair_peak_tracks_sum_of_band_gaps(self):
         jp = gaas_nb_junction(gap_scale_valence=0.5)
         quad = KQuadrature(nodes=2048)
         ds = np.linspace(0.5, 3.0, 126)
-        vals = [mixing_rates(d, 0.1, jp, quad)[0] for d in ds]
+        vals = [mixing_rates(d, (0.1,), jp, quad)[0][0] for d in ds]
         peak = ds[int(np.argmax(vals))]
         assert peak == pytest.approx(1.5, abs=0.06)
 
@@ -232,7 +231,7 @@ class TestBroadening:
     @staticmethod
     def _fwhm(jp, quad):
         ds = np.linspace(0.5, 3.5, 301)
-        vals = np.array([mixing_rates(d, 0.1, jp, quad)[0] for d in ds])
+        vals = np.array([mixing_rates(d, (0.1,), jp, quad)[0][0] for d in ds])
         half = vals.max() / 2.0
         above = ds[vals >= half]
         return above[-1] - above[0]
@@ -249,7 +248,7 @@ class TestMixingRates:
         basis = OamPairBasis.full(1)
         coherent = pair_state.rho_cp(1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
-        r_cp, r_bqp = mixing_rates(5.0, 0.5, junction, fast_quad)
+        r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
         swept = pair_state.mixtures(
             coherent, incoherent, 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
@@ -258,7 +257,7 @@ class TestMixingRates:
             assert np.array_equal(rho.entries, expected.entries)
 
     def test_coherent_share_monotone_in_enhancement(self, junction, fast_quad):
-        r_cp, r_bqp = mixing_rates(5.0, 0.5, junction, fast_quad)
+        r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
         shares = []
         for enh in (1.0, 10.0, 100.0, 1000.0):
             weighted = CoherenceParams(enh).enhancement * r_cp
@@ -266,17 +265,19 @@ class TestMixingRates:
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
     def test_both_rates_positive(self, junction, fast_quad):
-        r_cp, r_bqp = mixing_rates(5.0, 0.3, junction, fast_quad)
+        r_cp, r_bqp = mixing_rates(5.0, (0.3,), junction, fast_quad)[0]
         assert r_cp > 0 and r_bqp > 0
 
 
 class TestBandTableLayout:
-    """Band-table arrays start on pages, and evaluating a detuning allocates no
-    array of node length."""
+    """Band-table arrays start on pages and are allocated once per table; neither
+    a refill for another temperature nor a detuning allocates an array of node
+    length."""
 
     @pytest.mark.parametrize("nodes", [64, 257, 4096])
     def test_every_array_starts_on_a_page(self, junction, nodes):
-        tables = _BandTables(0.5, junction, KQuadrature(nodes=nodes), nodes)
+        tables = _BandTables(junction, KQuadrature(nodes=nodes), nodes)
+        tables.fill(0.5)
         arrays = [
             tables.e_n, tables.e_p, tables.half_dx, tables.uv, *tables.pair_weights, *tables.qp_weights
         ]
@@ -284,7 +285,8 @@ class TestBandTableLayout:
 
     def test_a_detuning_allocates_no_node_array(self, junction):
         nodes = 4096
-        tables = _BandTables(0.5, junction, KQuadrature(nodes=nodes), nodes)
+        tables = _BandTables(junction, KQuadrature(nodes=nodes), nodes)
+        tables.fill(0.5)
         tables.rates(1.0, junction.sc.delta0)
         tracemalloc.start()
         try:
@@ -293,3 +295,46 @@ class TestBandTableLayout:
         finally:
             tracemalloc.stop()
         assert peak < nodes * 8  # below one float64 array of node length
+
+    def test_a_refill_allocates_no_node_array(self, junction):
+        nodes = 4096
+        tables = _BandTables(junction, KQuadrature(nodes=nodes), nodes)
+        tables.fill(0.5)
+        tracemalloc.start()
+        try:
+            tables.fill(0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nodes * 8  # below one float64 array of node length
+
+    @pytest.mark.parametrize(
+        "sweep, tables",
+        [
+            (lambda jp, temps: mixing_rates(2.0, temps, jp, KQuadrature(nodes=64)), 1),
+            (
+                lambda jp, temps: mixing_rates(5.0, temps, jp, KQuadrature(1024, verify=True)),
+                2,
+            ),
+            (
+                lambda jp, temps: rate_surfaces(
+                    SpectralGrid((-1.0, 1.0), temps, KQuadrature(nodes=64)), jp, workers=2
+                ),
+                2,
+            ),
+        ],
+        ids=["one table", "doubled-node check", "two workers"],
+    )
+    def test_arrays_are_allocated_once_per_table_not_per_temperature(
+        self, junction, monkeypatch, sweep, tables
+    ):
+        calls = []
+
+        def counted(nodes, dtypes):
+            calls.append(nodes)
+            return aligned_arrays(nodes, dtypes)
+
+        aligned_arrays = spectral._aligned_arrays
+        monkeypatch.setattr(spectral, "_aligned_arrays", counted)
+        sweep(junction, (0.1, 0.3, 0.5, 0.7, 0.9))
+        assert len(calls) == tables
