@@ -50,6 +50,11 @@ GAP_SCALE_RANGE = (1e-3, 1e3)
 # The largest detuning, in gap units, like the cutoff; at 1.7e308 the
 # detuning grid itself overflows.
 MAX_DETUNING_DELTA0 = 1e6
+# The critical temperature, K.  Known superconductors lie between a fraction
+# of a millikelvin and a few hundred kelvin.  No large value breaks the
+# arithmetic, but at 1e-320 K the thermal energy k_B T at t = 0.001
+# underflows to zero and the occupations divide by it.
+TC_K_RANGE = (1e-4, 1e3)
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 
@@ -246,7 +251,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     try:
         junction = gaas_nb_junction(
             delta0=bounded("material", "delta0_mev", DELTA0_MEV_RANGE),
-            tc=floatval("material", "tc_k"),
+            tc=bounded("material", "tc_k", TC_K_RANGE),
             electron_mass=bounded("material", "electron_mass", EFFECTIVE_MASS_RANGE),
             hole_mass=bounded("material", "hole_mass", EFFECTIVE_MASS_RANGE),
             electron_density_cm2=bounded("material", "electron_density_cm2", DENSITY_CM2_RANGE),
@@ -291,6 +296,11 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     # exactly, so each |d| is evaluated once
     steps = np.arange(1 - d_points, d_points, 2)
     detunings = d_max * steps / (d_points - 1)
+    if np.any(np.diff(detunings) <= 0):  # the spacing underflows
+        raise ConfigError(
+            f"grid.detuning_max: {d_max!r} is too small for {d_points} strictly "
+            "increasing detunings (grid.detuning_points)"
+        )
     cutoff = floatval("grid", "cutoff_delta0")
     if not 0 < cutoff <= MAX_CUTOFF_DELTA0:
         raise ConfigError(

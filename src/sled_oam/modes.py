@@ -13,6 +13,14 @@ caller that needs many overlaps (``pair_state``) computes each distinct one
 once.  The profile values its integrand samples are shared, though, through
 a bounded cache keyed by (|l|, m, waist, r), so the overlaps of one table
 evaluate each profile once at every point their quadratures have in common.
+
+The quadrature samples one radius at a time, so ``lg_radial`` evaluates a
+Python-number radius in plain float arithmetic (only the exponential goes
+through numpy), with the operations and operand order of its array path:
+each value is the float that 0-d numpy arithmetic gives, without the 0-d
+arrays, which cost several times the formula itself.  The cache still pays:
+without it an l_max = 6 table would evaluate about five times as many
+points.
 """
 
 from __future__ import annotations
@@ -77,9 +85,18 @@ class AnnulusGeometry:
 
 
 def generalized_laguerre(n: int, alpha: float, x):
-    """L_n^alpha(x) by upward three-term recurrence; x may be an array."""
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    """L_n^alpha(x) by upward three-term recurrence.
+
+    A Python number x gives a float, computed in plain float arithmetic;
+    anything else is taken as an array.  Both run the same operations in the
+    same order, so they agree bit for bit.
+    """
+    if isinstance(x, (int, float)):
+        x = float(x)
+        prev = 1.0
+    else:
+        x = np.asarray(x, dtype=float)
+        prev = np.ones_like(x)
     if n == 0:
         return prev
     cur = 1.0 + alpha - x
@@ -93,21 +110,27 @@ def lg_radial(mode: ModeIndex, waist: float, r):
 
     u(r) = (2/w) sqrt(m!/(m+|l|)!) (sqrt(2) r/w)^|l| exp(-r^2/w^2) L_m^|l|(2 r^2/w^2),
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
+    A Python-number radius gives a float, computed in plain float arithmetic
+    with ``np.exp`` the one numpy call; arrays take the same formula in numpy.
     """
-    if np.any(np.asarray(r) < 0):
+    if isinstance(r, (int, float)):  # numpy's float64 is a float
+        r = float(r)
+        negative = r < 0
+    else:
+        r = np.asarray(r, dtype=float)
+        negative = np.any(r < 0)
+    if negative:
         raise DomainError("radius must be non-negative")
     la = abs(mode.l)
     norm = (2.0 / waist) * math.sqrt(
         math.factorial(mode.m) / math.factorial(mode.m + la)
     )
-    r = np.asarray(r, dtype=float)
     x = 2.0 * r * r / (waist * waist)
     val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0) * generalized_laguerre(
         mode.m, la, x
     )
-    if val.ndim == 0:
-        return float(val)
-    return val
+    # a float radius (or a 0-d array) leaves a numpy float64 here
+    return val if isinstance(val, np.ndarray) else float(val)
 
 
 @lru_cache(maxsize=PROFILE_CACHE_POINTS)

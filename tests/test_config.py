@@ -115,6 +115,11 @@ class TestRejection:
             ("material.gap_scale_valence", "1.7e308"),
             ("grid.detuning_max", "1000000.1"),
             ("grid.detuning_max", "1.7e308"),
+            ("material.tc_k", "0"),
+            ("material.tc_k", "1e-300"),
+            ("material.tc_k", "9.9e-5"),
+            ("material.tc_k", "1000.1"),
+            ("material.tc_k", "1.7e308"),
         ],
     )
     def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
@@ -139,8 +144,24 @@ class TestRejection:
             "material.gap_scale_conduction=1e-3",
             "material.gap_scale_valence=1e3",
             "grid.detuning_max=1e6",
+            "material.tc_k=1e-4",
+            "material.tc_k=1e3",
         ):
             load_config(write(tmp_path, MINIMAL), [setting])
+
+    @pytest.mark.parametrize("d_max, points", [("5e-324", 121), ("1e-322", 121), ("5e-324", 5)])
+    def test_a_detuning_grid_that_underflows_names_max_and_points(self, tmp_path, d_max, points):
+        # positive, but the spacing d_max * 2 / (points - 1) rounds to zero
+        overrides = [f"grid.detuning_max={d_max}", f"grid.detuning_points={points}"]
+        message = rf"^grid\.detuning_max: {re.escape(d_max)} is too small for {points} strictly "
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, MINIMAL), overrides)
+
+    def test_the_smallest_detuning_max_loads_with_three_points(self, tmp_path):
+        config = load_config(
+            write(tmp_path, MINIMAL), ["grid.detuning_max=5e-324", "grid.detuning_points=3"]
+        )
+        assert config.grid.detunings == (-5e-324, 0.0, 5e-324)
 
     def test_enhancement_below_one(self, tmp_path):
         with pytest.raises(ConfigError, match="enhancements"):

@@ -1,13 +1,48 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sled_oam import AnnulusGeometry, DomainError, ModeIndex, kappa, lg_radial
 from sled_oam.errors import ConvergenceError
 from sled_oam.modes import _adaptive_simpson, generalized_laguerre
 
 FULL_PLANE = AnnulusGeometry(r_inner=0.0, r_outer=1e3, waist=2.0)
+
+
+def reference_generalized_laguerre(n: int, alpha: float, x):
+    """``generalized_laguerre`` as written before scalars took float arithmetic,
+    kept verbatim as the bit-identity oracle."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev
+    cur = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+def reference_lg_radial(mode: ModeIndex, waist: float, r):
+    """``lg_radial`` as written before scalars took float arithmetic, verbatim."""
+    if np.any(np.asarray(r) < 0):
+        raise DomainError("radius must be non-negative")
+    la = abs(mode.l)
+    norm = (2.0 / waist) * math.sqrt(
+        math.factorial(mode.m) / math.factorial(mode.m + la)
+    )
+    r = np.asarray(r, dtype=float)
+    x = 2.0 * r * r / (waist * waist)
+    val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0) * reference_generalized_laguerre(
+        mode.m, la, x
+    )
+    if val.ndim == 0:
+        return float(val)
+    return val
 
 
 def riemann_kappa(a, b, geom, nodes=1_000_000):
@@ -57,9 +92,58 @@ class TestLgRadial:
         with pytest.raises(DomainError):
             ModeIndex(0, 13)
 
-    def test_negative_radius_rejected(self):
+    @pytest.mark.parametrize("r", [-1.0, -1, -5e-324, np.array([0.0, -1.0])])
+    def test_negative_radius_rejected(self, r):
         with pytest.raises(DomainError):
-            lg_radial(ModeIndex(0, 0), 2.0, -1.0)
+            lg_radial(ModeIndex(0, 0), 2.0, r)
+
+
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+any_mode = st.builds(ModeIndex, m=st.integers(0, 8), l=st.integers(-12, 12))
+waists = st.floats(0.05, 100.0)
+# up to 1e4 um: beyond r/w of about 1e25 the power overflows, where the numpy
+# oracle warns and float ``**`` raises OverflowError
+radii = st.one_of(st.just(0.0), st.integers(0, 1000), st.floats(0.0, 1e4))
+
+
+def float_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestScalarProfileOracle:
+    """A Python-number radius takes float arithmetic and gives the oracle's float."""
+
+    @ORACLE_SETTINGS
+    @given(mode=any_mode, waist=waists, r=radii)
+    def test_scalar_profile_equals_the_numpy_oracle(self, mode, waist, r):
+        value = lg_radial(mode, waist, r)
+        assert type(value) is float
+        assert float_bits(value) == float_bits(reference_lg_radial(mode, waist, r))
+
+    @ORACLE_SETTINGS
+    @given(mode=any_mode, waist=waists, r=st.lists(radii, min_size=1, max_size=8))
+    def test_array_profile_equals_the_numpy_oracle(self, mode, waist, r):
+        values = lg_radial(mode, waist, np.array(r, dtype=float))
+        reference = reference_lg_radial(mode, waist, np.array(r, dtype=float))
+        assert values.dtype == reference.dtype and values.tobytes() == reference.tobytes()
+
+    @ORACLE_SETTINGS
+    @given(n=st.integers(0, 8), alpha=st.integers(0, 12), x=radii)
+    def test_scalar_laguerre_equals_the_numpy_oracle(self, n, alpha, x):
+        value = generalized_laguerre(n, alpha, x)
+        assert type(value) is float
+        assert float_bits(value) == float_bits(reference_generalized_laguerre(n, alpha, x))
+
+    def test_numpy_scalar_radius_gives_a_float(self):
+        mode = ModeIndex(1, -3)
+        for r in (np.float64(1.25), np.float32(1.25), np.asarray(1.25)):
+            value = lg_radial(mode, 2.0, r)
+            assert type(value) is float
+            assert value == reference_lg_radial(mode, 2.0, r)
+
+    def test_laguerre_array_keeps_its_shape_at_order_zero(self):
+        ones = generalized_laguerre(0, 2, np.zeros((2, 3)))
+        assert ones.shape == (2, 3) and np.all(ones == 1.0)
 
 
 class TestKappa:

@@ -27,6 +27,8 @@ from sled_oam import (
     sector_pairs,
 )
 
+from test_modes import reference_lg_radial
+
 FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
 
 
@@ -466,6 +468,28 @@ class TestSharedProfilePoints:
                 value = kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom)
                 standalone[l1, l2] = standalone[l2, l1] = value
         assert np.array_equal(table, standalone)
+
+    @pytest.mark.parametrize(
+        "geom", [AnnulusGeometry.default(), AnnulusGeometry(0.0, 20.0, 3.0)], ids=repr
+    )
+    def test_cold_l_max_6_table_equals_the_table_of_numpy_oracle_profiles(
+        self, monkeypatch, geom
+    ):
+        magnitudes = tuple(range(7))
+        pair_state._overlap_table.cache_clear()
+        modes._profile_point.cache_clear()
+        table = pair_state._overlap_table(geom, magnitudes)
+
+        @functools.lru_cache(maxsize=None)
+        def oracle_point(abs_l, m, waist, r):
+            return reference_lg_radial(ModeIndex(m, abs_l), waist, r)
+
+        monkeypatch.setattr(modes, "_profile_point", oracle_point)
+        pair_state._overlap_table.cache_clear()
+        reference = pair_state._overlap_table(geom, magnitudes)
+        pair_state._overlap_table.cache_clear()
+        assert oracle_point.cache_info().misses > 1000
+        assert table.tobytes() == reference.tobytes()
 
     def test_l_max_6_table_evaluates_each_shared_point_once(self, monkeypatch):
         calls = []

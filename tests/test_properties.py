@@ -59,6 +59,7 @@ from sled_oam.config import (
     GAP_SCALE_RANGE,
     MAX_CUTOFF_DELTA0,
     MAX_DETUNING_DELTA0,
+    TC_K_RANGE,
     load_config,
 )
 from sled_oam.constants import dos_2d_per_mev_um2
@@ -367,6 +368,7 @@ def test_any_positive_effective_masses_fail_cleanly(log_electron, log_hole):
         "material.hole_density_cm2",
         "material.gap_scale_conduction",
         "material.gap_scale_valence",
+        "material.tc_k",
         "grid.detuning_max",
         "grid.patch_area_um2",
     ],
@@ -389,6 +391,7 @@ RANGE_ENDS = {
     "material.dephasing_time_fs": DEPHASING_FS_RANGE,
     "material.electron_mass": EFFECTIVE_MASS_RANGE,
     "material.hole_mass": EFFECTIVE_MASS_RANGE,
+    "material.tc_k": TC_K_RANGE,
     "grid.detuning_max": (5e-324, MAX_DETUNING_DELTA0),
     "grid.cutoff_delta0": (5e-324, MAX_CUTOFF_DELTA0),
 }
