@@ -14,6 +14,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -26,11 +27,14 @@ from .spectral import KQuadrature, SpectralGrid
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
+# Every range below is closed, [lo, hi]; an open lower end at zero is written
+# as the smallest positive double.
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
 # Ranges that keep the rate arithmetic finite.  A cutoff of 1e200 gap units
 # overflows the squared coherent amplitude.  The broadening hbar / tau is
 # infinite below 3.7e-306 fs, and where a node sits on a resonance (d = 0 at
 # the Fermi level) the squared rates overflow once tau passes about 1e156 fs.
-MAX_CUTOFF_DELTA0 = 1e6
+CUTOFF_DELTA0_RANGE = (_ABOVE_ZERO, 1e6)
 DEPHASING_FS_RANGE = (1e-12, 1e12)
 # Effective masses, in electron masses.  Below about 1e-300 the Fermi level's
 # denominator underflows to zero, and an electron mass above about 1e150
@@ -48,85 +52,24 @@ DENSITY_CM2_RANGE = (1e6, 1e16)
 # rates overflow as for a tiny gap, above about 1e307 the pair weights do.
 GAP_SCALE_RANGE = (1e-3, 1e3)
 # The largest detuning, in gap units, like the cutoff; at 1.7e308 the
-# detuning grid itself overflows.
-MAX_DETUNING_DELTA0 = 1e6
+# detuning grid itself overflows.  Zero would give no increasing grid.
+DETUNING_MAX_RANGE = (_ABOVE_ZERO, 1e6)
 # The critical temperature, K.  Known superconductors lie between a fraction
 # of a millikelvin and a few hundred kelvin.  No large value breaks the
 # arithmetic, but at 1e-320 K the thermal energy k_B T at t = 0.001
 # underflows to zero and the occupations divide by it.
 TC_K_RANGE = (1e-4, 1e3)
+# Annulus radii, um.  Ring contacts are microns to tens of microns across and
+# 1 cm bounds any device on a chip; r_inner = 0 is a full disc.  The overlaps
+# fail far outside: with the derived waist the squared radii overflow and the
+# overlap estimate turns NaN between r_outer = 1e154 and 1e155.
+RADIUS_UM_RANGE = (0.0, 1e4)
+# An explicit beam waist, um, from 1 nm (far below any optical focus) to 1 cm
+# like the radii.  With r_inner = 0 the overlap estimate turns NaN for a waist
+# at or below 1e-160.
+WAIST_UM_RANGE = (1e-3, 1e4)
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
-
-# section -> key -> default string; None marks "no default, optional key"
-_SCHEMA = {
-    "material": {
-        "delta0_mev": "1.4",
-        "tc_k": "9.2",
-        "electron_mass": "0.067",
-        "hole_mass": "0.45",
-        "electron_density_cm2": "1e12",
-        "hole_density_cm2": "1e12",
-        "dephasing_time_fs": "1000.0",
-        "gap_scale_conduction": "1.0",
-        "gap_scale_valence": "1.0",
-    },
-    "geometry": {
-        "r_inner_um": "4.0",
-        "r_outer_um": "5.0",
-        "waist_um": None,  # default derived: (r_inner + r_outer)/sqrt(2)
-    },
-    "grid": {
-        "detuning_max": "6.0",
-        "detuning_points": "121",
-        "temperatures": _DEFAULT_TEMPS,
-        "quadrature_nodes": "4096",
-        "cutoff_delta0": "40.0",
-        "patch_area_um2": "0.1",
-        "verify_quadrature": "false",
-    },
-    "emission": {
-        "winding": "2",
-        "l_max": "3",
-        "l_values": None,  # optional restriction of detected OAM values
-        "detuning_for_dm": "5.0",
-        "enhancements": "10, 100",
-        "qubit_a": None,  # "magnitude, phase"; both qubit keys or neither
-        "qubit_b": None,
-    },
-    "output": {
-        "directory": "out",
-        "svg": "false",
-        "threads": "0",
-        "log_scale": "false",
-    },
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved and validated run parameters."""
-
-    junction: JunctionParams
-    geometry: AnnulusGeometry
-    grid: SpectralGrid
-    winding: int
-    l_max: int
-    l_values: tuple | None
-    detuning_for_dm: float
-    enhancements: tuple
-    qubit: QubitState | None
-    out_dir: str
-    svg: bool
-    threads: int
-    log_scale: bool
-    resolved: dict
-    defaulted: tuple
-
-    def basis(self) -> OamPairBasis:
-        if self.l_values is not None:
-            return OamPairBasis.from_l_values(self.l_values)
-        return OamPairBasis.full(self.l_max)
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -167,6 +110,84 @@ def _parse_pair(raw: str, where: str):
     if len(parts) != 2:
         raise ConfigError(f"{where}: expected 'magnitude, phase', got {raw!r}")
     return _parse_float(parts[0], where), _parse_float(parts[1], where)
+
+
+_floats = partial(_parse_list, item_parser=_parse_float)
+_ints = partial(_parse_list, item_parser=_parse_int)
+
+# section -> key -> (default string, parser, range [lo, hi] or None).  A
+# default of None marks an optional key; a range bounds each item of a list.
+_SCHEMA = {
+    "material": {
+        "delta0_mev": ("1.4", _parse_float, DELTA0_MEV_RANGE),
+        "tc_k": ("9.2", _parse_float, TC_K_RANGE),
+        "electron_mass": ("0.067", _parse_float, EFFECTIVE_MASS_RANGE),
+        "hole_mass": ("0.45", _parse_float, EFFECTIVE_MASS_RANGE),
+        "electron_density_cm2": ("1e12", _parse_float, DENSITY_CM2_RANGE),
+        "hole_density_cm2": ("1e12", _parse_float, DENSITY_CM2_RANGE),
+        "dephasing_time_fs": ("1000.0", _parse_float, DEPHASING_FS_RANGE),
+        "gap_scale_conduction": ("1.0", _parse_float, GAP_SCALE_RANGE),
+        "gap_scale_valence": ("1.0", _parse_float, GAP_SCALE_RANGE),
+    },
+    "geometry": {
+        "r_inner_um": ("4.0", _parse_float, RADIUS_UM_RANGE),
+        "r_outer_um": ("5.0", _parse_float, RADIUS_UM_RANGE),
+        # default derived: (r_inner + r_outer)/sqrt(2)
+        "waist_um": (None, _parse_float, WAIST_UM_RANGE),
+    },
+    "grid": {
+        "detuning_max": ("6.0", _parse_float, DETUNING_MAX_RANGE),
+        "detuning_points": ("121", _parse_int, (2, math.inf)),
+        "temperatures": (_DEFAULT_TEMPS, _floats, None),
+        "quadrature_nodes": ("4096", _parse_int, None),
+        "cutoff_delta0": ("40.0", _parse_float, CUTOFF_DELTA0_RANGE),
+        "patch_area_um2": ("0.1", _parse_float, None),
+        "verify_quadrature": ("false", _parse_bool, None),
+    },
+    "emission": {
+        "winding": ("2", _parse_int, None),
+        "l_max": ("3", _parse_int, (0, MAX_OAM)),
+        # optional restriction of detected OAM values
+        "l_values": (None, _ints, None),
+        "detuning_for_dm": ("5.0", _parse_float, None),
+        "enhancements": ("10, 100", _floats, (1.0, math.inf)),
+        # "magnitude, phase"; both qubit keys or neither
+        "qubit_a": (None, _parse_pair, None),
+        "qubit_b": (None, _parse_pair, None),
+    },
+    "output": {
+        "directory": ("out", lambda raw, where: raw, None),
+        "svg": ("false", _parse_bool, None),
+        "threads": ("0", _parse_int, (0, math.inf)),  # 0 means auto
+        "log_scale": ("false", _parse_bool, None),
+    },
+}
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved and validated run parameters."""
+
+    junction: JunctionParams
+    geometry: AnnulusGeometry
+    grid: SpectralGrid
+    winding: int
+    l_max: int
+    l_values: tuple | None
+    detuning_for_dm: float
+    enhancements: tuple
+    qubit: QubitState | None
+    out_dir: str
+    svg: bool
+    threads: int
+    log_scale: bool
+    resolved: dict
+    defaulted: tuple
+
+    def basis(self) -> OamPairBasis:
+        if self.l_values is not None:
+            return OamPairBasis.from_l_values(self.l_values)
+        return OamPairBasis.full(self.l_max)
 
 
 def _resolve_source(path_or_preset: str) -> str:
@@ -219,79 +240,54 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
 
     resolved: dict = {}
     defaulted: list = []
+    v: dict = {}  # "section.key" -> parsed value, None for an unset optional key
+    for section, rows in _SCHEMA.items():
+        for key, (default, parse, limits) in rows.items():
+            where = f"{section}.{key}"
+            raw = parser.get(section, key, fallback="").strip()
+            if not raw and default is not None:
+                if parser.has_option(section, key):
+                    raise ConfigError(f"{where}: empty value; only optional keys can be unset")
+                raw = default
+                defaulted.append(where)
+            if not raw:  # an optional key stays unset
+                v[where] = None
+                continue
+            resolved[where] = raw
+            value = v[where] = parse(raw, where)
+            if limits is not None:
+                lo, hi = limits
+                for item in value if isinstance(value, tuple) else (value,):
+                    if not lo <= item <= hi:
+                        raise ConfigError(f"{where}: must lie in [{lo:g}, {hi:g}], got {item!r}")
 
-    def raw(section: str, key: str) -> str | None:
-        default = _SCHEMA[section][key]
-        value = parser.get(section, key, fallback="").strip()
-        if value:
-            resolved[f"{section}.{key}"] = value
-            return value
-        if default is None:
-            return None  # absent or empty: an optional key stays unset
-        if parser.has_option(section, key):
-            raise ConfigError(f"{section}.{key}: empty value; only optional keys can be unset")
-        resolved[f"{section}.{key}"] = default
-        defaulted.append(f"{section}.{key}")
-        return default
-
-    def floatval(section, key):
-        return _parse_float(raw(section, key), f"{section}.{key}")
-
-    def intval(section, key):
-        return _parse_int(raw(section, key), f"{section}.{key}")
-
-    def bounded(section, key, limits):
-        lo, hi = limits
-        value = floatval(section, key)
-        if not lo <= value <= hi:
-            raise ConfigError(f"{section}.{key}: must lie in [{lo:g}, {hi:g}], got {value!r}")
-        return value
-
-    # material
     try:
         junction = gaas_nb_junction(
-            delta0=bounded("material", "delta0_mev", DELTA0_MEV_RANGE),
-            tc=bounded("material", "tc_k", TC_K_RANGE),
-            electron_mass=bounded("material", "electron_mass", EFFECTIVE_MASS_RANGE),
-            hole_mass=bounded("material", "hole_mass", EFFECTIVE_MASS_RANGE),
-            electron_density_cm2=bounded("material", "electron_density_cm2", DENSITY_CM2_RANGE),
-            hole_density_cm2=bounded("material", "hole_density_cm2", DENSITY_CM2_RANGE),
-            dephasing_time=bounded("material", "dephasing_time_fs", DEPHASING_FS_RANGE),
-            gap_scale_conduction=bounded("material", "gap_scale_conduction", GAP_SCALE_RANGE),
-            gap_scale_valence=bounded("material", "gap_scale_valence", GAP_SCALE_RANGE),
+            delta0=v["material.delta0_mev"],
+            tc=v["material.tc_k"],
+            electron_mass=v["material.electron_mass"],
+            hole_mass=v["material.hole_mass"],
+            electron_density_cm2=v["material.electron_density_cm2"],
+            hole_density_cm2=v["material.hole_density_cm2"],
+            dephasing_time=v["material.dephasing_time_fs"],
+            gap_scale_conduction=v["material.gap_scale_conduction"],
+            gap_scale_valence=v["material.gap_scale_valence"],
         )
     except DomainError as exc:
         raise ConfigError(f"material: {exc}") from exc
 
-    # geometry
-    r_inner = floatval("geometry", "r_inner_um")
-    r_outer = floatval("geometry", "r_outer_um")
-    waist_raw = raw("geometry", "waist_um")
-    if waist_raw is None:
+    r_inner, r_outer = v["geometry.r_inner_um"], v["geometry.r_outer_um"]
+    waist = v["geometry.waist_um"]
+    if waist is None:
         waist = (r_inner + r_outer) / math.sqrt(2.0)
         resolved["geometry.waist_um"] = repr(waist)
         defaulted.append("geometry.waist_um")
-    else:
-        waist = _parse_float(waist_raw, "geometry.waist_um")
     try:
         geometry = AnnulusGeometry(r_inner=r_inner, r_outer=r_outer, waist=waist)
     except DomainError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
-    # grid
-    d_max = floatval("grid", "detuning_max")
-    if not d_max > 0:
-        raise ConfigError(
-            f"grid.detuning_max: must be > 0 for strictly increasing detunings, got {d_max!r}"
-        )
-    if not d_max <= MAX_DETUNING_DELTA0:
-        raise ConfigError(
-            f"grid.detuning_max: must lie in (0, {MAX_DETUNING_DELTA0:g}], got {d_max!r}"
-        )
-    d_points = intval("grid", "detuning_points")
-    if d_points < 2:
-        raise ConfigError("grid.detuning_points: need at least 2 points")
-    temps = _parse_list(raw("grid", "temperatures"), "grid.temperatures", _parse_float)
+    d_max, d_points = v["grid.detuning_max"], v["grid.detuning_points"]
     # steps 1-n, 3-n, ..., n-1 and one rounding per point: d[i] == -d[n-1-i]
     # exactly, so each |d| is evaluated once
     steps = np.arange(1 - d_points, d_points, 2)
@@ -301,64 +297,35 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
             f"grid.detuning_max: {d_max!r} is too small for {d_points} strictly "
             "increasing detunings (grid.detuning_points)"
         )
-    cutoff = floatval("grid", "cutoff_delta0")
-    if not 0 < cutoff <= MAX_CUTOFF_DELTA0:
-        raise ConfigError(
-            f"grid.cutoff_delta0: must lie in (0, {MAX_CUTOFF_DELTA0:g}], got {cutoff!r}"
-        )
     try:
         quad = KQuadrature(
-            nodes=intval("grid", "quadrature_nodes"),
-            cutoff_delta0=cutoff,
-            patch_area_um2=floatval("grid", "patch_area_um2"),
-            verify=_parse_bool(raw("grid", "verify_quadrature"), "grid.verify_quadrature"),
+            nodes=v["grid.quadrature_nodes"],
+            cutoff_delta0=v["grid.cutoff_delta0"],
+            patch_area_um2=v["grid.patch_area_um2"],
+            verify=v["grid.verify_quadrature"],
         )
         grid = SpectralGrid(
             detunings=tuple(detunings),
-            temperatures=temps,
+            temperatures=v["grid.temperatures"],
             k_integration=quad,
         )
     except DomainError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    # emission
-    winding = intval("emission", "winding")
-    l_max = intval("emission", "l_max")
-    if not 0 <= l_max <= MAX_OAM:
-        raise ConfigError(f"emission.l_max: must lie in [0, {MAX_OAM}], got {l_max}")
-    l_values_raw = raw("emission", "l_values")
-    l_values = (
-        _parse_list(l_values_raw, "emission.l_values", _parse_int)
-        if l_values_raw is not None
-        else None
-    )
-    if l_values is not None and any(abs(v) > l_max for v in l_values):
+    l_max, l_values = v["emission.l_max"], v["emission.l_values"]
+    if l_values is not None and any(abs(x) > l_max for x in l_values):
         raise ConfigError("emission.l_values: entries must satisfy |l| <= l_max")
-    detuning_for_dm = floatval("emission", "detuning_for_dm")
-    enhancements = _parse_list(raw("emission", "enhancements"), "emission.enhancements", _parse_float)
-    if any(e < 1.0 for e in enhancements):
-        raise ConfigError("emission.enhancements: every enhancement must be >= 1")
-    qubit_a_raw = raw("emission", "qubit_a")
-    qubit_b_raw = raw("emission", "qubit_b")
-    if (qubit_a_raw is None) != (qubit_b_raw is None):
+    qubit_a, qubit_b = v["emission.qubit_a"], v["emission.qubit_b"]
+    if (qubit_a is None) != (qubit_b is None):
         raise ConfigError("emission.qubit_a and emission.qubit_b must be given together")
     qubit = None
-    if qubit_a_raw is not None:
-        mag_a, phase_a = _parse_pair(qubit_a_raw, "emission.qubit_a")
-        mag_b, phase_b = _parse_pair(qubit_b_raw, "emission.qubit_b")
+    if qubit_a is not None:
         try:
-            qubit = QubitState.from_polar(mag_a, phase_a, mag_b, phase_b)
+            qubit = QubitState.from_polar(*qubit_a, *qubit_b)
         except DomainError as exc:
             raise ConfigError(f"emission.qubit_a/qubit_b: {exc}") from exc
 
-    # output
-    out_dir = raw("output", "directory")
-    svg = _parse_bool(raw("output", "svg"), "output.svg")
-    threads = intval("output", "threads")
-    if threads < 0:
-        raise ConfigError("output.threads: must be >= 0 (0 means auto)")
-    log_scale = _parse_bool(raw("output", "log_scale"), "output.log_scale")
-
+    winding = v["emission.winding"]
     config = RunConfig(
         junction=junction,
         geometry=geometry,
@@ -366,13 +333,13 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         winding=winding,
         l_max=l_max,
         l_values=l_values,
-        detuning_for_dm=detuning_for_dm,
-        enhancements=enhancements,
+        detuning_for_dm=v["emission.detuning_for_dm"],
+        enhancements=v["emission.enhancements"],
         qubit=qubit,
-        out_dir=out_dir,
-        svg=svg,
-        threads=threads,
-        log_scale=log_scale,
+        out_dir=v["output.directory"],
+        svg=v["output.svg"],
+        threads=v["output.threads"],
+        log_scale=v["output.log_scale"],
         resolved=resolved,
         defaulted=tuple(defaulted),
     )

@@ -165,14 +165,14 @@ def _adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         err = (left + right - whole) / 15.0
-        if abs(err) <= tol or depth >= max_depth:
-            if depth >= max_depth and abs(err) > tol:
-                raise ConvergenceError(
-                    f"adaptive quadrature stalled on [{x0}, {x2}]",
-                    coarse=whole,
-                    refined=left + right + err,
-                )
+        if abs(err) <= tol:
             return left + right + err
+        if depth >= max_depth:  # also where err or tol is NaN, which no refinement settles
+            raise ConvergenceError(
+                f"adaptive quadrature stalled on [{x0}, {x2}]",
+                coarse=whole,
+                refined=left + right + err,
+            )
         return recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1) + recurse(
             xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1
         )

@@ -38,7 +38,10 @@ class QubitState:
     b: complex
 
     def __post_init__(self):
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
+        try:
+            norm = abs(self.a) ** 2 + abs(self.b) ** 2
+        except OverflowError:  # a magnitude above about 1e154
+            norm = math.inf
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"|a|^2 + |b|^2 must be 1, got {norm}")
 

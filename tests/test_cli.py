@@ -291,6 +291,18 @@ class TestErrorReporting:
         record = json.loads(capsys.readouterr().err.strip())
         assert "emission.winding" in record["message"] and "-1" in record["message"]
 
+    @pytest.mark.parametrize("magnitude", ["1e155", "1e200", "1.7e308"])
+    def test_a_huge_qubit_magnitude_exits_2(self, tmp_path, capsys, magnitude):
+        args = ["dm", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        args += ["--set", f"emission.qubit_a={magnitude}, 0", "--set", "emission.qubit_b=0, 0"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("emission.qubit_a/qubit_b: ")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_empty_value_unsets_an_optional_key(self, tmp_path):
         text = FAST.replace("l_max = 1\n", "l_max = 1\nl_values = 0, 1\n")
         restricted = write_config(tmp_path, text, name="restricted.conf")

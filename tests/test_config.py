@@ -54,12 +54,13 @@ class TestRejection:
             load_config(write(tmp_path, MINIMAL + "[detector]\nkind = slm\n"))
 
     def test_nonpositive_detuning_max(self, tmp_path):
-        with pytest.raises(ConfigError, match="increasing"):
+        # the smallest positive double is the range's lower end
+        with pytest.raises(ConfigError, match=r"must lie in \[4\.94066e-324, 1e\+06\], got 0\.0$"):
             load_config(write(tmp_path, "[grid]\ndetuning_max = 0\n"))
 
     @pytest.mark.parametrize("d_max", ["0", "-1", "-0.0"])
     def test_nonpositive_detuning_max_names_its_key(self, tmp_path, d_max):
-        with pytest.raises(ConfigError, match=r"^grid\.detuning_max: must be > 0"):
+        with pytest.raises(ConfigError, match=r"^grid\.detuning_max: must lie in "):
             load_config(write(tmp_path, ""), [f"grid.detuning_max={d_max}"])
 
     def test_bad_number_names_key(self, tmp_path):
@@ -251,3 +252,12 @@ def test_readme_sample_lists_the_schema_keys():
     parser.read_string(sample)
     documented = {section: list(parser[section]) for section in parser.sections()}
     assert documented == {section: list(keys) for section, keys in _SCHEMA.items()}
+    # each bounded key's comment ends in its range, and no other comment does
+    ranges = {}
+    for line in sample.splitlines():
+        if "=" in line:
+            key = line.partition("=")[0].strip()
+            ends = re.search(r"\[([^\]]+), ([^\]]+)\]$", line.partition("#")[2].strip())
+            ranges[key] = ends and tuple(float(end) for end in ends.groups())
+    expected = {key: row[2] for rows in _SCHEMA.values() for key, row in rows.items()}
+    assert ranges == expected

@@ -209,6 +209,25 @@ class TestKappa:
         with pytest.raises(ConvergenceError):
             _adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-30)
 
+    def test_nan_integrand_raises_at_the_depth_limit(self):
+        # a NaN error estimate never meets the tolerance; the rule must stop at
+        # its first leaf at the depth limit, not walk all 2^32 of them
+        calls = []
+
+        def integrand(r):
+            calls.append(r)
+            return math.nan
+
+        with pytest.raises(ConvergenceError):
+            _adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-10)
+        assert len(calls) < 100
+
+    def test_overflowing_waist_raises(self):
+        # w * w overflows, so the estimate, the tolerance and the integrand are NaN
+        geom = AnnulusGeometry(4.0, 1e300, 7e299)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
+            kappa(ModeIndex(0, 1), ModeIndex(0, 1), geom)
+
 
 class TestGeometry:
     def test_validation(self):

@@ -74,6 +74,12 @@ class TestQubitState:
         with pytest.raises(DomainError):
             QubitState(1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [1e155, 1.7e308, complex(1.7e308, 1.7e308)])
+    def test_a_huge_magnitude_is_a_domain_error(self, a):
+        # its square overflows, or its modulus does
+        with pytest.raises(DomainError, match="must be 1, got inf"):
+            QubitState(a, 0.0)
+
     def test_from_polar(self):
         q = QubitState.from_polar(1.0 / np.sqrt(2), 0.0, 1.0 / np.sqrt(2), np.pi)
         assert q.a == pytest.approx(1.0 / np.sqrt(2))

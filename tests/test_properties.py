@@ -15,7 +15,9 @@ and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
 cutoff and dephasing time, any positive effective masses, or any positive
 value of the gap, a carrier density, a gap scale, the largest detuning or the
 patch area must succeed or exit 2 or 3 with a one-line JSON error, without a
-warning; at every corner of the ranges bounded at load it must succeed.
+warning; at every corner of the ranges in the config schema it must succeed.
+A small ``dm`` run with any positive annulus radius or beam waist must
+succeed or exit 1, 2 or 3 with a one-line JSON error, without a warning.
 """
 
 import contextlib
@@ -51,17 +53,7 @@ from sled_oam import (
     rho_total_superposition,
 )
 from sled_oam.cli import main
-from sled_oam.config import (
-    DELTA0_MEV_RANGE,
-    DENSITY_CM2_RANGE,
-    DEPHASING_FS_RANGE,
-    EFFECTIVE_MASS_RANGE,
-    GAP_SCALE_RANGE,
-    MAX_CUTOFF_DELTA0,
-    MAX_DETUNING_DELTA0,
-    TC_K_RANGE,
-    load_config,
-)
+from sled_oam.config import _SCHEMA, load_config
 from sled_oam.constants import dos_2d_per_mev_um2
 from sled_oam.spectral import _BandTables
 
@@ -337,7 +329,7 @@ def test_every_fidelity_lies_in_the_unit_interval(overrides):
     log_tau=st.floats(-323.3, 308.25),
 )
 def test_any_positive_cutoff_and_dephasing_time_fail_cleanly(log_cutoff, log_tau):
-    assert_small_rates_run_fails_cleanly(
+    assert_small_run_fails_cleanly(
         f"grid.cutoff_delta0={10.0**log_cutoff!r}",
         f"material.dephasing_time_fs={10.0**log_tau!r}",
     )
@@ -354,7 +346,7 @@ def test_any_positive_cutoff_and_dephasing_time_fail_cleanly(log_cutoff, log_tau
 @example(log_electron=-3.0, log_hole=-3.0)
 @example(log_electron=3.0, log_hole=3.0)
 def test_any_positive_effective_masses_fail_cleanly(log_electron, log_hole):
-    assert_small_rates_run_fails_cleanly(
+    assert_small_run_fails_cleanly(
         f"material.electron_mass={10.0**log_electron!r}",
         f"material.hole_mass={10.0**log_hole!r}",
     )
@@ -378,46 +370,51 @@ def test_any_positive_effective_masses_fail_cleanly(log_electron, log_hole):
 @example(log_value=math.log10(1.7e308))
 @example(log_value=200.0)
 def test_any_positive_material_or_grid_value_fails_cleanly(key, log_value):
-    assert_small_rates_run_fails_cleanly(f"{key}={10.0**log_value!r}")
+    assert_small_run_fails_cleanly(f"{key}={10.0**log_value!r}")
 
 
-# the ends of every range that config bounds at load
-RANGE_ENDS = {
-    "material.delta0_mev": DELTA0_MEV_RANGE,
-    "material.electron_density_cm2": DENSITY_CM2_RANGE,
-    "material.hole_density_cm2": DENSITY_CM2_RANGE,
-    "material.gap_scale_conduction": GAP_SCALE_RANGE,
-    "material.gap_scale_valence": GAP_SCALE_RANGE,
-    "material.dephasing_time_fs": DEPHASING_FS_RANGE,
-    "material.electron_mass": EFFECTIVE_MASS_RANGE,
-    "material.hole_mass": EFFECTIVE_MASS_RANGE,
-    "material.tc_k": TC_K_RANGE,
-    "grid.detuning_max": (5e-324, MAX_DETUNING_DELTA0),
-    "grid.cutoff_delta0": (5e-324, MAX_CUTOFF_DELTA0),
+@pytest.mark.parametrize("key", ["geometry.r_inner_um", "geometry.r_outer_um", "geometry.waist_um"])
+@SETTINGS
+@given(log_value=st.floats(-323.3, 308.25))
+@example(log_value=300.0)  # the squared radii would overflow in the overlaps
+@example(log_value=-300.0)
+def test_any_positive_geometry_value_fails_cleanly(key, log_value):
+    assert_small_run_fails_cleanly(f"{key}={10.0**log_value!r}", command="dm")
+
+
+# the finite ends of every range that config bounds at load, read from its schema
+SCHEMA_ENDS = {
+    f"{section}.{key}": [end for end in limits if math.isfinite(end)]
+    for section, rows in _SCHEMA.items()
+    for key, (_, _, limits) in rows.items()
+    if limits is not None
 }
 
 
 @SETTINGS
-@given(corner=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in RANGE_ENDS.items()}))
-@example(corner={k: lo for k, (lo, hi) in RANGE_ENDS.items()})
-@example(corner={k: hi for k, (lo, hi) in RANGE_ENDS.items()})
+@given(corner=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in SCHEMA_ENDS.items()}))
+@example(corner={k: ends[0] for k, ends in SCHEMA_ENDS.items()})
+@example(corner={k: ends[-1] for k, ends in SCHEMA_ENDS.items()})
 def test_every_corner_of_the_bounded_ranges_gives_finite_rates(corner):
-    code = assert_small_rates_run_fails_cleanly(*(f"{k}={v!r}" for k, v in corner.items()))
-    assert code == 0
+    # winding 0 is reached at every l_max; the one cross-key rule left among
+    # the bounded keys is that of the annulus, r_inner <= r_outer
+    code = assert_small_run_fails_cleanly(
+        "emission.winding=0", *(f"{k}={v!r}" for k, v in corner.items())
+    )
+    assert code == (0 if corner["geometry.r_inner_um"] <= corner["geometry.r_outer_um"] else 2)
 
 
-def assert_small_rates_run_fails_cleanly(*settings) -> int:
-    """A run succeeds or exits 2 or 3 with one JSON line; warnings are errors in this suite.
+def assert_small_run_fails_cleanly(*settings, command="rates") -> int:
+    """A small run succeeds or exits with one JSON line; warnings are errors in this suite.
 
-    Returns the exit code.
+    ``rates`` may exit 2 or 3.  ``dm`` may also exit 1: an annulus that the
+    modes miss leaves no state to form.  Returns the exit code.
     """
-    args = ["rates", "--config", "fig2"]
-    for setting in (
-        "grid.temperatures=0.5",
-        "grid.detuning_points=3",
-        "grid.quadrature_nodes=64",
-        *settings,
-    ):
+    args = [command, "--config", "fig2"]
+    base = ["grid.temperatures=0.5", "grid.detuning_points=3", "grid.quadrature_nodes=64"]
+    if command == "dm":
+        base += ["emission.l_max=1", "emission.enhancements=10"]
+    for setting in (*base, *settings):
         args += ["--set", setting]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
@@ -426,7 +423,7 @@ def assert_small_rates_run_fails_cleanly(*settings) -> int:
     if code == 0:
         assert lines == []
     else:
-        assert code in (2, 3)
+        assert code in ((2, 3) if command == "rates" else (1, 2, 3))
         assert len(lines) == 1 and "error" in json.loads(lines[0])
     return code
 
