@@ -60,13 +60,16 @@ DETUNING_MAX_RANGE = (_ABOVE_ZERO, 1e6)
 # underflows to zero and the occupations divide by it.
 TC_K_RANGE = (1e-4, 1e3)
 # Annulus radii, um.  Ring contacts are microns to tens of microns across and
-# 1 cm bounds any device on a chip; r_inner = 0 is a full disc.  The overlaps
-# fail far outside: with the derived waist the squared radii overflow and the
-# overlap estimate turns NaN between r_outer = 1e154 and 1e155.
-RADIUS_UM_RANGE = (0.0, 1e4)
-# An explicit beam waist, um, from 1 nm (far below any optical focus) to 1 cm
-# like the radii.  With r_inner = 0 the overlap estimate turns NaN for a waist
-# at or below 1e-160.
+# a ring 1 cm across bounds any device on a chip; r_inner = 0 is a full disc
+# and an outer radius below 10 nm is no contact.  The overlaps fail far
+# outside: with the derived waist the squared radii overflow and the overlap
+# estimate turns NaN between r_outer = 1e154 and 1e155.
+R_INNER_UM_RANGE = (0.0, 5e3)
+R_OUTER_UM_RANGE = (1e-2, 5e3)
+# A beam waist, um, from 1 nm (far below any optical focus) to 1 cm.  Every
+# pair of radii above derives a waist (r_inner + r_outer)/sqrt(2) in
+# [7.1e-3, 7.1e3], inside this range, so an echoed config loads again.  With
+# r_inner = 0 the overlap estimate turns NaN for a waist at or below 1e-160.
 WAIST_UM_RANGE = (1e-3, 1e4)
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
@@ -130,8 +133,8 @@ _SCHEMA = {
         "gap_scale_valence": ("1.0", _parse_float, GAP_SCALE_RANGE),
     },
     "geometry": {
-        "r_inner_um": ("4.0", _parse_float, RADIUS_UM_RANGE),
-        "r_outer_um": ("5.0", _parse_float, RADIUS_UM_RANGE),
+        "r_inner_um": ("4.0", _parse_float, R_INNER_UM_RANGE),
+        "r_outer_um": ("5.0", _parse_float, R_OUTER_UM_RANGE),
         # default derived: (r_inner + r_outer)/sqrt(2)
         "waist_um": (None, _parse_float, WAIST_UM_RANGE),
     },

@@ -291,6 +291,16 @@ class TestErrorReporting:
         record = json.loads(capsys.readouterr().err.strip())
         assert "emission.winding" in record["message"] and "-1" in record["message"]
 
+    def test_a_vanishing_outer_radius_exits_2_at_load(self, tmp_path, capsys):
+        # the waist derived from it, about 7e-301 um, would turn the overlaps NaN
+        args = ["dm", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        args += ["--set", "geometry.r_inner_um=0", "--set", "geometry.r_outer_um=1e-300"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"].startswith("geometry.r_outer_um: must lie in ")
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("magnitude", ["1e155", "1e200", "1.7e308"])
     def test_a_huge_qubit_magnitude_exits_2(self, tmp_path, capsys, magnitude):
         args = ["dm", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]

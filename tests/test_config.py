@@ -121,6 +121,14 @@ class TestRejection:
             ("material.tc_k", "9.9e-5"),
             ("material.tc_k", "1000.1"),
             ("material.tc_k", "1.7e308"),
+            ("geometry.r_inner_um", "-1"),
+            ("geometry.r_inner_um", "5000.1"),
+            ("geometry.r_outer_um", "0"),
+            ("geometry.r_outer_um", "1e-300"),
+            ("geometry.r_outer_um", "1e300"),
+            ("geometry.waist_um", "9.9e-4"),
+            ("geometry.waist_um", "1e-300"),
+            ("geometry.waist_um", "10000.1"),
         ],
     )
     def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
@@ -147,8 +155,26 @@ class TestRejection:
             "grid.detuning_max=1e6",
             "material.tc_k=1e-4",
             "material.tc_k=1e3",
+            "geometry.waist_um=1e-3",
+            "geometry.waist_um=1e4",
         ):
             load_config(write(tmp_path, MINIMAL), [setting])
+
+    @pytest.mark.parametrize(
+        "r_inner, r_outer",
+        [
+            (r_inner, r_outer)
+            for r_inner in _SCHEMA["geometry"]["r_inner_um"][2]
+            for r_outer in _SCHEMA["geometry"]["r_outer_um"][2]
+            if r_inner <= r_outer
+        ],
+    )
+    def test_the_waist_derived_at_the_radius_ends_loads_again(self, tmp_path, r_inner, r_outer):
+        # the manifest echoes the derived waist, which must pass the waist's own range
+        radii = [f"geometry.r_inner_um={r_inner!r}", f"geometry.r_outer_um={r_outer!r}"]
+        config = load_config(write(tmp_path, MINIMAL), radii)
+        echoed = f"geometry.waist_um={config.resolved['geometry.waist_um']}"
+        assert load_config(write(tmp_path, MINIMAL), radii + [echoed]).geometry == config.geometry
 
     @pytest.mark.parametrize("d_max, points", [("5e-324", 121), ("1e-322", 121), ("5e-324", 5)])
     def test_a_detuning_grid_that_underflows_names_max_and_points(self, tmp_path, d_max, points):
