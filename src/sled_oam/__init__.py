@@ -32,7 +32,7 @@ from .metrics import (
     fidelity_curve,
     sqrtm_psd,
 )
-from .modes import AnnulusGeometry, ModeIndex, kappa, lg_radial
+from .modes import AnnulusGeometry, kappa, lg_radial
 from .pair_state import (
     OamPairBasis,
     PairDensityMatrix,
@@ -67,7 +67,6 @@ __all__ = [
     "HermitianEigen",
     "JunctionParams",
     "KQuadrature",
-    "ModeIndex",
     "OamPairBasis",
     "PairDensityMatrix",
     "QubitState",

@@ -71,6 +71,13 @@ R_OUTER_UM_RANGE = (1e-2, 5e3)
 # [7.1e-3, 7.1e3], inside this range, so an echoed config loads again.  With
 # r_inner = 0 the overlap estimate turns NaN for a waist at or below 1e-160.
 WAIST_UM_RANGE = (1e-3, 1e4)
+# Grid sizes, which set array lengths: past these the arrays grow until an
+# allocation fails.  The quadrature needs 64 nodes, and at 2^17 + 1 its band
+# tables hold about 40 MB (23 arrays of 8-16 B per node).  No preset uses
+# more than 121 detunings; 10 001 leave 80 times that, and a rates CSV of 19
+# temperatures then holds about 5.5 MB.
+QUADRATURE_NODES_RANGE = (64, 2**17 + 1)
+DETUNING_POINTS_RANGE = (2, 10_001)
 
 _DEFAULT_TEMPS = ", ".join(f"{0.05 * i:g}" for i in range(1, 20))
 
@@ -140,9 +147,9 @@ _SCHEMA = {
     },
     "grid": {
         "detuning_max": ("6.0", _parse_float, DETUNING_MAX_RANGE),
-        "detuning_points": ("121", _parse_int, (2, math.inf)),
+        "detuning_points": ("121", _parse_int, DETUNING_POINTS_RANGE),
         "temperatures": (_DEFAULT_TEMPS, _floats, None),
-        "quadrature_nodes": ("4096", _parse_int, None),
+        "quadrature_nodes": ("4096", _parse_int, QUADRATURE_NODES_RANGE),
         "cutoff_delta0": ("40.0", _parse_float, CUTOFF_DELTA0_RANGE),
         "patch_area_um2": ("0.1", _parse_float, None),
         "verify_quadrature": ("false", _parse_bool, None),

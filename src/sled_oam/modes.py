@@ -5,13 +5,15 @@ Each detected photon mode is a Laguerre-Gaussian beam; the geometry enters
 the pair density matrix only through radial overlaps of pairs of mode
 profiles integrated over the annulus.
 
-Profiles are normalized so that the full-plane overlap of a mode with itself
-is exactly 1 (the azimuthal 2*pi is factored out throughout).  A profile,
-and so every overlap, depends on l only through |l|, bit for bit.
+A mode is labelled by its OAM number l alone: the emitted modes have no
+radial nodes, so the Laguerre polynomial of the profile is 1.  Profiles are
+normalized so that the full-plane overlap of a mode with itself is exactly 1
+(the azimuthal 2*pi is factored out throughout).  A profile, and so every
+overlap, depends on l only through |l|, bit for bit.
 ``kappa`` keeps no cache of overlaps: each call integrates afresh, and a
 caller that needs many overlaps (``pair_state``) computes each distinct one
 once.  The profile values its integrand samples are shared, though, through
-a bounded cache keyed by (|l|, m, waist, r), so the overlaps of one table
+a bounded cache keyed by (|l|, waist, r), so the overlaps of one table
 evaluate each profile once at every point their quadratures have in common.
 
 The quadrature samples one radius at a time, so ``lg_radial`` evaluates a
@@ -33,29 +35,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-MAX_RADIAL_NODES = 8
 MAX_OAM = 12
 KAPPA_REL_TOL = 1e-10
 # profile values kept for reuse across overlaps: an l_max = 6 table samples
 # about 1150 distinct points
 PROFILE_CACHE_POINTS = 4096
-
-
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Laguerre-Gaussian mode label: m radial nodes, OAM quantum number l."""
-
-    m: int
-    l: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise DomainError(f"radial index m must be non-negative, got {self.m}")
-        if self.m > MAX_RADIAL_NODES or abs(self.l) > MAX_OAM:
-            raise DomainError(
-                f"mode ({self.m}, {self.l}) outside supported range "
-                f"m <= {MAX_RADIAL_NODES}, |l| <= {MAX_OAM}"
-            )
 
 
 @dataclass(frozen=True)
@@ -84,35 +68,17 @@ class AnnulusGeometry:
         return cls(r_inner=4.0, r_outer=5.0, waist=9.0 / math.sqrt(2.0))
 
 
-def generalized_laguerre(n: int, alpha: float, x):
-    """L_n^alpha(x) by upward three-term recurrence.
+def lg_radial(l: int, waist: float, r):
+    """Normalized Laguerre-Gaussian radial amplitude of OAM l, units 1/um.
 
-    A Python number x gives a float, computed in plain float arithmetic;
-    anything else is taken as an array.  Both run the same operations in the
-    same order, so they agree bit for bit.
-    """
-    if isinstance(x, (int, float)):
-        x = float(x)
-        prev = 1.0
-    else:
-        x = np.asarray(x, dtype=float)
-        prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
-def lg_radial(mode: ModeIndex, waist: float, r):
-    """Normalized Laguerre-Gaussian radial amplitude, units 1/um.
-
-    u(r) = (2/w) sqrt(m!/(m+|l|)!) (sqrt(2) r/w)^|l| exp(-r^2/w^2) L_m^|l|(2 r^2/w^2),
+    u(r) = (2/w) sqrt(1/|l|!) (sqrt(2) r/w)^|l| exp(-r^2/w^2),
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
     A Python-number radius gives a float, computed in plain float arithmetic
     with ``np.exp`` the one numpy call; arrays take the same formula in numpy.
     """
+    la = abs(l)
+    if la > MAX_OAM:
+        raise DomainError(f"OAM {l} outside supported range |l| <= {MAX_OAM}")
     if isinstance(r, (int, float)):  # numpy's float64 is a float
         r = float(r)
         negative = r < 0
@@ -121,32 +87,27 @@ def lg_radial(mode: ModeIndex, waist: float, r):
         negative = np.any(r < 0)
     if negative:
         raise DomainError("radius must be non-negative")
-    la = abs(mode.l)
-    norm = (2.0 / waist) * math.sqrt(
-        math.factorial(mode.m) / math.factorial(mode.m + la)
-    )
+    norm = (2.0 / waist) * math.sqrt(1 / math.factorial(la))
     x = 2.0 * r * r / (waist * waist)
-    val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0) * generalized_laguerre(
-        mode.m, la, x
-    )
+    val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0)
     # a float radius (or a 0-d array) leaves a numpy float64 here
     return val if isinstance(val, np.ndarray) else float(val)
 
 
 @lru_cache(maxsize=PROFILE_CACHE_POINTS)
-def _profile_point(abs_l: int, m: int, waist: float, r: float) -> float:
+def _profile_point(abs_l: int, waist: float, r: float) -> float:
     """``lg_radial`` at one radius, shared by every overlap that samples it."""
-    return lg_radial(ModeIndex(m, abs_l), waist, r)
+    return lg_radial(abs_l, waist, r)
 
 
-def _envelope_radius(a: ModeIndex, b: ModeIndex, waist: float) -> float:
+def _envelope_radius(abs_la: int, abs_lb: int, waist: float) -> float:
     """Radius beyond which the profile product is negligible (< ~1e-16 of peak).
 
-    The Gaussian envelope alone dies at r = w sqrt(38); the polynomial part of
+    The Gaussian envelope alone dies at r = w sqrt(38); the power r^|l| of
     high-order modes pushes the support out, so the cut grows with the total
     polynomial degree.
     """
-    degree = a.m + b.m + (abs(a.l) + abs(b.l)) / 2.0
+    degree = (abs_la + abs_lb) / 2.0
     return waist * math.sqrt(38.0 + 2.0 * degree)
 
 
@@ -185,8 +146,8 @@ def _adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 
     return recurse(lo, hi, f_lo, f_mid, f_hi, whole, abs_tol, 0)
 
 
-def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry) -> float:
-    """Radial overlap of two mode profiles over the annulus.
+def kappa(l_a: int, l_b: int, geom: AnnulusGeometry) -> float:
+    """Radial overlap of the profiles of OAM l_a and l_b over the annulus.
 
     Symmetric in the two modes bit for bit, since the integrand's product
     commutes; equals 1 on the diagonal when the annulus covers the full plane.
@@ -194,19 +155,18 @@ def kappa(a: ModeIndex, b: ModeIndex, geom: AnnulusGeometry) -> float:
     ``_profile_point`` cache; a cached value is the very float ``lg_radial``
     returns, so the result does not depend on what the cache holds.
     """
+    la, lb, waist = abs(l_a), abs(l_b), geom.waist
     lo = geom.r_inner
-    hi = min(geom.r_outer, _envelope_radius(a, b, geom.waist))
+    hi = min(geom.r_outer, _envelope_radius(la, lb, waist))
     if hi <= lo:
         return 0.0
 
-    la, lb, waist = abs(a.l), abs(b.l), geom.waist
-
     def integrand(r: float) -> float:
-        return _profile_point(la, a.m, waist, r) * _profile_point(lb, b.m, waist, r) * r
+        return _profile_point(la, waist, r) * _profile_point(lb, waist, r) * r
 
-    # scale the absolute tolerance by the L1 mass of the integrand so that
-    # near-cancelling oscillatory products still resolve correctly
+    # scale the absolute tolerance by the L1 mass of the integrand, with no
+    # floor, so that an overlap however small is resolved to KAPPA_REL_TOL
     sample = np.linspace(lo, hi, 513)
-    profiles = lg_radial(a, geom.waist, sample) * lg_radial(b, geom.waist, sample)
+    profiles = lg_radial(la, waist, sample) * lg_radial(lb, waist, sample)
     l1 = float(np.trapezoid(np.abs(profiles) * sample, sample))
-    return _adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * max(l1, 1e-30))
+    return _adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * l1)

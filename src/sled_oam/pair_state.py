@@ -21,7 +21,7 @@ import numpy as np
 from . import spectral
 from .bcs import JunctionParams
 from .errors import ContractError, DegenerateMixtureError, DomainError, EmptySectorError, at_point
-from .modes import AnnulusGeometry, ModeIndex, kappa
+from .modes import AnnulusGeometry, kappa
 
 HERMITICITY_TOL = 1e-12
 
@@ -146,11 +146,11 @@ class PairDensityMatrix:
 
 @lru_cache(maxsize=16)
 def _overlap_table(geom: AnnulusGeometry, magnitudes: tuple) -> np.ndarray:
-    """kappa by (|l1|, |l2|) at m = 0: one integral per unordered pair of ``magnitudes``."""
+    """kappa by (|l1|, |l2|): one integral per unordered pair of ``magnitudes``."""
     table = np.zeros((magnitudes[-1] + 1,) * 2)
     for i, l1 in enumerate(magnitudes):
         for l2 in magnitudes[i:]:
-            table[l1, l2] = table[l2, l1] = kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom)
+            table[l1, l2] = table[l2, l1] = kappa(l1, l2, geom)
     table.flags.writeable = False  # every caller of the cache gets this one array
     return table
 

@@ -116,6 +116,12 @@ class TestRejection:
             ("material.gap_scale_valence", "1.7e308"),
             ("grid.detuning_max", "1000000.1"),
             ("grid.detuning_max", "1.7e308"),
+            ("grid.quadrature_nodes", "63"),
+            ("grid.quadrature_nodes", "131074"),
+            ("grid.quadrature_nodes", "1000000000000000"),
+            ("grid.detuning_points", "1"),
+            ("grid.detuning_points", "10002"),
+            ("grid.detuning_points", "1000000000000000"),
             ("material.tc_k", "0"),
             ("material.tc_k", "1e-300"),
             ("material.tc_k", "9.9e-5"),
@@ -153,6 +159,10 @@ class TestRejection:
             "material.gap_scale_conduction=1e-3",
             "material.gap_scale_valence=1e3",
             "grid.detuning_max=1e6",
+            "grid.quadrature_nodes=64",
+            "grid.quadrature_nodes=131073",
+            "grid.detuning_points=2",
+            "grid.detuning_points=10001",
             "material.tc_k=1e-4",
             "material.tc_k=1e3",
             "geometry.waist_um=1e-3",

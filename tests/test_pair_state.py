@@ -14,7 +14,6 @@ from sled_oam import (
     DomainError,
     EmptySectorError,
     KQuadrature,
-    ModeIndex,
     OamPairBasis,
     PairDensityMatrix,
     QubitState,
@@ -27,7 +26,7 @@ from sled_oam import (
     sector_pairs,
 )
 
-from test_modes import reference_lg_radial
+from test_modes import OracleMode, reference_lg_radial
 
 FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
 
@@ -118,7 +117,7 @@ class TestRhoCp:
         rho = rho_cp(1, basis, geometry)
         i01 = basis.index((0, 1))
         i10 = basis.index((1, 0))
-        k01 = kappa(ModeIndex(0, 0), ModeIndex(0, 1), geometry)
+        k01 = kappa(0, 1, geometry)
         block = rho.entries[np.ix_([i01, i10], [i01, i10])].real
         assert np.allclose(block, k01 * k01, rtol=0, atol=1e-15)
 
@@ -144,9 +143,8 @@ class TestRhoBqp:
         basis = OamPairBasis.full(2)
         rho = rho_bqp(basis, geometry)
         for i, (l1, l2) in enumerate(basis.pairs):
-            a, b = ModeIndex(0, l1), ModeIndex(0, l2)
             assert rho.entries[i, i].real == pytest.approx(
-                kappa(a, b, geometry) ** 2, rel=1e-12
+                kappa(l1, l2, geometry) ** 2, rel=1e-12
             )
 
 
@@ -352,8 +350,8 @@ class TestSectorHelpers:
 
 
 # The per-pair construction the matrices had before they shared one |l| table,
-# copied verbatim: an overlap cache keyed on the sorted signed modes and one
-# overlap vector per matrix and sector.
+# copied verbatim but for the mode label, now the signed l: an overlap cache
+# keyed on the sorted signed modes and one overlap vector per matrix and sector.
 @functools.lru_cache(maxsize=None)
 def _old_kappa_cached(a, b, geom):
     return kappa(a, b, geom)
@@ -365,9 +363,7 @@ def _old_kappa(a, b, geom):
 
 
 def _old_kappa_vector(basis, geom):
-    return np.array(
-        [_old_kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom) for l1, l2 in basis.pairs]
-    )
+    return np.array([_old_kappa(l1, l2, geom) for l1, l2 in basis.pairs])
 
 
 def _old_sector_vector(basis, geom, ls):
@@ -452,8 +448,7 @@ class TestSharedOverlapTable:
         rho_cp(-1, basis, geom)
         rho_bqp(basis, geom)
         rho_superposition(QubitState.from_polar(0.6, 0.0, 0.8, 0.0), 3, basis, geom)
-        pairs = [(a.l, b.l) for a, b in calls]
-        assert sorted(pairs) == [(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]
+        assert sorted(calls) == [(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]
 
 
 class TestSharedProfilePoints:
@@ -471,7 +466,7 @@ class TestSharedProfilePoints:
         for i, l1 in enumerate(magnitudes):
             for l2 in magnitudes[i:]:
                 modes._profile_point.cache_clear()
-                value = kappa(ModeIndex(0, l1), ModeIndex(0, l2), geom)
+                value = kappa(l1, l2, geom)
                 standalone[l1, l2] = standalone[l2, l1] = value
         assert np.array_equal(table, standalone)
 
@@ -487,8 +482,8 @@ class TestSharedProfilePoints:
         table = pair_state._overlap_table(geom, magnitudes)
 
         @functools.lru_cache(maxsize=None)
-        def oracle_point(abs_l, m, waist, r):
-            return reference_lg_radial(ModeIndex(m, abs_l), waist, r)
+        def oracle_point(abs_l, waist, r):
+            return reference_lg_radial(OracleMode(0, abs_l), waist, r)
 
         monkeypatch.setattr(modes, "_profile_point", oracle_point)
         pair_state._overlap_table.cache_clear()
@@ -501,9 +496,9 @@ class TestSharedProfilePoints:
         calls = []
         lg_radial = modes.lg_radial
 
-        def counting_lg_radial(mode, waist, r):
-            calls.append(mode)
-            return lg_radial(mode, waist, r)
+        def counting_lg_radial(l, waist, r):
+            calls.append(l)
+            return lg_radial(l, waist, r)
 
         monkeypatch.setattr(modes, "lg_radial", counting_lg_radial)
         pair_state._overlap_table.cache_clear()
