@@ -6,11 +6,12 @@ built on top of it.  It decomposes a whole stack of matrices in one call, each
 bit for bit as if alone, and its sweeps visit only the rows coupled to another
 row, which for a Bell target is its one total-OAM sector (5 of 49 rows for
 fig3); the result is bit for bit that of visiting every pair (see ``eigh``).
-A fidelity sweep therefore decomposes the target-support blocks of all its
-points in one call and finishes each point at full size (see
-``_fidelities``).  The general mixed-state fidelity is evaluated alongside the
-pure-target shortcut <psi|rho|psi>, and the two must agree at every point --
-this cross-validates the whole eigenvalue pipeline on every call.
+A fidelity sweep works only on the block of the target's support, outside
+which every matrix is zero, and decomposes the blocks of all its points in one
+call (see ``_fidelities``, also for where this keeps the full-size bits).  The
+general mixed-state fidelity is evaluated alongside the pure-target shortcut
+<psi|rho|psi>, and the two must agree at every point -- this cross-validates
+the whole eigenvalue pipeline on every call.
 """
 
 from __future__ import annotations
@@ -238,33 +239,32 @@ def _fidelities(points, target: TargetState) -> list:
     """Cross-checked general fidelity of each ``(context, rho)`` against ``target``.
 
     ``context()`` is entered around each point's own work, so its errors can
-    name the point.  Three passes:
+    name the point.  All work is on the block of the target's support S (the
+    nonzero entries of psi): ``root`` is zero outside S x S, so ``inner`` and
+    its square root are too.  Three passes:
 
-    1. Per point, form ``inner = root @ rho @ root`` at full size and keep
-       only its block on the target's support S (nonzero entries of psi), and
-       the shortcut <psi|rho|psi>.  ``root`` is zero outside S x S, so
-       ``inner`` is too (exact, signed zeros).
+    1. Per point, form ``inner = root @ rho @ root`` on the block, and the
+       shortcut <psi|rho|psi>.  Up to fig3's 49 pairs (l_max 2-5) this is bit
+       for bit the block of the full-size product; at l_max = 6 (169 pairs)
+       BLAS groups the full-size sums otherwise, and values move by at most
+       3.5e-15 relative.
     2. Decompose the stack of blocks in one ``eigh`` call.  Every rotation is
        the one the full-size solve makes, since it visits only coupled rows,
        all inside S.  Only its convergence test differs: the norms are summed
        over the block, the same nonzero terms grouped otherwise, so a result
        could move only if a sweep ended within rounding of the threshold.
-    3. Per point, embed the block's eigenvectors into a full-size identity,
-       with eigenvalue 0 outside S, and sort stably as the full-size solve
-       does.  Every column with a nonzero root eigenvalue then sits where it
-       sat there and holds the same entries (outside S a +0 where that solve
-       may hold -0, which only ever meets zero terms), so the full-size root
-       and its trace, whose summation grouping depends on the positions of
-       the diagonal entries, keep their bits; the root and trace of the block
-       alone would not.
+    3. Per point, take the square root of the block from its own
+       decomposition and sum its diagonal from a length-n vector that is zero
+       outside S.  The sum's grouping depends on the positions of the terms,
+       so that vector gives the bits of the full-size root's trace, at every
+       basis size; a sum over the block's diagonal alone would not.
 
-    Only blocks and scalars are kept across points: full-size matrices exist
-    for one point at a time.
+    Only blocks and scalars are kept across points.
     """
     psi = target.coefficients
-    root = target.root
     support = np.flatnonzero(psi)
     block = np.ix_(support, support)
+    root = target.root[block]
     contexts, blocks, shortcuts = [], [], []
     for context, rho in points:
         with context():
@@ -273,27 +273,21 @@ def _fidelities(points, target: TargetState) -> list:
             tr = rho.trace()
             if abs(tr - 1.0) > 1e-9:
                 raise ContractError(f"density matrix must have unit trace, got {tr}")
-            inner = root @ rho.entries @ root
-            inner = 0.5 * (inner + inner.conj().T)
+            inner = root @ rho.entries[block] @ root
             contexts.append(context)
-            blocks.append(inner[block])
+            blocks.append(0.5 * (inner + inner.conj().T))
             shortcuts.append(float((psi.conj() @ rho.entries @ psi).real))
     if not blocks:
         return []
     decomp = eigh(np.array(blocks))
-    n = len(psi)
+    diagonal = np.zeros(len(psi), dtype=complex)
     values = []
     for context, block_vals, block_vecs, shortcut in zip(
         contexts, decomp.eigenvalues, decomp.eigenvectors, shortcuts
     ):
         with context():
-            vals = np.zeros(n)
-            vals[support] = block_vals
-            vecs = np.eye(n, dtype=complex)
-            vecs[block] = block_vecs
-            order = np.argsort(vals, kind="stable")
-            general_root = _psd_root(HermitianEigen(vals[order], vecs[:, order]))
-            general = float(np.trace(general_root).real) ** 2
+            diagonal[support] = _psd_root(HermitianEigen(block_vals, block_vecs)).diagonal()
+            general = float(diagonal.sum().real) ** 2
             if abs(general - shortcut) > FIDELITY_XCHECK_TOL:
                 raise ContractError(
                     f"fidelity cross-check failed: general {general} vs shortcut {shortcut}"

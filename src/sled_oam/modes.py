@@ -156,6 +156,8 @@ def kappa(l_a: int, l_b: int, geom: AnnulusGeometry) -> float:
     returns, so the result does not depend on what the cache holds.
     """
     la, lb, waist = abs(l_a), abs(l_b), geom.waist
+    if max(la, lb) > MAX_OAM:  # checked here, as an empty annulus samples no profile
+        raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")
     lo = geom.r_inner
     hi = min(geom.r_outer, _envelope_radius(la, lb, waist))
     if hi <= lo:

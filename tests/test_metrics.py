@@ -222,6 +222,57 @@ class TestFidelity:
             fidelity(rho, target)
 
 
+def uhlmann_fidelity(rho, psi):
+    """(Tr sqrt(sqrt(P) rho sqrt(P)))^2 for the projector P = |psi><psi|, at full
+    size, from ``scipy.linalg``'s LAPACK eigensolvers.  Eigenvalues below 1e-12
+    of the largest are rank noise (exactly 0 for a projector and for the
+    rank-1 inner matrix), whose square roots would otherwise add ~1e-8."""
+
+    def kept(w):
+        return np.where(w > 1e-12 * w.max(), w, 0.0)
+
+    w, v = scipy.linalg.eigh(np.outer(psi, psi.conj()))
+    root = (v * np.sqrt(kept(w))) @ v.conj().T
+    inner = root @ rho @ root
+    eigenvalues = scipy.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    return float(np.sqrt(kept(eigenvalues)).sum()) ** 2
+
+
+class TestUhlmannOracle:
+    """``fidelity`` against the full-size Uhlmann form, for targets whose support
+    block is 1, 5 and 11 pairs and for one that covers the whole basis."""
+
+    @staticmethod
+    def check(rng, basis, target, draws=10):
+        n = len(basis)
+        for _ in range(draws):
+            rho = random_density(rng, n, int(rng.integers(1, n + 1)))
+            expected = uhlmann_fidelity(rho, target.coefficients)
+            assert fidelity(PairDensityMatrix(basis, rho), target) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            )
+
+    def test_one_pair_support(self, rng):
+        basis = OamPairBasis.from_l_values([0, 1])
+        target = bell_target(basis, 0)
+        assert np.count_nonzero(target.coefficients) == 1
+        self.check(rng, basis, target)
+
+    @pytest.mark.parametrize("l_max, support", [(3, 5), (6, 11)])
+    def test_fig3_bell_target(self, rng, l_max, support):
+        config = load_config("fig3", [f"emission.l_max={l_max}"])
+        basis = config.basis()
+        target = bell_target(basis, config.winding)
+        assert np.count_nonzero(target.coefficients) == support
+        self.check(rng, basis, target)
+
+    def test_full_support_target(self, rng):
+        basis = load_config("fig3").basis()
+        target = TargetState(basis, random_state(rng, len(basis)))
+        assert np.count_nonzero(target.coefficients) == len(basis)
+        self.check(rng, basis, target, draws=5)
+
+
 class TestFidelityCurve:
     def test_monotone_in_enhancement(self, junction, geometry):
         basis = OamPairBasis.from_l_values([0, 1])

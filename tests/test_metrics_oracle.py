@@ -8,8 +8,9 @@ matrix: on random Hermitian matrices with some rows and columns zeroed, on
 rank-1 projectors and projected states like the Bell target and ``inner`` of
 ``fidelity``, and on stacks mixing such matrices with zero, diagonal and dense
 ones, which converge after different numbers of sweeps.  The fidelity, which
-decomposes only the target-support blocks of ``inner``, must equal bit for bit
-the fidelity from the full-size square root, copied below as it was before.
+works only on the target-support block of ``inner``, must equal bit for bit
+the fidelity from the full-size product and square root, copied below as it
+was before, on bases up to fig3's 49 pairs.
 The general fidelity, and with it its cross-check against the pure-target
 shortcut, must still be evaluated at every point of a curve.
 """
@@ -280,8 +281,9 @@ class TestCrossCheckRunsEveryCall:
 
         monkeypatch.setattr(metrics, "_psd_root", counting_root)
         self.curve(junction, geometry)
-        # the target's root once, then the full-size general form at each of the 3 x 2 points
-        assert roots == [(4, 4)] * (1 + 3 * 2)
+        # the target's root once at full size, then the general form on the 2 x 2
+        # support block at each of the 3 x 2 points
+        assert roots == [(4, 4)] + [(2, 2)] * (3 * 2)
 
     @pytest.mark.parametrize("skewed", [0, 5])
     def test_a_wrong_general_fidelity_at_any_point_raises(

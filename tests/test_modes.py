@@ -83,8 +83,13 @@ class TestLgRadial:
         for l in (13, -13):
             with pytest.raises(DomainError, match=r"\|l\| <= 12"):
                 lg_radial(l, 2.0, 1.0)
-            with pytest.raises(DomainError, match=r"\|l\| <= 12"):
-                kappa(0, l, FULL_PLANE)
+            # on a non-empty annulus and on an empty one, which samples no profile
+            for geom in (FULL_PLANE, AnnulusGeometry(4.0, 4.0, 2.0)):
+                with pytest.raises(DomainError, match=r"\|l\| <= 12"):
+                    kappa(0, l, geom)
+                with pytest.raises(DomainError, match=r"\|l\| <= 12"):
+                    kappa(l, 0, geom)
+        assert kappa(12, 0, AnnulusGeometry(4.0, 4.0, 2.0)) == 0.0
 
     @pytest.mark.parametrize("r", [-1.0, -1, -5e-324, np.array([0.0, -1.0])])
     def test_negative_radius_rejected(self, r):
