@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     sled-oam rates|dm|fidelity --config <path-or-preset> [--out DIR]
-             [--threads N] [--log-scale] [--set section.key=value]...
+             [--log-scale] [--set section.key=value]...
 
 ``rates`` and ``fidelity`` write CSV, ``dm`` writes JSON; ``output.svg`` adds
 the plots.
@@ -39,7 +39,7 @@ def _pair_label(pair) -> str:
 
 def cmd_rates(config: RunConfig) -> dict:
     """Rate surfaces for both channels: rates_cp.csv, rates_bqp.csv (+ heatmaps)."""
-    cp, bqp = spectral.rate_surfaces(config.grid, config.junction, workers=config.threads)
+    cp, bqp = spectral.rate_surfaces(config.grid, config.junction)
     written = {}
     temps = config.grid.temperatures
     detunings = config.grid.detunings
@@ -76,12 +76,7 @@ def cmd_dm(config: RunConfig) -> dict:
     _check_file_tokens("grid.temperatures", config.grid.temperatures)
     _check_file_tokens("emission.enhancements", config.enhancements)
     basis = config.basis()
-    if config.qubit is not None:
-        coherent = pair_state.rho_superposition(
-            config.qubit, config.winding, basis, config.geometry
-        )
-    else:
-        coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
+    coherent = pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry)
     sweep = pair_state.mixtures(
         coherent,
         pair_state.rho_bqp(basis, config.geometry),
@@ -192,12 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"config file path or built-in preset ({', '.join(PRESET_NAMES)})",
         )
         cmd.add_argument("--out", help="output directory (overrides output.directory)")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            help="worker threads for rates, one slice of the temperatures each, 0 = auto; "
-            "dm and fidelity run on one thread (overrides output.threads)",
-        )
+        # accepted and ignored, as every run is on one thread: the benchmark's
+        # workload command lines pass --threads 1, and ROADMAP item 1 removes
+        # the flag together with those command lines
+        cmd.add_argument("--threads", type=int, choices=(1,), help=argparse.SUPPRESS)
         cmd.add_argument(
             "--log-scale",
             action="store_const",
@@ -219,8 +212,6 @@ def _flag_overrides(args: argparse.Namespace) -> list:
     overrides = list(args.overrides)
     if args.out is not None:
         overrides.append(f"output.directory={args.out}")
-    if args.threads is not None:
-        overrides.append(f"output.threads={args.threads}")
     if args.log_scale is not None:
         overrides.append("output.log_scale=true")
     return overrides

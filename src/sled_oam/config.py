@@ -22,7 +22,7 @@ import numpy as np
 from .bcs import JunctionParams, gaas_nb_junction
 from .errors import ConfigError, DomainError
 from .modes import MAX_OAM, AnnulusGeometry
-from .pair_state import OamPairBasis, QubitState, sector_pairs
+from .pair_state import CLOCKWISE, OamPairBasis, QubitState, sector_pairs
 from .spectral import KQuadrature, SpectralGrid
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
@@ -168,7 +168,6 @@ _SCHEMA = {
     "output": {
         "directory": ("out", lambda raw, where: raw, None),
         "svg": ("false", _parse_bool, None),
-        "threads": ("0", _parse_int, (0, math.inf)),  # 0 means auto
         "log_scale": ("false", _parse_bool, None),
     },
 }
@@ -186,10 +185,9 @@ class RunConfig:
     l_values: tuple | None
     detuning_for_dm: float
     enhancements: tuple
-    qubit: QubitState | None
+    qubit: QubitState
     out_dir: str
     svg: bool
-    threads: int
     log_scale: bool
     resolved: dict
     defaulted: tuple
@@ -328,7 +326,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     qubit_a, qubit_b = v["emission.qubit_a"], v["emission.qubit_b"]
     if (qubit_a is None) != (qubit_b is None):
         raise ConfigError("emission.qubit_a and emission.qubit_b must be given together")
-    qubit = None
+    qubit = CLOCKWISE
     if qubit_a is not None:
         try:
             qubit = QubitState.from_polar(*qubit_a, *qubit_b)
@@ -348,15 +346,14 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         qubit=qubit,
         out_dir=v["output.directory"],
         svg=v["output.svg"],
-        threads=v["output.threads"],
         log_scale=v["output.log_scale"],
         resolved=resolved,
         defaulted=tuple(defaulted),
     )
-    # rho_cp and bell_target need the +winding sector; a counterclockwise amplitude also
-    # needs the -winding one
+    # the clockwise amplitude and bell_target need the +winding sector; a
+    # counterclockwise amplitude also needs the -winding one
     basis = config.basis()
-    for ls in (winding, -winding) if qubit is not None and qubit.b != 0 else (winding,):
+    for ls in (winding, -winding) if qubit.b != 0 else (winding,):
         if not sector_pairs(basis, ls):
             raise ConfigError(
                 f"emission.winding: no detected pair has total OAM {ls} "

@@ -159,7 +159,10 @@ def kappa(l_a: int, l_b: int, geom: AnnulusGeometry) -> float:
     if max(la, lb) > MAX_OAM:  # checked here, as an empty annulus samples no profile
         raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")
     lo = geom.r_inner
-    hi = min(geom.r_outer, _envelope_radius(la, lb, waist))
+    # the envelope's margin, measured from r_inner: the Gaussian falls by the
+    # same factor over r^2 - r_inner^2 = envelope^2, so an annulus that lies
+    # wholly past the envelope radius keeps its (tiny) overlap
+    hi = min(geom.r_outer, math.hypot(lo, _envelope_radius(la, lb, waist)))
     if hi <= lo:
         return 0.0
 

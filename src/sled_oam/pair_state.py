@@ -53,6 +53,10 @@ class QubitState:
         )
 
 
+# the current of ``rho_cp``, ``rho_total`` and a config without qubit keys
+CLOCKWISE = QubitState(1.0, 0.0)
+
+
 class OamPairBasis:
     """Lexicographically ordered set of (l1, l2) pair labels with |l| <= l_max."""
 
@@ -171,9 +175,8 @@ def _sector_mask(basis: OamPairBasis, ls: int) -> np.ndarray:
 
 
 def rho_cp(ls, basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
-    """Unnormalized coherent-channel matrix: overlap outer product on the ls sector."""
-    v = _sector_mask(basis, int(ls)) * _overlaps(basis, geom)
-    return PairDensityMatrix(basis, np.outer(v, v).astype(complex))
+    """Unnormalized coherent-channel matrix: ``rho_superposition`` of the clockwise current."""
+    return rho_superposition(CLOCKWISE, ls, basis, geom)
 
 
 def rho_bqp(basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
@@ -269,10 +272,8 @@ def rho_total(
     coh: spectral.CoherenceParams,
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
-    """Trace-1 rate-weighted mixture of the coherent and incoherent channels."""
-    coherent = rho_cp(ls, basis, geom)
-    [(_, _, rho)] = mixtures(coherent, rho_bqp(basis, geom), d, (t,), (coh.enhancement,), jp, quad)
-    return rho
+    """Trace-1 rate-weighted mixture: ``rho_total_superposition`` of the clockwise current."""
+    return rho_total_superposition(CLOCKWISE, ls, basis, geom, d, t, jp, coh, quad)
 
 
 def rho_total_superposition(

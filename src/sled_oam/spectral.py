@@ -34,8 +34,8 @@ in place for each temperature and returns the raw rates of both channels for
 a tuple of detunings.  Each kernel is built as K(d) + K(-d), so both rates
 are exactly even in d and each |d| is evaluated only once.  The evaluator
 also holds the only doubled-node ``verify`` check.  ``mixing_rates`` (one
-detuning over a temperature sweep) and ``rate_surfaces`` (a grid, one slice
-of temperatures per worker thread) are thin callers of it.
+detuning over a temperature sweep) and ``rate_surfaces`` (a grid) are thin
+callers of it, on one thread.
 
 Every factor of the kernels that does not depend on the detuning (the pair
 weight, the four occupation products, the four quasiparticle numerators) is
@@ -54,8 +54,6 @@ buffers.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +195,7 @@ class _BandTables:
     an array, so none needs a buffer of its own, and ``fill`` writes its
     intermediate arrays into float views of the kernels' work arrays, so
     neither a refill nor a detuning allocates.  Every array starts on a page
-    (see ``_aligned_arrays``); a table is for one thread at a time.
+    (see ``_aligned_arrays``).
     """
 
     def __init__(self, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
@@ -396,25 +394,11 @@ def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detu
 
 
 def rate_surfaces(
-    grid: SpectralGrid, jp: bcs.JunctionParams, workers: int = 1
+    grid: SpectralGrid, jp: bcs.JunctionParams
 ) -> "tuple[RateSurface, RateSurface]":
     """Both channels on one grid, normalized to the coherent maximum, which must be > 0."""
-    temps = grid.temperatures
-
-    def rows(part) -> list:
-        return _channel_rates(part, jp, grid.k_integration, grid.detunings)
-
-    # 0 = auto: one worker per core, never more than there are temperatures
-    n = workers or min(os.cpu_count() or 1, len(temps))
-    if n == 1 or len(temps) == 1:
-        raw = rows(temps)
-    else:
-        # one contiguous slice of the temperatures, so one band table, per worker
-        bounds = [len(temps) * i // n for i in range(n + 1)]
-        parts = [temps[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            raw = [row for part in pool.map(rows, parts) for row in part]
-    raw = np.array(raw)  # (n_temperatures, n_detunings, channel)
+    # (n_temperatures, n_detunings, channel)
+    raw = np.array(_channel_rates(grid.temperatures, jp, grid.k_integration, grid.detunings))
     norm = float(raw[..., 0].max())
     if not norm > 0:
         raise ConvergenceError(f"the coherent rate peaks at {norm}, so it cannot normalize")

@@ -4,7 +4,6 @@ Each test checks one release criterion at its stated tolerance and prints a
 PASS line (run with ``pytest -s tests/test_acceptance.py`` to see them).
 """
 
-import hashlib
 import json
 import os
 import time
@@ -47,7 +46,7 @@ def report(number, description):
 def fig2():
     """Both rate surfaces on the full fig2 preset grid."""
     config = load_config("fig2")
-    cp, bqp = rate_surfaces(config.grid, config.junction, workers=0)
+    cp, bqp = rate_surfaces(config.grid, config.junction)
     return config, cp, bqp
 
 
@@ -66,7 +65,7 @@ def test_criterion_1_cold_peaks_at_twice_the_gap():
         k_integration=KQuadrature(nodes=4096),
     )
     start = time.monotonic()
-    cp, _ = rate_surfaces(grid, config.junction, workers=1)
+    cp, _ = rate_surfaces(grid, config.junction)
     elapsed = time.monotonic() - start
     detunings = np.asarray(grid.detunings)
     step = detunings[1] - detunings[0]
@@ -240,42 +239,48 @@ def test_criterion_8_numerical_oracles(junction, rng):
               f"mixtures Hermitian/PSD/trace-1")
 
 
-def test_criterion_9_thread_count_determinism(tmp_path):
-    digests = {}
-    for command in ("dm", "rates"):
-        for threads in (1, 8):
-            out = str(tmp_path / f"{command}_{threads}")
-            code = main(
-                [
-                    command,
-                    "--config",
-                    "fig3",
-                    "--out",
-                    out,
-                    "--threads",
-                    str(threads),
-                    "--set",
-                    "output.svg=false",
-                ]
-            )
-            assert code == 0
-            payload = {}
-            for name in sorted(os.listdir(out)):
-                if name == "manifest.json" or not name.endswith((".csv", ".json")):
-                    continue
-                with open(os.path.join(out, name), "rb") as fh:
-                    payload[name] = hashlib.sha256(fh.read()).hexdigest()
-            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
-                manifest_outputs = json.load(fh)["outputs"]
-            digests[(command, threads)] = (payload, manifest_outputs)
-        assert digests[(command, 1)] == digests[(command, 8)]
+def _data_files(out):
+    """Bytes of every data file a run wrote, by name; the manifest is telemetry."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        if name != "manifest.json" and name.endswith((".csv", ".json")):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+    return files
 
-    with open(str(tmp_path / "dm_1" / "dm_0.5_100.json"), encoding="utf-8") as fh:
-        rho = PairDensityMatrix.from_json_dict(json.load(fh))
+
+def test_criterion_9_a_temperature_does_not_depend_on_the_rest_of_the_sweep(tmp_path):
+    def run(command, name, temperatures=None):
+        out = str(tmp_path / name)
+        args = [command, "--config", "fig3", "--out", out, "--set", "output.svg=false"]
+        if temperatures is not None:
+            args += ["--set", f"grid.temperatures={temperatures}"]
+        assert main(args) == 0
+        return _data_files(out)
+
+    # dm: the files of a subset of the temperatures are those of the full sweep
+    dm_full = run("dm", "dm_full")
+    dm_part = run("dm", "dm_part", "0.9")
+    assert sorted(dm_part) == ["dm_0.9_10.json", "dm_0.9_100.json"]
+    assert all(dm_part[name] == dm_full[name] for name in dm_part)
+
+    # rates: the normalization spans the whole sweep, so the temperatures are
+    # reversed rather than subset; each temperature's rows stay bit for bit
+    def sorted_rows(files):
+        return {name: sorted(data.decode().splitlines()[1:]) for name, data in files.items()}
+
+    forward = run("rates", "rates_forward", "0.5, 0.9")
+    backward = run("rates", "rates_backward", "0.9, 0.5")
+    assert sorted(forward) == ["rates_bqp.csv", "rates_cp.csv"]
+    assert sorted_rows(forward) == sorted_rows(backward)
+    assert forward != backward  # the rows did come out in the other order
+
+    rho = PairDensityMatrix.from_json_dict(json.loads(dm_full["dm_0.5_100.json"]))
     assert len(rho.basis) == 49
     for i, pi in enumerate(rho.basis.pairs):
         for j, pj in enumerate(rho.basis.pairs):
             if i != j and not (pi[0] + pi[1] == 2 and pj[0] + pj[1] == 2):
                 assert rho.entries[i, j] == 0.0
-    report(9, "fig3 dm and rates outputs byte-identical at 1 and 8 threads; "
-              "dm JSON carries the full 49-pair basis with sector-only structure")
+    report(9, "a fig3 temperature's dm files are byte-identical when run alone and its "
+              "rates rows bit-identical with the sweep reversed; dm JSON carries the "
+              "full 49-pair basis with sector-only structure")

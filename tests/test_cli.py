@@ -225,9 +225,9 @@ class TestErrorReporting:
 
     def test_validation_error_names_key(self, tmp_path, capsys):
         path = write_config(tmp_path)
-        assert main(["rates", "--config", path, "--set", "output.threads=-1"]) == 2
+        assert main(["rates", "--config", path, "--set", "emission.l_max=-1"]) == 2
         record = json.loads(capsys.readouterr().err.strip())
-        assert "threads" in record["message"]
+        assert "emission.l_max" in record["message"]
 
 
     @pytest.mark.parametrize(
@@ -365,12 +365,6 @@ class TestErrorReporting:
         assert key in record["message"] and repr(token) in record["message"]
         assert os.listdir(out) == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="modes._envelope_radius (about 19 um at w = 3 um) lies inside r_inner = 30 um, "
-        "so kappa cuts every overlap, whose exact value is 1e-87 or more, to 0.0 and dm "
-        "exits 1 with DegenerateMixtureError",
-    )
     def test_a_narrow_waist_far_inside_the_annulus_forms_its_state(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["dm", "--config", write_config(tmp_path), "--out", str(out)]
@@ -590,11 +584,30 @@ class TestSvgOutputs:
 
 
 class TestThreadPlumbing:
-    def test_threads_flag_is_recorded_as_output_threads(self, tmp_path):
+    """Every run is on one thread; ``--threads 1`` is accepted and sets nothing."""
+
+    def test_threads_1_runs_and_sets_no_key(self, tmp_path):
         out = str(tmp_path / "out")
-        path = write_config(tmp_path, FAST + "threads = 2\n")  # FAST ends in [output]
+        path = write_config(tmp_path)
         assert main(["rates", "--config", path, "--out", out, "--threads", "1"]) == 0
-        assert check_manifest(out)["config"]["output.threads"] == "1"
+        assert "output.threads" not in check_manifest(out)["config"]
+
+    @pytest.mark.parametrize("threads", ["8", "0", "2"])
+    def test_any_other_thread_count_exits_2(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", write_config(tmp_path), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_output_threads_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["rates", "--config", path, "--set", "output.threads=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "unknown config key output.threads",
+        }
 
 
 class TestPresets:

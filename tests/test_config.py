@@ -8,6 +8,7 @@ import pytest
 from sled_oam.config import _SCHEMA, PRESET_NAMES, load_config
 from sled_oam.errors import ConfigError
 from sled_oam.modes import MAX_OAM
+from sled_oam.pair_state import QubitState
 
 MINIMAL = ""
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -27,7 +28,7 @@ class TestDefaults:
         assert config.winding == 2
         assert config.l_max == 3
         assert config.enhancements == (10.0, 100.0)
-        assert config.qubit is None
+        assert config.qubit == QubitState(1.0, 0.0)  # the clockwise current
         assert config.geometry.waist == pytest.approx(9.0 / math.sqrt(2.0), rel=1e-15)
         assert "grid.temperatures" in config.defaulted
         assert "geometry.waist_um" in config.defaulted
@@ -80,9 +81,10 @@ class TestRejection:
         with pytest.raises(ConfigError, match="qubit"):
             load_config(write(tmp_path, text))
 
-    def test_negative_threads(self, tmp_path):
-        with pytest.raises(ConfigError, match="threads"):
-            load_config(write(tmp_path, MINIMAL + "[output]\nthreads = -2\n"))
+    def test_threads_is_an_unknown_key(self, tmp_path):
+        # every run is on one thread, so there is no thread count to set
+        with pytest.raises(ConfigError, match=r"^unknown config key output\.threads$"):
+            load_config(write(tmp_path, MINIMAL + "[output]\nthreads = 1\n"))
 
     def test_svg_must_be_a_boolean(self, tmp_path):
         with pytest.raises(ConfigError, match="output.svg"):
@@ -248,7 +250,6 @@ class TestOverrides:
             MINIMAL + f"[emission]\nqubit_a = {inv}, 0\nqubit_b = {inv}, {math.pi}\n",
         )
         config = load_config(path)
-        assert config.qubit is not None
         assert config.qubit.a.real == pytest.approx(inv)
         assert config.qubit.b.real == pytest.approx(-inv)
 

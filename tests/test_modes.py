@@ -220,6 +220,48 @@ class TestKappa:
         value = kappa(la, lb, AnnulusGeometry(0.0, 0.01, waist))
         assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
 
+    # Exact overlaps on five annuli, |l| up to 12: the default ring, a disc
+    # wider than every envelope, a waist narrower than the ring, a 10 nm ring
+    # and a ring wholly past the envelope radius (overlaps of 1e-87 to 1e-68).
+    # Frozen by the snippet above, with (r_in, r_out, w) the row's geometry.
+    @pytest.mark.parametrize(
+        "geom, la, lb, exact",
+        [
+            (AnnulusGeometry.default(), 0, 0, 0.16282830965491913),
+            (AnnulusGeometry.default(), 1, 2, 0.1151404911696517),
+            (AnnulusGeometry.default(), -3, 5, 0.0065696148861751665),
+            (AnnulusGeometry.default(), 6, 6, 0.00027819812485940296),
+            (AnnulusGeometry.default(), 0, 12, 9.152046389293681e-6),
+            (AnnulusGeometry.default(), -12, 12, 7.8902957986207875e-10),
+            (AnnulusGeometry(0.0, 20.0, 3.0), 0, 0, 1.0),
+            (AnnulusGeometry(0.0, 20.0, 3.0), 1, 2, 0.93998560298662519),
+            (AnnulusGeometry(0.0, 20.0, 3.0), -3, 5, 0.89442719099991588),
+            (AnnulusGeometry(0.0, 20.0, 3.0), 6, 6, 1.0),
+            (AnnulusGeometry(0.0, 20.0, 3.0), 0, 12, 0.032897584747988449),
+            (AnnulusGeometry(0.0, 20.0, 3.0), -12, 12, 1.0),
+            (AnnulusGeometry(1.0, 2.5, 1.2), 0, 0, 0.24918235210073476),
+            (AnnulusGeometry(1.0, 2.5, 1.2), 1, 2, 0.68650521341814161),
+            (AnnulusGeometry(1.0, 2.5, 1.2), -3, 5, 0.82236769010526914),
+            (AnnulusGeometry(1.0, 2.5, 1.2), 6, 6, 0.7619613773994773),
+            (AnnulusGeometry(1.0, 2.5, 1.2), 0, 12, 0.025066688987693315),
+            (AnnulusGeometry(1.0, 2.5, 1.2), -12, 12, 0.1022318782737674),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), 0, 0, 0.0017914412758165051),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), 1, 2, 0.00089301320311317107),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), -3, 5, 2.6282195680393106e-5),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), 6, 6, 6.1455883906896059e-7),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), 0, 12, 2.0217501490896526e-8),
+            (AnnulusGeometry(4.0, 4.01, 9.0 / math.sqrt(2.0)), -12, 12, 2.2818383782144441e-13),
+            (AnnulusGeometry(30.0, 40.0, 3.0), 0, 0, 1.3838965267367375e-87),
+            (AnnulusGeometry(30.0, 40.0, 3.0), 1, 2, 2.7886032687150767e-84),
+            (AnnulusGeometry(30.0, 40.0, 3.0), -3, 5, 8.4195043137362414e-80),
+            (AnnulusGeometry(30.0, 40.0, 3.0), 6, 6, 1.2679754825669758e-76),
+            (AnnulusGeometry(30.0, 40.0, 3.0), 0, 12, 4.1713330896118638e-78),
+            (AnnulusGeometry(30.0, 40.0, 3.0), -12, 12, 1.2584992537722151e-68),
+        ],
+    )
+    def test_overlaps_against_frozen_incomplete_gamma_values(self, geom, la, lb, exact):
+        assert kappa(la, lb, geom) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
     def test_empty_annulus_is_zero(self):
         for geom in (AnnulusGeometry(4.0, 4.0, 2.0), AnnulusGeometry(2.0, 2.0, 1.0)):
             assert kappa(0, 1, geom) == 0.0

@@ -306,8 +306,6 @@ def one_shot_dm(config, t, enh):
     """The matrix ``dm`` must write at (t, enh), formed by the one-shot mixture."""
     args = (config.winding, config.basis(), config.geometry, config.detuning_for_dm, t)
     args += (config.junction, CoherenceParams(enh), config.grid.k_integration)
-    if config.qubit is None:
-        return rho_total(*args)
     return rho_total_superposition(config.qubit, *args)
 
 
@@ -383,14 +381,13 @@ def test_any_positive_geometry_value_fails_cleanly(key, log_value):
 
 
 # the finite ends of every range that config bounds at load, read from its
-# schema; the point count and thread count shape the run, not the rates, and
-# stay at the run's own 3 points (-max, 0, +max: d = 0 is the resonance) and
-# auto threads
+# schema; the point count shapes the run, not the rates, and stays at the
+# run's own 3 points (-max, 0, +max: d = 0 is the resonance)
 SCHEMA_ENDS = {
     f"{section}.{key}": [end for end in limits if math.isfinite(end)]
     for section, rows in _SCHEMA.items()
     for key, (_, _, limits) in rows.items()
-    if limits is not None and f"{section}.{key}" not in ("grid.detuning_points", "output.threads")
+    if limits is not None and f"{section}.{key}" != "grid.detuning_points"
 }
 # the annulus needs r_inner <= r_outer, so the radii are drawn as ordered pairs
 RADIUS_KEYS = ("geometry.r_inner_um", "geometry.r_outer_um")

@@ -154,40 +154,6 @@ class TestRateSurface:
         assert np.array_equal(bqp_alone.values, bqp.values)
         assert bqp_alone.normalization == cp.normalization
 
-    def test_thread_count_does_not_change_bits(self, junction):
-        grid = SpectralGrid(
-            detunings=tuple(np.linspace(-3, 3, 7)),
-            temperatures=(0.2, 0.5, 0.8),
-            k_integration=KQuadrature(nodes=256),
-        )
-        seq = rate_surfaces(grid, junction, workers=1)[0]
-        par = rate_surfaces(grid, junction, workers=4)[0]
-        assert np.array_equal(seq.values, par.values)
-
-    @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(0, 2, [2]), (0, 8, [3]), (0, 1, []), (0, None, []), (4, 2, [4]), (1, 8, [])],
-    )
-    def test_auto_workers_are_capped_by_cores_and_temperatures(
-        self, junction, monkeypatch, workers, cpus, expected
-    ):
-        requested = []
-
-        class Spy(spectral.ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                requested.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Spy)
-        monkeypatch.setattr(spectral.os, "cpu_count", lambda: cpus)
-        grid = SpectralGrid(
-            detunings=(-1.0, 0.0, 1.0),
-            temperatures=(0.2, 0.5, 0.8),
-            k_integration=KQuadrature(nodes=64),
-        )
-        rate_surfaces(grid, junction, workers=workers)
-        assert requested == expected
-
     def test_gap_collapse_pulls_peak_inward(self, junction):
         grid = SpectralGrid(
             detunings=tuple(np.linspace(-6, 6, 61)),
@@ -318,12 +284,12 @@ class TestBandTableLayout:
             ),
             (
                 lambda jp, temps: rate_surfaces(
-                    SpectralGrid((-1.0, 1.0), temps, KQuadrature(nodes=64)), jp, workers=2
+                    SpectralGrid((-1.0, 1.0), temps, KQuadrature(nodes=64)), jp
                 ),
-                2,
+                1,
             ),
         ],
-        ids=["one table", "doubled-node check", "two workers"],
+        ids=["one table", "doubled-node check", "rate surface"],
     )
     def test_arrays_are_allocated_once_per_table_not_per_temperature(
         self, junction, monkeypatch, sweep, tables
