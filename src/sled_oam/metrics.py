@@ -2,13 +2,15 @@
 
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
-built on top of it.  It decomposes a whole stack of matrices in one call, each
-bit for bit as if alone, and its sweeps visit only the rows coupled to another
-row, which for a Bell target is its one total-OAM sector (5 of 49 rows for
-fig3); the result is bit for bit that of visiting every pair (see ``eigh``).
-A fidelity sweep works only on the block of the target's support, outside
-which every matrix is zero, and decomposes the blocks of all its points in one
-call (see ``_fidelities``, also for where this keeps the full-size bits).  The
+built on top of it.  Each of them takes a whole stack of matrices in one call,
+each bit for bit as if alone.  The eigensolver's sweeps visit only the rows
+coupled to another row, which for a Bell target is its one total-OAM sector
+(5 of 49 rows for fig3); the result is bit for bit that of visiting every pair
+(see ``eigh``).  A fidelity sweep never forms a full-size matrix: it takes its
+mixtures from ``pair_state.mixture_chunks``, held only where they can be
+nonzero, works only on the block of the target's support, outside which every
+matrix is zero, and decomposes the blocks of all its points in one call (see
+``_fidelities``, also for where this keeps the full-size bits).  The
 general mixed-state fidelity is evaluated alongside the pure-target shortcut
 <psi|rho|psi>, and the two must agree at every point -- this cross-validates
 the whole eigenvalue pipeline on every call.
@@ -18,15 +20,15 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError, at_point
+from .errors import ContractError, ConvergenceError
 from .modes import AnnulusGeometry
-from .pair_state import OamPairBasis, PairDensityMatrix
+from .pair_state import MixtureChunk, OamPairBasis, PairDensityMatrix
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -161,24 +163,33 @@ def eigh(a: np.ndarray) -> HermitianEigen:
     return HermitianEigen(vals.reshape(a.shape[:-1]), vecs.reshape(a.shape))
 
 
+def _not_psd(vals: np.ndarray) -> np.ndarray:
+    """Which matrices, given their eigenvalues along the last axis, have one below -1e-10."""
+    return vals.min(axis=-1, initial=np.inf) < -1e-10
+
+
 def _psd_root(decomp: HermitianEigen) -> np.ndarray:
-    """``sqrtm_psd`` from a matrix's decomposition."""
+    """``sqrtm_psd`` from the decomposition of a matrix or of a stack of them."""
     vals = decomp.eigenvalues
-    if vals.size and float(vals.min()) < -1e-10:
-        raise ContractError(f"matrix is not PSD: min eigenvalue {float(vals.min())}")
-    floor = 1e-12 * max(float(vals.max()), 0.0) if vals.size else 0.0
+    failed = np.flatnonzero(_not_psd(vals))
+    if failed.size:
+        lowest = float(vals.min(axis=-1).flat[failed[0]])
+        where = f" (matrix {failed[0]} of the stack)" if vals.ndim > 1 else ""
+        raise ContractError(f"matrix is not PSD: min eigenvalue {lowest}{where}")
+    floor = 1e-12 * vals.max(axis=-1, keepdims=True, initial=0.0)
     vals = np.where(vals < floor, 0.0, vals)
     v = decomp.eigenvectors
-    return (v * np.sqrt(vals)) @ v.conj().T
+    return (v * np.sqrt(vals)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of a positive-semidefinite matrix, or of each of a stack.
 
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything lower is rejected.
-    Eigenvalues below 1e-12 of the largest are rank noise and also treated as
-    zero -- the square root would otherwise amplify them to ~1e-7 artifacts
-    while they change S*S by less than the 1e-9 reconstruction tolerance.
+    Eigenvalues below 1e-12 of the largest of their matrix are rank noise and
+    also treated as zero -- the square root would otherwise amplify them to
+    ~1e-7 artifacts while they change S*S by less than the 1e-9 reconstruction
+    tolerance.
     """
     return _psd_root(eigh(a))
 
@@ -197,7 +208,7 @@ class TargetState:
                 f"coefficient vector length {self.coefficients.shape} does not match basis"
             )
         norm = float(np.linalg.norm(self.coefficients))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ContractError(f"target state must have unit norm, got {norm}")
 
     @cached_property
@@ -231,68 +242,105 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
     eigenvalue pipeline is broken and raises.  This is the one-point case of
     the sweep in ``fidelity_curve``, and gives the same bits.
     """
-    [value] = _fidelities([(nullcontext, rho)], target)
+    if rho.basis != target.basis:
+        raise ContractError("density matrix and target state use different bases")
+    support = np.flatnonzero(target.coefficients)
+    mask = np.zeros(rho.entries.shape, dtype=bool)
+    mask[np.ix_(support, support)] = True
+    positions = pair_state.Positions(mask)
+    values = rho.entries.take(positions.flat)[None]
+    [value] = _fidelities([MixtureChunk(positions, [nullcontext], values, None)], target)
     return value
 
 
-def _fidelities(points, target: TargetState) -> list:
-    """Cross-checked general fidelity of each ``(context, rho)`` against ``target``.
+def _passed(ok: np.ndarray) -> int:
+    """How many leading entries of ``ok`` are True."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
-    ``context()`` is entered around each point's own work, so its errors can
-    name the point.  All work is on the block of the target's support S (the
-    nonzero entries of psi): ``root`` is zero outside S x S, so ``inner`` and
-    its square root are too.  Three passes:
 
-    1. Per point, form ``inner = root @ rho @ root`` on the block, and the
-       shortcut <psi|rho|psi>.  Up to fig3's 49 pairs (l_max 2-5) this is bit
-       for bit the block of the full-size product; at l_max = 6 (169 pairs)
-       BLAS groups the full-size sums otherwise, and values move by at most
-       3.5e-15 relative.
-    2. Decompose the stack of blocks in one ``eigh`` call.  Every rotation is
-       the one the full-size solve makes, since it visits only coupled rows,
-       all inside S.  Only its convergence test differs: the norms are summed
-       over the block, the same nonzero terms grouped otherwise, so a result
-       could move only if a sweep ended within rounding of the threshold.
-    3. Per point, take the square root of the block from its own
-       decomposition and sum its diagonal from a length-n vector that is zero
-       outside S.  The sum's grouping depends on the positions of the terms,
-       so that vector gives the bits of the full-size root's trace, at every
-       basis size; a sum over the block's diagonal alone would not.
+def _fidelities(chunks, target: TargetState) -> list:
+    """Cross-checked general fidelity against ``target`` of each mixture of ``chunks``.
 
-    Only blocks and scalars are kept across points.
+    The chunks are ``pair_state.MixtureChunk``s on the target's basis whose
+    positions hold the block S x S of the target's support S (the nonzero
+    entries of psi).  ``root`` is zero outside S x S, so ``inner`` and its
+    square root are too.  Every step is stacked numpy that acts on each
+    point as if alone, so each value has the bits that ``fidelity`` gives
+    its mixture on its own.  Three passes:
+
+    1. Per chunk, check each mixture's unit trace, summing its diagonal as
+       ``np.trace`` does.  Form ``inner = root @ rho @ root`` on the block,
+       one matrix product per point, and the shortcut <psi|rho|psi> on it.
+       Up to fig3's 49 pairs (l_max 2-5) ``inner`` is bit for bit the block
+       of the full-size product; at l_max = 6 (169 pairs) BLAS groups the
+       full-size sums otherwise, and values move by at most 3.5e-15
+       relative.
+    2. Decompose the blocks of all points in one ``eigh`` call.  Every
+       rotation is the one the full-size solve makes, since it visits only
+       coupled rows, all inside S.  Only its convergence test differs: the
+       norms are summed over the block, the same nonzero terms grouped
+       otherwise, so a result could move only if a sweep ended within
+       rounding of the threshold.
+    3. Take each block's square root from its own decomposition and sum its
+       diagonal from a length-n row that is zero outside S.  The sum's
+       grouping depends on the positions of the terms, so that row gives the
+       bits of the full-size root's trace, at every basis size; a sum over
+       the block's diagonal alone would not.
+
+    After its mixture's checks, each point gets the unit-trace, PSD and 1e-9
+    cross-check tests, and NaN fails each.  The sweep stops at the first
+    point that fails a check before ``eigh``; the error raised is that of
+    the first point in sweep order that fails any, in its context, and of
+    the first check it fails.  Only blocks and scalars are kept across
+    chunks.
     """
     psi = target.coefficients
     support = np.flatnonzero(psi)
-    block = np.ix_(support, support)
-    root = target.root[block]
-    contexts, blocks, shortcuts = [], [], []
-    for context, rho in points:
-        with context():
-            if rho.basis != target.basis:
-                raise ContractError("density matrix and target state use different bases")
-            tr = rho.trace()
-            if abs(tr - 1.0) > 1e-9:
-                raise ContractError(f"density matrix must have unit trace, got {tr}")
-            inner = root @ rho.entries[block] @ root
-            contexts.append(context)
-            blocks.append(0.5 * (inner + inner.conj().T))
-            shortcuts.append(float((psi.conj() @ rho.entries @ psi).real))
-    if not blocks:
-        return []
-    decomp = eigh(np.array(blocks))
-    diagonal = np.zeros(len(psi), dtype=complex)
+    root = target.root[np.ix_(support, support)]
+    contexts, blocks, shortcuts, failure = [], [], [], None
+    for chunk in chunks:
+        rho = chunk.values
+        trace = rho.take(chunk.positions.diagonal, axis=-1).sum(axis=-1).real
+        formed = _passed(abs(trace - 1.0) <= 1e-9)
+        rho = rho[:formed].take(chunk.positions.index(support[:, None], support), axis=-1)
+        inner = root @ rho @ root
+        blocks.append(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
+        shortcuts.append(((psi[support].conj() @ rho) * psi[support]).sum(axis=-1).real)
+        contexts += chunk.contexts[:formed]
+        failure = chunk.failure
+        if formed < len(chunk.contexts):
+            error = f"density matrix must have unit trace, got {float(trace[formed])}"
+            failure = (chunk.contexts[formed], ContractError(error))
+        if failure is not None:
+            break
     values = []
-    for context, block_vals, block_vecs, shortcut in zip(
-        contexts, decomp.eigenvalues, decomp.eigenvectors, shortcuts
-    ):
-        with context():
-            diagonal[support] = _psd_root(HermitianEigen(block_vals, block_vecs)).diagonal()
-            general = float(diagonal.sum().real) ** 2
-            if abs(general - shortcut) > FIDELITY_XCHECK_TOL:
+    if contexts:
+        blocks = np.concatenate(blocks)  # frees the chunks' own blocks before eigh
+        decomp = eigh(blocks)
+        del blocks
+        vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+        rooted = _passed(~_not_psd(vals))
+        for start in range(0, rooted, pair_state.MIXTURE_CHUNK):
+            part = slice(start, min(start + pair_state.MIXTURE_CHUNK, rooted))
+            roots = _psd_root(HermitianEigen(vals[part], vecs[part]))
+            diagonal = np.zeros((len(roots), len(psi)), dtype=complex)
+            diagonal[:, support] = roots.diagonal(axis1=-2, axis2=-1)
+            values += [x**2 for x in diagonal.sum(axis=-1).real.tolist()]
+        shortcuts = np.concatenate(shortcuts)
+        agree = _passed(abs(np.array(values) - shortcuts[:rooted]) <= FIDELITY_XCHECK_TOL)
+        if agree < rooted:
+            with contexts[agree]():
                 raise ContractError(
-                    f"fidelity cross-check failed: general {general} vs shortcut {shortcut}"
+                    f"fidelity cross-check failed: general {values[agree]}"
+                    f" vs shortcut {float(shortcuts[agree])}"
                 )
-            values.append(general)
+        if rooted < len(contexts):
+            with contexts[rooted]():
+                _psd_root(HermitianEigen(vals[rooted], vecs[rooted]))  # raises
+    if failure is not None:
+        context, error = failure
+        with context():
+            raise error
     return values
 
 
@@ -319,21 +367,25 @@ def fidelity_curve(
 
     That target is the equal-amplitude state on the +ls sector, which is the
     symmetric Bell state in the standard winding-1, l in {0, 1} configuration.
-    The general forms of all points share one stacked ``eigh`` call (see
-    ``_fidelities``); each value is the one ``fidelity`` gives for its mixture.
+    The mixtures come from ``pair_state.mixture_chunks``, held only on the
+    diagonal and the target's support block (69 of 2401 entries for fig3),
+    and the general forms of all points share one stacked ``eigh`` call (see
+    ``_fidelities``).  No full-size density matrix is built beyond the two
+    channel matrices, and each value is the one ``fidelity`` gives for the
+    full mixture of its point, with the same checks and the same errors.
     """
     target = bell_target(basis, ls)
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
-    sweep = pair_state.mixtures(
+    chunks = pair_state.mixture_chunks(
         pair_state.rho_cp(ls, basis, geom),
         pair_state.rho_bqp(basis, geom),
+        np.flatnonzero(target.coefficients),
         d,
         temps,
         enhancements,
         jp,
         quad,
     )
-    values = _fidelities(((partial(at_point, t, enh), rho) for t, enh, rho in sweep), target)
-    values = np.array(values).reshape(len(temps), len(enhancements))
+    values = np.array(_fidelities(chunks, target)).reshape(len(temps), len(enhancements))
     return FidelityTable(temps, enhancements, values)

@@ -5,25 +5,40 @@ fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background.  Mixtures are weighted by the spectral rates evaluated
 at a fixed detuning; ``mixtures`` sweeps them over (temperature, enhancement)
-from channel matrices built once, and every mixture of the package is formed
-there.
+from channel matrices built once.  ``mixture_chunks`` sweeps the same
+mixtures in chunks of points, each held only at the positions where one can
+be nonzero.  Both take each point's weights and its mixture from ``_Mixer``,
+so the package has one mixing formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
 
 from . import spectral
 from .bcs import JunctionParams
-from .errors import ContractError, DegenerateMixtureError, DomainError, EmptySectorError, at_point
+from .errors import (
+    ContractError,
+    DegenerateMixtureError,
+    DomainError,
+    EmptySectorError,
+    SledOamError,
+    at_point,
+)
 from .modes import AnnulusGeometry, kappa
 
 HERMITICITY_TOL = 1e-12
+_NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
+_UNTRACEABLE = "cannot normalize matrix with trace {}"
+# Points per ``mixture_chunks`` chunk.  At l_max = 6 (279 positions) a chunk's
+# stacked values take 107 KB, below the 128 KiB from which malloc maps memory
+# afresh on every call.
+MIXTURE_CHUNK = 24
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,7 @@ class QubitState:
             norm = abs(self.a) ** 2 + abs(self.b) ** 2
         except OverflowError:  # a magnitude above about 1e154
             norm = math.inf
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"|a|^2 + |b|^2 must be 1, got {norm}")
 
     @classmethod
@@ -104,6 +119,19 @@ def sector_pairs(basis: OamPairBasis, ls: int):
     return [p for p in basis.pairs if p[0] + p[1] == ls]
 
 
+def _hermitian(entries: np.ndarray, transposed: np.ndarray, axis=-1) -> np.ndarray:
+    """Whether each matrix is Hermitian: max |e - conj(e^T)| <= tol * max(1, max |e|).
+
+    ``entries`` holds a matrix's entries along ``axis`` (None: all axes), or
+    some of them, and ``transposed`` the entries of its transpose at the same
+    places.  NaN fails.  Entries left out count as 0, so where they are 0 the
+    result is that of the whole matrix.
+    """
+    scale = np.maximum(1.0, np.abs(entries).max(axis=axis, initial=0.0))
+    skew = np.abs(entries - transposed.conj()).max(axis=axis, initial=0.0)
+    return skew <= HERMITICITY_TOL * scale
+
+
 class PairDensityMatrix:
     """Hermitian matrix over an OAM pair basis."""
 
@@ -112,9 +140,8 @@ class PairDensityMatrix:
         n = len(basis)
         if entries.shape != (n, n):
             raise ContractError(f"entries shape {entries.shape} does not match basis size {n}")
-        scale = max(1.0, float(np.abs(entries).max()) if entries.size else 1.0)
-        if not float(np.abs(entries - entries.conj().T).max()) <= HERMITICITY_TOL * scale:
-            raise ContractError("matrix is not Hermitian within tolerance")
+        if not _hermitian(entries, entries.T, axis=None):
+            raise ContractError(_NOT_HERMITIAN)
         self.basis = basis
         self.entries = entries
 
@@ -124,7 +151,7 @@ class PairDensityMatrix:
     def normalize(self) -> "PairDensityMatrix":
         tr = self.trace()
         if tr <= 0:
-            raise ContractError(f"cannot normalize matrix with trace {tr}")
+            raise ContractError(_UNTRACEABLE.format(tr))
         return PairDensityMatrix(self.basis, self.entries / tr)
 
     def diagonal(self) -> np.ndarray:
@@ -205,38 +232,128 @@ def mixture(
     coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
 ) -> PairDensityMatrix:
     """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
-    return _mixer(coherent, incoherent)(r_cp, r_bqp)
+    return _Mixer(coherent, incoherent).matrix(r_cp, r_bqp)
 
 
-def _mixer(coherent: PairDensityMatrix, incoherent: PairDensityMatrix):
-    """``mixture`` of these two channel matrices as a function of the two rates.
+class Positions:
+    """Some entries of an n x n matrix, by ascending row-major index ``flat``.
+
+    They hold the diagonal and are closed under transpose: ``diagonal`` and
+    ``transposed`` say where in ``flat`` the diagonal entries, in order, and
+    the transpose of each entry lie.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        n = len(mask)
+        mask = mask | mask.T
+        mask.flat[:: n + 1] = True
+        self.n = n
+        self.flat = np.flatnonzero(mask)
+        self.diagonal = self.index(np.arange(n), np.arange(n))
+        self.transposed = self.index(self.flat % n, self.flat // n)
+
+    def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Where the entries (rows, cols), broadcast together, lie in ``flat``."""
+        flat = rows * self.n + cols
+        where = np.searchsorted(self.flat, flat)
+        if not np.array_equal(self.flat.take(where, mode="clip"), flat):
+            raise ContractError("entries requested outside the positions held")
+        return where
+
+
+@dataclass
+class MixtureChunk:
+    """Consecutive points of a ``mixture_chunks`` sweep and their trace-1 mixtures.
+
+    ``values[i]`` holds the mixture of the point whose error context
+    ``contexts[i]`` enters, at ``positions``.  ``failure`` is the context and
+    error of the point after the last, which failed a check, or None.
+    """
+
+    positions: Positions
+    contexts: list
+    values: np.ndarray
+    failure: tuple | None
+
+
+class _Mixer:
+    """Trace-1 mixtures of two channel matrices as functions of the two rates.
 
     Each channel matrix is divided by its trace once, here, and not again per
-    pair of rates; every mixture still gets every check.  The function holds
-    only the quotients, not the two matrices.
+    pair of rates; every mixture still gets every check.  The mixer holds
+    only the quotients, not the two matrices.  Given ``block`` (indices of
+    the basis), it holds them only at ``positions``: where either channel
+    matrix or its transpose is nonzero, the diagonal, and block x block.
+    Every other entry of a mixture is a*0 + b*0, an exact 0 for finite weights.
     """
-    basis = coherent.basis
-    tr_cp = coherent.trace()
-    tr_bqp = incoherent.trace()
-    degenerate = tr_cp <= 0 or tr_bqp <= 0
-    if not degenerate:
-        unit_cp = coherent.entries / tr_cp
-        unit_bqp = incoherent.entries / tr_bqp
 
-    def mix(r_cp: float, r_bqp: float) -> PairDensityMatrix:
-        if degenerate:
-            raise DegenerateMixtureError(
-                f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
-            )
+    def __init__(self, coherent: PairDensityMatrix, incoherent: PairDensityMatrix, block=None):
+        self.basis = coherent.basis
+        tr_cp = coherent.trace()
+        tr_bqp = incoherent.trace()
+        self.degenerate = None
+        if tr_cp <= 0 or tr_bqp <= 0:
+            self.degenerate = f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
+        if block is not None:
+            mask = (coherent.entries != 0) | (incoherent.entries != 0)
+            mask[np.ix_(block, block)] = True
+            self.positions = Positions(mask)
+        if not self.degenerate:
+            cp, bqp = coherent.entries, incoherent.entries
+            if block is not None:
+                cp, bqp = cp.take(self.positions.flat), bqp.take(self.positions.flat)
+            self.unit_cp, self.unit_bqp = cp / tr_cp, bqp / tr_bqp
+
+    def weights(self, r_cp: float, r_bqp: float) -> tuple:
+        """Each channel's share a, b of the total rate; raises where no mixture can be formed."""
+        if self.degenerate:
+            raise DegenerateMixtureError(self.degenerate)
         total = r_cp + r_bqp
         if total <= 0:
             raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
         if not math.isfinite(total):
             raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
-        entries = (r_cp / total) * unit_cp + (r_bqp / total) * unit_bqp
-        return PairDensityMatrix(basis, entries).normalize()
+        return r_cp / total, r_bqp / total
 
-    return mix
+    def mixed(self, a, b) -> np.ndarray:
+        """The mixing formula, unnormalized: ``a`` and ``b`` broadcast against the units."""
+        return a * self.unit_cp + b * self.unit_bqp
+
+    def matrix(self, r_cp: float, r_bqp: float) -> PairDensityMatrix:
+        """The full trace-1 mixture at these rates."""
+        a, b = self.weights(r_cp, r_bqp)
+        return PairDensityMatrix(self.basis, self.mixed(a, b)).normalize()
+
+    def stack(self, weights: list) -> tuple:
+        """Trace-1 mixtures of (a, b) weight pairs at ``positions``, with ``matrix``'s checks.
+
+        Returns the values of the mixtures before the first that fails a
+        check, the index of that one (``len(weights)`` if none does) and its
+        error.  The checks read what they read on the full matrix: both
+        Hermitian tests see every nonzero entry and its transpose, and the
+        trace sums the same diagonal in the same order.
+        """
+        positions = self.positions
+        if not weights:  # also where the units were never formed
+            return np.zeros((0, len(positions.flat)), dtype=complex), 0, None
+        a, b = np.array(weights, dtype=float).T[:, :, None]
+        entries = self.mixed(a, b)
+        before = _hermitian(entries, entries.take(positions.transposed, axis=-1))
+        if len(positions.flat) < positions.n**2:
+            # a*0 + b*0 is NaN outside the positions where a weight is not finite
+            before &= np.isfinite(a[:, 0]) & np.isfinite(b[:, 0])
+        trace = entries.take(positions.diagonal, axis=-1).sum(axis=-1).real
+        with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
+            entries /= trace[:, None]
+        after = _hermitian(entries, entries.take(positions.transposed, axis=-1))
+        passed = before & ~(trace <= 0) & after
+        if passed.all():
+            return entries, len(weights), None
+        i = int(np.argmin(passed))
+        untraceable = before[i] and trace[i] <= 0
+        return entries[:i], i, ContractError(
+            _UNTRACEABLE.format(float(trace[i])) if untraceable else _NOT_HERMITIAN
+        )
 
 
 def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()):
@@ -252,14 +369,48 @@ def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spect
     """
     temperatures = tuple(temperatures)
     rates = spectral.mixing_rates(d, temperatures, jp, quad)
-    mix = _mixer(coherent, incoherent)
+    mix = _Mixer(coherent, incoherent)
     del coherent, incoherent
     for t, (s_cp, s_bqp) in zip(temperatures, rates):
         for enh in enhancements:
             with at_point(t, enh):
                 r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
-                rho = mix(r_cp, s_bqp)
+                rho = mix.matrix(r_cp, s_bqp)
             yield t, enh, rho
+
+
+def mixture_chunks(
+    coherent, incoherent, block, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()
+):
+    """The mixtures of ``mixtures``, in ``MixtureChunk``s of up to ``MIXTURE_CHUNK`` points.
+
+    Each mixture is held only at the positions of ``_Mixer`` for the basis
+    indices ``block``, and gets every check of ``mixtures`` there.  A chunk
+    ends at the first point that fails one, carrying its error, and no chunk
+    follows it.  Rate errors pass through unchanged.
+    """
+    temperatures = tuple(temperatures)
+    rates = spectral.mixing_rates(d, temperatures, jp, quad)
+    mix = _Mixer(coherent, incoherent, np.asarray(block, dtype=int))
+    del coherent, incoherent
+    points = [(t, enh, s) for t, s in zip(temperatures, rates) for enh in enhancements]
+    for start in range(0, len(points), MIXTURE_CHUNK):
+        contexts, weights, failure = [], [], None
+        for t, enh, (s_cp, s_bqp) in points[start : start + MIXTURE_CHUNK]:
+            context = partial(at_point, t, enh)
+            try:
+                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
+                weights.append(mix.weights(r_cp, s_bqp))
+            except SledOamError as exc:
+                failure = (context, exc)
+                break
+            contexts.append(context)
+        values, formed, error = mix.stack(weights)
+        if error is not None:
+            failure = (contexts[formed], error)
+        yield MixtureChunk(mix.positions, contexts[:formed], values, failure)
+        if failure is not None:
+            return
 
 
 def rho_total(

@@ -141,12 +141,32 @@ class TestSqrtmPsd:
         with pytest.raises(ContractError):
             sqrtm_psd(np.diag([1.0, -1e-8]).astype(complex))
 
+    def test_a_stack_is_rooted_matrix_by_matrix(self, rng):
+        # with one floor for the stack, 1e-12 of A's largest eigenvalue, all of
+        # B's eigenvalues would count as rank noise and B's root would be 0
+        a = random_density(rng, 3, rank=2) * 7.0
+        b = random_density(rng, 3) * 1e-14
+        roots = sqrtm_psd(np.stack([a, b]))
+        assert np.abs(roots[1]).max() > 0.0
+        assert np.array_equal(roots[0], sqrtm_psd(a))
+        assert np.array_equal(roots[1], sqrtm_psd(b))
+
+    def test_a_stack_names_its_first_matrix_that_is_not_psd(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-8]), np.diag([-1.0, 1.0])]).astype(complex)
+        with pytest.raises(ContractError, match=r"-1e-08 \(matrix 1 of the stack\)$"):
+            sqrtm_psd(stack)
+
 
 class TestTargetState:
     def test_norm_enforced(self):
         basis = line_basis(3)
         with pytest.raises(ContractError):
             TargetState(basis, np.array([1.0, 1.0, 0.0]))
+
+    def test_a_nan_coefficient_fails_the_norm_check(self):
+        basis = OamPairBasis.from_l_values([0, 1])
+        with pytest.raises(ContractError, match="unit norm, got nan"):
+            TargetState(basis, [np.nan, 0.0, 0.0, 0.0])
 
     def test_bell_target_on_standard_basis(self):
         basis = OamPairBasis.from_l_values([0, 1])

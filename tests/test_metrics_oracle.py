@@ -276,7 +276,9 @@ class TestCrossCheckRunsEveryCall:
         psd_root = metrics._psd_root
 
         def counting_root(decomp):
-            roots.append(decomp.eigenvectors.shape)
+            # one entry per matrix rooted, whether alone or in a stack
+            vecs = decomp.eigenvectors
+            roots.extend([vecs.shape[-2:]] * int(np.prod(vecs.shape[:-2])))
             return psd_root(decomp)
 
         monkeypatch.setattr(metrics, "_psd_root", counting_root)

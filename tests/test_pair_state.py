@@ -79,6 +79,11 @@ class TestQubitState:
         with pytest.raises(DomainError, match="must be 1, got inf"):
             QubitState(a, 0.0)
 
+    @pytest.mark.parametrize("a", [np.nan, complex(0.0, np.nan)])
+    def test_a_nan_amplitude_fails_the_norm_check(self, a):
+        with pytest.raises(DomainError, match="must be 1, got nan"):
+            QubitState(a, 0.0)
+
     def test_from_polar(self):
         q = QubitState.from_polar(1.0 / np.sqrt(2), 0.0, 1.0 / np.sqrt(2), np.pi)
         assert q.a == pytest.approx(1.0 / np.sqrt(2))
