@@ -73,8 +73,8 @@ def cmd_rates(config: RunConfig) -> dict:
 
 def cmd_dm(config: RunConfig) -> dict:
     """Density matrices for every (temperature, enhancement): dm_{t}_{enh}.json."""
-    _check_file_tokens("grid.temperatures", config.grid.temperatures)
-    _check_file_tokens("emission.enhancements", config.enhancements)
+    _check_tokens("grid.temperatures", config.grid.temperatures)
+    _check_tokens("emission.enhancements", config.enhancements)
     basis = config.basis()
     coherent = pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry)
     sweep = pair_state.mixtures(
@@ -98,13 +98,13 @@ def cmd_dm(config: RunConfig) -> dict:
     return written
 
 
-def _check_file_tokens(key: str, values) -> None:
-    """Distinct values that print alike would overwrite each other's dm files."""
+def _check_tokens(key: str, values) -> None:
+    """Distinct values that print alike would overwrite each other's dm files or fidelity curves."""
     first = {}
     for value in values:
         token = _num_token(value)
         if first.setdefault(token, value) != value:
-            raise ConfigError(f"{key}: {first[token]!r} and {value!r} share file token {token!r}")
+            raise ConfigError(f"{key}: {first[token]!r} and {value!r} print alike, as {token!r}")
 
 
 def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
@@ -114,9 +114,10 @@ def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -
     """
     magnitudes = abs(rho.entries)
     populated = np.flatnonzero(magnitudes.max(axis=1, initial=0.0) > 1e-15)
+    magnitudes = magnitudes[np.ix_(populated, populated)]
     labels = [_pair_label(rho.basis.pairs[i]) for i in populated]
     svg = outputs.svg_matrix(
-        magnitudes[populated][:, populated],
+        magnitudes,
         labels,
         f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
     )
@@ -124,7 +125,9 @@ def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -
 
 
 def cmd_fidelity(config: RunConfig) -> dict:
-    """Bell-state fidelity versus temperature per enhancement: fidelity.csv."""
+    """Bell-state fidelity versus temperature per enhancement: fidelity.csv (+ one curve each)."""
+    if config.svg:  # the curves are labelled by their enhancement's token
+        _check_tokens("emission.enhancements", config.enhancements)
     table = fidelity_curve(
         config.grid.temperatures,
         config.enhancements,

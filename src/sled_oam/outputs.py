@@ -11,9 +11,12 @@ the complex array, formatting each distinct bit pattern of ``re`` and ``im``
 once.  SVG output is deliberately simple -- colored rects for heatmaps,
 polylines for curves -- and needs no external renderer.  Both heatmaps
 (``svg_heatmap`` for rate surfaces, ``svg_matrix`` for density matrices)
-build their rows in ``_rect_rows``, which scales and colours each distinct
+build their rects in ``_rect_rows``, which scales and colours each distinct
 cell value once, with the same floating-point operations as a scalar
-evaluation would, and lays each row out from pieces built once per heatmap.
+evaluation would.  It paints the grid on a background: one rect over every
+cell in the colour that most cells have (the lowest ``#rrggbb`` name on a
+tie), then one rect per cell of another colour, so each cell shows the
+colour of its value and a density matrix, mostly zeros, takes a few rects.
 The SVG writers return their document as a list of parts, each ending in its
 newline, which ``write_text`` writes one after another: the document is
 never joined in memory, and every part exists before the file is opened.
@@ -143,13 +146,15 @@ def write_manifest(
     return path
 
 
-def _colors(scaled) -> list:
-    """Viridis hex colours of values scaled to [0, 1].
+def _colors(scaled):
+    """Viridis hex colours of values scaled to [0, 1]: sorted distinct names, an index per value.
 
     Each value goes through the same float operations in the same order as
     the scalar formula: clip, ``pos = 10 v``, truncated stop index capped at
     9, ``(1 - frac) * stop_i + frac * stop_(i+1)``, and ``rint(255 c)``,
-    which rounds half to even like ``round``.
+    which rounds half to even like ``round``.  Value ``k`` has colour
+    ``names[index[k]]``; the names are sorted, since ``#rrggbb`` sorts as
+    the packed RGB value does.
     """
     v = np.clip(np.asarray(scaled, dtype=float), 0.0, 1.0)
     if np.isnan(v).any():
@@ -161,29 +166,37 @@ def _colors(scaled) -> list:
     rgb = np.rint(255 * ((1 - frac) * lo + frac * hi)).astype(np.int64)
     packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
     distinct, index = np.unique(packed, return_inverse=True)
-    names = ["#%06x" % p for p in distinct.tolist()]
-    return [names[k] for k in index.tolist()]
+    return ["#%06x" % p for p in distinct.tolist()], index
 
 
-def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str) -> list:
-    """Heatmap rows as parts, one rect per line, each line ending in a newline.
+def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list:
+    """Heatmap rects as parts, each ending in a newline: a background, then the other cells.
 
-    A cell's colour depends only on its value, so ``scale`` maps the distinct
-    values of the whole matrix to [0, 1] and each is coloured once; every
-    cell then reads its rect's tail through the inverse index.  A row is the
-    per-column heads ``<rect x=".." y="`` with the row's y and the cells'
-    tails filled in, joined once.
+    The first part is one rect over the whole grid (``frame`` holds its x,
+    y, width and height) in the colour of the most cells, the lowest colour
+    name on a tie.  Each row with cells of another colour is then one part,
+    one rect per such cell and line, in column order: ``<rect x=".." y=".."``
+    with ``dims`` and the cell's fill, as a rect per cell would be.  An
+    empty grid has no rect.  A cell's colour depends only on its value, so
+    ``scale`` maps the distinct values of the whole matrix to [0, 1] and each
+    is coloured once; cells are counted and read their colours through the
+    inverse index, without a per-cell array of colours.
     """
+    if values.size == 0:
+        return []
     distinct, inverse = _distinct(values)
-    tails = np.array(
-        [f'" {dims} fill="{color}"/>\n' for color in _colors(scale(distinct))], dtype=object
-    )
-    row = [piece for x in xs for piece in (f'<rect x="{x}" y="', "", "")]
-    rows = []
-    for y, cells in zip(ys, tails[inverse].tolist()):
-        row[1::3] = [y] * len(cells)
-        row[2::3] = cells
-        rows.append("".join(row))
+    names, index = _colors(scale(distinct))
+    # each colour's cell count: the counts of the distinct values it colours
+    counts = np.bincount(index, weights=np.bincount(inverse.ravel(), minlength=len(distinct)))
+    background = int(counts.argmax())
+    heads = [f'<rect x="{x}" y="' for x in xs]
+    tails = [f'" {dims} fill="{name}"/>\n' for name in names]
+    rows = [f'<rect {frame} fill="{names[background]}"/>\n']
+    for y, row, foreground in zip(ys, inverse, (index != background)[inverse]):
+        cols = np.flatnonzero(foreground)
+        if cols.size:
+            fills = index[row[cols]].tolist()
+            rows.append("".join([heads[j] + y + tails[c] for j, c in zip(cols.tolist(), fills)]))
     return rows
 
 
@@ -207,7 +220,7 @@ def svg_heatmap(
     vmax: float,
     log_scale: bool = False,
 ) -> list:
-    """Rect-per-cell heatmap as parts; rows run bottom-up so the y axis increases upward."""
+    """Heatmap as parts, on its commonest colour; rows run bottom-up so the y axis increases upward."""
     n_rows, n_cols = values.shape
     cell_w = max(2.0, min(14.0, 720.0 / n_cols))
     cell_h = max(2.0, min(24.0, 420.0 / n_rows))
@@ -222,11 +235,12 @@ def svg_heatmap(
     xs = [f"{left + j * cell_w:.2f}" for j in range(n_cols)]
     ys = [f"{top + (n_rows - 1 - i) * cell_h:.2f}" for i in range(n_rows)]
     dims = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
+    frame = f'x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}"'
 
     def scale(distinct):
         return [_scaled(v, vmax, log_scale) for v in distinct.tolist()]
 
-    rows = _rect_rows(values, scale, xs, ys, dims)
+    rows = _rect_rows(values, scale, xs, ys, dims, frame)
     tail = []
     tick_idx = sorted({0, n_cols // 2, n_cols - 1})
     for j in tick_idx:
@@ -270,11 +284,15 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> list:
     xs = [f"{left + j * cell:.2f}" for j in range(n)]
     ys = [f"{top + i * cell:.2f}" for i in range(n)]
     dims = f'width="{cell:.2f}" height="{cell:.2f}"'
+    frame = f'x="{left:.2f}" y="{top:.2f}" width="{size:.2f}" height="{size:.2f}"'
 
     def scale(distinct):
-        return distinct / vmax if vmax > 0 else np.zeros(distinct.shape)
+        if not vmax > 0:
+            return np.zeros(distinct.shape)
+        with np.errstate(over="ignore"):  # to +-inf, as a scalar division does
+            return distinct / vmax
 
-    rows = _rect_rows(values, scale, xs, ys, dims)
+    rows = _rect_rows(values, scale, xs, ys, dims, frame)
     tail = []
     font = max(6, min(11, int(cell) - 2))
     for j, label in enumerate(labels):

@@ -10,6 +10,9 @@ from sled_oam import cli, kappa, pair_state, spectral
 from sled_oam.cli import main
 from sled_oam.config import load_config
 from sled_oam.pair_state import PairDensityMatrix
+from test_outputs import assert_paints_like, painted, rects
+from test_outputs import svg_heatmap as per_cell_svg_heatmap
+from test_outputs import svg_matrix as per_cell_svg_matrix
 
 FAST = """
 [grid]
@@ -356,7 +359,7 @@ class TestErrorReporting:
             ("emission.enhancements", "10, 10.000001", "10"),
         ],
     )
-    def test_dm_values_sharing_a_file_token_exit_2(self, tmp_path, capsys, key, values, token):
+    def test_dm_values_that_print_alike_exit_2(self, tmp_path, capsys, key, values, token):
         out = tmp_path / "out"
         args = ["dm", "--config", write_config(tmp_path), "--out", str(out)]
         assert main(args + ["--set", f"{key}={values}"]) == 2
@@ -364,6 +367,34 @@ class TestErrorReporting:
         assert record["error"] == "ConfigError"
         assert key in record["message"] and repr(token) in record["message"]
         assert os.listdir(out) == []
+
+    # 10 and 10.000001 both print as 10, the label of their curve in fidelity.svg
+    ALIKE = ["--set", "emission.enhancements=10,10.000001", "--set", "grid.temperatures=0.3,0.5"]
+
+    def test_fidelity_curves_that_print_alike_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fidelity", "--config", "fig5", "--out", str(out)] + self.ALIKE) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "emission.enhancements: 10.0 and 10.000001 print alike, as '10'",
+        }
+        assert os.listdir(out) == []
+
+    def test_without_svg_fidelity_writes_both_curves_to_its_csv(self, tmp_path):
+        out = str(tmp_path / "out")
+        no_svg = ["--set", "output.svg=false"]
+        assert main(["fidelity", "--config", "fig5", "--out", out] + self.ALIKE + no_svg) == 0
+        assert sorted(check_manifest(out)["outputs"]) == ["fidelity.csv"]
+        _, rows = read_csv(os.path.join(out, "fidelity.csv"))
+        for enh in (10.0, 10.000001):
+            alone = str(tmp_path / f"alone_{enh}")
+            args = ["fidelity", "--config", "fig5", "--out", alone, "--set", "output.svg=false"]
+            args += ["--set", f"emission.enhancements={enh!r}", *self.ALIKE[2:]]
+            assert main(args) == 0
+            _, expected = read_csv(os.path.join(alone, "fidelity.csv"))
+            assert [row for row in rows if row[1] == enh] == expected
 
     def test_a_narrow_waist_far_inside_the_annulus_forms_its_state(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -526,9 +557,9 @@ class TestSvgOutputs:
             cli.cmd_dm(config)
         assert os.listdir(out) == ["dm_0.3_10.json"]
 
-    def test_the_l_max_6_matrix_svg_is_never_joined(self, tmp_path):
-        """One 169-pair heatmap (2.0 MB of text) written through its parts peaks
-        below 3.5 MB of Python memory; a joined copy of the document would not fit."""
+    def test_the_l_max_6_matrix_svg_paints_like_the_per_cell_writer(self, tmp_path):
+        """One 169-pair heatmap paints every cell as the per-cell writer does, in under
+        100 KB (the per-cell document takes 2.1 MB) and under 1 MB of Python memory."""
         out = tmp_path / "out"
         out.mkdir()
         config = load_config("fig3", ["emission.l_max=6", f"output.directory={out}"])
@@ -553,12 +584,16 @@ class TestSvgOutputs:
             tracemalloc.stop()
         with open(out / "dm.svg", encoding="utf-8") as fh:
             text = fh.read()
-        assert text.count("<rect ") == 169 * 169 and len(text) > 2e6
-        assert peak < 3.5e6
+        magnitudes = abs(rho.entries)
+        populated = np.flatnonzero(magnitudes.max(axis=1) > 1e-15)
+        assert len(populated) == len(basis) == 169
+        labels = [f"({l1},{l2})" for l1, l2 in basis.pairs]
+        oracle = per_cell_svg_matrix(magnitudes, labels, "|rho| at T/Tc=0.5, enhancement=10")
+        assert_paints_like(text, oracle)
+        assert len(text.encode("utf-8")) < 100e3
+        assert peak < 1e6
 
     def test_log_scale_heatmaps_on_the_fig2_grid(self, tmp_path):
-        import xml.etree.ElementTree as ET
-
         fast = ["--set", "grid.quadrature_nodes=256"]
         linear, log = str(tmp_path / "linear"), str(tmp_path / "log")
         assert main(["rates", "--config", "fig2", "--out", linear] + fast) == 0
@@ -569,12 +604,19 @@ class TestSvgOutputs:
                 os.path.join(log, f"{name}.csv"), "rb"
             ) as b:
                 assert a.read() == b.read()
-            fills = []
-            for out in (linear, log):
-                root = ET.parse(os.path.join(out, f"{name}.svg")).getroot()
-                fills.append([r.get("fill") for r in root.iter() if r.tag.endswith("rect")])
-            assert len(fills[0]) == len(fills[1]) == 121 * 19
-            assert fills[0] != fills[1]
+            _, rows = read_csv(os.path.join(linear, f"{name}.csv"))
+            values = np.array([rate for _, _, rate in rows]).reshape(19, 121)
+            maps = []
+            for out, log_scale in ((linear, False), (log, True)):
+                with open(os.path.join(out, f"{name}.svg"), encoding="utf-8") as fh:
+                    text = fh.read()
+                ticks = [""] * 121, [""] * 19
+                oracle = per_cell_svg_heatmap(values, *ticks, "", "", "", 1.0, log_scale)
+                cells = rects(oracle)
+                assert len(cells) == 121 * 19
+                maps.append(painted(text, cells))
+                assert maps[-1] == [cell[4] for cell in cells]
+            assert maps[0] != maps[1]
 
     def test_manifest_records_defaults(self, tmp_path):
         out = str(tmp_path / "out")

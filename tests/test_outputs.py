@@ -1,24 +1,34 @@
-"""Byte identity of the per-distinct-value writers with the per-cell formulas.
+"""The writers against the per-cell formulas: painted colours of the heatmaps, JSON bytes.
 
-``svg_matrix``, ``svg_heatmap`` and ``write_json`` must write exactly what the
-per-cell versions below (verbatim copies of the scalar colour map and the two
-heatmap loops) and ``json.dumps(rho.to_json_dict(), indent=2)`` write.  The
-inputs cover the 11 colour stops, the values where ``255 * c`` lands exactly
-on .5 (where round-half-even and round-half-up differ), all-zero and 1x1
-matrices, log heatmaps with zeros and values below the six-decade floor,
-density matrices with -0.0, the smallest subnormal, a single pair and
-non-finite cells, and matrices drawn from a few values so that cells repeat,
-as in a density matrix.  The SVG writers return parts that each end in a
-newline; their join is the document.  ``write_csv`` must end every line, the
-last one included, with one newline, and ``write_text`` returns the SHA-256
-of the bytes it wrote.
+The per-cell versions below (verbatim copies of the scalar colour map and of
+the two heatmap loops, which write one rect per cell) are the oracle.
+``svg_matrix`` and ``svg_heatmap`` must paint every cell in the oracle's
+colour, where a cell shows the fill of the last rect that contains its
+centre, and every line that is not a rect must be the oracle's, byte for
+byte.  Their first rect is the background: it covers every cell, in the
+colour of the most cells (the lowest colour name on a tie), and each cell of
+another colour keeps the oracle's rect line, in the oracle's order, so a
+document has one rect more than it has cells of another colour.
+``write_json`` must write exactly what ``json.dumps(rho.to_json_dict(),
+indent=2)`` writes.  The inputs cover the 11 colour stops, the values where
+``255 * c`` lands exactly on .5 (where round-half-even and round-half-up
+differ), all-zero and 1x1 matrices, a tie for the background, log heatmaps
+with zeros and values below the six-decade floor, density matrices with
+-0.0, the smallest subnormal, a single pair and non-finite cells, and
+matrices drawn from a few values so that cells repeat, as in a density
+matrix; where the oracle raises, the writers must raise too.  The SVG
+writers return parts that each end in a newline; their join is the
+document.  ``write_csv`` must end every line, the last one included, with
+one newline, and ``write_text`` returns the SHA-256 of the bytes it wrote.
 """
 
 import hashlib
 import json
 import math
 import os
+import re
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,6 +176,55 @@ def _document(parts: list) -> str:
     return "".join(parts)
 
 
+_RECT = re.compile(
+    r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" fill="([^"]+)"/>'
+)
+
+
+def rect_lines(document: str) -> list:
+    return [line for line in document.splitlines() if line.startswith("<rect ")]
+
+
+def rects(document: str) -> list:
+    """Every rect of a heatmap document as ``(x, y, width, height, fill)``, in document order."""
+    found = []
+    for line in rect_lines(document):
+        x, y, width, height, fill = _RECT.fullmatch(line).groups()
+        found.append((float(x), float(y), float(width), float(height), fill))
+    return found
+
+
+def painted(document: str, cells) -> list:
+    """The colour each cell ``(x, y, width, height, ...)`` shows: the fill of the last rect
+    of ``document`` that contains the cell's centre, or None where no rect does."""
+    cx = np.array([x + w / 2 for x, _, w, *_ in cells])
+    cy = np.array([y + h / 2 for _, y, _, h, *_ in cells])
+    shown = np.full(len(cells), None, dtype=object)
+    for x, y, w, h, fill in rects(document):
+        shown[(x <= cx) & (cx <= x + w) & (y <= cy) & (cy <= y + h)] = fill
+    return shown.tolist()
+
+
+def assert_paints_like(document: str, oracle: str) -> None:
+    """``document`` paints every cell of the per-cell ``oracle`` as the oracle does, on a
+    background of the commonest colour, and all its other lines are the oracle's."""
+    cells = rects(oracle)
+    fills = [cell[4] for cell in cells]
+    assert painted(document, cells) == fills
+    other = [line for line in document.splitlines() if not line.startswith("<rect ")]
+    assert other == [line for line in oracle.splitlines() if not line.startswith("<rect ")]
+    lines = rect_lines(document)
+    if not cells:
+        assert lines == []
+        return
+    counts = Counter(fills)
+    background = min(counts, key=lambda fill: (-counts[fill], fill))
+    assert painted(lines[0], cells) == [background] * len(cells)
+    assert len(lines) == 1 + sum(fill != background for fill in fills)
+    others = [line for line, fill in zip(rect_lines(oracle), fills) if fill != background]
+    assert lines[1:] == others
+
+
 def _channels(v: float) -> list:
     """255 * c per channel, as the scalar colour map computes it before rounding."""
     pos = v * 10
@@ -210,17 +269,24 @@ def test_half_cases_tell_half_even_from_half_up():
     ]
     old = [_color(v) for v in HALF_CASES]
     assert sum(a != b for a, b in zip(half_up, old)) > 100
-    assert outputs._colors(np.array(HALF_CASES)) == old
+    assert _cell_colors(HALF_CASES) == old
+
+
+def _cell_colors(values) -> list:
+    """Each value's colour as ``outputs._colors`` gives it: sorted distinct names, an index each."""
+    names, index = outputs._colors(np.array(values, dtype=float))
+    assert names == sorted(set(names))
+    return [names[k] for k in index.tolist()]
 
 
 def test_every_stop_maps_to_its_scalar_colour():
-    assert outputs._colors(np.array(STOPS)) == [_color(v) for v in STOPS]
+    assert _cell_colors(STOPS) == [_color(v) for v in STOPS]
 
 
 @SETTINGS
 @given(st.lists(scaled_values, max_size=40))
 def test_colors_equal_the_scalar_map(values):
-    assert outputs._colors(np.array(values, dtype=float)) == [_color(v) for v in values]
+    assert _cell_colors(values) == [_color(v) for v in values]
 
 
 def test_nan_is_rejected_like_the_scalar_map():
@@ -251,11 +317,11 @@ def square_matrices(draw):
 @example(np.zeros((1, 1)))
 @example(np.zeros((4, 4)))
 @example(np.array([[2.5]]))
-def test_svg_matrix_is_byte_identical(values):
+@example(np.array([[0.0, 1.0], [1.0, 0.0]]))  # a tie: the lower name, #440154, is the background
+def test_svg_matrix_paints_like_the_per_cell_writer(values):
     labels = [f"({k},{-k})" for k in range(len(values))]
-    assert _document(outputs.svg_matrix(values, labels, "|rho|")) == svg_matrix(
-        values, labels, "|rho|"
-    )
+    document = _document(outputs.svg_matrix(values, labels, "|rho|"))
+    assert_paints_like(document, svg_matrix(values, labels, "|rho|"))
 
 
 def test_svg_matrix_of_an_empty_matrix():
@@ -282,13 +348,13 @@ def heatmaps(draw):
 @SETTINGS
 @given(heatmaps())
 @example((np.array([[0.0, 1e-7, 1e-6, 0.5], [1.0, 3e-9, 0.0, 2e-6]]), 1.0, True))
-def test_svg_heatmap_is_byte_identical(case):
+def test_svg_heatmap_paints_like_the_per_cell_writer(case):
     values, vmax, log_scale = case
     rows, cols = values.shape
     ticks = [f"{j:g}" for j in range(cols)], [f"{i:g}" for i in range(rows)]
     args = (values, *ticks, "t", "x", "y")
     new = _document(outputs.svg_heatmap(*args, vmax=vmax, log_scale=log_scale))
-    assert new == svg_heatmap(*args, vmax=vmax, log_scale=log_scale)
+    assert_paints_like(new, svg_heatmap(*args, vmax=vmax, log_scale=log_scale))
 
 
 def _outcome(write):
@@ -298,6 +364,13 @@ def _outcome(write):
             return write()
     except ValueError:
         return ValueError
+
+
+def assert_same_outcome(new, oracle) -> None:
+    """Both writers raise, or the new document paints like the oracle's."""
+    assert (new is ValueError) == (oracle is ValueError)
+    if oracle is not ValueError:
+        assert_paints_like(new, oracle)
 
 
 # the values that tell writers apart: both zeros, NaN, both infinities, the
@@ -322,22 +395,22 @@ def pooled_matrices(draw):
 
 @SETTINGS
 @given(pooled_matrices())
-def test_svg_matrix_of_repeated_values_is_byte_identical(rows):
+def test_svg_matrix_of_repeated_values_paints_like_the_per_cell_writer(rows):
     values = np.array(rows)
     square = values[: min(values.shape), : min(values.shape)]
     labels = [str(k) for k in range(len(square))]
     new = _outcome(lambda: _document(outputs.svg_matrix(square, labels, "m")))
-    assert new == _outcome(lambda: svg_matrix(square, labels, "m"))
+    assert_same_outcome(new, _outcome(lambda: svg_matrix(square, labels, "m")))
 
 
 @SETTINGS
 @given(pooled_matrices(), st.sampled_from([1.0, 0.0, 250.0, math.inf]), st.booleans())
-def test_svg_heatmap_of_repeated_values_is_byte_identical(rows, vmax, log_scale):
+def test_svg_heatmap_of_repeated_values_paints_like_the_per_cell_writer(rows, vmax, log_scale):
     values = np.array(rows)
     ticks = [str(j) for j in range(values.shape[1])], [str(i) for i in range(values.shape[0])]
     args = (values, *ticks, "t", "x", "y")
     new = _outcome(lambda: _document(outputs.svg_heatmap(*args, vmax=vmax, log_scale=log_scale)))
-    assert new == _outcome(lambda: svg_heatmap(*args, vmax=vmax, log_scale=log_scale))
+    assert_same_outcome(new, _outcome(lambda: svg_heatmap(*args, vmax=vmax, log_scale=log_scale)))
 
 
 def test_a_nan_cell_raises_the_colour_error():

@@ -18,9 +18,14 @@ patch area must succeed or exit 2 or 3 with a one-line JSON error, without a
 warning; at every corner of the ranges in the config schema it must succeed.
 A small ``dm`` run with any positive annulus radius or beam waist must
 succeed or exit 1, 2 or 3 with a one-line JSON error, without a warning.
+A small ``rates``, ``dm`` or ``fidelity`` run with SVG output, given any
+finite temperatures, ``detuning_for_dm``, enhancements and qubit and any
+``l_max`` and winding, must write files that match its manifest or exit 1,
+2, 3 or 4 with a one-line JSON error, without a warning.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -460,3 +465,68 @@ def test_kappa_is_symmetric(a, b, geom):
     # bit for bit, which lets pair_state compute one overlap per unordered |l| pair
     value = kappa(a, b, geom)
     assert value == kappa(-a, b, geom) == kappa(b, a, geom)
+
+
+# any finite double, with the ends and signs that break arithmetic drawn often
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.0, 1e-300, 1e300, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def numeric_runs(draw):
+    """A command and ``--set`` values of the temperature and emission keys, in and out of range.
+
+    Temperatures, ``detuning_for_dm``, enhancements, ``l_max``, the qubit
+    and the winding each take a typical value, or one time in four any
+    value.  A small grid (64 nodes, 3 detunings, 1-2 temperatures) and
+    l_max <= 3 inside its range keep each run short.
+    """
+
+    def value(typical, wild):
+        return draw(wild if draw(st.integers(0, 3)) == 0 else typical)
+
+    def values(typical, wild):
+        return [value(typical, wild) for _ in range(draw(st.integers(1, 2)))]
+
+    command = draw(st.sampled_from(["rates", "dm", "fidelity"]))
+    sets = {
+        "grid.temperatures": values(st.floats(0.01, 0.99), finite),
+        "emission.detuning_for_dm": [value(st.floats(-8.0, 8.0), finite)],
+        "emission.enhancements": values(st.floats(1.0, 1e3), finite),
+        "emission.l_max": [value(st.integers(1, 3), st.sampled_from([-1, 0, 13, 10**30]))],
+        "emission.winding": [value(st.integers(-2, 2), st.sampled_from([-7, 7, 2**63]))],
+    }
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, math.pi / 2))
+        magnitudes = value(st.just((math.cos(theta), math.sin(theta))), st.tuples(finite, finite))
+        for key, magnitude in zip(("emission.qubit_a", "emission.qubit_b"), magnitudes):
+            sets[key] = [magnitude, value(st.floats(0.0, 2 * math.pi), finite)]
+    settings = [f"{key}={', '.join(map(repr, items))}" for key, items in sets.items()]
+    return command, settings
+
+
+@settings(SETTINGS, max_examples=150)
+@given(run=numeric_runs())
+def test_any_numeric_emission_settings_write_their_files_or_fail_cleanly(run):
+    """Under warnings as errors (this suite's setting), a run never ends in a traceback."""
+    command, settings = run
+    args = [command, "--config", "fig3"]
+    for setting in ("grid.detuning_points=3", "grid.quadrature_nodes=64", *settings):
+        args += ["--set", setting]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main(args + ["--out", out])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                listed = json.load(fh)["outputs"]
+            assert sorted(os.listdir(out)) == sorted([*listed, "manifest.json"])
+            for name, digest in listed.items():
+                with open(os.path.join(out, name), "rb") as fh:
+                    assert hashlib.sha256(fh.read()).hexdigest() == digest
+        else:
+            assert code in (1, 2, 3, 4)
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
