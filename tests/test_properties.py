@@ -503,17 +503,17 @@ def numeric_runs(draw):
         magnitudes = value(st.just((math.cos(theta), math.sin(theta))), st.tuples(finite, finite))
         for key, magnitude in zip(("emission.qubit_a", "emission.qubit_b"), magnitudes):
             sets[key] = [magnitude, value(st.floats(0.0, 2 * math.pi), finite)]
-    settings = [f"{key}={', '.join(map(repr, items))}" for key, items in sets.items()]
-    return command, settings
+    overrides = [f"{key}={', '.join(map(repr, items))}" for key, items in sets.items()]
+    return command, overrides
 
 
 @settings(SETTINGS, max_examples=150)
 @given(run=numeric_runs())
 def test_any_numeric_emission_settings_write_their_files_or_fail_cleanly(run):
     """Under warnings as errors (this suite's setting), a run never ends in a traceback."""
-    command, settings = run
+    command, overrides = run
     args = [command, "--config", "fig3"]
-    for setting in ("grid.detuning_points=3", "grid.quadrature_nodes=64", *settings):
+    for setting in ("grid.detuning_points=3", "grid.quadrature_nodes=64", *overrides):
         args += ["--set", setting]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
