@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from itertools import product
 
 import numpy as np
 
@@ -76,25 +77,34 @@ def cmd_dm(config: RunConfig) -> dict:
     _check_tokens("grid.temperatures", config.grid.temperatures)
     _check_tokens("emission.enhancements", config.enhancements)
     basis = config.basis()
-    coherent = pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry)
-    sweep = pair_state.mixtures(
-        coherent,
+    # no target block: each point is mixed and checked only where a channel
+    # matrix, its transpose or the diagonal can be nonzero, and densified once
+    sweep = pair_state.mixture_chunks(
+        pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry),
         pair_state.rho_bqp(basis, config.geometry),
+        (),
         config.detuning_for_dm,
         config.grid.temperatures,
         config.enhancements,
         config.junction,
         config.grid.k_integration,
     )
-    del coherent  # the sweep keeps it divided by its trace, which is all it needs
+    points = product(config.grid.temperatures, config.enhancements)
     written = {}
-    for t, enh, rho in sweep:
-        stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
-        written[f"{stem}.json"] = outputs.write_json(
-            os.path.join(config.out_dir, f"{stem}.json"), rho.basis.pairs, rho.entries
-        )
-        if config.svg:
-            written[f"{stem}.svg"] = _write_matrix_svg(config, rho, stem, t, enh)
+    for chunk in sweep:
+        # the values first: zip stops on them without drawing a point
+        for values, (t, enh) in zip(chunk.values, points):
+            entries = chunk.positions.dense(values)
+            stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
+            written[f"{stem}.json"] = outputs.write_json(
+                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, entries
+            )
+            if config.svg:
+                written[f"{stem}.svg"] = _write_matrix_svg(config, basis, entries, stem, t, enh)
+        if chunk.failure is not None:
+            context, error = chunk.failure
+            with context():
+                raise error
     return written
 
 
@@ -107,15 +117,15 @@ def _check_tokens(key: str, values) -> None:
             raise ConfigError(f"{key}: {first[token]!r} and {value!r} print alike, as {token!r}")
 
 
-def _write_matrix_svg(config: RunConfig, rho, stem: str, t: float, enh: float) -> str:
+def _write_matrix_svg(config: RunConfig, basis, entries, stem: str, t: float, enh: float) -> str:
     """Write {stem}.svg, the heatmap of |rho| over the populated pairs; return its digest.
 
-    Its large temporaries die on return.
+    ``entries`` is rho over ``basis``.  Its large temporaries die on return.
     """
-    magnitudes = abs(rho.entries)
+    magnitudes = abs(entries)
     populated = np.flatnonzero(magnitudes.max(axis=1, initial=0.0) > 1e-15)
     magnitudes = magnitudes[np.ix_(populated, populated)]
-    labels = [_pair_label(rho.basis.pairs[i]) for i in populated]
+    labels = [_pair_label(basis.pairs[i]) for i in populated]
     svg = outputs.svg_matrix(
         magnitudes,
         labels,
@@ -137,6 +147,7 @@ def cmd_fidelity(config: RunConfig) -> dict:
         config.detuning_for_dm,
         config.junction,
         quad=config.grid.k_integration,
+        qubit=config.qubit,
     )
     rows = [
         (t, enh, table.values[i, j])

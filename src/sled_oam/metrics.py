@@ -28,7 +28,7 @@ from . import pair_state, spectral
 from .bcs import JunctionParams
 from .errors import ContractError, ConvergenceError
 from .modes import AnnulusGeometry
-from .pair_state import MixtureChunk, OamPairBasis, PairDensityMatrix
+from .pair_state import CLOCKWISE, MixtureChunk, OamPairBasis, PairDensityMatrix, QubitState
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -362,11 +362,14 @@ def fidelity_curve(
     d: float,
     jp: JunctionParams,
     quad: spectral.KQuadrature = spectral.KQuadrature(),
+    qubit: QubitState = CLOCKWISE,
 ) -> FidelityTable:
     """Fidelity of the emitted mixture across (t, enhancement) against ``bell_target(basis, ls)``.
 
     That target is the equal-amplitude state on the +ls sector, which is the
     symmetric Bell state in the standard winding-1, l in {0, 1} configuration.
+    The coherent channel carries the current superposition ``qubit``, as in
+    ``rho_total_superposition``.
     The mixtures come from ``pair_state.mixture_chunks``, held only on the
     diagonal and the target's support block (69 of 2401 entries for fig3),
     and the general forms of all points share one stacked ``eigh`` call (see
@@ -378,7 +381,7 @@ def fidelity_curve(
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     chunks = pair_state.mixture_chunks(
-        pair_state.rho_cp(ls, basis, geom),
+        pair_state.rho_superposition(qubit, ls, basis, geom),
         pair_state.rho_bqp(basis, geom),
         np.flatnonzero(target.coefficients),
         d,

@@ -7,16 +7,18 @@ SHA-256, so each writer returns the digest of the bytes as written and the
 manifest lists those digests without reading any file back.  A density
 matrix's JSON is laid out exactly as ``json.dumps(payload, indent=2)`` lays
 out ``PairDensityMatrix.to_json_dict``, but is built from the basis pairs and
-the complex array, formatting each distinct bit pattern of ``re`` and ``im``
-once.  SVG output is deliberately simple -- colored rects for heatmaps,
+the complex array: each of ``re`` and ``im`` is a cached text of ``0.0``
+cells into which only the cells whose bits are not +0.0 are spliced, each
+distinct bit pattern formatted once.  SVG output is deliberately simple -- colored rects for heatmaps,
 polylines for curves -- and needs no external renderer.  Both heatmaps
 (``svg_heatmap`` for rate surfaces, ``svg_matrix`` for density matrices)
 build their rects in ``_rect_rows``, which scales and colours each distinct
 cell value once, with the same floating-point operations as a scalar
 evaluation would.  It paints the grid on a background: one rect over every
 cell in the colour that most cells have (the lowest ``#rrggbb`` name on a
-tie), then one rect per cell of another colour, so each cell shows the
-colour of its value and a density matrix, mostly zeros, takes a few rects.
+tie), then one rect per cell of another colour, found in one ``np.nonzero``
+call, so each cell shows the colour of its value and a density matrix,
+mostly zeros, takes a few rects.
 The SVG writers return their document as a list of parts, each ending in its
 newline, which ``write_text`` writes one after another: the document is
 never joined in memory, and every part exists before the file is opened.
@@ -29,6 +31,7 @@ import json
 import math
 import os
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,18 +106,35 @@ def _distinct(values: np.ndarray):
     return distinct, np.searchsorted(distinct, values)
 
 
+@lru_cache(maxsize=4)
+def _zero_rows(shape: tuple) -> str:
+    """``_float_rows`` of +0.0 cells; flat cell f = n_cols i + j starts at 11 f + 12 i + 8."""
+    n_rows, n_cols = shape
+    row = "[\n      " + ",\n      ".join(["0.0"] * n_cols) + "\n    ]"
+    return ",\n    ".join([row] * n_rows)
+
+
 def _float_rows(matrix: np.ndarray) -> str:
     """A float matrix's rows as ``json.dumps`` indents them under a key; each value formatted once.
 
-    The distinct bit patterns (so -0.0 stays apart from 0.0) go through one
-    C-encoder call, which writes each exactly as ``json.dumps`` does, NaN and
-    Infinity included; every row is then one join of the formatted cells.
+    The rows are laid onto the text of a matrix of +0.0 (``_zero_rows``),
+    and only the cells whose bits are not those of +0.0 (so -0.0, NaN,
+    +-inf and subnormals too) are spliced in.  Their distinct bit patterns
+    go through one C-encoder call, which writes each exactly as
+    ``json.dumps`` does, NaN and Infinity included.
     """
     bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
-    distinct, inverse = _distinct(bits)
+    template = _zero_rows(bits.shape)
+    flat = np.flatnonzero(bits)
+    distinct, inverse = _distinct(bits.take(flat))
     texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    cells = np.array(texts, dtype=object)[inverse].tolist()
-    return ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in cells)
+    starts = (11 * flat + 12 * (flat // bits.shape[1]) + 8).tolist()
+    ends = [0, *(start + 3 for start in starts)]
+    pieces = []
+    for end, start, k in zip(ends, starts, inverse.tolist()):
+        pieces += (template[end:start], texts[k])
+    pieces.append(template[ends[-1] :])
+    return "".join(pieces)
 
 
 def write_manifest(
@@ -192,11 +212,13 @@ def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list
     heads = [f'<rect x="{x}" y="' for x in xs]
     tails = [f'" {dims} fill="{name}"/>\n' for name in names]
     rows = [f'<rect {frame} fill="{names[background]}"/>\n']
-    for y, row, foreground in zip(ys, inverse, (index != background)[inverse]):
-        cols = np.flatnonzero(foreground)
-        if cols.size:
-            fills = index[row[cols]].tolist()
-            rows.append("".join([heads[j] + y + tails[c] for j, c in zip(cols.tolist(), fills)]))
+    # the foreground cells in row-major order, and where each row's run starts
+    at_row, at_col = np.nonzero((index != background)[inverse])
+    fills = index[inverse[at_row, at_col]].tolist()
+    cells = zip(at_row.tolist(), at_col.tolist(), fills)
+    rects = [heads[j] + ys[i] + tails[c] for i, j, c in cells]
+    starts = np.flatnonzero(np.diff(at_row, prepend=-1)).tolist()
+    rows += ["".join(rects[a:b]) for a, b in zip(starts, starts[1:] + [len(rects)])]
     return rows
 
 

@@ -4,11 +4,12 @@ A pair state lives on an ordered basis of (l1, l2) OAM labels (radial index
 fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background.  Mixtures are weighted by the spectral rates evaluated
-at a fixed detuning; ``mixtures`` sweeps them over (temperature, enhancement)
-from channel matrices built once.  ``mixture_chunks`` sweeps the same
-mixtures in chunks of points, each held only at the positions where one can
-be nonzero.  Both take each point's weights and its mixture from ``_Mixer``,
-so the package has one mixing formula.
+at a fixed detuning.  ``mixture`` forms one on the full matrix;
+``mixture_chunks`` sweeps them over (temperature, enhancement) from channel
+matrices built once, in chunks of points, each held only at the positions
+where one can be nonzero (279 of 28 561 entries at l_max = 6), from which
+``Positions.dense`` gives the full matrix.  Both take each point's weights
+and its mixture from ``_Mixer``, so the package has one mixing formula.
 """
 
 from __future__ import annotations
@@ -252,6 +253,12 @@ class Positions:
         self.diagonal = self.index(np.arange(n), np.arange(n))
         self.transposed = self.index(self.flat % n, self.flat // n)
 
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The n x n matrix with ``values`` at the positions and +0.0 elsewhere."""
+        entries = np.zeros((self.n, self.n), dtype=values.dtype)
+        entries.flat[self.flat] = values
+        return entries
+
     def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Where the entries (rows, cols), broadcast together, lie in ``flat``."""
         flat = rows * self.n + cols
@@ -284,7 +291,12 @@ class _Mixer:
     only the quotients, not the two matrices.  Given ``block`` (indices of
     the basis), it holds them only at ``positions``: where either channel
     matrix or its transpose is nonzero, the diagonal, and block x block.
-    Every other entry of a mixture is a*0 + b*0, an exact 0 for finite weights.
+    Every other entry of a mixture is a*0 + b*0, an exact 0 for finite
+    weights.  Where the incoherent matrix is +0.0 in both parts, as
+    ``rho_bqp`` is off its diagonal, and b >= 0, the entry is +0.0 in both:
+    b times +0.0 is +0.0, a sum of zeros with a +0.0 term is +0.0 whatever
+    the sign of the other, and so is its quotient by a positive trace.
+    There ``Positions.dense`` of a point's values is its full mixture.
     """
 
     def __init__(self, coherent: PairDensityMatrix, incoherent: PairDensityMatrix, block=None):
@@ -356,38 +368,20 @@ class _Mixer:
         )
 
 
-def mixtures(coherent, incoherent, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()):
-    """Yield (t, enhancement, trace-1 mixture) of two channel matrices over a grid.
-
-    The rates of all temperatures come from one ``spectral.mixing_rates``
-    call, before the first mixture.  The mixtures follow temperature-major
-    and one at a time, so a caller can write or reduce each mixture before
-    the next is formed.  Rate errors pass through unchanged; mixture errors
-    gain the (t, enhancement) point.  Once the sweep has started it holds
-    only the channel matrices divided by their traces, so a caller that does
-    not keep the channel matrices does not hold both.
-    """
-    temperatures = tuple(temperatures)
-    rates = spectral.mixing_rates(d, temperatures, jp, quad)
-    mix = _Mixer(coherent, incoherent)
-    del coherent, incoherent
-    for t, (s_cp, s_bqp) in zip(temperatures, rates):
-        for enh in enhancements:
-            with at_point(t, enh):
-                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
-                rho = mix.matrix(r_cp, s_bqp)
-            yield t, enh, rho
-
-
 def mixture_chunks(
     coherent, incoherent, block, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()
 ):
-    """The mixtures of ``mixtures``, in ``MixtureChunk``s of up to ``MIXTURE_CHUNK`` points.
+    """Trace-1 mixtures of two channel matrices over a grid, in ``MixtureChunk``s.
 
+    The rates of all temperatures come from one ``spectral.mixing_rates``
+    call, before the first chunk, and rate errors pass through unchanged.
+    The points follow temperature-major, up to ``MIXTURE_CHUNK`` to a chunk.
     Each mixture is held only at the positions of ``_Mixer`` for the basis
-    indices ``block``, and gets every check of ``mixtures`` there.  A chunk
-    ends at the first point that fails one, carrying its error, and no chunk
-    follows it.  Rate errors pass through unchanged.
+    indices ``block`` (which may be empty) and gets there every check that
+    ``mixture`` makes on the full matrix.  A chunk ends at the first point
+    that fails one, carrying its error, and no chunk follows it.  Once the
+    sweep has started it holds only the channel matrices divided by their
+    traces, at the positions.
     """
     temperatures = tuple(temperatures)
     rates = spectral.mixing_rates(d, temperatures, jp, quad)
@@ -439,6 +433,7 @@ def rho_total_superposition(
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
     """Trace-1 mixture with the coherent channel carrying a qubit superposition."""
-    coherent = rho_superposition(q, ls, basis, geom)
-    [(_, _, rho)] = mixtures(coherent, rho_bqp(basis, geom), d, (t,), (coh.enhancement,), jp, quad)
-    return rho
+    coherent, incoherent = rho_superposition(q, ls, basis, geom), rho_bqp(basis, geom)
+    [(s_cp, s_bqp)] = spectral.mixing_rates(d, (t,), jp, quad)
+    with at_point(t, coh.enhancement):
+        return mixture(coherent, incoherent, coh.enhancement * s_cp, s_bqp)

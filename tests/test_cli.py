@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from sled_oam import cli, kappa, pair_state, spectral
+from sled_oam import bell_target, cli, fidelity, kappa, pair_state, spectral
 from sled_oam.cli import main
 from sled_oam.config import load_config
+from sled_oam.errors import DegenerateMixtureError
 from sled_oam.pair_state import PairDensityMatrix
 from test_outputs import assert_paints_like, painted, rects
 from test_outputs import svg_heatmap as per_cell_svg_heatmap
@@ -150,6 +153,20 @@ class TestDm:
         assert len(calls) == len(set(calls)) == 28
         assert all(0 <= a <= b for a, b in calls)
 
+    def test_the_sweep_builds_no_density_matrix_but_its_channels(self, tmp_path, monkeypatch):
+        built = []
+        init = PairDensityMatrix.__init__
+
+        def counting_init(self, basis, entries):
+            built.append(np.shape(entries))
+            init(self, basis, entries)
+
+        monkeypatch.setattr(PairDensityMatrix, "__init__", counting_init)
+        out = str(tmp_path / "out")
+        assert main(["dm", "--config", write_config(tmp_path), "--out", out]) == 0
+        assert len([name for name in os.listdir(out) if name.startswith("dm_")]) == 8
+        assert built == [(9, 9)] * 2
+
     def test_omitted_qubit_equals_trivial_qubit(self, tmp_path):
         base = write_config(tmp_path, name="plain.conf")
         out_a = str(tmp_path / "a")
@@ -216,6 +233,44 @@ class TestFidelity:
         for t, series in by_temp.items():
             assert series[100.0] >= series[10.0]
         assert os.path.exists(os.path.join(out, "fidelity.svg"))
+
+    @pytest.mark.parametrize(
+        "qubit_a, qubit_b",
+        [("0, 0", "1, 0"), (f"{0.5**0.5!r}, 0", f"{0.5**0.5!r}, 0")],
+        ids=["counterclockwise", "equal_superposition"],
+    )
+    def test_the_configured_current_sets_the_fidelity(self, tmp_path, qubit_a, qubit_b):
+        overrides = [
+            "grid.temperatures=0.5, 0.9",
+            "grid.quadrature_nodes=256",
+            f"emission.qubit_a={qubit_a}",
+            f"emission.qubit_b={qubit_b}",
+        ]
+        out = str(tmp_path / "out")
+        args = ["fidelity", "--config", "fig3", "--out", out]
+        assert main(args + [item for key in overrides for item in ("--set", key)]) == 0
+        _, rows = read_csv(os.path.join(out, "fidelity.csv"))
+        config = load_config("fig3", overrides)
+        basis = config.basis()
+        target = bell_target(basis, config.winding)
+        expected = []
+        for t in config.grid.temperatures:
+            for enh in config.enhancements:
+                rho = pair_state.rho_total_superposition(
+                    config.qubit,
+                    config.winding,
+                    basis,
+                    config.geometry,
+                    config.detuning_for_dm,
+                    t,
+                    config.junction,
+                    spectral.CoherenceParams(enh),
+                    config.grid.k_integration,
+                )
+                expected.append((t, enh, fidelity(rho, target)))
+        assert rows == expected
+        if qubit_a == "0, 0":  # the target's sector holds only the incoherent background
+            assert max(f for _, _, f in rows) < 0.05  # clockwise: 0.78 and 0.88 at t = 0.5
 
 
 class TestErrorReporting:
@@ -544,7 +599,7 @@ class TestSvgOutputs:
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
         rho = self._infinite_entry(config)
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
-            cli._write_matrix_svg(config, rho, "dm_bad", 0.3, 10.0)
+            cli._write_matrix_svg(config, rho.basis, rho.entries, "dm_bad", 0.3, 10.0)
         assert not os.listdir(out)
 
     def test_a_nan_cell_stops_dm_before_its_svg_is_opened(self, tmp_path, monkeypatch):
@@ -552,10 +607,42 @@ class TestSvgOutputs:
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
         out.mkdir()
         rho = self._infinite_entry(config)
-        monkeypatch.setattr(pair_state, "mixtures", lambda *args: iter([(0.3, 10.0, rho)]))
+        everywhere = pair_state.Positions(np.ones(rho.entries.shape, dtype=bool))
+        chunk = pair_state.MixtureChunk(everywhere, [nullcontext], rho.entries.reshape(1, -1), None)
+        monkeypatch.setattr(pair_state, "mixture_chunks", lambda *args: iter([chunk]))
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
             cli.cmd_dm(config)
         assert os.listdir(out) == ["dm_0.3_10.json"]
+
+    def test_a_point_that_fails_its_mixture_leaves_the_earlier_points_files(
+        self, tmp_path, monkeypatch
+    ):
+        """A non-finite total rate at the second temperature: the first temperature's
+        matrices are written, each equal to its one-shot mixture, and the error names
+        the failing point."""
+        out = tmp_path / "out"
+        config = load_config(write_config(tmp_path), [f"output.directory={out}"])
+        out.mkdir()
+        grid = config.grid
+        rates = spectral.mixing_rates(
+            config.detuning_for_dm, grid.temperatures, config.junction, grid.k_integration
+        )
+        rates[1] = (math.inf, rates[1][1])
+        monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
+        with pytest.raises(DegenerateMixtureError) as raised:
+            cli.cmd_dm(config)
+        message = f"total rate is not finite (r_cp=inf, r_bqp={rates[1][1]})"
+        assert str(raised.value) == message + " (at t=0.7, enhancement=10.0)"
+        stems = ["dm_0.3_10", "dm_0.3_100"]
+        files = [stem + ext for stem in stems for ext in (".json", ".svg")]
+        assert sorted(os.listdir(out)) == files
+        basis = config.basis()
+        coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
+        incoherent = pair_state.rho_bqp(basis, config.geometry)
+        for stem, enh in zip(stems, config.enhancements):
+            rho = pair_state.mixture(coherent, incoherent, enh * rates[0][0], rates[0][1])
+            with open(out / f"{stem}.json", encoding="utf-8") as fh:
+                assert fh.read() == json.dumps(rho.to_json_dict(), indent=2) + "\n"
 
     def test_the_l_max_6_matrix_svg_paints_like_the_per_cell_writer(self, tmp_path):
         """One 169-pair heatmap paints every cell as the per-cell writer does, in under
@@ -564,21 +651,20 @@ class TestSvgOutputs:
         out.mkdir()
         config = load_config("fig3", ["emission.l_max=6", f"output.directory={out}"])
         basis = config.basis()
-        _, _, rho = next(
-            pair_state.mixtures(
-                pair_state.rho_cp(config.winding, basis, config.geometry),
-                pair_state.rho_bqp(basis, config.geometry),
-                config.detuning_for_dm,
-                config.grid.temperatures,
-                config.enhancements,
-                config.junction,
-                config.grid.k_integration,
-            )
+        rho = pair_state.rho_total(
+            config.winding,
+            basis,
+            config.geometry,
+            config.detuning_for_dm,
+            0.5,
+            config.junction,
+            spectral.CoherenceParams(10.0),
+            config.grid.k_integration,
         )
-        cli._write_matrix_svg(config, rho, "warm", 0.5, 10.0)  # first-call caches
+        cli._write_matrix_svg(config, basis, rho.entries, "warm", 0.5, 10.0)  # first-call caches
         tracemalloc.start()
         try:
-            cli._write_matrix_svg(config, rho, "dm", 0.5, 10.0)
+            cli._write_matrix_svg(config, basis, rho.entries, "dm", 0.5, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

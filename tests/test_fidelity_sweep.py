@@ -117,17 +117,16 @@ def test_a_skewed_channel_fails_in_the_sweep_where_it_fails_alone(
     target = bell_target(BASIS, WINDING)
 
     def sweep():
-        with mock.patch.object(pair_state, "rho_cp", lambda *args: coherent):
+        with mock.patch.object(pair_state, "rho_superposition", lambda *args: coherent):
             table = fidelity_curve(SKEW_TEMPS, (10.0,), WINDING, BASIS, geometry, D, junction, QUAD)
         return table.values.ravel().tolist()
 
     def one_shot():
         values = []
         for t in SKEW_TEMPS:
-            [(_, _, rho)] = pair_state.mixtures(
-                coherent, incoherent, D, (t,), (10.0,), junction, QUAD
-            )
+            [(s_cp, s_bqp)] = mixing_rates(D, (t,), junction, QUAD)
             with at_point(t, 10.0):
+                rho = pair_state.mixture(coherent, incoherent, 10.0 * s_cp, s_bqp)
                 values.append(fidelity(rho, target))
         return values
 

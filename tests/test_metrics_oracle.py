@@ -32,6 +32,7 @@ from sled_oam import (
     eigh,
     fidelity,
     fidelity_curve,
+    mixing_rates,
     pair_state,
 )
 from sled_oam import metrics
@@ -247,16 +248,13 @@ def test_fig3_fidelity_matrices_equal_the_full_loop(t):
     projector = np.outer(target.coefficients, target.coefficients.conj())
     assert_same_decomposition(projector)
     root = target.root
-    mixtures = pair_state.mixtures(
-        pair_state.rho_cp(config.winding, basis, config.geometry),
-        pair_state.rho_bqp(basis, config.geometry),
-        config.detuning_for_dm,
-        config.grid.temperatures,
-        config.enhancements,
-        config.junction,
-        config.grid.k_integration,
+    coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
+    incoherent = pair_state.rho_bqp(basis, config.geometry)
+    [(s_cp, s_bqp)] = mixing_rates(
+        config.detuning_for_dm, (t,), config.junction, config.grid.k_integration
     )
-    for _, _, rho in mixtures:
+    for enh in config.enhancements:
+        rho = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp)
         inner = root @ rho.entries @ root
         assert_same_decomposition(0.5 * (inner + inner.conj().T))
         assert fidelity(rho, target) == full_size_fidelity(rho, target)

@@ -14,9 +14,11 @@ indent=2)`` writes.  The inputs cover the 11 colour stops, the values where
 ``255 * c`` lands exactly on .5 (where round-half-even and round-half-up
 differ), all-zero and 1x1 matrices, a tie for the background, log heatmaps
 with zeros and values below the six-decade floor, density matrices with
--0.0, the smallest subnormal, a single pair and non-finite cells, and
-matrices drawn from a few values so that cells repeat, as in a density
-matrix; where the oracle raises, the writers must raise too.  The SVG
+-0.0, the smallest subnormal, a single pair and non-finite cells,
+matrices of +0.0 with a few other cells, often at the ends of a row (what
+``write_json`` splices into its template), and matrices drawn from a few
+values so that cells repeat, as in a density matrix; where the oracle
+raises, the writers must raise too.  The SVG
 writers return parts that each end in a newline; their join is the
 document.  ``write_csv`` must end every line, the last one included, with
 one newline, and ``write_text`` returns the SHA-256 of the bytes it wrote.
@@ -465,10 +467,44 @@ def _written_json(rho) -> str:
             return fh.read()
 
 
-@SETTINGS
-@given(density_matrices())
+# what ``write_json`` splices into its template of +0.0 cells
+SPLICED = [-0.0, 5e-324, -5e-324, 0.5, -1 / 13, 2.5e300, *NON_FINITE]
+
+
+def with_cells(n: int, cells: dict) -> PairDensityMatrix:
+    """A matrix over n pairs of +0.0 but ``cells``, by (part, i, j) with part "re" or "im"."""
+    rho = PairDensityMatrix(OamPairBasis(OamPairBasis.full(2).pairs[:n], 2), np.zeros((n, n)))
+    for (part, i, j), value in cells.items():
+        (rho.entries.real if part == "re" else rho.entries.imag)[i, j] = value
+    return rho
+
+
+@st.composite
+def mostly_zero_matrices(draw):
+    """Matrices over 1-8 pairs of +0.0 but a few cells, often at the ends of a row or column."""
+    n = draw(st.integers(1, 8))
+    index = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    where = st.tuples(st.sampled_from(["re", "im"]), index, index)
+    return with_cells(n, draw(st.dictionaries(where, st.sampled_from(SPLICED), max_size=6)))
+
+
+# every cell of both parts nonzero
+DENSE = {(part, i, j): (1 + i + 5 * j) / 7 for part in ("re", "im") for i, j in np.ndindex(5, 5)}
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(density_matrices(), mostly_zero_matrices()))
 @example(PairDensityMatrix(OamPairBasis([(0, 0)], 0), np.array([[-0.0]])))
 @example(PairDensityMatrix(OamPairBasis([(1, -1)], 1), np.array([[5e-324]])))
+@example(with_cells(1, {}))
+@example(with_cells(1, {("re", 0, 0): math.nan}))
+@example(with_cells(4, {}))
+@example(with_cells(3, {("re", 1, 0): -0.0}))
+@example(with_cells(3, {("im", 2, 2): -0.0}))
+@example(with_cells(4, {("re", 0, 0): math.nan, ("re", 3, 3): -math.inf, ("im", 0, 0): 5e-324}))
+@example(with_cells(4, {("im", 3, 3): math.inf, ("re", 0, 3): 0.5, ("re", 3, 0): -0.0}))
+@example(with_cells(3, {("re", i, j): -1 / 13 for i in range(3) for j in (0, 2)}))
+@example(with_cells(5, DENSE))
 def test_write_json_is_json_dumps_of_the_dict_form(rho):
     assert _written_json(rho) == json.dumps(rho.to_json_dict(), indent=2) + "\n"
 

@@ -21,7 +21,10 @@ succeed or exit 1, 2 or 3 with a one-line JSON error, without a warning.
 A small ``rates``, ``dm`` or ``fidelity`` run with SVG output, given any
 finite temperatures, ``detuning_for_dm``, enhancements and qubit and any
 ``l_max`` and winding, must write files that match its manifest or exit 1,
-2, 3 or 4 with a one-line JSON error, without a warning.
+2, 3 or 4 with a one-line JSON error, without a warning.  Pinned ``dm`` and
+``fidelity`` runs on the largest basis (l_max = 12) and on a gapped list of
+l values must write theirs, the ``dm`` JSON equal to ``json.dumps`` of the
+one-shot mixture.
 """
 
 import contextlib
@@ -530,3 +533,41 @@ def test_any_numeric_emission_settings_write_their_files_or_fail_cleanly(run):
         else:
             assert code in (1, 2, 3, 4)
             assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ["emission.l_max=12"],  # 625 pairs, the largest basis
+        ["emission.l_max=8", "emission.l_values=-6, -2, 1, 4, 8"],  # gapped, reaching winding 2
+    ],
+)
+@pytest.mark.parametrize("command", ["dm", "fidelity"])
+def test_the_widest_and_a_gapped_basis_write_their_files(command, basis):
+    """Pinned runs past the fuzz's l_max <= 3, with SVG output and warnings as errors."""
+    overrides = ["grid.temperatures=0.5", "emission.enhancements=10", "grid.quadrature_nodes=256"]
+    overrides += basis
+    args = [command, "--config", "fig3"]
+    for setting in overrides:
+        args += ["--set", setting]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        assert main(args + ["--out", out]) == 0
+        assert err.getvalue() == ""
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            listed = json.load(fh)["outputs"]
+        stem = "dm_0.5_10" if command == "dm" else "fidelity"
+        data = f"{stem}.json" if command == "dm" else f"{stem}.csv"
+        assert sorted(listed) == sorted([data, f"{stem}.svg"])
+        assert sorted(os.listdir(out)) == sorted([*listed, "manifest.json"])
+        for name, digest in listed.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+        with open(os.path.join(out, data), encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    if command == "dm":
+        rho = one_shot_dm(load_config("fig3", overrides), 0.5, 10.0)
+        assert text == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    else:
+        [row] = text.splitlines()[1:]
+        assert 0.0 <= float(row.split(",")[2]) <= 1.0

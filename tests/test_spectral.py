@@ -215,12 +215,14 @@ class TestMixingRates:
         coherent = pair_state.rho_cp(1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
-        swept = pair_state.mixtures(
-            coherent, incoherent, 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
+        [chunk] = pair_state.mixture_chunks(
+            coherent, incoherent, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
-        for _, enh, rho in swept:
-            expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp)
-            assert np.array_equal(rho.entries, expected.entries)
+        assert len(chunk.values) == 2 and chunk.failure is None
+        for values, enh in zip(chunk.values, (50.0, 100.0)):
+            expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
+            # bit for bit, the zeros' signs included
+            assert chunk.positions.dense(values).tobytes() == expected.tobytes()
 
     def test_coherent_share_monotone_in_enhancement(self, junction, fast_quad):
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
