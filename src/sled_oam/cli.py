@@ -45,11 +45,12 @@ def cmd_rates(config: RunConfig) -> dict:
     temps = config.grid.temperatures
     detunings = config.grid.detunings
     for surface, name in ((cp, "rates_cp"), (bqp, "rates_bqp")):
-        rows = [
+        # a generator: the rows are gone before the heatmap is drawn
+        rows = (
             (t, d, surface.values[i, j])
             for i, t in enumerate(temps)
             for j, d in enumerate(detunings)
-        ]
+        )
         written[f"{name}.csv"] = outputs.write_csv(
             os.path.join(config.out_dir, f"{name}.csv"),
             "t_over_tc,detuning_over_delta0,rate_normalized",
@@ -67,7 +68,7 @@ def cmd_rates(config: RunConfig) -> dict:
                 log_scale=config.log_scale,
             )
             written[f"{name}.svg"] = outputs.write_text(
-                os.path.join(config.out_dir, f"{name}.svg"), *svg
+                os.path.join(config.out_dir, f"{name}.svg"), svg
             )
     return written
 
@@ -131,7 +132,7 @@ def _write_matrix_svg(config: RunConfig, basis, entries, stem: str, t: float, en
         labels,
         f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
     )
-    return outputs.write_text(os.path.join(config.out_dir, f"{stem}.svg"), *svg)
+    return outputs.write_text(os.path.join(config.out_dir, f"{stem}.svg"), svg)
 
 
 def cmd_fidelity(config: RunConfig) -> dict:
@@ -172,7 +173,7 @@ def cmd_fidelity(config: RunConfig) -> dict:
             "fidelity",
         )
         written["fidelity.svg"] = outputs.write_text(
-            os.path.join(config.out_dir, "fidelity.svg"), *svg
+            os.path.join(config.out_dir, "fidelity.svg"), svg
         )
     return written
 

@@ -3,17 +3,15 @@
 The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
 built on top of it.  Each of them takes a whole stack of matrices in one call,
-each bit for bit as if alone.  The eigensolver's sweeps visit only the rows
-coupled to another row, which for a Bell target is its one total-OAM sector
-(5 of 49 rows for fig3); the result is bit for bit that of visiting every pair
-(see ``eigh``).  A fidelity sweep never forms a full-size matrix: it takes its
-mixtures from ``pair_state.mixture_chunks``, held only where they can be
-nonzero, works only on the block of the target's support, outside which every
-matrix is zero, and decomposes the blocks of all its points in one call (see
-``_fidelities``, also for where this keeps the full-size bits).  The
-general mixed-state fidelity is evaluated alongside the pure-target shortcut
-<psi|rho|psi>, and the two must agree at every point -- this cross-validates
-the whole eigenvalue pipeline on every call.
+each bit for bit as if alone.  A fidelity sweep never forms a full-size
+matrix: it takes its mixtures from ``pair_state.mixture_chunks``, held only
+where they can be nonzero, works only on the block of the target's support,
+outside which every matrix is zero, as is the target's square root, and
+decomposes the blocks of all its points in one call (see ``_fidelities``,
+also for where this keeps the full-size bits).  The general mixed-state
+fidelity is evaluated alongside the pure-target shortcut <psi|rho|psi>, and
+the two must agree at every point -- this cross-validates the whole
+eigenvalue pipeline on every call.
 """
 
 from __future__ import annotations
@@ -69,15 +67,6 @@ def eigh(a: np.ndarray) -> HermitianEigen:
     1e-13 of its norm.  Returns ascending eigenvalues ``(..., n)`` and the
     matching unitaries ``(..., n, n)``; a single matrix is a stack of one.
 
-    A sweep visits, in the usual lexicographic order, only the pairs (p, q)
-    of rows that have a nonzero off-diagonal entry in some input matrix.
-    That is exact: a rotation at (p, q) changes only rows and columns p and
-    q, and an entry ``work[r, p]`` of an uncoupled row r becomes
-    c*0 - s*conj(phase)*0, a signed zero, so every pair left out is one the
-    full loop would skip as zero.  The rotations themselves still act on
-    full-length rows and columns, and the convergence test on the whole
-    matrix, so every bit of the result is that of the full loop.
-
     The matrices of a stack are rotated together, but each one exactly as if
     it were decomposed alone: at each visited pair only the matrices whose
     entry there is nonzero and which have not yet converged are rotated, and
@@ -99,17 +88,13 @@ def eigh(a: np.ndarray) -> HermitianEigen:
         od[:, diagonal, diagonal] = 0.0
         return _frobenius_norms(od)
 
-    # the only rows a rotation can reach (see above)
-    coupled = stack != 0
-    coupled[:, diagonal, diagonal] = False
-    active = np.flatnonzero(coupled.any(axis=(0, 1)) | coupled.any(axis=(0, 2))).tolist()
     pending = np.arange(len(stack))
     for _ in range(MAX_SWEEPS):
         pending = pending[~(off_norms(pending) <= tol[pending])]
         if not pending.size:
             break
-        for i, p in enumerate(active):
-            for q in active[i + 1 :]:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
                 apq = work[pending, p, q]
                 mag = np.hypot(apq.real, apq.imag)
                 rotated = mag != 0.0
@@ -212,9 +197,19 @@ class TargetState:
             raise ContractError(f"target state must have unit norm, got {norm}")
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """Indices of the nonzero coefficients."""
+        return np.flatnonzero(self.coefficients)
+
+    @cached_property
     def root(self) -> np.ndarray:
-        """Square root of the projector |psi><psi|, decomposed once per target."""
-        return sqrtm_psd(np.outer(self.coefficients, self.coefficients.conj()))
+        """Square root of |psi><psi| on the block ``support`` x ``support``, taken once.
+
+        The full-size root is zero outside that block and equals it there bit
+        for bit.
+        """
+        psi = self.coefficients[self.support]
+        return sqrtm_psd(np.outer(psi, psi.conj()))
 
 
 def bell_target(basis: OamPairBasis, ls) -> TargetState:
@@ -244,7 +239,7 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
     """
     if rho.basis != target.basis:
         raise ContractError("density matrix and target state use different bases")
-    support = np.flatnonzero(target.coefficients)
+    support = target.support
     mask = np.zeros(rho.entries.shape, dtype=bool)
     mask[np.ix_(support, support)] = True
     positions = pair_state.Positions(mask)
@@ -263,10 +258,11 @@ def _fidelities(chunks, target: TargetState) -> list:
 
     The chunks are ``pair_state.MixtureChunk``s on the target's basis whose
     positions hold the block S x S of the target's support S (the nonzero
-    entries of psi).  ``root`` is zero outside S x S, so ``inner`` and its
-    square root are too.  Every step is stacked numpy that acts on each
-    point as if alone, so each value has the bits that ``fidelity`` gives
-    its mixture on its own.  Three passes:
+    entries of psi).  ``target.root`` is the square root on that block, and
+    the full-size one is zero outside it, so ``inner`` and its square root
+    are too.  Every step is stacked numpy that acts on each point as if
+    alone, so each value has the bits that ``fidelity`` gives its mixture on
+    its own.  Three passes:
 
     1. Per chunk, check each mixture's unit trace, summing its diagonal as
        ``np.trace`` does.  Form ``inner = root @ rho @ root`` on the block,
@@ -276,8 +272,8 @@ def _fidelities(chunks, target: TargetState) -> list:
        full-size sums otherwise, and values move by at most 3.5e-15
        relative.
     2. Decompose the blocks of all points in one ``eigh`` call.  Every
-       rotation is the one the full-size solve makes, since it visits only
-       coupled rows, all inside S.  Only its convergence test differs: the
+       rotation is the one the full-size solve makes, since that one skips
+       every pair outside S as zero.  Only its convergence test differs: the
        norms are summed over the block, the same nonzero terms grouped
        otherwise, so a result could move only if a sweep ended within
        rounding of the threshold.
@@ -294,9 +290,7 @@ def _fidelities(chunks, target: TargetState) -> list:
     the first check it fails.  Only blocks and scalars are kept across
     chunks.
     """
-    psi = target.coefficients
-    support = np.flatnonzero(psi)
-    root = target.root[np.ix_(support, support)]
+    psi, support, root = target.coefficients, target.support, target.root
     contexts, blocks, shortcuts, failure = [], [], [], None
     for chunk in chunks:
         rho = chunk.values
@@ -383,7 +377,7 @@ def fidelity_curve(
     chunks = pair_state.mixture_chunks(
         pair_state.rho_superposition(qubit, ls, basis, geom),
         pair_state.rho_bqp(basis, geom),
-        np.flatnonzero(target.coefficients),
+        target.support,
         d,
         temps,
         enhancements,

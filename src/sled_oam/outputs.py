@@ -12,16 +12,13 @@ cells into which only the cells whose bits are not +0.0 are spliced, each
 distinct bit pattern formatted once.  SVG output is deliberately simple -- colored rects for heatmaps,
 polylines for curves -- and needs no external renderer.  Both heatmaps
 (``svg_heatmap`` for rate surfaces, ``svg_matrix`` for density matrices)
-build their rects in ``_rect_rows``, which scales and colours each distinct
+build their rects in ``_rects``, which scales and colours each distinct
 cell value once, with the same floating-point operations as a scalar
 evaluation would.  It paints the grid on a background: one rect over every
 cell in the colour that most cells have (the lowest ``#rrggbb`` name on a
 tie), then one rect per cell of another colour, found in one ``np.nonzero``
 call, so each cell shows the colour of its value and a density matrix,
 mostly zeros, takes a few rects.
-The SVG writers return their document as a list of parts, each ending in its
-newline, which ``write_text`` writes one after another: the document is
-never joined in memory, and every part exists before the file is opened.
 """
 
 from __future__ import annotations
@@ -189,18 +186,18 @@ def _colors(scaled):
     return ["#%06x" % p for p in distinct.tolist()], index
 
 
-def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list:
-    """Heatmap rects as parts, each ending in a newline: a background, then the other cells.
+def _rects(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list:
+    """Heatmap rects, a line each: a background, then the other cells.
 
-    The first part is one rect over the whole grid (``frame`` holds its x,
-    y, width and height) in the colour of the most cells, the lowest colour
-    name on a tie.  Each row with cells of another colour is then one part,
-    one rect per such cell and line, in column order: ``<rect x=".." y=".."``
-    with ``dims`` and the cell's fill, as a rect per cell would be.  An
-    empty grid has no rect.  A cell's colour depends only on its value, so
-    ``scale`` maps the distinct values of the whole matrix to [0, 1] and each
-    is coloured once; cells are counted and read their colours through the
-    inverse index, without a per-cell array of colours.
+    The first rect lies over the whole grid (``frame`` holds its x, y, width
+    and height) in the colour of the most cells, the lowest colour name on a
+    tie.  Then comes one rect per cell of another colour, in row-major
+    order: ``<rect x=".." y=".."`` with ``dims`` and the cell's fill, as a
+    rect per cell would be.  An empty grid has no rect.  A cell's colour
+    depends only on its value, so ``scale`` maps the distinct values of the
+    whole matrix to [0, 1] and each is coloured once; cells are counted and
+    read their colours through the inverse index, without a per-cell array
+    of colours.
     """
     if values.size == 0:
         return []
@@ -211,15 +208,13 @@ def _rect_rows(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list
     background = int(counts.argmax())
     heads = [f'<rect x="{x}" y="' for x in xs]
     tails = [f'" {dims} fill="{name}"/>\n' for name in names]
-    rows = [f'<rect {frame} fill="{names[background]}"/>\n']
-    # the foreground cells in row-major order, and where each row's run starts
+    # the foreground cells in row-major order
     at_row, at_col = np.nonzero((index != background)[inverse])
     fills = index[inverse[at_row, at_col]].tolist()
     cells = zip(at_row.tolist(), at_col.tolist(), fills)
-    rects = [heads[j] + ys[i] + tails[c] for i, j, c in cells]
-    starts = np.flatnonzero(np.diff(at_row, prepend=-1)).tolist()
-    rows += ["".join(rects[a:b]) for a, b in zip(starts, starts[1:] + [len(rects)])]
-    return rows
+    return [f'<rect {frame} fill="{names[background]}"/>\n'] + [
+        heads[j] + ys[i] + tails[c] for i, j, c in cells
+    ]
 
 
 def _scaled(value: float, vmax: float, log_scale: bool, decades: float = 6.0) -> float:
@@ -241,8 +236,8 @@ def svg_heatmap(
     ylabel: str,
     vmax: float,
     log_scale: bool = False,
-) -> list:
-    """Heatmap as parts, on its commonest colour; rows run bottom-up so the y axis increases upward."""
+) -> str:
+    """Heatmap on its commonest colour; rows run bottom-up so the y axis increases upward."""
     n_rows, n_cols = values.shape
     cell_w = max(2.0, min(14.0, 720.0 / n_cols))
     cell_h = max(2.0, min(24.0, 420.0 / n_rows))
@@ -262,7 +257,7 @@ def svg_heatmap(
     def scale(distinct):
         return [_scaled(v, vmax, log_scale) for v in distinct.tolist()]
 
-    rows = _rect_rows(values, scale, xs, ys, dims, frame)
+    rects = _rects(values, scale, xs, ys, dims, frame)
     tail = []
     tick_idx = sorted({0, n_cols // 2, n_cols - 1})
     for j in tick_idx:
@@ -287,11 +282,11 @@ def svg_heatmap(
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
     tail.append("</svg>")
-    return [line + "\n" for line in parts] + rows + [line + "\n" for line in tail]
+    return "".join([line + "\n" for line in parts] + rects + [line + "\n" for line in tail])
 
 
-def svg_matrix(values: np.ndarray, labels, title: str) -> list:
-    """Square magnitude heatmap as parts, with pair labels on both axes."""
+def svg_matrix(values: np.ndarray, labels, title: str) -> str:
+    """Square magnitude heatmap with pair labels on both axes."""
     n = values.shape[0]
     vmax = float(values.max()) if values.size else 1.0
     cell = max(6.0, min(26.0, 560.0 / max(n, 1)))
@@ -314,7 +309,7 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> list:
         with np.errstate(over="ignore"):  # to +-inf, as a scalar division does
             return distinct / vmax
 
-    rows = _rect_rows(values, scale, xs, ys, dims, frame)
+    rects = _rects(values, scale, xs, ys, dims, frame)
     tail = []
     font = max(6, min(11, int(cell) - 2))
     for j, label in enumerate(labels):
@@ -331,11 +326,11 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> list:
             f'font-family="sans-serif" font-size="{font}">{label}</text>'
         )
     tail.append("</svg>")
-    return [line + "\n" for line in parts] + rows + [line + "\n" for line in tail]
+    return "".join([line + "\n" for line in parts] + rects + [line + "\n" for line in tail])
 
 
-def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> list:
-    """Polyline chart as parts; ``series`` maps a label to a list of y values in [0, 1]."""
+def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:
+    """Polyline chart; ``series`` maps a label to a list of y values in [0, 1]."""
     left, top, plot_w, plot_h = 70.0, 40.0, 560.0, 360.0
     width, height = left + plot_w + 160.0, top + plot_h + 70.0
     x_lo, x_hi = min(x_values), max(x_values)
@@ -395,4 +390,4 @@ def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> list:
         f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
     )
     parts.append("</svg>")
-    return [line + "\n" for line in parts]
+    return "\n".join(parts) + "\n"

@@ -321,8 +321,9 @@ class TestFidelityCurve:
         basis = OamPairBasis.from_l_values([0, 1])
         args = ((0.2, 0.5, 0.8), (10.0, 100.0), 1, basis, geometry, 5.0, junction)
         fidelity_curve(*args, quad=KQuadrature(nodes=256))
-        # the target's projector once, then the 2 x 2 support blocks of all 3 x 2 points
-        assert calls == [(4, 4), (3 * 2, 2, 2)]
+        # the target's projector once, then the blocks of all 3 x 2 points, all on
+        # the 2 x 2 support block
+        assert calls == [(2, 2), (3 * 2, 2, 2)]
 
     def test_sweep_memory_stays_below_2_mb(self):
         # the benchmark's fidelity_scan grid: 95 temperatures x 3 enhancements on

@@ -1,16 +1,19 @@
-"""The stacked, coupled-rows Jacobi sweep against a verbatim copy of the full-loop one.
+"""The stacked Jacobi sweep against a verbatim copy of the one-matrix one.
 
-``metrics.eigh`` visits only the pairs of rows coupled by a nonzero
-off-diagonal entry, and decomposes a stack of matrices in one call.  Its
+``metrics.eigh`` decomposes a stack of matrices in one call.  Its
 eigenvalues and eigenvectors must equal, bit for bit, those of the sweep over
-every pair, copied below as it was before either change, applied matrix by
-matrix: on random Hermitian matrices with some rows and columns zeroed, on
-rank-1 projectors and projected states like the Bell target and ``inner`` of
-``fidelity``, and on stacks mixing such matrices with zero, diagonal and dense
-ones, which converge after different numbers of sweeps.  The fidelity, which
-works only on the target-support block of ``inner``, must equal bit for bit
-the fidelity from the full-size product and square root, copied below as it
-was before, on bases up to fig3's 49 pairs.
+every pair of one matrix, copied below as it was before stacking, applied
+matrix by matrix: on random Hermitian matrices with some rows and columns
+zeroed, on rank-1 projectors and projected states like the Bell target and
+``inner`` of ``fidelity``, and on stacks mixing such matrices with zero,
+diagonal and dense ones, which converge after different numbers of sweeps.
+The target's square root, taken on the block of its support, must equal bit
+for bit that block of the square root of the full-size projector, for every
+Bell target of windings 1-3 on the full bases up to l_max = 12 and for a
+random target on the whole basis.  The fidelity, which works only on the
+target-support block of ``inner``, must equal bit for bit the fidelity from
+the full-size root, product and square root, copied below as it was before,
+on bases up to fig3's 49 pairs.
 The general fidelity, and with it its cross-check against the pure-target
 shortcut, must still be evaluated at every point of a curve.
 """
@@ -28,6 +31,7 @@ from sled_oam import (
     HermitianEigen,
     KQuadrature,
     OamPairBasis,
+    TargetState,
     bell_target,
     eigh,
     fidelity,
@@ -45,7 +49,7 @@ MAX_SWEEPS = 100
 
 
 def full_loop_eigh(a: np.ndarray) -> HermitianEigen:
-    """``metrics.eigh`` as it was when every sweep visited all n(n-1)/2 pairs."""
+    """``metrics.eigh`` on one matrix, as it was before it took stacks."""
     a = _check_hermitian(a)
     n = a.shape[0]
     work = a.copy()
@@ -155,7 +159,7 @@ def hermitian_cases(draw, n=None):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=hermitian_cases())
-def test_coupled_rows_sweep_equals_the_full_loop(a):
+def test_sweep_equals_the_full_loop(a):
     assert_same_decomposition(a)
 
 
@@ -208,10 +212,18 @@ def test_stacks_of_any_leading_shape_decompose_per_matrix(rng):
         assert np.array_equal(ours.eigenvectors[index], oracle.eigenvectors)
 
 
+def full_size_root(target):
+    """``sqrtm_psd`` of the target's projector over the whole basis, decomposed by
+    the full loop (which ``eigh`` equals bit for bit, and which skips the zero
+    pairs of the 625-pair basis faster)."""
+    projector = np.outer(target.coefficients, target.coefficients.conj())
+    return metrics._psd_root(full_loop_eigh(projector))
+
+
 def full_size_fidelity(rho, target):
     """``metrics.fidelity``'s general form as it was before the sweep kept only
     the target-support blocks: the square root of the whole ``inner``."""
-    root = target.root
+    root = full_size_root(target)
     inner = root @ rho.entries @ root
     inner = 0.5 * (inner + inner.conj().T)
     return float(np.trace(sqrtm_psd(inner)).real) ** 2
@@ -233,6 +245,31 @@ def targeted_mixtures(draw):
     return PairDensityMatrix(basis, rho / np.trace(rho).real), bell_target(basis, winding)
 
 
+def assert_root_is_the_full_size_block(target):
+    support = target.support
+    assert np.array_equal(support, np.flatnonzero(target.coefficients))
+    full = full_size_root(target)[np.ix_(support, support)]
+    assert target.root.shape == (len(support), len(support))
+    assert np.array_equal(target.root.view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("l_max", range(1, 13))
+def test_bell_target_root_is_the_block_of_the_full_size_root(l_max):
+    basis = OamPairBasis.full(l_max)
+    windings = [w for w in (1, 2, 3) if pair_state.sector_pairs(basis, w)]
+    assert windings
+    for winding in windings:
+        assert_root_is_the_full_size_block(bell_target(basis, winding))
+
+
+def test_full_support_target_root_is_the_full_size_root(rng):
+    basis = OamPairBasis.full(2)
+    psi = complex_normal(rng, len(basis))
+    target = TargetState(basis, psi / np.linalg.norm(psi))
+    assert len(target.support) == len(basis)
+    assert_root_is_the_full_size_block(target)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=targeted_mixtures())
 def test_block_fidelity_equals_the_full_size_square_root(case):
@@ -247,7 +284,7 @@ def test_fig3_fidelity_matrices_equal_the_full_loop(t):
     target = bell_target(basis, config.winding)
     projector = np.outer(target.coefficients, target.coefficients.conj())
     assert_same_decomposition(projector)
-    root = target.root
+    root = full_size_root(target)
     coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
     incoherent = pair_state.rho_bqp(basis, config.geometry)
     [(s_cp, s_bqp)] = mixing_rates(
@@ -281,9 +318,9 @@ class TestCrossCheckRunsEveryCall:
 
         monkeypatch.setattr(metrics, "_psd_root", counting_root)
         self.curve(junction, geometry)
-        # the target's root once at full size, then the general form on the 2 x 2
-        # support block at each of the 3 x 2 points
-        assert roots == [(4, 4)] + [(2, 2)] * (3 * 2)
+        # the target's root once, then the general form at each of the 3 x 2
+        # points, all on the 2 x 2 support block
+        assert roots == [(2, 2)] + [(2, 2)] * (3 * 2)
 
     @pytest.mark.parametrize("skewed", [0, 5])
     def test_a_wrong_general_fidelity_at_any_point_raises(

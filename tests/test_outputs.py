@@ -19,8 +19,8 @@ matrices of +0.0 with a few other cells, often at the ends of a row (what
 ``write_json`` splices into its template), and matrices drawn from a few
 values so that cells repeat, as in a density matrix; where the oracle
 raises, the writers must raise too.  The SVG
-writers return parts that each end in a newline; their join is the
-document.  ``write_csv`` must end every line, the last one included, with
+writers return their document as one string that ends in a newline.
+``write_csv`` must end every line, the last one included, with
 one newline, and ``write_text`` returns the SHA-256 of the bytes it wrote.
 """
 
@@ -172,10 +172,10 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _document(parts: list) -> str:
-    """The document a writer's parts make, each of them ending in a newline."""
-    assert all(part.endswith("\n") for part in parts)
-    return "".join(parts)
+def _document(document: str) -> str:
+    """A writer's document: one string that ends in a newline."""
+    assert isinstance(document, str) and document.endswith("\n")
+    return document
 
 
 _RECT = re.compile(

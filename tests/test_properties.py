@@ -19,9 +19,10 @@ warning; at every corner of the ranges in the config schema it must succeed.
 A small ``dm`` run with any positive annulus radius or beam waist must
 succeed or exit 1, 2 or 3 with a one-line JSON error, without a warning.
 A small ``rates``, ``dm`` or ``fidelity`` run with SVG output, given any
-finite temperatures, ``detuning_for_dm``, enhancements and qubit and any
-``l_max`` and winding, must write files that match its manifest or exit 1,
-2, 3 or 4 with a one-line JSON error, without a warning.  Pinned ``dm`` and
+finite temperatures, ``detuning_for_dm``, enhancements and qubit, any
+``l_max`` and winding and any list of ``l_values`` within |l| <= 3, must
+write files that match its manifest or exit 1, 2, 3 or 4 with a one-line
+JSON error, without a warning.  Pinned ``dm`` and
 ``fidelity`` runs on the largest basis (l_max = 12) and on a gapped list of
 l values must write theirs, the ``dm`` JSON equal to ``json.dumps`` of the
 one-shot mixture.
@@ -483,8 +484,12 @@ def numeric_runs(draw):
 
     Temperatures, ``detuning_for_dm``, enhancements, ``l_max``, the qubit
     and the winding each take a typical value, or one time in four any
-    value.  A small grid (64 nodes, 3 detunings, 1-2 temperatures) and
-    l_max <= 3 inside its range keep each run short.
+    value.  Half the runs also list ``l_values``: up to 4 values, within
+    ``l_max`` when that is typical, or one time in four any |l| <= 3 (so
+    also past ``l_max``, repeated, or none); a typical winding is then a
+    total OAM of two listed values.  A small grid (64 nodes, 3
+    detunings, 1-2 temperatures) and |l| <= 3 inside its range keep each
+    run short.
     """
 
     def value(typical, wild):
@@ -494,13 +499,22 @@ def numeric_runs(draw):
         return [value(typical, wild) for _ in range(draw(st.integers(1, 2)))]
 
     command = draw(st.sampled_from(["rates", "dm", "fidelity"]))
+    l_max = value(st.integers(1, 3), st.sampled_from([-1, 0, 13, 10**30]))
     sets = {
         "grid.temperatures": values(st.floats(0.01, 0.99), finite),
         "emission.detuning_for_dm": [value(st.floats(-8.0, 8.0), finite)],
         "emission.enhancements": values(st.floats(1.0, 1e3), finite),
-        "emission.l_max": [value(st.integers(1, 3), st.sampled_from([-1, 0, 13, 10**30]))],
-        "emission.winding": [value(st.integers(-2, 2), st.sampled_from([-7, 7, 2**63]))],
+        "emission.l_max": [l_max],
     }
+    windings = st.integers(-2, 2)
+    if draw(st.booleans()):
+        bound = l_max if 1 <= l_max <= 3 else 3
+        typical = st.lists(st.integers(-bound, bound), min_size=1, max_size=4, unique=True)
+        l_values = value(typical, st.lists(st.integers(-3, 3), max_size=4))
+        sets["emission.l_values"] = l_values
+        if l_values:  # a typical winding is then one the listed values reach
+            windings = st.sampled_from(sorted({a + b for a in l_values for b in l_values}))
+    sets["emission.winding"] = [value(windings, st.sampled_from([-7, 7, 2**63]))]
     if draw(st.booleans()):
         theta = draw(st.floats(0.0, math.pi / 2))
         magnitudes = value(st.just((math.cos(theta), math.sin(theta))), st.tuples(finite, finite))
