@@ -92,6 +92,8 @@ def cmd_dm(config: RunConfig) -> dict:
     )
     points = product(config.grid.temperatures, config.enhancements)
     written = {}
+    # a failing point's error is raised by the sweep, once the files of the
+    # points before it are written
     for chunk in sweep:
         # the values first: zip stops on them without drawing a point
         for values, (t, enh) in zip(chunk.values, points):
@@ -102,10 +104,6 @@ def cmd_dm(config: RunConfig) -> dict:
             )
             if config.svg:
                 written[f"{stem}.svg"] = _write_matrix_svg(config, basis, entries, stem, t, enh)
-        if chunk.failure is not None:
-            context, error = chunk.failure
-            with context():
-                raise error
     return written
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError
+from .errors import ContractError, ConvergenceError, SledOamError
 from .modes import AnnulusGeometry
-from .pair_state import CLOCKWISE, MixtureChunk, OamPairBasis, PairDensityMatrix, QubitState
+from .pair_state import CLOCKWISE, OamPairBasis, PairDensityMatrix, QubitState
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -77,7 +77,8 @@ def eigh(a: np.ndarray) -> HermitianEigen:
     """
     a = _check_hermitian(a)
     n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
+    # the stack count given, as -1 is ambiguous for 0 x 0 matrices
+    stack = a.reshape(int(np.prod(a.shape[:-2])), n, n)
     work = stack.copy()
     vecs = np.broadcast_to(np.eye(n, dtype=complex), work.shape).copy()
     tol = JACOBI_OFF_TOL * _frobenius_norms(stack)
@@ -234,17 +235,17 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
 
     Both the general mixed-state form and the pure-target shortcut
     <psi|rho|psi> are evaluated; a disagreement beyond 1e-9 means the
-    eigenvalue pipeline is broken and raises.  This is the one-point case of
-    the sweep in ``fidelity_curve``, and gives the same bits.
+    eigenvalue pipeline is broken and raises.  ``rho`` must have unit trace
+    within 1e-9 (NaN fails).  This is the one-point case of the sweep in
+    ``fidelity_curve``, and gives the same bits.
     """
     if rho.basis != target.basis:
         raise ContractError("density matrix and target state use different bases")
+    trace = rho.trace()
+    if not abs(trace - 1.0) <= 1e-9:
+        raise ContractError(f"density matrix must have unit trace, got {trace}")
     support = target.support
-    mask = np.zeros(rho.entries.shape, dtype=bool)
-    mask[np.ix_(support, support)] = True
-    positions = pair_state.Positions(mask)
-    values = rho.entries.take(positions.flat)[None]
-    [value] = _fidelities([MixtureChunk(positions, [nullcontext], values, None)], target)
+    [value] = _fidelities([([nullcontext], rho.entries[np.ix_(support, support)][None])], target)
     return value
 
 
@@ -253,20 +254,21 @@ def _passed(ok: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-def _fidelities(chunks, target: TargetState) -> list:
-    """Cross-checked general fidelity against ``target`` of each mixture of ``chunks``.
+def _fidelities(sweep, target: TargetState) -> list:
+    """Cross-checked general fidelity against ``target`` of each mixture of ``sweep``.
 
-    The chunks are ``pair_state.MixtureChunk``s on the target's basis whose
-    positions hold the block S x S of the target's support S (the nonzero
-    entries of psi).  ``target.root`` is the square root on that block, and
-    the full-size one is zero outside it, so ``inner`` and its square root
-    are too.  Every step is stacked numpy that acts on each point as if
-    alone, so each value has the bits that ``fidelity`` gives its mixture on
-    its own.  Three passes:
+    ``sweep`` yields pairs of a list of error contexts and a stack of
+    blocks, one per context: the block S x S of a trace-1 mixture on the
+    target's basis, S being the target's support (the nonzero entries of
+    psi).  It may raise a point's error after yielding the points before
+    it.  ``target.root`` is the square root on that block, and the
+    full-size one is zero outside it, so ``inner`` and its square root are
+    too.  Every step is stacked numpy that acts on each point as if alone,
+    so each value has the bits that ``fidelity`` gives its mixture on its
+    own.  Three passes:
 
-    1. Per chunk, check each mixture's unit trace, summing its diagonal as
-       ``np.trace`` does.  Form ``inner = root @ rho @ root`` on the block,
-       one matrix product per point, and the shortcut <psi|rho|psi> on it.
+    1. Per pair, form ``inner = root @ rho @ root`` on the block, one
+       matrix product per point, and the shortcut <psi|rho|psi> on it.
        Up to fig3's 49 pairs (l_max 2-5) ``inner`` is bit for bit the block
        of the full-size product; at l_max = 6 (169 pairs) BLAS groups the
        full-size sums otherwise, and values move by at most 3.5e-15
@@ -283,33 +285,26 @@ def _fidelities(chunks, target: TargetState) -> list:
        bits of the full-size root's trace, at every basis size; a sum over
        the block's diagonal alone would not.
 
-    After its mixture's checks, each point gets the unit-trace, PSD and 1e-9
-    cross-check tests, and NaN fails each.  The sweep stops at the first
-    point that fails a check before ``eigh``; the error raised is that of
-    the first point in sweep order that fails any, in its context, and of
-    the first check it fails.  Only blocks and scalars are kept across
-    chunks.
+    After its mixture's checks, each point gets the PSD and 1e-9
+    cross-check tests, and NaN fails each.  An error of the sweep is raised
+    only after the points before it have passed them, so the error raised
+    is that of the first point in sweep order that fails any check, in its
+    context, and of the first check it fails.  Only blocks and scalars are
+    kept across pairs.
     """
     psi, support, root = target.coefficients, target.support, target.root
     contexts, blocks, shortcuts, failure = [], [], [], None
-    for chunk in chunks:
-        rho = chunk.values
-        trace = rho.take(chunk.positions.diagonal, axis=-1).sum(axis=-1).real
-        formed = _passed(abs(trace - 1.0) <= 1e-9)
-        rho = rho[:formed].take(chunk.positions.index(support[:, None], support), axis=-1)
-        inner = root @ rho @ root
-        blocks.append(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
-        shortcuts.append(((psi[support].conj() @ rho) * psi[support]).sum(axis=-1).real)
-        contexts += chunk.contexts[:formed]
-        failure = chunk.failure
-        if formed < len(chunk.contexts):
-            error = f"density matrix must have unit trace, got {float(trace[formed])}"
-            failure = (chunk.contexts[formed], ContractError(error))
-        if failure is not None:
-            break
+    try:
+        for block_contexts, rho in sweep:
+            inner = root @ rho @ root
+            blocks.append(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
+            shortcuts.append(((psi[support].conj() @ rho) * psi[support]).sum(axis=-1).real)
+            contexts += block_contexts
+    except SledOamError as exc:
+        failure = exc
     values = []
     if contexts:
-        blocks = np.concatenate(blocks)  # frees the chunks' own blocks before eigh
+        blocks = np.concatenate(blocks)  # frees the pairs' own blocks before eigh
         decomp = eigh(blocks)
         del blocks
         vals, vecs = decomp.eigenvalues, decomp.eigenvectors
@@ -332,9 +327,7 @@ def _fidelities(chunks, target: TargetState) -> list:
             with contexts[rooted]():
                 _psd_root(HermitianEigen(vals[rooted], vecs[rooted]))  # raises
     if failure is not None:
-        context, error = failure
-        with context():
-            raise error
+        raise failure
     return values
 
 
@@ -370,19 +363,27 @@ def fidelity_curve(
     ``_fidelities``).  No full-size density matrix is built beyond the two
     channel matrices, and each value is the one ``fidelity`` gives for the
     full mixture of its point, with the same checks and the same errors.
+    Only the unit-trace check of ``fidelity`` is not repeated: each mixture
+    has just been divided by the sum of its non-negative diagonal, so its
+    trace is 1 within rounding, and a NaN fails the mixture's own checks.
     """
     target = bell_target(basis, ls)
+    support = target.support
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     chunks = pair_state.mixture_chunks(
         pair_state.rho_superposition(qubit, ls, basis, geom),
         pair_state.rho_bqp(basis, geom),
-        target.support,
+        support,
         d,
         temps,
         enhancements,
         jp,
         quad,
     )
-    values = np.array(_fidelities(chunks, target)).reshape(len(temps), len(enhancements))
+    blocks = (
+        (chunk.contexts, chunk.values.take(chunk.positions.index(support[:, None], support), -1))
+        for chunk in chunks
+    )
+    values = np.array(_fidelities(blocks, target)).reshape(len(temps), len(enhancements))
     return FidelityTable(temps, enhancements, values)

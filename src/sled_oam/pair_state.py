@@ -273,14 +273,12 @@ class MixtureChunk:
     """Consecutive points of a ``mixture_chunks`` sweep and their trace-1 mixtures.
 
     ``values[i]`` holds the mixture of the point whose error context
-    ``contexts[i]`` enters, at ``positions``.  ``failure`` is the context and
-    error of the point after the last, which failed a check, or None.
+    ``contexts[i]`` enters, at ``positions``.
     """
 
     positions: Positions
     contexts: list
     values: np.ndarray
-    failure: tuple | None
 
 
 class _Mixer:
@@ -379,9 +377,9 @@ def mixture_chunks(
     Each mixture is held only at the positions of ``_Mixer`` for the basis
     indices ``block`` (which may be empty) and gets there every check that
     ``mixture`` makes on the full matrix.  A chunk ends at the first point
-    that fails one, carrying its error, and no chunk follows it.  Once the
-    sweep has started it holds only the channel matrices divided by their
-    traces, at the positions.
+    that fails one; once it is yielded, the sweep raises that point's error
+    in the point's ``at_point`` context.  Once the sweep has started it holds
+    only the channel matrices divided by their traces, at the positions.
     """
     temperatures = tuple(temperatures)
     rates = spectral.mixing_rates(d, temperatures, jp, quad)
@@ -389,22 +387,21 @@ def mixture_chunks(
     del coherent, incoherent
     points = [(t, enh, s) for t, s in zip(temperatures, rates) for enh in enhancements]
     for start in range(0, len(points), MIXTURE_CHUNK):
-        contexts, weights, failure = [], [], None
+        contexts, weights, error = [], [], None
         for t, enh, (s_cp, s_bqp) in points[start : start + MIXTURE_CHUNK]:
-            context = partial(at_point, t, enh)
+            contexts.append(partial(at_point, t, enh))
             try:
                 r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
                 weights.append(mix.weights(r_cp, s_bqp))
             except SledOamError as exc:
-                failure = (context, exc)
+                error = exc
                 break
-            contexts.append(context)
-        values, formed, error = mix.stack(weights)
+        values, formed, stack_error = mix.stack(weights)
+        yield MixtureChunk(mix.positions, contexts[:formed], values)
+        error = stack_error or error
         if error is not None:
-            failure = (contexts[formed], error)
-        yield MixtureChunk(mix.positions, contexts[:formed], values, failure)
-        if failure is not None:
-            return
+            with contexts[formed]():
+                raise error
 
 
 def rho_total(

@@ -608,7 +608,7 @@ class TestSvgOutputs:
         out.mkdir()
         rho = self._infinite_entry(config)
         everywhere = pair_state.Positions(np.ones(rho.entries.shape, dtype=bool))
-        chunk = pair_state.MixtureChunk(everywhere, [nullcontext], rho.entries.reshape(1, -1), None)
+        chunk = pair_state.MixtureChunk(everywhere, [nullcontext], rho.entries.reshape(1, -1))
         monkeypatch.setattr(pair_state, "mixture_chunks", lambda *args: iter([chunk]))
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
             cli.cmd_dm(config)

@@ -7,7 +7,7 @@ one-shot mixture at that point, and the sweep must fail exactly where the
 one-shot route first fails, with the same error.
 """
 
-from functools import partial
+import math
 from unittest import mock
 
 import numpy as np
@@ -29,6 +29,7 @@ from sled_oam import (
     mixing_rates,
     pair_state,
     rho_total,
+    spectral,
 )
 from sled_oam.config import load_config
 from sled_oam.errors import at_point
@@ -133,18 +134,13 @@ def test_a_skewed_channel_fails_in_the_sweep_where_it_fails_alone(
     assert outcome(sweep) == outcome(one_shot)
 
 
-def test_a_nan_trace_fails_the_unit_trace_check():
+def test_a_nan_trace_fails_the_unit_trace_check(junction, geometry):
+    """The NaN lies at (1, 1), outside the target's support {(0, 1), (1, 0)}."""
     basis = OamPairBasis.from_l_values([0, 1])
-    target = bell_target(basis, 1)
-    support = np.flatnonzero(target.coefficients)
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.ix_(support, support)] = True
-    positions = pair_state.Positions(mask)
-    values = (np.eye(4, dtype=complex) / 4).take(positions.flat)
-    values[positions.diagonal[3]] = np.nan
-    chunk = pair_state.MixtureChunk(positions, [partial(at_point, 0.5, 10.0)], values[None], None)
-    with pytest.raises(ContractError, match=r"unit trace, got nan \(at t=0.5, enhancement=10.0\)$"):
-        metrics._fidelities([chunk], target)
+    rho = rho_total(1, basis, geometry, D, 0.5, junction, CoherenceParams(10.0), QUAD)
+    rho.entries[3, 3] = np.nan
+    with pytest.raises(ContractError, match=r"unit trace, got nan$"):
+        fidelity(rho, bell_target(basis, 1))
 
 
 @pytest.mark.parametrize("point", [0, 4])
@@ -162,3 +158,25 @@ def test_a_nan_general_fidelity_fails_the_cross_check(junction, geometry, monkey
         fidelity_curve(TEMPS, ENHANCEMENTS, WINDING, BASIS, geometry, D, junction, QUAD)
     t, enh = TEMPS[point // 2], ENHANCEMENTS[point % 2]
     assert str(failed.value).endswith(f" (at t={t}, enhancement={enh})")
+
+
+def test_an_earlier_cross_check_failure_wins_over_a_later_mixture_failure(
+    junction, geometry, monkeypatch
+):
+    """The last temperature's total rate is infinite, so the sweep raises when it
+    reaches it; the cross-check of the points before it still comes first."""
+    decompose = metrics.eigh
+
+    def nan_eigh(a):
+        decomp = decompose(a)
+        if np.ndim(a) == 3:
+            decomp.eigenvalues[1] = np.nan
+        return decomp
+
+    rates = mixing_rates(D, TEMPS, junction, QUAD)
+    rates[-1] = (math.inf, rates[-1][1])
+    monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
+    monkeypatch.setattr(metrics, "eigh", nan_eigh)
+    failed = r"^fidelity cross-check failed: general nan .* \(at t=0.2, enhancement=100.0\)$"
+    with pytest.raises(ContractError, match=failed):
+        fidelity_curve(TEMPS, ENHANCEMENTS, WINDING, BASIS, geometry, D, junction, QUAD)

@@ -95,6 +95,13 @@ class TestEigh:
         out1 = eigh(np.array([[2.5]], dtype=complex))
         assert out1.eigenvalues[0] == 2.5
 
+    def test_empty_matrices(self):
+        for shape in ((0, 0), (2, 0, 0)):
+            out = eigh(np.zeros(shape, dtype=complex))
+            assert out.eigenvalues.shape == shape[:-1]
+            assert out.eigenvectors.shape == shape
+            assert sqrtm_psd(np.zeros(shape, dtype=complex)).shape == shape
+
     def test_an_unconverged_stack_names_the_matrix(self, rng, monkeypatch):
         monkeypatch.setattr(metrics, "MAX_SWEEPS", 1)
         stack = np.array([np.eye(4), random_hermitian(rng, 4)])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sled_oam import (
     CoherenceParams,
+    DegenerateMixtureError,
     DomainError,
     KQuadrature,
     OamPairBasis,
@@ -218,11 +220,41 @@ class TestMixingRates:
         [chunk] = pair_state.mixture_chunks(
             coherent, incoherent, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
-        assert len(chunk.values) == 2 and chunk.failure is None
+        assert len(chunk.values) == 2
         for values, enh in zip(chunk.values, (50.0, 100.0)):
             expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
             # bit for bit, the zeros' signs included
             assert chunk.positions.dense(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_point_raises_after_the_chunk_before_it(
+        self, junction, geometry, fast_quad, monkeypatch, failing
+    ):
+        """An infinite coherent rate at temperature ``failing``: the sweep yields one
+        chunk of the points before it, then raises that point's error."""
+        basis = OamPairBasis.full(1)
+        temps, enhancements = (0.3, 0.7), (10.0, 100.0)
+        rates = mixing_rates(5.0, temps, junction, fast_quad)
+        rates[failing] = (math.inf, rates[failing][1])
+        monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
+        sweep = pair_state.mixture_chunks(
+            pair_state.rho_cp(1, basis, geometry),
+            pair_state.rho_bqp(basis, geometry),
+            (),
+            5.0,
+            temps,
+            enhancements,
+            junction,
+            fast_quad,
+        )
+        chunk = next(sweep)
+        before = [(t, enh) for t in temps[:failing] for enh in enhancements]
+        assert [context.args for context in chunk.contexts] == before
+        assert len(chunk.values) == len(before)
+        with pytest.raises(DegenerateMixtureError, match="total rate is not finite") as raised:
+            next(sweep)
+        assert str(raised.value).endswith(f" (at t={temps[failing]}, enhancement=10.0)")
+        assert next(sweep, None) is None
 
     def test_coherent_share_monotone_in_enhancement(self, junction, fast_quad):
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
