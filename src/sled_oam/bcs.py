@@ -1,11 +1,15 @@
 """BCS scalar primitives for the junction bands.
 
 Implements the temperature-dependent induced gap, quasiparticle dispersions,
-coherence factors and Fermi occupations that every spectral formula builds on.
+coherence factors and Fermi occupations that every spectral formula builds on,
+with the physical constants and the 2D band formulas (Fermi level, density of
+states) they take.
 
 Units and conventions
 ---------------------
-- Energies in meV, temperatures in K, times in fs.
+- Energies in meV, temperatures in K, times in fs, lengths in um.
+- Areal carrier densities are quoted in cm^-2 at the API boundary.
+- CODATA 2018 constants; k_B and the elementary charge are exact by definition.
 - ``delta0`` is the zero-temperature induced gap; the same gap magnitude is
   used in the conduction and valence bands unless overridden per band.
 - Quasi Fermi levels are measured from the respective band edge and are
@@ -22,8 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR_MEV_FS, KB_MEV_PER_K, fermi_level_2d_mev
 from .errors import DomainError
+
+KB_MEV_PER_K = 0.08617333262145178  # Boltzmann constant, meV/K (1.380649e-23 J/K, exact)
+HBAR_JS = 1.054571817e-34  # reduced Planck constant
+HBAR_MEV_FS = 658.2119565476075
+ELECTRON_MASS_KG = 9.1093837015e-31
+MEV_J = 1.602176634e-22  # one meV in joules (elementary charge 1.602176634e-19 C, exact)
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,13 @@ def fermi_level_from_density(density_cm2: float, mass: float) -> float:
         raise DomainError(f"density must be positive, got {density_cm2}")
     if not mass > 0:
         raise DomainError(f"mass must be positive, got {mass}")
-    return fermi_level_2d_mev(density_cm2, mass)
+    n_m2 = density_cm2 * 1e4
+    return math.pi * HBAR_JS**2 * n_m2 / (mass * ELECTRON_MASS_KG) / MEV_J
+
+
+def dos_2d_per_mev_um2(mass: float) -> float:
+    """Single-spin 2D density of states m m_e / (2 pi hbar^2), in 1/(meV um^2)."""
+    return mass * ELECTRON_MASS_KG * MEV_J * 1e-12 / (2.0 * math.pi * HBAR_JS**2)
 
 
 def gaas_nb_junction(

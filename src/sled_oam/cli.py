@@ -38,6 +38,16 @@ def _pair_label(pair) -> str:
     return f"({pair[0]},{pair[1]})"
 
 
+def _table_rows(temperatures, columns, values):
+    """The (t, column, value) CSV rows of a temperature x column table, row by row.
+
+    A generator: the rows are gone once written.
+    """
+    return (
+        (t, c, values[i, j]) for i, t in enumerate(temperatures) for j, c in enumerate(columns)
+    )
+
+
 def cmd_rates(config: RunConfig) -> dict:
     """Rate surfaces for both channels: rates_cp.csv, rates_bqp.csv (+ heatmaps)."""
     cp, bqp = spectral.rate_surfaces(config.grid, config.junction)
@@ -45,16 +55,10 @@ def cmd_rates(config: RunConfig) -> dict:
     temps = config.grid.temperatures
     detunings = config.grid.detunings
     for surface, name in ((cp, "rates_cp"), (bqp, "rates_bqp")):
-        # a generator: the rows are gone before the heatmap is drawn
-        rows = (
-            (t, d, surface.values[i, j])
-            for i, t in enumerate(temps)
-            for j, d in enumerate(detunings)
-        )
         written[f"{name}.csv"] = outputs.write_csv(
             os.path.join(config.out_dir, f"{name}.csv"),
             "t_over_tc,detuning_over_delta0,rate_normalized",
-            rows,
+            _table_rows(temps, detunings, surface.values),
         )
         if config.svg:
             svg = outputs.svg_heatmap(
@@ -77,7 +81,7 @@ def cmd_dm(config: RunConfig) -> dict:
     """Density matrices for every (temperature, enhancement): dm_{t}_{enh}.json."""
     _check_tokens("grid.temperatures", config.grid.temperatures)
     _check_tokens("emission.enhancements", config.enhancements)
-    basis = config.basis()
+    basis = config.basis
     # no target block: each point is mixed and checked only where a channel
     # matrix, its transpose or the diagonal can be nonzero, and densified once
     sweep = pair_state.mixture_chunks(
@@ -141,21 +145,18 @@ def cmd_fidelity(config: RunConfig) -> dict:
         config.grid.temperatures,
         config.enhancements,
         config.winding,
-        config.basis(),
+        config.basis,
         config.geometry,
         config.detuning_for_dm,
         config.junction,
         quad=config.grid.k_integration,
         qubit=config.qubit,
     )
-    rows = [
-        (t, enh, table.values[i, j])
-        for i, t in enumerate(table.temperatures)
-        for j, enh in enumerate(table.enhancements)
-    ]
     written = {
         "fidelity.csv": outputs.write_csv(
-            os.path.join(config.out_dir, "fidelity.csv"), "t_over_tc,enhancement,fidelity", rows
+            os.path.join(config.out_dir, "fidelity.csv"),
+            "t_over_tc,enhancement,fidelity",
+            _table_rows(table.temperatures, table.enhancements, table.values),
         )
     }
     if config.svg:

@@ -181,8 +181,7 @@ class RunConfig:
     geometry: AnnulusGeometry
     grid: SpectralGrid
     winding: int
-    l_max: int
-    l_values: tuple | None
+    basis: OamPairBasis
     detuning_for_dm: float
     enhancements: tuple
     qubit: QubitState
@@ -192,16 +191,14 @@ class RunConfig:
     resolved: dict
     defaulted: tuple
 
-    def basis(self) -> OamPairBasis:
-        if self.l_values is not None:
-            return OamPairBasis.from_l_values(self.l_values)
-        return OamPairBasis.full(self.l_max)
-
 
 def _resolve_source(path_or_preset: str) -> str:
     if os.path.exists(path_or_preset):
         with open(path_or_preset, encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config {path_or_preset!r} is not UTF-8 text: {exc}") from exc
     if path_or_preset in PRESET_NAMES:
         ref = resources.files("sled_oam").joinpath(f"presets/{path_or_preset}.conf")
         return ref.read_text(encoding="utf-8")
@@ -216,10 +213,10 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         target, _, value = item.partition("=")
-        if "." not in target:
-            raise ConfigError(f"override target {target!r} must look like section.key")
         section, _, key = target.strip().partition(".")
         key = key.strip()
+        if not section or not key:  # so also without a dot
+            raise ConfigError(f"override target {target!r} must look like section.key")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
@@ -232,7 +229,10 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     (command-line ``--set`` entries); they are validated like file content.
     """
     text = _resolve_source(path_or_preset)
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    # no header spells the empty name, so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#", ";"), default_section=""
+    )
     try:
         parser.read_string(text, source=str(path_or_preset))
     except configparser.Error as exc:
@@ -323,6 +323,7 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
     l_max, l_values = v["emission.l_max"], v["emission.l_values"]
     if l_values is not None and any(abs(x) > l_max for x in l_values):
         raise ConfigError("emission.l_values: entries must satisfy |l| <= l_max")
+    basis = OamPairBasis.full(l_max) if l_values is None else OamPairBasis.from_l_values(l_values)
     qubit_a, qubit_b = v["emission.qubit_a"], v["emission.qubit_b"]
     if (qubit_a is None) != (qubit_b is None):
         raise ConfigError("emission.qubit_a and emission.qubit_b must be given together")
@@ -333,14 +334,21 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(f"emission.qubit_a/qubit_b: {exc}") from exc
 
+    # the clockwise amplitude and bell_target need the +winding sector; a
+    # counterclockwise amplitude also needs the -winding one
     winding = v["emission.winding"]
-    config = RunConfig(
+    for ls in (winding, -winding) if qubit.b != 0 else (winding,):
+        if not sector_pairs(basis, ls):
+            raise ConfigError(
+                f"emission.winding: no detected pair has total OAM {ls} "
+                f"(|l| <= {basis.l_max} over {len(basis)} pairs)"
+            )
+    return RunConfig(
         junction=junction,
         geometry=geometry,
         grid=grid,
         winding=winding,
-        l_max=l_max,
-        l_values=l_values,
+        basis=basis,
         detuning_for_dm=v["emission.detuning_for_dm"],
         enhancements=v["emission.enhancements"],
         qubit=qubit,
@@ -350,13 +358,3 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
         resolved=resolved,
         defaulted=tuple(defaulted),
     )
-    # the clockwise amplitude and bell_target need the +winding sector; a
-    # counterclockwise amplitude also needs the -winding one
-    basis = config.basis()
-    for ls in (winding, -winding) if qubit.b != 0 else (winding,):
-        if not sector_pairs(basis, ls):
-            raise ConfigError(
-                f"emission.winding: no detected pair has total OAM {ls} "
-                f"(|l| <= {basis.l_max} over {len(basis)} pairs)"
-            )
-    return config

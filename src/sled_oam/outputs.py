@@ -182,7 +182,7 @@ def _colors(scaled):
     lo, hi = _VIRIDIS_STOPS[i], _VIRIDIS_STOPS[i + 1]
     rgb = np.rint(255 * ((1 - frac) * lo + frac * hi)).astype(np.int64)
     packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    distinct, index = np.unique(packed, return_inverse=True)
+    distinct, index = _distinct(packed)
     return ["#%06x" % p for p in distinct.tolist()], index
 
 

@@ -90,8 +90,7 @@ class OamPairBasis:
 
     @classmethod
     def full(cls, l_max: int) -> "OamPairBasis":
-        values = range(-l_max, l_max + 1)
-        return cls(list(product(values, values)), l_max)
+        return cls.from_l_values(range(-l_max, l_max + 1))
 
     @classmethod
     def from_l_values(cls, l_values) -> "OamPairBasis":

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bcs
-from .constants import dos_2d_per_mev_um2
 from .errors import ConvergenceError, DomainError
 
 CONVERGENCE_RTOL = 1e-3
@@ -234,7 +233,8 @@ class _BandTables:
         # den = near + i Gamma adds the imaginary parts 0.0 (near cast to
         # complex) and Gamma at every node and detuning, so they are set once
         self._den.imag = 0.0 + (1j * self.gamma).imag
-        self.patch_states = dos_2d_per_mev_um2(jp.conduction.effective_mass) * quad.patch_area_um2
+        dos = bcs.dos_2d_per_mev_um2(jp.conduction.effective_mass)
+        self.patch_states = dos * quad.patch_area_um2
 
     def fill(self, t: float) -> None:
         """Rewrite the band energies and every detuning-free factor for reduced temperature t."""

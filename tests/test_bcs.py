@@ -16,8 +16,7 @@ from sled_oam import (
     gap_at_temperature,
     quasiparticle_energy,
 )
-from sled_oam.bcs import fermi_occupation_complement
-from sled_oam.constants import KB_MEV_PER_K
+from sled_oam.bcs import KB_MEV_PER_K, fermi_occupation_complement
 
 # frozen reference values, evaluated independently with mpmath at 30 digits
 TANH_174 = 0.940226640392727532

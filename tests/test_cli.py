@@ -251,7 +251,7 @@ class TestFidelity:
         assert main(args + [item for key in overrides for item in ("--set", key)]) == 0
         _, rows = read_csv(os.path.join(out, "fidelity.csv"))
         config = load_config("fig3", overrides)
-        basis = config.basis()
+        basis = config.basis
         target = bell_target(basis, config.winding)
         expected = []
         for t in config.grid.temperatures:
@@ -287,6 +287,29 @@ class TestErrorReporting:
         record = json.loads(capsys.readouterr().err.strip())
         assert "emission.l_max" in record["message"]
 
+
+    @pytest.mark.parametrize(
+        "content, overrides, message",
+        [
+            (FAST.encode(), ["DEFAULT.x=1"], "unknown config section [DEFAULT]"),
+            (FAST.encode(), [".x=1"], "override target '.x' must look like section.key"),
+            ((FAST + "# caf\u00e9\n").encode("latin-1"), [], "is not UTF-8 text"),
+            (b"[DEFAULT]\nsvg = true\n", [], "unknown config section [DEFAULT]"),
+        ],
+        ids=["set-default", "set-empty-section", "latin-1-file", "default-section"],
+    )
+    def test_a_malformed_config_exits_2_without_a_traceback(
+        self, tmp_path, capsys, content, overrides, message
+    ):
+        path = tmp_path / "run.conf"
+        path.write_bytes(content)
+        args = ["rates", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(args + [f"--set={item}" for item in overrides]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize(
         "key", ["material.preset", "material.band_gap_mev", "grid.detuning_min"]
@@ -588,7 +611,7 @@ class TestSvgOutputs:
 
         The constructor rejects a non-finite entry, so it is put into a built matrix.
         """
-        basis = config.basis()
+        basis = config.basis
         rho = PairDensityMatrix(basis, np.eye(len(basis), dtype=complex) / len(basis))
         rho.entries[0, 0] = np.inf
         return rho
@@ -636,7 +659,7 @@ class TestSvgOutputs:
         stems = ["dm_0.3_10", "dm_0.3_100"]
         files = [stem + ext for stem in stems for ext in (".json", ".svg")]
         assert sorted(os.listdir(out)) == files
-        basis = config.basis()
+        basis = config.basis
         coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
         incoherent = pair_state.rho_bqp(basis, config.geometry)
         for stem, enh in zip(stems, config.enhancements):
@@ -650,7 +673,7 @@ class TestSvgOutputs:
         out = tmp_path / "out"
         out.mkdir()
         config = load_config("fig3", ["emission.l_max=6", f"output.directory={out}"])
-        basis = config.basis()
+        basis = config.basis
         rho = pair_state.rho_total(
             config.winding,
             basis,

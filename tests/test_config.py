@@ -26,7 +26,7 @@ class TestDefaults:
         assert len(config.grid.temperatures) == 19
         assert len(config.grid.detunings) == 121
         assert config.winding == 2
-        assert config.l_max == 3
+        assert config.basis.l_max == 3
         assert config.enhancements == (10.0, 100.0)
         assert config.qubit == QubitState(1.0, 0.0)  # the clockwise current
         assert config.geometry.waist == pytest.approx(9.0 / math.sqrt(2.0), rel=1e-15)
@@ -36,13 +36,13 @@ class TestDefaults:
 
     def test_basis_uses_l_max_by_default(self, tmp_path):
         config = load_config(write(tmp_path, MINIMAL))
-        assert len(config.basis()) == 49
+        assert len(config.basis) == 49
 
     def test_l_values_restrict_basis(self, tmp_path):
         config = load_config(
             write(tmp_path, MINIMAL + "[emission]\nl_max = 1\nl_values = 0, 1\n")
         )
-        assert config.basis().pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert config.basis.pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class TestRejection:
@@ -213,7 +213,7 @@ class TestRejection:
 
     def test_l_max_at_supported_bound(self, tmp_path):
         config = load_config(write(tmp_path, f"[emission]\nl_max = {MAX_OAM}\n"))
-        assert config.basis().l_max == MAX_OAM
+        assert config.basis.l_max == MAX_OAM
 
     def test_l_values_above_l_max(self, tmp_path):
         text = MINIMAL + "[emission]\nl_max = 1\nl_values = 0, 2\n"
@@ -228,20 +228,42 @@ class TestRejection:
         with pytest.raises(ConfigError, match="parse"):
             load_config(write(tmp_path, "[material\ntc_k = 9.2\n"))
 
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes("[grid]\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(str(path))
+
+    def test_a_default_section_is_unknown(self, tmp_path):
+        # with or without an [output] section for its keys to reach
+        for text in ("[DEFAULT]\nsvg = true\n", "[output]\n[DEFAULT]\nsvg = true\n"):
+            with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]$"):
+                load_config(write(tmp_path, text))
+
+    def test_section_names_are_case_sensitive_and_keys_are_not(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[Output\]"):
+            load_config(write(tmp_path, "[Output]\nsvg = true\n"))
+        assert load_config(write(tmp_path, "[output]\nSVG = true\n")).svg
+
 
 class TestOverrides:
     def test_set_overrides_file_value(self, tmp_path):
         path = write(tmp_path, MINIMAL + "[emission]\nl_max = 3\n")
         config = load_config(path, ["emission.l_max=2"])
-        assert config.l_max == 2
+        assert config.basis.l_max == 2
 
     def test_override_validated_like_file_content(self, tmp_path):
         with pytest.raises(ConfigError, match="emission.buzz"):
             load_config(write(tmp_path, MINIMAL), ["emission.buzz=1"])
 
-    def test_malformed_override(self, tmp_path):
-        with pytest.raises(ConfigError, match="section.key"):
-            load_config(write(tmp_path, MINIMAL), ["l_max=2"])
+    @pytest.mark.parametrize("item", ["l_max=2", ".l_max=2", "emission.=2", " . =2"])
+    def test_malformed_override(self, tmp_path, item):
+        with pytest.raises(ConfigError, match="must look like section.key$"):
+            load_config(write(tmp_path, MINIMAL), [item])
+
+    def test_an_override_of_the_default_section_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]$"):
+            load_config(write(tmp_path, MINIMAL), ["DEFAULT.svg=true"])
 
     def test_qubit_round_trip(self, tmp_path):
         inv = 1.0 / math.sqrt(2.0)
@@ -269,14 +291,14 @@ class TestPresets:
     def test_fig5_uses_restricted_basis(self):
         config = load_config("fig5")
         assert config.winding == 1
-        assert config.basis().pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert config.basis.pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert config.enhancements == (10.0, 30.0, 100.0)
         assert len(config.grid.temperatures) == 19
 
     def test_fig3_matches_figure_parameters(self):
         config = load_config("fig3")
         assert config.winding == 2
-        assert config.l_max == 3
+        assert config.basis.l_max == 3
         assert config.grid.temperatures == (0.5, 0.9)
         assert config.enhancements == (10.0, 100.0)
         assert config.detuning_for_dm == 5.0

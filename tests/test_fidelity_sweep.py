@@ -51,7 +51,7 @@ def test_fig3_sweep_equals_one_shot_fidelities(l_max):
         [f"emission.l_max={l_max}", f"grid.temperatures={temps}", "emission.enhancements=10,100"],
     )
     assert len(config.grid.temperatures) * len(config.enhancements) % pair_state.MIXTURE_CHUNK
-    basis = config.basis()
+    basis = config.basis
     args = (config.winding, basis, config.geometry, config.detuning_for_dm)
     table = fidelity_curve(
         config.grid.temperatures,

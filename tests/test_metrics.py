@@ -288,13 +288,13 @@ class TestUhlmannOracle:
     @pytest.mark.parametrize("l_max, support", [(3, 5), (6, 11)])
     def test_fig3_bell_target(self, rng, l_max, support):
         config = load_config("fig3", [f"emission.l_max={l_max}"])
-        basis = config.basis()
+        basis = config.basis
         target = bell_target(basis, config.winding)
         assert np.count_nonzero(target.coefficients) == support
         self.check(rng, basis, target)
 
     def test_full_support_target(self, rng):
-        basis = load_config("fig3").basis()
+        basis = load_config("fig3").basis
         target = TargetState(basis, random_state(rng, len(basis)))
         assert np.count_nonzero(target.coefficients) == len(basis)
         self.check(rng, basis, target, draws=5)
@@ -343,7 +343,7 @@ class TestFidelityCurve:
             config.grid.temperatures,
             config.enhancements,
             config.winding,
-            config.basis(),
+            config.basis,
             config.geometry,
             config.detuning_for_dm,
             config.junction,
@@ -370,7 +370,7 @@ class TestFidelityCurve:
                 config.grid.temperatures,
                 config.enhancements,
                 config.winding,
-                config.basis(),
+                config.basis,
                 config.geometry,
                 config.detuning_for_dm,
                 config.junction,

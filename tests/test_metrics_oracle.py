@@ -280,7 +280,7 @@ def test_block_fidelity_equals_the_full_size_square_root(case):
 @pytest.mark.parametrize("t", [0.01, 0.5, 0.95])
 def test_fig3_fidelity_matrices_equal_the_full_loop(t):
     config = load_config("fig3", [f"grid.temperatures={t}", "emission.enhancements=10,100"])
-    basis = config.basis()
+    basis = config.basis
     target = bell_target(basis, config.winding)
     projector = np.outer(target.coefficients, target.coefficients.conj())
     assert_same_decomposition(projector)

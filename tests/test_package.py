@@ -1,9 +1,12 @@
 """The package's public surface: every exported name resolves, retired names stay gone."""
 
+import importlib.util
+
 import sled_oam
-from sled_oam import modes, pair_state, spectral
+from sled_oam import bcs, modes, pair_state, spectral
 
 RETIRED = {
+    "fermi_level_2d_mev": bcs,
     "KappaTable": modes,
     "k_factor": modes,
     "WindingNumber": pair_state,
@@ -25,3 +28,8 @@ def test_retired_names_are_gone():
         assert name not in sled_oam.__all__
         assert not hasattr(sled_oam, name)
         assert not hasattr(module, name)
+
+
+def test_the_constants_module_is_gone():
+    # its constants and band formulas live in bcs
+    assert importlib.util.find_spec("sled_oam.constants") is None

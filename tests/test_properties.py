@@ -63,7 +63,7 @@ from sled_oam import (
 )
 from sled_oam.cli import main
 from sled_oam.config import _SCHEMA, load_config
-from sled_oam.constants import dos_2d_per_mev_um2
+from sled_oam.bcs import dos_2d_per_mev_um2
 from sled_oam.spectral import _BandTables
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -313,7 +313,7 @@ def test_every_dm_matrix_is_a_density_matrix(overrides):
 
 def one_shot_dm(config, t, enh):
     """The matrix ``dm`` must write at (t, enh), formed by the one-shot mixture."""
-    args = (config.winding, config.basis(), config.geometry, config.detuning_for_dm, t)
+    args = (config.winding, config.basis, config.geometry, config.detuning_for_dm, t)
     args += (config.junction, CoherenceParams(enh), config.grid.k_integration)
     return rho_total_superposition(config.qubit, *args)
 
