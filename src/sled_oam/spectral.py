@@ -29,13 +29,14 @@ density of states); the coherent amplitude is proportional to that state
 count, the incoherent rate to its first power.
 
 Both channels come from one evaluator, ``_channel_rates``: for a sequence
-of reduced temperatures it builds one band table per node count, refills it
-in place for each temperature and returns the raw rates of both channels for
-a tuple of detunings.  Each kernel is built as K(d) + K(-d), so both rates
-are exactly even in d and each |d| is evaluated only once.  The evaluator
-also holds the only doubled-node ``verify`` check.  ``mixing_rates`` (one
-detuning over a temperature sweep) and ``rate_surfaces`` (a grid) are thin
-callers of it, on one thread.
+of reduced temperatures it builds one band table, refills it in place for
+each temperature and returns the raw rates of both channels for a tuple of
+detunings.  Each kernel is built as K(d) + K(-d), so both rates are exactly
+even in d and each |d| is evaluated only once.  The evaluator also holds the
+only ``verify`` check: an error estimate from the same rule on every second
+node of the kernel values already computed, so it needs no kernel call and
+no second table.  ``mixing_rates`` (one detuning over a temperature sweep)
+and ``rate_surfaces`` (a grid) are thin callers of it, on one thread.
 
 Every factor of the kernels that does not depend on the detuning (the pair
 weight, the four occupation products, the four quasiparticle numerators) is
@@ -71,8 +72,10 @@ class KQuadrature:
     ``nodes`` kinetic-energy samples on [0, mu^n + cutoff_delta0 * delta0];
     ``patch_area_um2`` is the coherence-patch area fixing the state count that
     calibrates the coherent/incoherent ratio.  With ``verify`` set, every rate
-    is re-evaluated at doubled node count and a relative shift above 0.1%
-    raises ConvergenceError.
+    gets the error estimate |T_m - T_m/2| / 3 of the trapezoid T_m over nodes
+    0..m (m the largest even node index) against the same rule T_m/2 on every
+    second node, and an estimate above 0.1% of the rate raises
+    ConvergenceError.
     """
 
     nodes: int = 4096
@@ -172,7 +175,7 @@ def _aligned_arrays(nodes: int, dtypes) -> list:
 
 
 class _BandTables:
-    """Band arrays at one node count, refilled in place for each reduced temperature.
+    """Band arrays on the quadrature's nodes, refilled in place for each reduced temperature.
 
     The constructor allocates every array once and builds what does not
     depend on the temperature: xi_n and xi_p on the kinetic-energy grid, the
@@ -194,11 +197,13 @@ class _BandTables:
     an array, so none needs a buffer of its own, and ``fill`` writes its
     intermediate arrays into float views of the kernels' work arrays, so
     neither a refill nor a detuning allocates.  Every array starts on a page
-    (see ``_aligned_arrays``).
+    (see ``_aligned_arrays``).  With ``quad.verify`` the table also holds the
+    weights of the two rules that ``halved_rates`` applies.
     """
 
-    def __init__(self, jp: bcs.JunctionParams, quad: KQuadrature, nodes: int):
+    def __init__(self, jp: bcs.JunctionParams, quad: KQuadrature):
         self._jp = jp
+        nodes = quad.nodes
         arrays = _aligned_arrays(nodes, (np.float64,) * 7 + (np.complex128,) * 16)
         self.e_n, self.e_p, self.half_dx, self._xi_n, self._xi_p, self._near, self._mag = arrays[:7]
         self.uv, self._half_dx_complex, self._den, self._term = arrays[7:11]
@@ -235,6 +240,15 @@ class _BandTables:
         self._den.imag = 0.0 + (1j * self.gamma).imag
         dos = bcs.dos_2d_per_mev_um2(jp.conduction.effective_mass)
         self.patch_states = dos * quad.patch_area_um2
+        if quad.verify:
+            # trapezoid weights over nodes 0..m, m the largest even index, and
+            # those of the same rule on every second node (zero on the odd ones)
+            m = (nodes - 1) // 2 * 2
+            self._rules = np.zeros((2, m + 1))
+            for rule, step in zip(self._rules, (1, 2)):
+                half = np.diff(eps[: m + 1 : step]) / 2.0
+                rule[:m:step] += half
+                rule[step::step] += half
 
     def fill(self, t: float) -> None:
         """Rewrite the band energies and every detuning-free factor for reduced temperature t."""
@@ -340,6 +354,27 @@ class _BandTables:
         np.abs(qp, out=self._mag)
         np.square(self._mag, out=self._mag)
         qp_sum = self._trapezoid(self._mag, self.half_dx, self._near)
+        return self._channel_values(pair_sum, qp_sum)
+
+    def halved_rates(self) -> "tuple[tuple[float, float], tuple[float, float]]":
+        """(coherent, incoherent) rates of the last ``rates`` call by two rules on its kernels.
+
+        The first pair applies the trapezoid over nodes 0..m, m the largest
+        even node index; the second the same rule on every second of those
+        nodes.  Both read what ``rates`` left in the work arrays, the summed
+        pair kernel in ``_sums[0]`` and |qp|^2 in ``_mag``, so neither calls a
+        kernel.  Only a table built with ``quad.verify`` holds their weights.
+        """
+        k = self._rules.shape[1]
+        # the pair kernel's real and imaginary parts as two columns, so each
+        # rule's two sums come back side by side as one complex
+        pair = self._sums[0][:k].view(np.float64).reshape(k, 2)
+        pair_sums = (self._rules @ pair).view(np.complex128)[:, 0]
+        qp_sums = self._rules @ self._mag[:k]
+        return tuple(map(self._channel_values, pair_sums, qp_sums))
+
+    def _channel_values(self, pair_sum, qp_sum) -> "tuple[float, float]":
+        """(coherent, incoherent) rates from the pair and |qp|^2 momentum sums."""
         # an overflow leaves inf, which the caller reports as not finite
         with np.errstate(over="ignore"):
             amp = self.patch_states * pair_sum
@@ -354,43 +389,41 @@ def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detu
     One band table serves every temperature, both channels and every
     detuning; it is refilled per temperature and freed on return, and each
     |d| is evaluated once per temperature.  A rate that is not finite raises
-    ConvergenceError.  With ``quad.verify`` every rate is re-evaluated on a
-    second table at doubled node count, built only after the first is freed.
+    ConvergenceError.  With ``quad.verify`` so does a rate whose error
+    estimate |T_m - T_m/2| / 3 (see ``_BandTables.halved_rates``) exceeds
+    ``CONVERGENCE_RTOL`` of it; the error carries T_m/2 as ``coarse`` and the
+    reported rate as ``refined``.
     """
     magnitudes = [abs(d) for d in detunings]
-
-    def sweep(nodes: int) -> list:
-        tables = _BandTables(jp, quad, nodes)
-        rows = []
-        for t in temperatures:
-            tables.fill(t)
-            by_magnitude: dict = {}
-            for m in magnitudes:
-                if m not in by_magnitude:
-                    rates = tables.rates(m, jp.sc.delta0)
-                    if not all(map(math.isfinite, rates)):
+    tables = _BandTables(jp, quad)
+    rows = []
+    for t in temperatures:
+        tables.fill(t)
+        by_magnitude: dict = {}
+        for m in magnitudes:
+            if m in by_magnitude:
+                continue
+            rates = tables.rates(m, jp.sc.delta0)
+            if not all(map(math.isfinite, rates)):
+                raise ConvergenceError(
+                    f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
+                    f"with {quad.nodes} quadrature nodes: {rates}"
+                )
+            if quad.verify:
+                channels = zip(("coherent", "incoherent"), rates, *tables.halved_rates())
+                for channel, value, full, half in channels:
+                    estimate = abs(full - half) / 3
+                    if not estimate <= CONVERGENCE_RTOL * value:
                         raise ConvergenceError(
-                            f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
-                            f"with {nodes} quadrature nodes: {rates}"
+                            f"{channel} rate at |d|={m}, t={t} with {quad.nodes} quadrature "
+                            f"nodes has the error estimate {estimate:.3g}, over "
+                            f"{CONVERGENCE_RTOL:g} of the rate {value:.6g}",
+                            coarse=half,
+                            refined=value,
                         )
-                    by_magnitude[m] = rates
-            rows.append([by_magnitude[m] for m in magnitudes])
-        return rows
-
-    coarse = sweep(quad.nodes)
-    if quad.verify:
-        for t, row, refined_row in zip(temperatures, coarse, sweep(2 * quad.nodes)):
-            for magnitude, pair, refined_pair in zip(magnitudes, row, refined_row):
-                for channel, value, refined in zip(("coherent", "incoherent"), pair, refined_pair):
-                    scale = max(abs(value), abs(refined))
-                    if scale > 0 and abs(refined - value) > CONVERGENCE_RTOL * scale:
-                        raise ConvergenceError(
-                            f"{channel} rate at d={magnitude}, t={t} changed by more than "
-                            f"0.1% when doubling quadrature nodes ({value} vs {refined})",
-                            coarse=value,
-                            refined=refined,
-                        )
-    return coarse
+            by_magnitude[m] = rates
+        rows.append([by_magnitude[m] for m in magnitudes])
+    return rows
 
 
 def rate_surfaces(

@@ -578,6 +578,27 @@ class TestConvergenceGate:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConvergenceError"
 
+    @pytest.mark.parametrize("dephasing_time_fs, status", [("1e5", 3), ("1e4", 0)])
+    def test_the_error_estimate_gates_fig2_at_a_long_dephasing_time(
+        self, tmp_path, capsys, dephasing_time_fs, status
+    ):
+        args = ["rates", "--config", "fig2", "--out", str(tmp_path / "out")]
+        for setting in (
+            "grid.temperatures=0.05",
+            f"material.dephasing_time_fs={dephasing_time_fs}",
+            "grid.verify_quadrature=true",
+        ):
+            args += ["--set", setting]
+        assert main(args) == status
+        err = capsys.readouterr().err
+        if status == 0:
+            assert err == ""
+            return
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConvergenceError"
+        assert "with 4096 quadrature nodes has the error estimate " in record["message"]
+
     def test_default_resolution_passes_verification(self, tmp_path):
         args = [
             "rates",

@@ -1,7 +1,7 @@
 """Property tests for the invariants of the single spectral evaluation path.
 
 Random small configurations (64-256 nodes, exactly symmetric detuning grids of
-3-9 points, 1-3 temperatures, the doubled-node check on or off) must give
+3-9 points, 1-3 temperatures, the quadrature error estimate on or off) must give
 surfaces that are the per-point rates divided by one normalization, rows that
 are exact mirror images, and fidelity curves equal to the one-shot mixture at
 every point, all bit for bit.  The band-table rates must equal, bit for bit, a
@@ -64,7 +64,7 @@ from sled_oam import (
 from sled_oam.cli import main
 from sled_oam.config import _SCHEMA, load_config
 from sled_oam.bcs import dos_2d_per_mev_um2
-from sled_oam.spectral import _BandTables
+from sled_oam.spectral import CONVERGENCE_RTOL, _BandTables
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -82,7 +82,7 @@ def symmetric_detunings(draw):
 
 
 def fails_somewhere(evaluate, points) -> None:
-    """The per-point callers hit the same doubled-node check the batch call failed."""
+    """The per-point callers hit the same error estimate the batch call failed."""
     with pytest.raises(ConvergenceError):
         for point in points:
             evaluate(*point)
@@ -228,7 +228,7 @@ def test_band_table_rates_equal_the_unhoisted_kernels(
         gap_scale_valence=gap_scales[1],
     )
     quad = KQuadrature(nodes=nodes)
-    tables = _BandTables(jp, quad, nodes)
+    tables = _BandTables(jp, quad)
     tables.fill(t)
     reference = _ReferenceTables(t, jp, quad, nodes)
     for d in detunings:
@@ -245,15 +245,100 @@ def test_band_table_rates_equal_the_unhoisted_kernels(
 def test_a_refilled_band_table_equals_a_fresh_one(temps, detunings, dephasing_time_fs, nodes):
     jp = gaas_nb_junction(dephasing_time=dephasing_time_fs)
     quad = KQuadrature(nodes=nodes)
-    refilled = _BandTables(jp, quad, nodes)
+    refilled = _BandTables(jp, quad)
     refilled.fill(temps[0])
     for d in detunings:  # leaves the work arrays, fill's scratch, written
         refilled.rates(d, jp.sc.delta0)
     refilled.fill(temps[1])
-    fresh = _BandTables(jp, quad, nodes)
+    fresh = _BandTables(jp, quad)
     fresh.fill(temps[1])
     for d in detunings:
         assert refilled.rates(d, jp.sc.delta0) == fresh.rates(d, jp.sc.delta0)
+
+
+def _first_estimate_failure(jp, quad, temperatures, detunings):
+    """(channel, |d|, t, T_m/2) of the first rate, in the order the gate checks them,
+    whose estimate |T_m - T_m/2| / 3 exceeds the tolerance, or None.
+
+    T_m is ``np.trapezoid`` over nodes 0..m (m the largest even node index) of
+    the unhoisted kernels, T_m/2 the same over every second of those nodes.
+    """
+    m = (quad.nodes - 1) // 2 * 2
+    for t in temperatures:
+        reference = _ReferenceTables(t, jp, quad, quad.nodes)
+        eps = reference.eps[: m + 1]
+        for magnitude in dict.fromkeys(abs(d) for d in detunings):
+            d = magnitude * jp.sc.delta0
+            pair_plus, qp_plus = reference._kernels(d)
+            pair_minus, qp_minus = reference._kernels(-d)
+            pair = (pair_plus + pair_minus)[: m + 1]
+            qp = (np.abs(qp_plus + qp_minus) ** 2)[: m + 1]
+            channels = (
+                ("coherent", pair, lambda s: abs(reference.patch_states * s) ** 2),
+                ("incoherent", qp, lambda s: reference.patch_states * s),
+            )
+            for (channel, y, rate), value in zip(channels, reference.rates(magnitude, jp.sc.delta0)):
+                full = rate(np.trapezoid(y, eps))
+                half = rate(np.trapezoid(y[::2], eps[::2]))
+                if abs(full - half) / 3 > CONVERGENCE_RTOL * value:
+                    return channel, magnitude, t, half
+    return None
+
+
+@pytest.mark.parametrize("nodes", [4096, 4097], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "sets, fails",
+    [
+        (["material.dephasing_time_fs=1e4"], False),
+        (["material.dephasing_time_fs=1e5", "grid.temperatures=0.05"], True),
+    ],
+    ids=["1e4 fs", "1e5 fs at t=0.05"],
+)
+def test_the_error_estimate_fails_exactly_where_the_oracle_rule_does(nodes, sets, fails):
+    config = load_config(
+        "fig2", [*sets, f"grid.quadrature_nodes={nodes}", "grid.verify_quadrature=true"]
+    )
+    grid = config.grid
+    expected = _first_estimate_failure(
+        config.junction, grid.k_integration, grid.temperatures, grid.detunings
+    )
+    assert (expected is not None) == fails
+    if expected is None:
+        rate_surfaces(grid, config.junction)
+        return
+    channel, magnitude, t, half = expected
+    with pytest.raises(ConvergenceError) as err:
+        rate_surfaces(grid, config.junction)
+    assert str(err.value).startswith(f"{channel} rate at |d|={magnitude}, t={t} with {nodes} ")
+    assert err.value.coarse == pytest.approx(half, rel=1e-12)
+
+
+@SETTINGS
+@given(
+    detunings=symmetric_detunings(),
+    temps=temperatures,
+    half_nodes=st.integers(64, 2048),
+    odd=st.booleans(),
+    dephasing_time_fs=st.sampled_from([1e2, 1e3, 1e4]),
+)
+def test_verification_never_changes_a_reported_rate(
+    detunings, temps, half_nodes, odd, dephasing_time_fs
+):
+    jp = gaas_nb_junction(dephasing_time=dephasing_time_fs)
+    plain, verified = (KQuadrature(nodes=2 * half_nodes + odd, verify=v) for v in (False, True))
+    for d in detunings:
+        try:
+            checked = mixing_rates(d, temps, jp, verified)
+        except ConvergenceError:
+            continue
+        assert checked == mixing_rates(d, temps, jp, plain)
+    try:
+        checked = rate_surfaces(SpectralGrid(detunings, temps, verified), jp)
+    except ConvergenceError:
+        return
+    for surface, expected in zip(checked, rate_surfaces(SpectralGrid(detunings, temps, plain), jp)):
+        assert surface.normalization == expected.normalization
+        assert np.array_equal(surface.values, expected.values)
 
 
 @st.composite
