@@ -82,8 +82,8 @@ def cmd_dm(config: RunConfig) -> dict:
     _check_tokens("grid.temperatures", config.grid.temperatures)
     _check_tokens("emission.enhancements", config.enhancements)
     basis = config.basis
-    # no target block: each point is mixed and checked only where a channel
-    # matrix, its transpose or the diagonal can be nonzero, and densified once
+    # no target block: each point is mixed, checked and written only where a
+    # channel matrix, its transpose or the diagonal can be nonzero
     sweep = pair_state.mixture_chunks(
         pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry),
         pair_state.rho_bqp(basis, config.geometry),
@@ -99,15 +99,15 @@ def cmd_dm(config: RunConfig) -> dict:
     # a failing point's error is raised by the sweep, once the files of the
     # points before it are written
     for chunk in sweep:
+        flat = chunk.positions.flat
         # the values first: zip stops on them without drawing a point
         for values, (t, enh) in zip(chunk.values, points):
-            entries = chunk.positions.dense(values)
             stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
             written[f"{stem}.json"] = outputs.write_json(
-                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, entries
+                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, flat, values
             )
             if config.svg:
-                written[f"{stem}.svg"] = _write_matrix_svg(config, basis, entries, stem, t, enh)
+                written[f"{stem}.svg"] = _write_matrix_svg(config, flat, values, stem, t, enh)
     return written
 
 
@@ -120,19 +120,21 @@ def _check_tokens(key: str, values) -> None:
             raise ConfigError(f"{key}: {first[token]!r} and {value!r} print alike, as {token!r}")
 
 
-def _write_matrix_svg(config: RunConfig, basis, entries, stem: str, t: float, enh: float) -> str:
+def _write_matrix_svg(config: RunConfig, flat, values, stem: str, t: float, enh: float) -> str:
     """Write {stem}.svg, the heatmap of |rho| over the populated pairs; return its digest.
 
-    ``entries`` is rho over ``basis``.  Its large temporaries die on return.
+    rho holds ``values`` at ascending row-major ``flat``, +0.0 elsewhere; a pair
+    is populated where its row holds a magnitude above 1e-15.
     """
-    magnitudes = abs(entries)
-    populated = np.flatnonzero(magnitudes.max(axis=1, initial=0.0) > 1e-15)
-    magnitudes = magnitudes[np.ix_(populated, populated)]
-    labels = [_pair_label(basis.pairs[i]) for i in populated]
+    basis, magnitudes = config.basis, abs(values)
+    rows, cols = np.divmod(flat, len(basis))
+    populated = np.bincount(rows[magnitudes > 1e-15], minlength=len(basis)) > 0
+    sub = np.cumsum(populated) - 1  # each populated pair's index among them
+    kept = populated[rows] & populated[cols]
+    labels = [_pair_label(pair) for pair, shown in zip(basis.pairs, populated.tolist()) if shown]
+    m, title = len(labels), f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}"
     svg = outputs.svg_matrix(
-        magnitudes,
-        labels,
-        f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}",
+        m, sub[rows[kept]] * m + sub[cols[kept]], magnitudes[kept], labels, title
     )
     return outputs.write_text(os.path.join(config.out_dir, f"{stem}.svg"), svg)
 

@@ -5,20 +5,16 @@ inputs always produce byte-identical files.  ``write_text`` performs every
 file write: it encodes each part once, writes it and feeds the same bytes to
 SHA-256, so each writer returns the digest of the bytes as written and the
 manifest lists those digests without reading any file back.  A density
-matrix's JSON is laid out exactly as ``json.dumps(payload, indent=2)`` lays
-out ``PairDensityMatrix.to_json_dict``, but is built from the basis pairs and
-the complex array: each of ``re`` and ``im`` is a cached text of ``0.0``
-cells into which only the cells whose bits are not +0.0 are spliced, each
-distinct bit pattern formatted once.  SVG output is deliberately simple -- colored rects for heatmaps,
-polylines for curves -- and needs no external renderer.  Both heatmaps
-(``svg_heatmap`` for rate surfaces, ``svg_matrix`` for density matrices)
-build their rects in ``_rects``, which scales and colours each distinct
-cell value once, with the same floating-point operations as a scalar
-evaluation would.  It paints the grid on a background: one rect over every
-cell in the colour that most cells have (the lowest ``#rrggbb`` name on a
-tie), then one rect per cell of another colour, found in one ``np.nonzero``
-call, so each cell shows the colour of its value and a density matrix,
-mostly zeros, takes a few rects.
+matrix comes as the cells it holds (ascending row-major indices and their
+values, +0.0 elsewhere), as a sweep holds it.  Its JSON is laid out as
+``json.dumps(to_json_dict, indent=2)`` lays it out: a cached text of ``0.0``
+cells into which only the held cells whose bits are not +0.0 are spliced.
+SVG output is deliberately simple -- colored rects for heatmaps, polylines
+for curves -- and needs no external renderer.  Both heatmaps build their
+rects in ``_rects`` from held cells (every cell of a rate surface), with
+each distinct value coloured once as a scalar evaluation would colour it: a
+rect over the grid in the commonest colour, then one per cell of another
+colour, so a density matrix, mostly zeros, takes a few rects.
 """
 
 from __future__ import annotations
@@ -70,21 +66,23 @@ def write_csv(path: str, header: str, rows) -> str:
     return write_text(path, "\n".join(lines))
 
 
-def write_json(path: str, pairs, entries: np.ndarray) -> str:
+def write_json(path: str, pairs, flat, values: np.ndarray) -> str:
     """Write a density matrix over ``pairs`` as ``json.dumps(payload, indent=2)`` and a newline.
 
-    The payload is ``{"basis": pairs, "re": entries.real, "im": entries.imag}``
-    as lists, the form of ``PairDensityMatrix.to_json_dict``.
+    The matrix holds ``values`` at the ascending row-major indices ``flat``
+    and +0.0 elsewhere; the payload is its ``PairDensityMatrix.to_json_dict``.
     """
+    if not pairs:  # json.dumps writes an empty list as []
+        return write_text(path, '{\n  "basis": [],\n  "re": [],\n  "im": []\n}\n')
     basis = ",\n    ".join(f"[\n      {l1},\n      {l2}\n    ]" for l1, l2 in pairs)
     return write_text(
         path,
         '{\n  "basis": [\n    ',
         basis,
         '\n  ],\n  "re": [\n    ',
-        _float_rows(entries.real),
+        _float_rows(len(pairs), flat, values.real),
         '\n  ],\n  "im": [\n    ',
-        _float_rows(entries.imag),
+        _float_rows(len(pairs), flat, values.imag),
         "\n  ]\n}\n",
     )
 
@@ -104,28 +102,27 @@ def _distinct(values: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _zero_rows(shape: tuple) -> str:
-    """``_float_rows`` of +0.0 cells; flat cell f = n_cols i + j starts at 11 f + 12 i + 8."""
-    n_rows, n_cols = shape
-    row = "[\n      " + ",\n      ".join(["0.0"] * n_cols) + "\n    ]"
-    return ",\n    ".join([row] * n_rows)
+def _zero_rows(n: int) -> str:
+    """``_float_rows`` of n x n +0.0 cells; cell f = n i + j starts at 11 f + 12 i + 8."""
+    row = "[\n      " + ",\n      ".join(["0.0"] * n) + "\n    ]"
+    return ",\n    ".join([row] * n)
 
 
-def _float_rows(matrix: np.ndarray) -> str:
-    """A float matrix's rows as ``json.dumps`` indents them under a key; each value formatted once.
+def _float_rows(n: int, flat: np.ndarray, held: np.ndarray) -> str:
+    """Rows of the n x n matrix of ``held`` at ascending row-major ``flat``, +0.0 elsewhere.
 
-    The rows are laid onto the text of a matrix of +0.0 (``_zero_rows``),
-    and only the cells whose bits are not those of +0.0 (so -0.0, NaN,
-    +-inf and subnormals too) are spliced in.  Their distinct bit patterns
-    go through one C-encoder call, which writes each exactly as
-    ``json.dumps`` does, NaN and Infinity included.
+    They are laid out as ``json.dumps`` indents them under a key: the text of
+    a matrix of +0.0 (``_zero_rows``) with only the held cells whose bits are
+    not +0.0's (so -0.0, NaN, +-inf and subnormals too) spliced in, each
+    distinct bit pattern written by one C-encoder call as ``json.dumps`` does.
     """
-    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
-    template = _zero_rows(bits.shape)
-    flat = np.flatnonzero(bits)
-    distinct, inverse = _distinct(bits.take(flat))
+    bits = np.ascontiguousarray(held, dtype=np.float64).view(np.int64)
+    template = _zero_rows(n)
+    spliced = bits != 0
+    cells = flat[spliced]
+    distinct, inverse = _distinct(bits[spliced])
     texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    starts = (11 * flat + 12 * (flat // bits.shape[1]) + 8).tolist()
+    starts = (11 * cells + 12 * (cells // n) + 8).tolist()
     ends = [0, *(start + 3 for start in starts)]
     pieces = []
     for end, start, k in zip(ends, starts, inverse.tolist()):
@@ -186,34 +183,37 @@ def _colors(scaled):
     return ["#%06x" % p for p in distinct.tolist()], index
 
 
-def _rects(values: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list:
+def _rects(flat, held: np.ndarray, scale, xs, ys, dims: str, frame: str) -> list:
     """Heatmap rects, a line each: a background, then the other cells.
 
-    The first rect lies over the whole grid (``frame`` holds its x, y, width
-    and height) in the colour of the most cells, the lowest colour name on a
-    tie.  Then comes one rect per cell of another colour, in row-major
-    order: ``<rect x=".." y=".."`` with ``dims`` and the cell's fill, as a
-    rect per cell would be.  An empty grid has no rect.  A cell's colour
-    depends only on its value, so ``scale`` maps the distinct values of the
-    whole matrix to [0, 1] and each is coloured once; cells are counted and
-    read their colours through the inverse index, without a per-cell array
-    of colours.
+    The grid, a column per ``xs`` and a row per ``ys``, holds ``held`` at the
+    ascending row-major indices ``flat`` and 0.0 elsewhere.  The first rect
+    lies over it (``frame``: x, y, width, height) in the colour of the most
+    cells, the lowest name on a tie; then comes one per cell of another
+    colour, in row-major order, as a rect per cell would be (``<rect x=".."
+    y=".."``, ``dims``, fill).  An empty grid has no rect.  ``scale`` maps the
+    distinct values, held and one 0.0 for the rest, to [0, 1]: each is
+    coloured once.
     """
-    if values.size == 0:
+    size = len(xs) * len(ys)
+    if size == 0:
         return []
-    distinct, inverse = _distinct(values)
+    distinct, inverse = _distinct(np.append(held, 0.0))
     names, index = _colors(scale(distinct))
-    # each colour's cell count: the counts of the distinct values it colours
-    counts = np.bincount(index, weights=np.bincount(inverse.ravel(), minlength=len(distinct)))
+    colour = index[inverse]
+    # each colour's cell count: one per held cell, the rest for the 0.0 last
+    counts = np.bincount(colour, weights=np.append(np.ones(len(flat)), size - len(flat)))
     background = int(counts.argmax())
+    cells = np.full(size, colour[-1])
+    cells[flat] = colour[:-1]
     heads = [f'<rect x="{x}" y="' for x in xs]
     tails = [f'" {dims} fill="{name}"/>\n' for name in names]
     # the foreground cells in row-major order
-    at_row, at_col = np.nonzero((index != background)[inverse])
-    fills = index[inverse[at_row, at_col]].tolist()
-    cells = zip(at_row.tolist(), at_col.tolist(), fills)
+    foreground = np.flatnonzero(cells != background)
+    at_row, at_col = np.divmod(foreground, len(xs))
+    fills = cells[foreground].tolist()
     return [f'<rect {frame} fill="{names[background]}"/>\n'] + [
-        heads[j] + ys[i] + tails[c] for i, j, c in cells
+        heads[j] + ys[i] + tails[c] for i, j, c in zip(at_row.tolist(), at_col.tolist(), fills)
     ]
 
 
@@ -257,10 +257,9 @@ def svg_heatmap(
     def scale(distinct):
         return [_scaled(v, vmax, log_scale) for v in distinct.tolist()]
 
-    rects = _rects(values, scale, xs, ys, dims, frame)
+    rects = _rects(np.arange(values.size), values, scale, xs, ys, dims, frame)
     tail = []
-    tick_idx = sorted({0, n_cols // 2, n_cols - 1})
-    for j in tick_idx:
+    for j in sorted({0, n_cols // 2, n_cols - 1}):
         x = left + (j + 0.5) * cell_w
         tail.append(
             f'<text x="{x:.1f}" y="{top + plot_h + 16:.1f}" text-anchor="middle" '
@@ -285,31 +284,35 @@ def svg_heatmap(
     return "".join([line + "\n" for line in parts] + rects + [line + "\n" for line in tail])
 
 
-def svg_matrix(values: np.ndarray, labels, title: str) -> str:
-    """Square magnitude heatmap with pair labels on both axes."""
-    n = values.shape[0]
-    vmax = float(values.max()) if values.size else 1.0
+def svg_matrix(n: int, flat, magnitudes: np.ndarray, labels, title: str) -> str:
+    """Pair-labelled n x n heatmap of ``magnitudes`` at row-major ``flat``, 0.0 elsewhere."""
     cell = max(6.0, min(26.0, 560.0 / max(n, 1)))
-    left, top = 90.0, 90.0
+    left = top = 90.0
     size = n * cell
     width, height = left + size + 30.0, top + size + 30.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">\n',
         f'<text x="{left + size / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{title}</text>\n',
     ]
-    xs = [f"{left + j * cell:.2f}" for j in range(n)]
-    ys = [f"{top + i * cell:.2f}" for i in range(n)]
+    xs = ys = [f"{left + j * cell:.2f}" for j in range(n)]  # as left == top
     dims = f'width="{cell:.2f}" height="{cell:.2f}"'
     frame = f'x="{left:.2f}" y="{top:.2f}" width="{size:.2f}" height="{size:.2f}"'
 
     def scale(distinct):
+        vmax = distinct[-1]  # the largest cell, NaN if one is, as the matrix's max
         if not vmax > 0:
             return np.zeros(distinct.shape)
         with np.errstate(over="ignore"):  # to +-inf, as a scalar division does
             return distinct / vmax
 
-    rects = _rects(values, scale, xs, ys, dims, frame)
+    rects = _rects(flat, magnitudes, scale, xs, ys, dims, frame)
+    return "".join(parts + rects + [_axis_labels(tuple(labels), cell, left, top)])
+
+
+@lru_cache(maxsize=4)
+def _axis_labels(labels: tuple, cell: float, left: float, top: float) -> str:
+    """The pair labels of ``svg_matrix`` along both axes, and the closing tag."""
     tail = []
     font = max(6, min(11, int(cell) - 2))
     for j, label in enumerate(labels):
@@ -326,7 +329,7 @@ def svg_matrix(values: np.ndarray, labels, title: str) -> str:
             f'font-family="sans-serif" font-size="{font}">{label}</text>'
         )
     tail.append("</svg>")
-    return "".join([line + "\n" for line in parts] + rects + [line + "\n" for line in tail])
+    return "".join(line + "\n" for line in tail)
 
 
 def svg_lines(x_values, series, title: str, xlabel: str, ylabel: str) -> str:

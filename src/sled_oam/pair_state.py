@@ -7,9 +7,9 @@ diagonal background.  Mixtures are weighted by the spectral rates evaluated
 at a fixed detuning.  ``mixture`` forms one on the full matrix;
 ``mixture_chunks`` sweeps them over (temperature, enhancement) from channel
 matrices built once, in chunks of points, each held only at the positions
-where one can be nonzero (279 of 28 561 entries at l_max = 6), from which
-``Positions.dense`` gives the full matrix.  Both take each point's weights
-and its mixture from ``_Mixer``, so the package has one mixing formula.
+where one can be nonzero (279 of 28 561 entries at l_max = 6) and +0.0 at
+every other.  Both take each point's weights and its mixture from
+``_Mixer``, so the package has one mixing formula.
 """
 
 from __future__ import annotations
@@ -252,12 +252,6 @@ class Positions:
         self.diagonal = self.index(np.arange(n), np.arange(n))
         self.transposed = self.index(self.flat % n, self.flat // n)
 
-    def dense(self, values: np.ndarray) -> np.ndarray:
-        """The n x n matrix with ``values`` at the positions and +0.0 elsewhere."""
-        entries = np.zeros((self.n, self.n), dtype=values.dtype)
-        entries.flat[self.flat] = values
-        return entries
-
     def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Where the entries (rows, cols), broadcast together, lie in ``flat``."""
         flat = rows * self.n + cols
@@ -293,7 +287,7 @@ class _Mixer:
     ``rho_bqp`` is off its diagonal, and b >= 0, the entry is +0.0 in both:
     b times +0.0 is +0.0, a sum of zeros with a +0.0 term is +0.0 whatever
     the sign of the other, and so is its quotient by a positive trace.
-    There ``Positions.dense`` of a point's values is its full mixture.
+    There a point's values, with +0.0 at every other entry, are its mixture.
     """
 
     def __init__(self, coherent: PairDensityMatrix, incoherent: PairDensityMatrix, block=None):

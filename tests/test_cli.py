@@ -643,7 +643,8 @@ class TestSvgOutputs:
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
         rho = self._infinite_entry(config)
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
-            cli._write_matrix_svg(config, rho.basis, rho.entries, "dm_bad", 0.3, 10.0)
+            flat = np.arange(rho.entries.size)
+            cli._write_matrix_svg(config, flat, rho.entries.ravel(), "dm_bad", 0.3, 10.0)
         assert not os.listdir(out)
 
     def test_a_nan_cell_stops_dm_before_its_svg_is_opened(self, tmp_path, monkeypatch):
@@ -705,10 +706,12 @@ class TestSvgOutputs:
             spectral.CoherenceParams(10.0),
             config.grid.k_integration,
         )
-        cli._write_matrix_svg(config, basis, rho.entries, "warm", 0.5, 10.0)  # first-call caches
+        flat = np.flatnonzero(rho.entries)
+        values = rho.entries.take(flat)
+        cli._write_matrix_svg(config, flat, values, "warm", 0.5, 10.0)  # first-call caches
         tracemalloc.start()
         try:
-            cli._write_matrix_svg(config, basis, rho.entries, "dm", 0.5, 10.0)
+            cli._write_matrix_svg(config, flat, values, "dm", 0.5, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -722,6 +725,29 @@ class TestSvgOutputs:
         assert_paints_like(text, oracle)
         assert len(text.encode("utf-8")) < 100e3
         assert peak < 1e6
+
+    def test_the_matrix_svg_leaves_out_the_pairs_it_does_not_populate(self, tmp_path):
+        """Pairs whose rows hold no magnitude above 1e-15 are dropped with their columns,
+        held cells included; the rest paints like the per-cell writer's heatmap of the
+        dense sub-matrix of the populated pairs."""
+        out = tmp_path / "out"
+        out.mkdir()
+        config = load_config(write_config(tmp_path), [f"output.directory={out}"])
+        n = len(config.basis)
+        entries = np.diag(np.linspace(0.05, 0.2, n)).astype(complex)
+        entries[[2, 5, 7], [2, 5, 7]] = [0.0, 1e-16, -0.0]  # rows 2, 5 and 7 are not populated
+        entries[0, 5], entries[5, 0] = 0.5, 1e-16  # column 5 goes with row 5
+        entries[1, 3], entries[3, 1] = 0.3j, -0.3j
+        flat = np.union1d(np.flatnonzero(entries), np.arange(0, n * n, n + 1))
+        cli._write_matrix_svg(config, flat, entries.take(flat), "dm", 0.3, 10.0)
+        with open(out / "dm.svg", encoding="utf-8") as fh:
+            text = fh.read()
+        magnitudes = abs(entries)
+        populated = [i for i in range(n) if i not in (2, 5, 7)]
+        labels = [f"({l1},{l2})" for l1, l2 in np.array(config.basis.pairs)[populated]]
+        sub = magnitudes[np.ix_(populated, populated)]
+        oracle = per_cell_svg_matrix(sub, labels, "|rho| at T/Tc=0.3, enhancement=10")
+        assert_paints_like(text, oracle)
 
     def test_log_scale_heatmaps_on_the_fig2_grid(self, tmp_path):
         fast = ["--set", "grid.quadrature_nodes=256"]

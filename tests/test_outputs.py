@@ -10,14 +10,20 @@ colour of the most cells (the lowest colour name on a tie), and each cell of
 another colour keeps the oracle's rect line, in the oracle's order, so a
 document has one rect more than it has cells of another colour.
 ``write_json`` must write exactly what ``json.dumps(rho.to_json_dict(),
-indent=2)`` writes.  The inputs cover the 11 colour stops, the values where
+indent=2)`` writes.  ``write_json`` and ``svg_matrix`` take a matrix as the
+cells it holds (ascending row-major indices and their values, +0.0
+elsewhere): each is given every cell whose bits are not +0.0's and none,
+some or all of the +0.0 cells, and the oracle the dense matrix.  The inputs
+cover the 11 colour stops, the values where
 ``255 * c`` lands exactly on .5 (where round-half-even and round-half-up
 differ), all-zero and 1x1 matrices, a tie for the background, log heatmaps
 with zeros and values below the six-decade floor, density matrices with
--0.0, the smallest subnormal, a single pair and non-finite cells,
+-0.0, the smallest subnormal, a single pair, no pair and non-finite cells,
 matrices of +0.0 with a few other cells, often at the ends of a row (what
 ``write_json`` splices into its template), and matrices drawn from a few
-values so that cells repeat, as in a density matrix; where the oracle
+values so that cells repeat, as in a density matrix; held cells of +0.0
+and -0.0, no held cell, and every cell held and nonzero (so that the colour
+of 0.0 is not the background); where the oracle
 raises, the writers must raise too.  The SVG
 writers return their document as one string that ends in a newline.
 ``write_csv`` must end every line, the last one included, with
@@ -306,29 +312,71 @@ magnitudes = st.one_of(
 )
 
 
+def support(values, extra=False) -> np.ndarray:
+    """The ascending row-major indices of the cells of ``values`` whose bits are not +0.0's
+    and of the +0.0 cells where ``extra`` (a mask, or one bool for all cells) is set."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    return np.flatnonzero((bits != 0) | extra)
+
+
+@st.composite
+def supports(draw, values):
+    """``support`` of ``values`` and none, about half or all of its +0.0 cells."""
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return support(values, rng.random(np.shape(values)) < share)
+
+
+def held(values, flat) -> tuple:
+    """``svg_matrix``'s first arguments for the square ``values`` holding the cells ``flat``."""
+    return len(values), flat, np.ravel(values)[flat]
+
+
 @st.composite
 def square_matrices(draw):
+    """A square matrix of magnitudes and the cells it holds."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
-        return np.zeros((n, n))
-    return np.array(draw(st.lists(magnitudes, min_size=n * n, max_size=n * n))).reshape(n, n)
+        values = np.zeros((n, n))
+    else:
+        values = np.array(draw(st.lists(magnitudes, min_size=n * n, max_size=n * n)))
+    values = values.reshape(n, n)
+    return values, draw(supports(values))
+
+
+# distinct values whose colours all have names above that of 0.0, #440154: a
+# writer that counted one cell of 0.0 here would paint the background #440154
+NONZERO = np.array([[0.85, 0.9], [0.95, 1.0]])
 
 
 @SETTINGS
 @given(square_matrices())
-@example(np.zeros((1, 1)))
-@example(np.zeros((4, 4)))
-@example(np.array([[2.5]]))
-@example(np.array([[0.0, 1.0], [1.0, 0.0]]))  # a tie: the lower name, #440154, is the background
-def test_svg_matrix_paints_like_the_per_cell_writer(values):
+@example((np.zeros((1, 1)), np.arange(1)))
+@example((np.zeros((4, 4)), np.arange(0)))  # no held cell
+@example((np.zeros((4, 4)), np.arange(16)))
+@example((np.array([[2.5]]), np.arange(1)))
+@example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.arange(4)))  # a tie: #440154 is the background
+@example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 2])))
+@example((np.array([[-0.0, 0.0], [1.0, 0.0]]), np.array([0, 1, 2])))  # held -0.0 and +0.0
+@example((NONZERO, np.arange(4)))  # every cell held and nonzero
+def test_svg_matrix_paints_like_the_per_cell_writer(case):
+    values, flat = case
     labels = [f"({k},{-k})" for k in range(len(values))]
-    document = _document(outputs.svg_matrix(values, labels, "|rho|"))
+    document = _document(outputs.svg_matrix(*held(values, flat), labels, "|rho|"))
     assert_paints_like(document, svg_matrix(values, labels, "|rho|"))
+
+
+def test_every_cell_held_and_nonzero_leaves_zero_out_of_the_background():
+    oracle = svg_matrix(NONZERO, ["a", "b"], "m")
+    document = outputs.svg_matrix(*held(NONZERO, np.arange(4)), ["a", "b"], "m")
+    assert "#440154" not in oracle + document
+    assert_paints_like(document, oracle)
 
 
 def test_svg_matrix_of_an_empty_matrix():
     empty = np.zeros((0, 0))
-    assert _document(outputs.svg_matrix(empty, [], "empty")) == svg_matrix(empty, [], "empty")
+    document = outputs.svg_matrix(*held(empty, np.arange(0)), [], "empty")
+    assert _document(document) == svg_matrix(empty, [], "empty")
 
 
 @st.composite
@@ -396,12 +444,13 @@ def pooled_matrices(draw):
 
 
 @SETTINGS
-@given(pooled_matrices())
-def test_svg_matrix_of_repeated_values_paints_like_the_per_cell_writer(rows):
+@given(pooled_matrices(), st.data())
+def test_svg_matrix_of_repeated_values_paints_like_the_per_cell_writer(rows, data):
     values = np.array(rows)
     square = values[: min(values.shape), : min(values.shape)]
+    cells = held(square, data.draw(supports(square)))
     labels = [str(k) for k in range(len(square))]
-    new = _outcome(lambda: _document(outputs.svg_matrix(square, labels, "m")))
+    new = _outcome(lambda: _document(outputs.svg_matrix(*cells, labels, "m")))
     assert_same_outcome(new, _outcome(lambda: svg_matrix(square, labels, "m")))
 
 
@@ -420,7 +469,7 @@ def test_a_nan_cell_raises_the_colour_error():
     with pytest.raises(ValueError, match="cannot colour NaN"):
         outputs.svg_heatmap(values, ["a", "b"], ["c", "d"], "t", "x", "y", vmax=1.0)
     with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
-        outputs.svg_matrix(np.array([[math.inf, 0.0], [0.0, 1.0]]), ["a", "b"], "m")
+        outputs.svg_matrix(2, np.array([0, 3]), np.array([math.inf, 1.0]), ["a", "b"], "m")
 
 
 # finite cell values that tell float formatters apart, and the non-finite ones
@@ -459,12 +508,23 @@ def density_matrices(draw):
     return rho
 
 
-def _written_json(rho) -> str:
+def _written_json(pairs, flat, values) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dm.json")
-        outputs.write_json(path, rho.basis.pairs, rho.entries)
+        outputs.write_json(path, pairs, flat, values)
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
+
+
+def assert_writes_json_dumps(rho) -> None:
+    """``write_json`` writes ``json.dumps`` of rho's dict form when it holds the cells whose
+    bits are not +0.0's in either part; those and the diagonal, as a sweep's positions
+    do; or every cell."""
+    expected = json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    n = len(rho.basis)
+    nonzero = np.union1d(support(rho.entries.real), support(rho.entries.imag))
+    for flat in (nonzero, np.union1d(nonzero, np.arange(0, n * n, n + 1)), np.arange(n * n)):
+        assert _written_json(rho.basis.pairs, flat, rho.entries.take(flat)) == expected
 
 
 # what ``write_json`` splices into its template of +0.0 cells
@@ -506,7 +566,24 @@ DENSE = {(part, i, j): (1 + i + 5 * j) / 7 for part in ("re", "im") for i, j in 
 @example(with_cells(3, {("re", i, j): -1 / 13 for i in range(3) for j in (0, 2)}))
 @example(with_cells(5, DENSE))
 def test_write_json_is_json_dumps_of_the_dict_form(rho):
-    assert _written_json(rho) == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    assert_writes_json_dumps(rho)
+
+
+def test_write_json_splices_a_held_minus_zero_but_writes_a_held_plus_zero_as_zero():
+    rho = with_cells(2, {("re", 0, 1): -0.0, ("im", 1, 0): -0.0, ("re", 1, 1): 0.5})
+    # (0, 0) is a held +0.0 in both parts, (1, 0) a held +0.0 in its real part
+    flat = np.arange(4)
+    text = _written_json(rho.basis.pairs, flat, rho.entries.take(flat))
+    assert text == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    assert text.count("-0.0") == 2
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_write_json_of_no_held_cell(n):
+    pairs = OamPairBasis.full(2).pairs[:n]
+    expected = {"basis": [list(p) for p in pairs], "re": [[0.0] * n] * n, "im": [[0.0] * n] * n}
+    text = _written_json(pairs, np.arange(0), np.zeros(0, dtype=complex))
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_write_json_of_a_sparse_density_matrix():
@@ -517,7 +594,7 @@ def test_write_json_of_a_sparse_density_matrix():
         for j in range(0, n, 26):
             re[i, j] = re[j, i] = -0.0 if i == j else 0.1 * (1 + (i * j) % 7) / 13
     rho = PairDensityMatrix(OamPairBasis.full(6), re.astype(complex))
-    assert _written_json(rho) == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    assert_writes_json_dumps(rho)
 
 
 @pytest.mark.parametrize("parts", [(), ("",), ("a,b\n", "\u00e9\u00b5", "<svg/>\n" * 3000)])

@@ -26,6 +26,8 @@ from sled_oam import (
     sector_pairs,
 )
 
+from sled_oam.config import load_config
+from sled_oam.spectral import mixing_rates
 from test_modes import OracleMode, reference_lg_radial
 
 FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
@@ -511,3 +513,57 @@ class TestSharedProfilePoints:
         pair_state._overlap_table(AnnulusGeometry.default(), tuple(range(7)))
         # 6240 evaluations when each of the 28 overlaps sampled its own profiles
         assert len(calls) < 1300
+
+    def test_a_cold_l_max_12_table_fits_in_the_profile_cache(self):
+        """No point of the largest table is evicted while the table is built."""
+        pair_state._overlap_table.cache_clear()
+        modes._profile_point.cache_clear()
+        pair_state._overlap_table(AnnulusGeometry.default(), tuple(range(13)))
+        info = modes._profile_point.cache_info()
+        pair_state._overlap_table.cache_clear()
+        assert info.misses == info.currsize < info.maxsize
+
+
+class TestPurity:
+    """Tr rho^2 of an emitted mixture in closed form.
+
+    rho = p v v^H / |v|^2 + (1 - p) diag(w^2) / sum w^2, with w the overlap of
+    each pair, v the coherent channel's vector (the qubit amplitudes times w
+    on the two sectors) and p = r_cp / (r_cp + r_bqp), so
+    Tr rho^2 = p^2 + 2 p (1 - p) sum |v_i|^2 w_i^2 / (|v|^2 sum w^2)
+    + (1 - p)^2 sum w^4 / (sum w^2)^2.
+    """
+
+    @pytest.mark.parametrize(
+        "preset, overrides",
+        [
+            ("fig3", []),
+            ("fig5", []),
+            ("fig3", ["emission.qubit_a=0.6, 0", "emission.qubit_b=0.8, 1.0"]),
+        ],
+    )
+    def test_closed_form_equals_the_full_matrix(self, preset, overrides):
+        config = load_config(preset, overrides)
+        basis, geom, q, ls = config.basis, config.geometry, config.qubit, config.winding
+        w = np.array([kappa(l1, l2, geom) for l1, l2 in basis.pairs])
+        v = q.a * w * sector_mask(basis, ls) + q.b * w * sector_mask(basis, -ls)
+        v2, w2 = np.abs(v) ** 2, w**2
+        shared = np.sum(v2 * w2) / (np.sum(v2) * np.sum(w2))
+        spread = np.sum(w2**2) / np.sum(w2) ** 2
+        coherent = rho_superposition(q, ls, basis, geom)
+        incoherent = rho_bqp(basis, geom)
+        temperatures = config.grid.temperatures
+        rates = mixing_rates(
+            config.detuning_for_dm, temperatures, config.junction, config.grid.k_integration
+        )
+        checked = 0
+        for s_cp, s_bqp in rates:
+            for enh in config.enhancements:
+                r_cp = enh * s_cp
+                p = r_cp / (r_cp + s_bqp)
+                closed = p**2 + 2 * p * (1 - p) * shared + (1 - p) ** 2 * spread
+                rho = pair_state.mixture(coherent, incoherent, r_cp, s_bqp).entries
+                assert closed == pytest.approx(np.vdot(rho, rho).real, rel=0, abs=1e-12)
+                assert 0 < closed <= 1
+                checked += 1
+        assert checked == len(temperatures) * len(config.enhancements)

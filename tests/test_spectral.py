@@ -223,8 +223,10 @@ class TestMixingRates:
         assert len(chunk.values) == 2
         for values, enh in zip(chunk.values, (50.0, 100.0)):
             expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
-            # bit for bit, the zeros' signs included
-            assert chunk.positions.dense(values).tobytes() == expected.tobytes()
+            # bit for bit, the zeros' signs included, with +0.0 where nothing is held
+            dense = np.zeros(expected.shape, dtype=complex)
+            dense.flat[chunk.positions.flat] = values
+            assert dense.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_point_raises_after_the_chunk_before_it(
