@@ -82,11 +82,13 @@ def cmd_dm(config: RunConfig) -> dict:
     _check_tokens("grid.temperatures", config.grid.temperatures)
     _check_tokens("emission.enhancements", config.enhancements)
     basis = config.basis
-    # no target block: each point is mixed, checked and written only where a
-    # channel matrix, its transpose or the diagonal can be nonzero
-    sweep = pair_state.mixture_chunks(
-        pair_state.rho_superposition(config.qubit, config.winding, basis, config.geometry),
-        pair_state.rho_bqp(basis, config.geometry),
+    # no target block: each point is mixed, checked and written only where
+    # psi psi^H or the diagonal can be nonzero
+    cells, sweep = pair_state.mixture_sweep(
+        config.qubit,
+        config.winding,
+        basis,
+        config.geometry,
         (),
         config.detuning_for_dm,
         config.grid.temperatures,
@@ -94,20 +96,22 @@ def cmd_dm(config: RunConfig) -> dict:
         config.junction,
         config.grid.k_integration,
     )
+    labels = [_pair_label(pair) for pair in basis.pairs]
     points = product(config.grid.temperatures, config.enhancements)
     written = {}
     # a failing point's error is raised by the sweep, once the files of the
     # points before it are written
-    for chunk in sweep:
-        flat = chunk.positions.flat
+    for _, chunk in sweep:
         # the values first: zip stops on them without drawing a point
-        for values, (t, enh) in zip(chunk.values, points):
+        for values, (t, enh) in zip(chunk, points):
             stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
             written[f"{stem}.json"] = outputs.write_json(
-                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, flat, values
+                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, cells, values
             )
             if config.svg:
-                written[f"{stem}.svg"] = _write_matrix_svg(config, flat, values, stem, t, enh)
+                written[f"{stem}.svg"] = _write_matrix_svg(
+                    config, labels, cells, values, stem, t, enh
+                )
     return written
 
 
@@ -120,21 +124,24 @@ def _check_tokens(key: str, values) -> None:
             raise ConfigError(f"{key}: {first[token]!r} and {value!r} print alike, as {token!r}")
 
 
-def _write_matrix_svg(config: RunConfig, flat, values, stem: str, t: float, enh: float) -> str:
+def _write_matrix_svg(
+    config: RunConfig, labels, flat, values, stem: str, t: float, enh: float
+) -> str:
     """Write {stem}.svg, the heatmap of |rho| over the populated pairs; return its digest.
 
     rho holds ``values`` at ascending row-major ``flat``, +0.0 elsewhere; a pair
-    is populated where its row holds a magnitude above 1e-15.
+    is populated where its row holds a magnitude above 1e-15.  ``labels`` names
+    every pair of the basis.
     """
-    basis, magnitudes = config.basis, abs(values)
-    rows, cols = np.divmod(flat, len(basis))
-    populated = np.bincount(rows[magnitudes > 1e-15], minlength=len(basis)) > 0
+    n, magnitudes = len(labels), abs(values)
+    rows, cols = np.divmod(flat, n)
+    populated = np.bincount(rows[magnitudes > 1e-15], minlength=n) > 0
     sub = np.cumsum(populated) - 1  # each populated pair's index among them
     kept = populated[rows] & populated[cols]
-    labels = [_pair_label(pair) for pair, shown in zip(basis.pairs, populated.tolist()) if shown]
-    m, title = len(labels), f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}"
+    shown = [label for label, on in zip(labels, populated.tolist()) if on]
+    m, title = len(shown), f"|rho| at T/Tc={_num_token(t)}, enhancement={_num_token(enh)}"
     svg = outputs.svg_matrix(
-        m, sub[rows[kept]] * m + sub[cols[kept]], magnitudes[kept], labels, title
+        m, sub[rows[kept]] * m + sub[cols[kept]], magnitudes[kept], shown, title
     )
     return outputs.write_text(os.path.join(config.out_dir, f"{stem}.svg"), svg)
 

@@ -4,14 +4,14 @@ The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
 built on top of it.  Each of them takes a whole stack of matrices in one call,
 each bit for bit as if alone.  A fidelity sweep never forms a full-size
-matrix: it takes its mixtures from ``pair_state.mixture_chunks``, held only
-where they can be nonzero, works only on the block of the target's support,
-outside which every matrix is zero, as is the target's square root, and
-decomposes the blocks of all its points in one call (see ``_fidelities``,
-also for where this keeps the full-size bits).  The general mixed-state
-fidelity is evaluated alongside the pure-target shortcut <psi|rho|psi>, and
-the two must agree at every point -- this cross-validates the whole
-eigenvalue pipeline on every call.
+matrix: it takes its mixtures, each rank one plus diagonal, from
+``pair_state.mixture_sweep``, held only where they can be nonzero, works
+only on the block of the target's support, outside which every matrix is
+zero, as is the target's square root, and decomposes the blocks of all
+its points in one call (see ``_fidelities``, also for where this keeps the
+full-size bits).  The general mixed-state fidelity is evaluated alongside
+the pure-target shortcut <psi|rho|psi>, and the two must agree at every
+point -- this cross-validates the whole eigenvalue pipeline on every call.
 """
 
 from __future__ import annotations
@@ -357,11 +357,11 @@ def fidelity_curve(
     symmetric Bell state in the standard winding-1, l in {0, 1} configuration.
     The coherent channel carries the current superposition ``qubit``, as in
     ``rho_total_superposition``.
-    The mixtures come from ``pair_state.mixture_chunks``, held only on the
-    diagonal and the target's support block (69 of 2401 entries for fig3),
-    and the general forms of all points share one stacked ``eigh`` call (see
-    ``_fidelities``).  No full-size density matrix is built beyond the two
-    channel matrices, and each value is the one ``fidelity`` gives for the
+    The mixtures come from ``pair_state.mixture_sweep``, held only on the
+    nonzero cells of the coherent channel, the diagonal and the target's
+    support block (69 of 2401 cells for fig3), and the general forms of all
+    points share one stacked ``eigh`` call (see ``_fidelities``).  No density
+    matrix is built, and each value is the one ``fidelity`` gives for the
     full mixture of its point, with the same checks and the same errors.
     Only the unit-trace check of ``fidelity`` is not repeated: each mixture
     has just been divided by the sum of its non-negative diagonal, so its
@@ -371,19 +371,10 @@ def fidelity_curve(
     support = target.support
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
-    chunks = pair_state.mixture_chunks(
-        pair_state.rho_superposition(qubit, ls, basis, geom),
-        pair_state.rho_bqp(basis, geom),
-        support,
-        d,
-        temps,
-        enhancements,
-        jp,
-        quad,
+    cells, sweep = pair_state.mixture_sweep(
+        qubit, ls, basis, geom, support, d, temps, enhancements, jp, quad
     )
-    blocks = (
-        (chunk.contexts, chunk.values.take(chunk.positions.index(support[:, None], support), -1))
-        for chunk in chunks
-    )
+    block = np.searchsorted(cells, support[:, None] * len(basis) + support)
+    blocks = ((contexts, values.take(block, -1)) for contexts, values in sweep)
     values = np.array(_fidelities(blocks, target)).reshape(len(temps), len(enhancements))
     return FidelityTable(temps, enhancements, values)

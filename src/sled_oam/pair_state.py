@@ -3,13 +3,14 @@
 A pair state lives on an ordered basis of (l1, l2) OAM labels (radial index
 fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
-diagonal background.  Mixtures are weighted by the spectral rates evaluated
-at a fixed detuning.  ``mixture`` forms one on the full matrix;
-``mixture_chunks`` sweeps them over (temperature, enhancement) from channel
-matrices built once, in chunks of points, each held only at the positions
-where one can be nonzero (279 of 28 561 entries at l_max = 6) and +0.0 at
-every other.  Both take each point's weights and its mixture from
-``_Mixer``, so the package has one mixing formula.
+diagonal background, so every mixture is rank one plus diagonal.  Mixtures
+are weighted by the spectral rates evaluated at a fixed detuning.
+``mixture`` forms one on the full matrix; ``mixture_sweep`` sweeps them over
+(temperature, enhancement) from the coherent vector and the squared overlaps,
+in chunks of points, each held only at the cells where it can be nonzero
+(279 of 28 561 at l_max = 6) and +0.0 at every other.  Both take each
+point's weights and its mixture from ``_Mixer``, so the package has one
+mixing formula.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .modes import AnnulusGeometry, kappa
 HERMITICITY_TOL = 1e-12
 _NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
 _UNTRACEABLE = "cannot normalize matrix with trace {}"
-# Points per ``mixture_chunks`` chunk.  At l_max = 6 (279 positions) a chunk's
+# Points per ``mixture_sweep`` chunk.  At l_max = 6 (279 cells) a chunk's
 # stacked values take 107 KB, below the 128 KiB from which malloc maps memory
 # afresh on every call.
 MIXTURE_CHUNK = 24
@@ -119,19 +120,6 @@ def sector_pairs(basis: OamPairBasis, ls: int):
     return [p for p in basis.pairs if p[0] + p[1] == ls]
 
 
-def _hermitian(entries: np.ndarray, transposed: np.ndarray, axis=-1) -> np.ndarray:
-    """Whether each matrix is Hermitian: max |e - conj(e^T)| <= tol * max(1, max |e|).
-
-    ``entries`` holds a matrix's entries along ``axis`` (None: all axes), or
-    some of them, and ``transposed`` the entries of its transpose at the same
-    places.  NaN fails.  Entries left out count as 0, so where they are 0 the
-    result is that of the whole matrix.
-    """
-    scale = np.maximum(1.0, np.abs(entries).max(axis=axis, initial=0.0))
-    skew = np.abs(entries - transposed.conj()).max(axis=axis, initial=0.0)
-    return skew <= HERMITICITY_TOL * scale
-
-
 class PairDensityMatrix:
     """Hermitian matrix over an OAM pair basis."""
 
@@ -140,7 +128,9 @@ class PairDensityMatrix:
         n = len(basis)
         if entries.shape != (n, n):
             raise ContractError(f"entries shape {entries.shape} does not match basis size {n}")
-        if not _hermitian(entries, entries.T, axis=None):
+        # max |e - conj(e^T)| <= tol * max(1, max |e|); NaN fails
+        scale = np.maximum(1.0, np.abs(entries).max(initial=0.0))
+        if not np.abs(entries - entries.T.conj()).max(initial=0.0) <= HERMITICITY_TOL * scale:
             raise ContractError(_NOT_HERMITIAN)
         self.basis = basis
         self.entries = entries
@@ -212,19 +202,27 @@ def rho_bqp(basis: OamPairBasis, geom: AnnulusGeometry) -> PairDensityMatrix:
     return PairDensityMatrix(basis, np.diag(v * v).astype(complex))
 
 
-def rho_superposition(
-    q: QubitState, ls, basis: OamPairBasis, geom: AnnulusGeometry
-) -> PairDensityMatrix:
-    """Unnormalized pure-state matrix for a qubit superposition of current directions.
+def _pair_vector(q: QubitState, ls, basis: OamPairBasis, geom: AnnulusGeometry) -> np.ndarray:
+    """The coherent channel's vector: a times the +ls sector's overlaps plus b times the -ls one's.
 
-    The emitted state is a |+ls sector> + b |-ls sector>, each sector carrying
-    its overlap amplitudes; the matrix is the corresponding outer product.
     A sector is only required to be populated when its amplitude is nonzero.
     """
     psi = np.zeros(len(basis), dtype=complex)
     for amplitude, sector in ((q.a, int(ls)), (q.b, -int(ls))):
         if amplitude != 0:
             psi += amplitude * (_sector_mask(basis, sector) * _overlaps(basis, geom))
+    return psi
+
+
+def rho_superposition(
+    q: QubitState, ls, basis: OamPairBasis, geom: AnnulusGeometry
+) -> PairDensityMatrix:
+    """Unnormalized pure-state matrix for a qubit superposition of current directions.
+
+    The emitted state is a |+ls sector> + b |-ls sector>, each sector carrying
+    its overlap amplitudes (``_pair_vector``); the matrix is its outer product.
+    """
+    psi = _pair_vector(q, ls, basis, geom)
     return PairDensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
@@ -232,79 +230,24 @@ def mixture(
     coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
 ) -> PairDensityMatrix:
     """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
-    return _Mixer(coherent, incoherent).matrix(r_cp, r_bqp)
-
-
-class Positions:
-    """Some entries of an n x n matrix, by ascending row-major index ``flat``.
-
-    They hold the diagonal and are closed under transpose: ``diagonal`` and
-    ``transposed`` say where in ``flat`` the diagonal entries, in order, and
-    the transpose of each entry lie.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        n = len(mask)
-        mask = mask | mask.T
-        mask.flat[:: n + 1] = True
-        self.n = n
-        self.flat = np.flatnonzero(mask)
-        self.diagonal = self.index(np.arange(n), np.arange(n))
-        self.transposed = self.index(self.flat % n, self.flat // n)
-
-    def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Where the entries (rows, cols), broadcast together, lie in ``flat``."""
-        flat = rows * self.n + cols
-        where = np.searchsorted(self.flat, flat)
-        if not np.array_equal(self.flat.take(where, mode="clip"), flat):
-            raise ContractError("entries requested outside the positions held")
-        return where
-
-
-@dataclass
-class MixtureChunk:
-    """Consecutive points of a ``mixture_chunks`` sweep and their trace-1 mixtures.
-
-    ``values[i]`` holds the mixture of the point whose error context
-    ``contexts[i]`` enters, at ``positions``.
-    """
-
-    positions: Positions
-    contexts: list
-    values: np.ndarray
+    mix = _Mixer(coherent.entries, incoherent.entries, coherent.trace(), incoherent.trace())
+    return PairDensityMatrix(coherent.basis, mix.mixed(*mix.weights(r_cp, r_bqp))).normalize()
 
 
 class _Mixer:
     """Trace-1 mixtures of two channel matrices as functions of the two rates.
 
-    Each channel matrix is divided by its trace once, here, and not again per
-    pair of rates; every mixture still gets every check.  The mixer holds
-    only the quotients, not the two matrices.  Given ``block`` (indices of
-    the basis), it holds them only at ``positions``: where either channel
-    matrix or its transpose is nonzero, the diagonal, and block x block.
-    Every other entry of a mixture is a*0 + b*0, an exact 0 for finite
-    weights.  Where the incoherent matrix is +0.0 in both parts, as
-    ``rho_bqp`` is off its diagonal, and b >= 0, the entry is +0.0 in both:
-    b times +0.0 is +0.0, a sum of zeros with a +0.0 term is +0.0 whatever
-    the sign of the other, and so is its quotient by a positive trace.
-    There a point's values, with +0.0 at every other entry, are its mixture.
+    Takes the entries of both channel matrices, all of them or the same
+    subset of each, and their traces.  Each is divided by its trace once,
+    here, and not again per pair of rates; the mixer holds only the
+    quotients.
     """
 
-    def __init__(self, coherent: PairDensityMatrix, incoherent: PairDensityMatrix, block=None):
-        self.basis = coherent.basis
-        tr_cp = coherent.trace()
-        tr_bqp = incoherent.trace()
+    def __init__(self, cp: np.ndarray, bqp: np.ndarray, tr_cp: float, tr_bqp: float):
         self.degenerate = None
         if tr_cp <= 0 or tr_bqp <= 0:
             self.degenerate = f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
-        if block is not None:
-            mask = (coherent.entries != 0) | (incoherent.entries != 0)
-            mask[np.ix_(block, block)] = True
-            self.positions = Positions(mask)
-        if not self.degenerate:
-            cp, bqp = coherent.entries, incoherent.entries
-            if block is not None:
-                cp, bqp = cp.take(self.positions.flat), bqp.take(self.positions.flat)
+        else:
             self.unit_cp, self.unit_bqp = cp / tr_cp, bqp / tr_bqp
 
     def weights(self, r_cp: float, r_bqp: float) -> tuple:
@@ -322,62 +265,62 @@ class _Mixer:
         """The mixing formula, unnormalized: ``a`` and ``b`` broadcast against the units."""
         return a * self.unit_cp + b * self.unit_bqp
 
-    def matrix(self, r_cp: float, r_bqp: float) -> PairDensityMatrix:
-        """The full trace-1 mixture at these rates."""
-        a, b = self.weights(r_cp, r_bqp)
-        return PairDensityMatrix(self.basis, self.mixed(a, b)).normalize()
 
-    def stack(self, weights: list) -> tuple:
-        """Trace-1 mixtures of (a, b) weight pairs at ``positions``, with ``matrix``'s checks.
+def mixture_sweep(
+    q: QubitState,
+    ls,
+    basis: OamPairBasis,
+    geom: AnnulusGeometry,
+    block,
+    d: float,
+    temperatures,
+    enhancements,
+    jp: JunctionParams,
+    quad: spectral.KQuadrature = spectral.KQuadrature(),
+) -> tuple:
+    """Trace-1 mixtures of the emitted state over a (temperature, enhancement) grid.
 
-        Returns the values of the mixtures before the first that fails a
-        check, the index of that one (``len(weights)`` if none does) and its
-        error.  The checks read what they read on the full matrix: both
-        Hermitian tests see every nonzero entry and its transpose, and the
-        trace sums the same diagonal in the same order.
-        """
-        positions = self.positions
-        if not weights:  # also where the units were never formed
-            return np.zeros((0, len(positions.flat)), dtype=complex), 0, None
-        a, b = np.array(weights, dtype=float).T[:, :, None]
-        entries = self.mixed(a, b)
-        before = _hermitian(entries, entries.take(positions.transposed, axis=-1))
-        if len(positions.flat) < positions.n**2:
-            # a*0 + b*0 is NaN outside the positions where a weight is not finite
-            before &= np.isfinite(a[:, 0]) & np.isfinite(b[:, 0])
-        trace = entries.take(positions.diagonal, axis=-1).sum(axis=-1).real
-        with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
-            entries /= trace[:, None]
-        after = _hermitian(entries, entries.take(positions.transposed, axis=-1))
-        passed = before & ~(trace <= 0) & after
-        if passed.all():
-            return entries, len(weights), None
-        i = int(np.argmin(passed))
-        untraceable = before[i] and trace[i] <= 0
-        return entries[:i], i, ContractError(
-            _UNTRACEABLE.format(float(trace[i])) if untraceable else _NOT_HERMITIAN
-        )
+    Returns the held cells and the sweep.  The cells are ascending row-major
+    indices of the matrix: the nonzero cells of psi psi^H (psi the coherent
+    channel's vector, as in ``rho_superposition``), the diagonal, where the
+    incoherent channel lies, and ``block`` x ``block`` for the basis indices
+    ``block`` (which may be empty).  Every other entry of a mixture is
+    a*0 + b*0 with +0.0 in both parts: an exact +0.0 for finite weights
+    a, b >= 0, and so is its quotient by a positive trace.
 
-
-def mixture_chunks(
-    coherent, incoherent, block, d, temperatures, enhancements, jp, quad=spectral.KQuadrature()
-):
-    """Trace-1 mixtures of two channel matrices over a grid, in ``MixtureChunk``s.
-
-    The rates of all temperatures come from one ``spectral.mixing_rates``
-    call, before the first chunk, and rate errors pass through unchanged.
-    The points follow temperature-major, up to ``MIXTURE_CHUNK`` to a chunk.
-    Each mixture is held only at the positions of ``_Mixer`` for the basis
-    indices ``block`` (which may be empty) and gets there every check that
-    ``mixture`` makes on the full matrix.  A chunk ends at the first point
-    that fails one; once it is yielded, the sweep raises that point's error
-    in the point's ``at_point`` context.  Once the sweep has started it holds
-    only the channel matrices divided by their traces, at the positions.
+    The sweep yields pairs of a list of ``at_point`` contexts and the stack
+    of their mixtures at the cells, each with the bits of ``mixture`` on
+    the full matrix there, up to ``MIXTURE_CHUNK`` points to a pair and
+    temperature-major.  The rates of all temperatures come from one
+    ``spectral.mixing_rates`` call, before the first pair, and rate errors
+    pass through unchanged.  A mixture of this form is Hermitian wherever
+    it is finite, so of the full matrix's checks only finiteness before
+    and after the division by the trace and the trace's sign are left.  A
+    pair ends at the first point that fails one; once it is yielded, the
+    sweep raises that point's error in the point's context.
     """
-    temperatures = tuple(temperatures)
+    psi, w = _pair_vector(q, ls, basis, geom), _overlaps(basis, geom)
+    n = len(basis)
+    held = np.zeros((n, n), dtype=bool)
+    on = psi != 0
+    held[np.ix_(on, on)] = np.outer(psi[on], psi[on].conj()) != 0
+    held[np.ix_(block, block)] = True
+    held.flat[:: n + 1] = True
+    cells = np.flatnonzero(held)
+    return cells, _sweep(cells, psi, w * w, d, tuple(temperatures), enhancements, jp, quad)
+
+
+def _sweep(cells, psi, w2, d, temperatures, enhancements, jp, quad):
+    """The sweep of ``mixture_sweep`` at ``cells``, from the coherent vector and w^2."""
     rates = spectral.mixing_rates(d, temperatures, jp, quad)
-    mix = _Mixer(coherent, incoherent, np.asarray(block, dtype=int))
-    del coherent, incoherent
+    rows, cols = np.divmod(cells, len(psi))
+    diagonal = np.flatnonzero(rows == cols)
+    cp = psi[rows] * psi.conj()[cols]
+    bqp = np.zeros(len(cells), dtype=complex)
+    bqp[diagonal] = w2
+    # the traces sum the full diagonal as complex numbers, as ``np.trace`` does
+    tr_cp, tr_bqp = (float(m.take(diagonal).sum().real) for m in (cp, bqp))
+    mix = _Mixer(cp, bqp, tr_cp, tr_bqp)
     points = [(t, enh, s) for t, s in zip(temperatures, rates) for enh in enhancements]
     for start in range(0, len(points), MIXTURE_CHUNK):
         contexts, weights, error = [], [], None
@@ -389,9 +332,24 @@ def mixture_chunks(
             except SledOamError as exc:
                 error = exc
                 break
-        values, formed, stack_error = mix.stack(weights)
-        yield MixtureChunk(mix.positions, contexts[:formed], values)
-        error = stack_error or error
+        values, formed = np.zeros((0, len(cells)), dtype=complex), 0
+        if weights:  # none where the units were never formed
+            a, b = np.array(weights, dtype=float).T[:, :, None]
+            values = mix.mixed(a, b)
+            # a weight that is not finite makes a diagonal value so too: each
+            # unit, of positive trace, is positive on some diagonal cell
+            before = np.isfinite(values).all(axis=-1)
+            trace = values.take(diagonal, axis=-1).sum(axis=-1).real
+            with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
+                values /= trace[:, None]
+            passed = before & ~(trace <= 0) & np.isfinite(values).all(axis=-1)
+            formed = len(weights) if passed.all() else int(np.argmin(passed))
+            if formed < len(weights):
+                untraceable = before[formed] and trace[formed] <= 0
+                error = ContractError(
+                    _UNTRACEABLE.format(float(trace[formed])) if untraceable else _NOT_HERMITIAN
+                )
+        yield contexts[:formed], values[:formed]
         if error is not None:
             with contexts[formed]():
                 raise error

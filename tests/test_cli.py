@@ -58,6 +58,11 @@ def check_manifest(out_dir):
     return manifest
 
 
+def all_labels(config):
+    """The label of every pair of the run's basis, as ``cmd_dm`` formats them once."""
+    return [cli._pair_label(pair) for pair in config.basis.pairs]
+
+
 class TestRates:
     def test_outputs_and_normalization(self, tmp_path):
         out = str(tmp_path / "out")
@@ -153,7 +158,7 @@ class TestDm:
         assert len(calls) == len(set(calls)) == 28
         assert all(0 <= a <= b for a, b in calls)
 
-    def test_the_sweep_builds_no_density_matrix_but_its_channels(self, tmp_path, monkeypatch):
+    def test_the_sweep_builds_no_density_matrix(self, tmp_path, monkeypatch):
         built = []
         init = PairDensityMatrix.__init__
 
@@ -165,7 +170,16 @@ class TestDm:
         out = str(tmp_path / "out")
         assert main(["dm", "--config", write_config(tmp_path), "--out", out]) == 0
         assert len([name for name in os.listdir(out) if name.startswith("dm_")]) == 8
-        assert built == [(9, 9)] * 2
+        assert built == []
+
+    def test_the_pair_labels_are_formatted_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        label = cli._pair_label
+        monkeypatch.setattr(cli, "_pair_label", lambda pair: calls.append(pair) or label(pair))
+        out = str(tmp_path / "out")
+        assert main(["dm", "--config", write_config(tmp_path), "--out", out]) == 0
+        assert len([name for name in os.listdir(out) if name.endswith(".svg")]) == 4
+        assert calls == list(load_config(write_config(tmp_path)).basis.pairs)
 
     def test_omitted_qubit_equals_trivial_qubit(self, tmp_path):
         base = write_config(tmp_path, name="plain.conf")
@@ -644,7 +658,8 @@ class TestSvgOutputs:
         rho = self._infinite_entry(config)
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
             flat = np.arange(rho.entries.size)
-            cli._write_matrix_svg(config, flat, rho.entries.ravel(), "dm_bad", 0.3, 10.0)
+            labels = all_labels(config)
+            cli._write_matrix_svg(config, labels, flat, rho.entries.ravel(), "dm_bad", 0.3, 10.0)
         assert not os.listdir(out)
 
     def test_a_nan_cell_stops_dm_before_its_svg_is_opened(self, tmp_path, monkeypatch):
@@ -652,9 +667,9 @@ class TestSvgOutputs:
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
         out.mkdir()
         rho = self._infinite_entry(config)
-        everywhere = pair_state.Positions(np.ones(rho.entries.shape, dtype=bool))
-        chunk = pair_state.MixtureChunk(everywhere, [nullcontext], rho.entries.reshape(1, -1))
-        monkeypatch.setattr(pair_state, "mixture_chunks", lambda *args: iter([chunk]))
+        everywhere = np.arange(rho.entries.size)
+        chunk = [nullcontext], rho.entries.reshape(1, -1)
+        monkeypatch.setattr(pair_state, "mixture_sweep", lambda *args: (everywhere, iter([chunk])))
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
             cli.cmd_dm(config)
         assert os.listdir(out) == ["dm_0.3_10.json"]
@@ -708,10 +723,11 @@ class TestSvgOutputs:
         )
         flat = np.flatnonzero(rho.entries)
         values = rho.entries.take(flat)
-        cli._write_matrix_svg(config, flat, values, "warm", 0.5, 10.0)  # first-call caches
+        labels = all_labels(config)
+        cli._write_matrix_svg(config, labels, flat, values, "warm", 0.5, 10.0)  # first-call caches
         tracemalloc.start()
         try:
-            cli._write_matrix_svg(config, flat, values, "dm", 0.5, 10.0)
+            cli._write_matrix_svg(config, labels, flat, values, "dm", 0.5, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -739,7 +755,7 @@ class TestSvgOutputs:
         entries[0, 5], entries[5, 0] = 0.5, 1e-16  # column 5 goes with row 5
         entries[1, 3], entries[3, 1] = 0.3j, -0.3j
         flat = np.union1d(np.flatnonzero(entries), np.arange(0, n * n, n + 1))
-        cli._write_matrix_svg(config, flat, entries.take(flat), "dm", 0.3, 10.0)
+        cli._write_matrix_svg(config, all_labels(config), flat, entries.take(flat), "dm", 0.3, 10.0)
         with open(out / "dm.svg", encoding="utf-8") as fh:
             text = fh.read()
         magnitudes = abs(entries)

@@ -13,10 +13,13 @@ from sled_oam import (
     DegenerateMixtureError,
     DomainError,
     EmptySectorError,
+    TargetState,
     KQuadrature,
     OamPairBasis,
     PairDensityMatrix,
     QubitState,
+    bell_target,
+    fidelity,
     kappa,
     rho_bqp,
     rho_cp,
@@ -567,3 +570,90 @@ class TestPurity:
                 assert 0 < closed <= 1
                 checked += 1
         assert checked == len(temperatures) * len(config.enhancements)
+
+
+class TestQubitMapping:
+    """A qubit a|cw> + b|ccw> maps onto the photon state a B+ + b B-, with B+ and B-
+    the equal-amplitude states of the +ls and -ls sectors (the abstract's second
+    claim).  kappa depends on |l| only, so on a basis symmetric under l -> -l
+    the fidelity against the mapped target does not depend on (a, b).  On a
+    gapped ``l_values`` list the sectors differ and it does: the regime of the
+    invariant is the mirror-symmetric basis."""
+
+    QUBITS = [
+        QubitState(1.0, 0.0),
+        QubitState(0.0, 1.0),
+        QubitState.from_polar(0.6, 0.3, 0.8, 1.1),
+        QubitState.from_polar(2**-0.5, 0.0, 2**-0.5, 2.0),
+    ]
+
+    def mapped_fidelities(self, overrides):
+        """Fidelity at fig3's t = 0.5, enhancement 10, against each qubit's mapped target."""
+        config = load_config("fig3", overrides)
+        basis, ls = config.basis, config.winding
+        plus, minus = (bell_target(basis, s).coefficients for s in (ls, -ls))
+        values = []
+        for q in self.QUBITS:
+            rho = rho_total_superposition(
+                q,
+                ls,
+                basis,
+                config.geometry,
+                config.detuning_for_dm,
+                0.5,
+                config.junction,
+                CoherenceParams(10.0),
+                config.grid.k_integration,
+            )
+            values.append(fidelity(rho, TargetState(basis, q.a * plus + q.b * minus)))
+        return values
+
+    def test_a_mirror_symmetric_basis_maps_every_qubit_alike(self):
+        values = self.mapped_fidelities([])
+        # 0.778699735563644, spread 4.9e-15
+        assert max(values) - min(values) <= 1e-12
+
+    def test_a_gapped_basis_does_not(self):
+        # +1 sector (0,1), (1,0); -1 sector (-3,2), (2,-3): 0.71-0.87
+        values = self.mapped_fidelities(["emission.l_values=-3,0,1,2"])
+        assert max(values) - min(values) > 0.1
+
+
+class TestPurityPlateau:
+    """Recombination through thermally excited quasiparticles costs little purity
+    (the abstract's third claim), in the regime where the model supports it.
+
+    The incoherent channel does not vanish as T -> 0, so the claim is read as
+    the purity lost from its low-temperature plateau.  On fig5 at enhancement
+    100, Tr rho^2 stays within 0.03 of its t = 0.05 value for t <= 0.7
+    (0.9821 falling to 0.9578, a drop of 0.024).  At enhancement 10 it drops
+    by 0.149 over the same range, and the claim does not hold there.
+    """
+
+    def purities(self, enhancement):
+        """Tr rho^2 at fig5's temperatures up to t = 0.7, from t = 0.05."""
+        config = load_config("fig5")
+        values = []
+        for t in config.grid.temperatures:
+            if t <= 0.7:
+                rho = rho_total(
+                    config.winding,
+                    config.basis,
+                    config.geometry,
+                    config.detuning_for_dm,
+                    t,
+                    config.junction,
+                    CoherenceParams(enhancement),
+                    config.grid.k_integration,
+                ).entries
+                values.append(np.vdot(rho, rho).real)
+        assert len(values) == 14
+        return values
+
+    def test_at_enhancement_100_the_purity_stays_on_its_plateau(self):
+        values = self.purities(100.0)
+        assert max(abs(value - values[0]) for value in values) <= 0.03
+
+    def test_at_enhancement_10_it_does_not(self):
+        values = self.purities(10.0)
+        assert values[0] - values[-1] > 0.1

@@ -19,6 +19,7 @@ from sled_oam import (
     spectral,
 )
 from sled_oam.errors import ConvergenceError
+from sled_oam.pair_state import CLOCKWISE
 from sled_oam.spectral import _BandTables
 
 SMALL_GRID = SpectralGrid(
@@ -217,15 +218,16 @@ class TestMixingRates:
         coherent = pair_state.rho_cp(1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
-        [chunk] = pair_state.mixture_chunks(
-            coherent, incoherent, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
+        cells, sweep = pair_state.mixture_sweep(
+            CLOCKWISE, 1, basis, geometry, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
-        assert len(chunk.values) == 2
-        for values, enh in zip(chunk.values, (50.0, 100.0)):
+        [(_, chunk)] = sweep
+        assert len(chunk) == 2
+        for values, enh in zip(chunk, (50.0, 100.0)):
             expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
             # bit for bit, the zeros' signs included, with +0.0 where nothing is held
             dense = np.zeros(expected.shape, dtype=complex)
-            dense.flat[chunk.positions.flat] = values
+            dense.flat[cells] = values
             assert dense.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -239,20 +241,13 @@ class TestMixingRates:
         rates = mixing_rates(5.0, temps, junction, fast_quad)
         rates[failing] = (math.inf, rates[failing][1])
         monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
-        sweep = pair_state.mixture_chunks(
-            pair_state.rho_cp(1, basis, geometry),
-            pair_state.rho_bqp(basis, geometry),
-            (),
-            5.0,
-            temps,
-            enhancements,
-            junction,
-            fast_quad,
+        _, sweep = pair_state.mixture_sweep(
+            CLOCKWISE, 1, basis, geometry, (), 5.0, temps, enhancements, junction, fast_quad
         )
-        chunk = next(sweep)
+        contexts, values = next(sweep)
         before = [(t, enh) for t in temps[:failing] for enh in enhancements]
-        assert [context.args for context in chunk.contexts] == before
-        assert len(chunk.values) == len(before)
+        assert [context.args for context in contexts] == before
+        assert len(values) == len(before)
         with pytest.raises(DegenerateMixtureError, match="total rate is not finite") as raised:
             next(sweep)
         assert str(raised.value).endswith(f" (at t={temps[failing]}, enhancement=10.0)")
