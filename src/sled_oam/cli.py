@@ -84,7 +84,7 @@ def cmd_dm(config: RunConfig) -> dict:
     basis = config.basis
     # no target block: each point is mixed, checked and written only where
     # psi psi^H or the diagonal can be nonzero
-    cells, sweep = pair_state.mixture_sweep(
+    cells, mixtures, error = pair_state.mixture_sweep(
         config.qubit,
         config.winding,
         basis,
@@ -97,21 +97,17 @@ def cmd_dm(config: RunConfig) -> dict:
         config.grid.k_integration,
     )
     labels = [_pair_label(pair) for pair in basis.pairs]
-    points = product(config.grid.temperatures, config.enhancements)
     written = {}
-    # a failing point's error is raised by the sweep, once the files of the
-    # points before it are written
-    for _, chunk in sweep:
-        # the values first: zip stops on them without drawing a point
-        for values, (t, enh) in zip(chunk, points):
-            stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
-            written[f"{stem}.json"] = outputs.write_json(
-                os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, cells, values
-            )
-            if config.svg:
-                written[f"{stem}.svg"] = _write_matrix_svg(
-                    config, labels, cells, values, stem, t, enh
-                )
+    for values, (t, enh) in zip(mixtures, product(config.grid.temperatures, config.enhancements)):
+        stem = f"dm_{_num_token(t)}_{_num_token(enh)}"
+        written[f"{stem}.json"] = outputs.write_json(
+            os.path.join(config.out_dir, f"{stem}.json"), basis.pairs, cells, values
+        )
+        if config.svg:
+            written[f"{stem}.svg"] = _write_matrix_svg(config, labels, cells, values, stem, t, enh)
+    # a failing point's error is raised once the files of the points before it are written
+    if error is not None:
+        raise error
     return written
 
 

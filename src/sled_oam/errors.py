@@ -39,11 +39,17 @@ class ConfigError(SledOamError, ValueError):
     """A run configuration failed to parse or validate."""
 
 
+def locate(exc: SledOamError, t: float, enhancement: float) -> SledOamError:
+    """Append the point to the message of a simulator error, keeping its type and attributes."""
+    exc.args = (f"{exc} (at t={t}, enhancement={enhancement})",)
+    return exc
+
+
 @contextmanager
 def at_point(t: float, enhancement: float):
-    """Append the point to the message of a simulator error, keeping its type and attributes."""
+    """``locate`` a simulator error raised inside at the point."""
     try:
         yield
     except SledOamError as exc:
-        exc.args = (f"{exc} (at t={t}, enhancement={enhancement})",)
+        locate(exc, t, enhancement)
         raise

@@ -4,27 +4,28 @@ The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
 kept dependency-free and deterministic; matrix square roots and fidelities are
 built on top of it.  Each of them takes a whole stack of matrices in one call,
 each bit for bit as if alone.  A fidelity sweep never forms a full-size
-matrix: it takes its mixtures, each rank one plus diagonal, from
-``pair_state.mixture_sweep``, held only where they can be nonzero, works
-only on the block of the target's support, outside which every matrix is
-zero, as is the target's square root, and decomposes the blocks of all
-its points in one call (see ``_fidelities``, also for where this keeps the
-full-size bits).  The general mixed-state fidelity is evaluated alongside
-the pure-target shortcut <psi|rho|psi>, and the two must agree at every
-point -- this cross-validates the whole eigenvalue pipeline on every call.
+matrix: it takes all its mixtures, each rank one plus diagonal, in one
+pass of ``pair_state.mixture_sweep``, held only where they can be nonzero,
+works only on the block of the target's support, outside which every
+matrix is zero, as is the target's square root, and decomposes the blocks
+of all its points in one call (see ``_fidelities``, also for where this
+keeps the full-size bits).  The general mixed-state fidelity is evaluated
+alongside the pure-target shortcut <psi|rho|psi>, and the two must agree at
+every point -- this cross-validates the whole eigenvalue pipeline on every
+call.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError, SledOamError
+from .errors import ContractError, ConvergenceError, at_point
 from .modes import AnnulusGeometry
 from .pair_state import CLOCKWISE, OamPairBasis, PairDensityMatrix, QubitState
 
@@ -40,18 +41,6 @@ class HermitianEigen:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ContractError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    axes = (-2, -1)
-    scale = np.abs(a).max(axis=axes, initial=0.0)
-    skew = np.abs(a - a.swapaxes(-2, -1).conj()).max(axis=axes, initial=0.0)
-    if not np.all(skew <= 1e-10 * scale):
-        raise ContractError("matrix is not Hermitian within 1e-10 of its magnitude")
-    return a
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -75,7 +64,7 @@ def eigh(a: np.ndarray) -> HermitianEigen:
     broadcast complex products and complex-by-real quotients round as the
     scalar ones do).  Norms are taken one matrix at a time.
     """
-    a = _check_hermitian(a)
+    a = pair_state.check_hermitian(a)
     n = a.shape[-1]
     # the stack count given, as -1 is ambiguous for 0 x 0 matrices
     stack = a.reshape(int(np.prod(a.shape[:-2])), n, n)
@@ -244,9 +233,8 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
     trace = rho.trace()
     if not abs(trace - 1.0) <= 1e-9:
         raise ContractError(f"density matrix must have unit trace, got {trace}")
-    support = target.support
-    [value] = _fidelities([([nullcontext], rho.entries[np.ix_(support, support)][None])], target)
-    return value
+    block = rho.entries[np.ix_(target.support, target.support)]
+    return _fidelities([nullcontext], block[None], None, target)[0]
 
 
 def _passed(ok: np.ndarray) -> int:
@@ -254,23 +242,22 @@ def _passed(ok: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-def _fidelities(sweep, target: TargetState) -> list:
-    """Cross-checked general fidelity against ``target`` of each mixture of ``sweep``.
+def _fidelities(contexts: list, rho: np.ndarray, error, target: TargetState) -> list:
+    """Cross-checked general fidelity against ``target`` of each mixture of a sweep.
 
-    ``sweep`` yields pairs of a list of error contexts and a stack of
-    blocks, one per context: the block S x S of a trace-1 mixture on the
-    target's basis, S being the target's support (the nonzero entries of
-    psi).  It may raise a point's error after yielding the points before
-    it.  ``target.root`` is the square root on that block, and the
-    full-size one is zero outside it, so ``inner`` and its square root are
-    too.  Every step is stacked numpy that acts on each point as if alone,
-    so each value has the bits that ``fidelity`` gives its mixture on its
-    own.  Three passes:
+    ``rho`` stacks the blocks S x S of trace-1 mixtures on the target's
+    basis, S being the target's support (the nonzero entries of psi), and
+    ``contexts[k]`` is the error context of block k.  ``error`` is None or
+    the error of the point after the last block.  ``target.root`` is the
+    square root on that block, and the full-size one is zero outside it, so
+    ``inner`` and its square root are too.  Every step is stacked numpy that
+    acts on each point as if alone, so each value has the bits that
+    ``fidelity`` gives its mixture on its own.  Three passes:
 
-    1. Per pair, form ``inner = root @ rho @ root`` on the block, one
-       matrix product per point, and the shortcut <psi|rho|psi> on it.
-       Up to fig3's 49 pairs (l_max 2-5) ``inner`` is bit for bit the block
-       of the full-size product; at l_max = 6 (169 pairs) BLAS groups the
+    1. Form ``inner = root @ rho @ root`` on the block, one matrix product
+       per point, and the shortcut <psi|rho|psi> on it.  Up to fig3's 49
+       pairs (l_max 2-5) ``inner`` is bit for bit the block of the
+       full-size product; at l_max = 6 (169 pairs) BLAS groups the
        full-size sums otherwise, and values move by at most 3.5e-15
        relative.
     2. Decompose the blocks of all points in one ``eigh`` call.  Every
@@ -286,48 +273,35 @@ def _fidelities(sweep, target: TargetState) -> list:
        the block's diagonal alone would not.
 
     After its mixture's checks, each point gets the PSD and 1e-9
-    cross-check tests, and NaN fails each.  An error of the sweep is raised
-    only after the points before it have passed them, so the error raised
-    is that of the first point in sweep order that fails any check, in its
-    context, and of the first check it fails.  Only blocks and scalars are
-    kept across pairs.
+    cross-check tests, and NaN fails each.  ``error`` is raised only after
+    the points before it have passed them, so the error raised is that of
+    the first point in sweep order that fails any check, in its context,
+    and of the first check it fails.
     """
     psi, support, root = target.coefficients, target.support, target.root
-    contexts, blocks, shortcuts, failure = [], [], [], None
-    try:
-        for block_contexts, rho in sweep:
-            inner = root @ rho @ root
-            blocks.append(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
-            shortcuts.append(((psi[support].conj() @ rho) * psi[support]).sum(axis=-1).real)
-            contexts += block_contexts
-    except SledOamError as exc:
-        failure = exc
-    values = []
-    if contexts:
-        blocks = np.concatenate(blocks)  # frees the pairs' own blocks before eigh
-        decomp = eigh(blocks)
-        del blocks
-        vals, vecs = decomp.eigenvalues, decomp.eigenvectors
-        rooted = _passed(~_not_psd(vals))
-        for start in range(0, rooted, pair_state.MIXTURE_CHUNK):
-            part = slice(start, min(start + pair_state.MIXTURE_CHUNK, rooted))
-            roots = _psd_root(HermitianEigen(vals[part], vecs[part]))
-            diagonal = np.zeros((len(roots), len(psi)), dtype=complex)
-            diagonal[:, support] = roots.diagonal(axis1=-2, axis2=-1)
-            values += [x**2 for x in diagonal.sum(axis=-1).real.tolist()]
-        shortcuts = np.concatenate(shortcuts)
-        agree = _passed(abs(np.array(values) - shortcuts[:rooted]) <= FIDELITY_XCHECK_TOL)
-        if agree < rooted:
-            with contexts[agree]():
-                raise ContractError(
-                    f"fidelity cross-check failed: general {values[agree]}"
-                    f" vs shortcut {float(shortcuts[agree])}"
-                )
-        if rooted < len(contexts):
-            with contexts[rooted]():
-                _psd_root(HermitianEigen(vals[rooted], vecs[rooted]))  # raises
-    if failure is not None:
-        raise failure
+    inner = root @ rho @ root
+    shortcuts = ((psi[support].conj() @ rho) * psi[support]).sum(axis=-1).real
+    inner = 0.5 * (inner + inner.conj().swapaxes(-1, -2))  # rebinding frees the product
+    decomp = eigh(inner)
+    del inner  # not held through the roots
+    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    rooted = _passed(~_not_psd(vals))
+    roots = _psd_root(HermitianEigen(vals[:rooted], vecs[:rooted]))
+    diagonal = np.zeros((rooted, len(psi)), dtype=complex)
+    diagonal[:, support] = roots.diagonal(axis1=-2, axis2=-1)
+    values = [x**2 for x in diagonal.sum(axis=-1).real.tolist()]
+    agree = _passed(abs(np.array(values) - shortcuts[:rooted]) <= FIDELITY_XCHECK_TOL)
+    if agree < rooted:
+        with contexts[agree]():
+            raise ContractError(
+                f"fidelity cross-check failed: general {values[agree]}"
+                f" vs shortcut {float(shortcuts[agree])}"
+            )
+    if rooted < len(rho):
+        with contexts[rooted]():
+            _psd_root(HermitianEigen(vals[rooted], vecs[rooted]))  # raises
+    if error is not None:
+        raise error
     return values
 
 
@@ -371,10 +345,11 @@ def fidelity_curve(
     support = target.support
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
-    cells, sweep = pair_state.mixture_sweep(
+    cells, mixtures, error = pair_state.mixture_sweep(
         qubit, ls, basis, geom, support, d, temps, enhancements, jp, quad
     )
-    block = np.searchsorted(cells, support[:, None] * len(basis) + support)
-    blocks = ((contexts, values.take(block, -1)) for contexts, values in sweep)
-    values = np.array(_fidelities(blocks, target)).reshape(len(temps), len(enhancements))
-    return FidelityTable(temps, enhancements, values)
+    blocks = mixtures.take(np.searchsorted(cells, support[:, None] * len(basis) + support), -1)
+    del mixtures  # only the blocks are kept past here
+    contexts = [partial(at_point, t, enh) for t in temps for enh in enhancements]
+    values = np.array(_fidelities(contexts, blocks, error, target))
+    return FidelityTable(temps, enhancements, values.reshape(len(temps), len(enhancements)))

@@ -7,17 +7,17 @@ diagonal background, so every mixture is rank one plus diagonal.  Mixtures
 are weighted by the spectral rates evaluated at a fixed detuning.
 ``mixture`` forms one on the full matrix; ``mixture_sweep`` sweeps them over
 (temperature, enhancement) from the coherent vector and the squared overlaps,
-in chunks of points, each held only at the cells where it can be nonzero
-(279 of 28 561 at l_max = 6) and +0.0 at every other.  Both take each
-point's weights and its mixture from ``_Mixer``, so the package has one
-mixing formula.
+in one pass that returns every point, each held only at the cells where it
+can be nonzero (279 of 28 561 at l_max = 6) and +0.0 at every other.  Both
+take each point's weights and its mixture from ``_Mixer``, so the package
+has one mixing formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -31,16 +31,28 @@ from .errors import (
     EmptySectorError,
     SledOamError,
     at_point,
+    locate,
 )
 from .modes import AnnulusGeometry, kappa
 
 HERMITICITY_TOL = 1e-12
 _NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
 _UNTRACEABLE = "cannot normalize matrix with trace {}"
-# Points per ``mixture_sweep`` chunk.  At l_max = 6 (279 cells) a chunk's
-# stacked values take 107 KB, below the 128 KiB from which malloc maps memory
-# afresh on every call.
-MIXTURE_CHUNK = 24
+
+
+def check_hermitian(a) -> np.ndarray:
+    """``a`` as complex; raises unless it is a Hermitian matrix or a stack ``(..., n, n)`` of them.
+
+    Each needs max |a - a^H| <= ``HERMITICITY_TOL`` * max(1, max |a|); NaN fails.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ContractError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    skew = np.abs(a - a.swapaxes(-2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    if not np.all(skew <= HERMITICITY_TOL * scale):
+        raise ContractError(_NOT_HERMITIAN)
+    return a
 
 
 @dataclass(frozen=True)
@@ -128,10 +140,7 @@ class PairDensityMatrix:
         n = len(basis)
         if entries.shape != (n, n):
             raise ContractError(f"entries shape {entries.shape} does not match basis size {n}")
-        # max |e - conj(e^T)| <= tol * max(1, max |e|); NaN fails
-        scale = np.maximum(1.0, np.abs(entries).max(initial=0.0))
-        if not np.abs(entries - entries.T.conj()).max(initial=0.0) <= HERMITICITY_TOL * scale:
-            raise ContractError(_NOT_HERMITIAN)
+        check_hermitian(entries)
         self.basis = basis
         self.entries = entries
 
@@ -263,7 +272,9 @@ class _Mixer:
 
     def mixed(self, a, b) -> np.ndarray:
         """The mixing formula, unnormalized: ``a`` and ``b`` broadcast against the units."""
-        return a * self.unit_cp + b * self.unit_bqp
+        out = a * self.unit_cp
+        out += b * self.unit_bqp  # in place: a stack of mixtures takes no third array of its size
+        return out
 
 
 def mixture_sweep(
@@ -280,7 +291,7 @@ def mixture_sweep(
 ) -> tuple:
     """Trace-1 mixtures of the emitted state over a (temperature, enhancement) grid.
 
-    Returns the held cells and the sweep.  The cells are ascending row-major
+    Returns ``(cells, mixtures, error)``.  The cells are ascending row-major
     indices of the matrix: the nonzero cells of psi psi^H (psi the coherent
     channel's vector, as in ``rho_superposition``), the diagonal, where the
     incoherent channel lies, and ``block`` x ``block`` for the basis indices
@@ -288,16 +299,15 @@ def mixture_sweep(
     a*0 + b*0 with +0.0 in both parts: an exact +0.0 for finite weights
     a, b >= 0, and so is its quotient by a positive trace.
 
-    The sweep yields pairs of a list of ``at_point`` contexts and the stack
-    of their mixtures at the cells, each with the bits of ``mixture`` on
-    the full matrix there, up to ``MIXTURE_CHUNK`` points to a pair and
-    temperature-major.  The rates of all temperatures come from one
-    ``spectral.mixing_rates`` call, before the first pair, and rate errors
-    pass through unchanged.  A mixture of this form is Hermitian wherever
-    it is finite, so of the full matrix's checks only finiteness before
-    and after the division by the trace and the trace's sign are left.  A
-    pair ends at the first point that fails one; once it is yielded, the
-    sweep raises that point's error in the point's context.
+    Row k of ``mixtures`` holds the k-th point, temperature-major, at the
+    cells, with the bits of ``mixture`` on the full matrix there.  The rows
+    stop before the first point that fails a check; ``error`` is that
+    point's error, with the point appended by ``locate`` as ``at_point``
+    appends it, or None.  The rates of all temperatures come from one
+    ``spectral.mixing_rates`` call, and rate errors are raised unchanged.
+    A mixture of this form is Hermitian wherever it is finite, so of the
+    full matrix's checks only finiteness before and after the division by
+    the trace and the trace's sign are left.
     """
     psi, w = _pair_vector(q, ls, basis, geom), _overlaps(basis, geom)
     n = len(basis)
@@ -307,52 +317,40 @@ def mixture_sweep(
     held[np.ix_(block, block)] = True
     held.flat[:: n + 1] = True
     cells = np.flatnonzero(held)
-    return cells, _sweep(cells, psi, w * w, d, tuple(temperatures), enhancements, jp, quad)
-
-
-def _sweep(cells, psi, w2, d, temperatures, enhancements, jp, quad):
-    """The sweep of ``mixture_sweep`` at ``cells``, from the coherent vector and w^2."""
-    rates = spectral.mixing_rates(d, temperatures, jp, quad)
-    rows, cols = np.divmod(cells, len(psi))
+    rates = spectral.mixing_rates(d, tuple(temperatures), jp, quad)
+    rows, cols = np.divmod(cells, n)
     diagonal = np.flatnonzero(rows == cols)
     cp = psi[rows] * psi.conj()[cols]
     bqp = np.zeros(len(cells), dtype=complex)
-    bqp[diagonal] = w2
+    bqp[diagonal] = w * w
     # the traces sum the full diagonal as complex numbers, as ``np.trace`` does
     tr_cp, tr_bqp = (float(m.take(diagonal).sum().real) for m in (cp, bqp))
     mix = _Mixer(cp, bqp, tr_cp, tr_bqp)
     points = [(t, enh, s) for t, s in zip(temperatures, rates) for enh in enhancements]
-    for start in range(0, len(points), MIXTURE_CHUNK):
-        contexts, weights, error = [], [], None
-        for t, enh, (s_cp, s_bqp) in points[start : start + MIXTURE_CHUNK]:
-            contexts.append(partial(at_point, t, enh))
-            try:
-                r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
-                weights.append(mix.weights(r_cp, s_bqp))
-            except SledOamError as exc:
-                error = exc
-                break
-        values, formed = np.zeros((0, len(cells)), dtype=complex), 0
-        if weights:  # none where the units were never formed
-            a, b = np.array(weights, dtype=float).T[:, :, None]
-            values = mix.mixed(a, b)
-            # a weight that is not finite makes a diagonal value so too: each
-            # unit, of positive trace, is positive on some diagonal cell
-            before = np.isfinite(values).all(axis=-1)
-            trace = values.take(diagonal, axis=-1).sum(axis=-1).real
-            with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
-                values /= trace[:, None]
-            passed = before & ~(trace <= 0) & np.isfinite(values).all(axis=-1)
-            formed = len(weights) if passed.all() else int(np.argmin(passed))
-            if formed < len(weights):
-                untraceable = before[formed] and trace[formed] <= 0
-                error = ContractError(
-                    _UNTRACEABLE.format(float(trace[formed])) if untraceable else _NOT_HERMITIAN
-                )
-        yield contexts[:formed], values[:formed]
-        if error is not None:
-            with contexts[formed]():
-                raise error
+    weights, error = [], None
+    for t, enh, (s_cp, s_bqp) in points:
+        try:
+            weights.append(mix.weights(spectral.CoherenceParams(enh).enhancement * s_cp, s_bqp))
+        except SledOamError as exc:
+            error = locate(exc, t, enh)
+            break
+    mixtures = np.zeros((0, len(cells)), dtype=complex)
+    if weights:  # none where the units were never formed
+        a, b = np.array(weights, dtype=float).T[:, :, None]
+        mixtures = mix.mixed(a, b)
+        # a weight that is not finite makes a diagonal value so too: each
+        # unit, of positive trace, is positive on some diagonal cell
+        before = np.isfinite(mixtures).all(axis=-1)
+        trace = mixtures.take(diagonal, axis=-1).sum(axis=-1).real
+        with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
+            mixtures /= trace[:, None]
+        passed = before & ~(trace <= 0) & np.isfinite(mixtures).all(axis=-1)
+        if not passed.all():
+            k = int(np.argmin(passed))
+            untraceable = before[k] and trace[k] <= 0
+            message = _UNTRACEABLE.format(float(trace[k])) if untraceable else _NOT_HERMITIAN
+            error, mixtures = locate(ContractError(message), *points[k][:2]), mixtures[:k]
+    return cells, mixtures, error
 
 
 def rho_total(

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -667,9 +666,8 @@ class TestSvgOutputs:
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
         out.mkdir()
         rho = self._infinite_entry(config)
-        everywhere = np.arange(rho.entries.size)
-        chunk = [nullcontext], rho.entries.reshape(1, -1)
-        monkeypatch.setattr(pair_state, "mixture_sweep", lambda *args: (everywhere, iter([chunk])))
+        sweep = np.arange(rho.entries.size), rho.entries.reshape(1, -1), None
+        monkeypatch.setattr(pair_state, "mixture_sweep", lambda *args: sweep)
         with pytest.raises(ValueError, match="cannot colour NaN"), np.errstate(invalid="ignore"):
             cli.cmd_dm(config)
         assert os.listdir(out) == ["dm_0.3_10.json"]

@@ -1,8 +1,8 @@
 """The mixture sweep and the stacked fidelity sweep against the one-point route.
 
 ``pair_state.mixture_sweep`` forms each mixture only at the cells where it
-can be nonzero, a chunk of points at a time; each must equal, bit for bit,
-the full one-shot mixture at that point.  ``fidelity_curve`` takes their
+can be nonzero, every point in one pass; each must equal, bit for bit, the
+full one-shot mixture at that point.  ``fidelity_curve`` takes their
 fidelities in stacked numpy.  Each value must equal, bit for bit,
 ``fidelity`` of the full one-shot mixture at that point, and the sweep must
 fail exactly where the one-shot route first fails, with the same error.
@@ -32,6 +32,7 @@ from sled_oam import (
     spectral,
 )
 from sled_oam.config import load_config
+from sled_oam.pair_state import CLOCKWISE
 
 BASIS = OamPairBasis.from_l_values([0, 1, 2])
 WINDING = 2
@@ -43,13 +44,11 @@ QUAD = KQuadrature(nodes=256)
 
 @pytest.mark.parametrize("l_max", [3, 6])
 def test_fig3_sweep_equals_one_shot_fidelities(l_max):
-    # 13 x 2 points: one full chunk and a chunk of two
     temps = ",".join(f"{0.07 * i:g}" for i in range(1, 14))
     config = load_config(
         "fig3",
         [f"emission.l_max={l_max}", f"grid.temperatures={temps}", "emission.enhancements=10,100"],
     )
-    assert len(config.grid.temperatures) * len(config.enhancements) % pair_state.MIXTURE_CHUNK
     basis = config.basis
     args = (config.winding, basis, config.geometry, config.detuning_for_dm)
     table = fidelity_curve(
@@ -66,6 +65,16 @@ def test_fig3_sweep_equals_one_shot_fidelities(l_max):
                 *args, t, config.junction, CoherenceParams(enh), config.grid.k_integration
             )
             assert table.values[i, j] == fidelity(rho, target)
+
+
+@pytest.mark.parametrize("temps, enhancements", [((), ENHANCEMENTS), (TEMPS, ())])
+def test_an_empty_sweep_has_no_rows_and_no_error(junction, geometry, temps, enhancements):
+    table = fidelity_curve(temps, enhancements, WINDING, BASIS, geometry, D, junction, QUAD)
+    assert table.values.shape == (len(temps), len(enhancements))
+    cells, mixtures, error = pair_state.mixture_sweep(
+        CLOCKWISE, WINDING, BASIS, geometry, (), D, temps, enhancements, junction, QUAD
+    )
+    assert mixtures.shape == (0, len(cells)) and error is None
 
 
 def test_the_sweep_builds_no_density_matrix(junction, geometry, monkeypatch):
@@ -113,9 +122,10 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
     """
     basis, ls, q, block = state
     n = len(basis)
-    cells, sweep = pair_state.mixture_sweep(
+    cells, swept, error = pair_state.mixture_sweep(
         q, ls, basis, geometry, block, D, TEMPS, enhancements, junction, QUAD
     )
+    assert error is None
     assert np.array_equal(cells, np.unique(cells))
     assert set(np.arange(n) * (n + 1)) | set((block[:, None] * n + block).ravel()) <= set(cells)
     coherent = pair_state.rho_superposition(q, ls, basis, geometry)
@@ -126,7 +136,6 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
         for s_cp, s_bqp in rates
         for enh in enhancements
     ]
-    swept = np.concatenate([values for _, values in sweep])
     assert len(swept) == len(full)
     rows, cols = np.divmod(cells, n)
     transposed = np.searchsorted(cells, cols * n + rows)

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sled_oam import (
     ContractError,
@@ -18,7 +20,7 @@ from sled_oam import (
     mixing_rates,
     sqrtm_psd,
 )
-from sled_oam import metrics
+from sled_oam import metrics, pair_state
 from sled_oam.config import load_config
 
 
@@ -77,6 +79,21 @@ class TestEigh:
         # one such matrix rejects a whole stack
         with pytest.raises(ContractError, match="not Hermitian"):
             eigh(np.array([random_hermitian(rng, 4), a]))
+
+    @pytest.mark.parametrize("size, skew, hermitian", [(1e3, 1e-8, False), (1e-20, 1e-25, True)])
+    def test_eigh_and_the_density_matrix_share_one_hermiticity_rule(self, size, skew, hermitian):
+        """max |a - a^H| <= 1e-12 * max(1, max |a|) for each matrix, relative above
+        entries of 1 and absolute below."""
+        a = np.full((2, 2), size, dtype=complex)
+        a[0, 1] += skew
+        basis = line_basis(2)
+        stack = np.array([np.eye(2), a])
+        for check in (eigh, lambda m: PairDensityMatrix(basis, m), lambda m: eigh(stack)):
+            if hermitian:
+                check(a)
+            else:
+                with pytest.raises(ContractError, match=f"^{pair_state._NOT_HERMITIAN}$"):
+                    check(a)
 
     def test_non_finite_entry_rejected(self):
         a = np.eye(3, dtype=complex)
@@ -148,7 +165,12 @@ class TestSqrtmPsd:
         with pytest.raises(ContractError):
             sqrtm_psd(np.diag([1.0, -1e-8]).astype(complex))
 
-    def test_a_stack_is_rooted_matrix_by_matrix(self, rng):
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 300), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(count=300, n=5, seed=0)
+    def test_a_stack_is_rooted_matrix_by_matrix(self, count, n, seed):
+        """Bit for bit as alone, also at the 285 points a fidelity sweep roots at once."""
+        rng = np.random.default_rng(seed)
         # with one floor for the stack, 1e-12 of A's largest eigenvalue, all of
         # B's eigenvalues would count as rank noise and B's root would be 0
         a = random_density(rng, 3, rank=2) * 7.0
@@ -157,6 +179,12 @@ class TestSqrtmPsd:
         assert np.abs(roots[1]).max() > 0.0
         assert np.array_equal(roots[0], sqrtm_psd(a))
         assert np.array_equal(roots[1], sqrtm_psd(b))
+        # drawn ranks, and scales 16 decades apart within one stack
+        ranks, scales = rng.integers(1, n + 1, count), 10.0 ** rng.uniform(-14, 2, count)
+        stack = np.array([random_density(rng, n, int(r)) * s for r, s in zip(ranks, scales)])
+        roots = sqrtm_psd(stack)
+        for root, m in zip(roots, stack, strict=True):
+            assert root.tobytes() == sqrtm_psd(m).tobytes()
 
     def test_a_stack_names_its_first_matrix_that_is_not_psd(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-8]), np.diag([-1.0, 1.0])]).astype(complex)

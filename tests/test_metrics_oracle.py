@@ -41,8 +41,8 @@ from sled_oam import (
 )
 from sled_oam import metrics
 from sled_oam.config import load_config
-from sled_oam.metrics import _check_hermitian, sqrtm_psd
-from sled_oam.pair_state import PairDensityMatrix
+from sled_oam.metrics import sqrtm_psd
+from sled_oam.pair_state import PairDensityMatrix, check_hermitian
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -50,7 +50,7 @@ MAX_SWEEPS = 100
 
 def full_loop_eigh(a: np.ndarray) -> HermitianEigen:
     """``metrics.eigh`` on one matrix, as it was before it took stacks."""
-    a = _check_hermitian(a)
+    a = check_hermitian(a)
     n = a.shape[0]
     work = a.copy()
     vecs = np.eye(n, dtype=complex)

@@ -218,12 +218,11 @@ class TestMixingRates:
         coherent = pair_state.rho_cp(1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
-        cells, sweep = pair_state.mixture_sweep(
+        cells, mixtures, error = pair_state.mixture_sweep(
             CLOCKWISE, 1, basis, geometry, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
-        [(_, chunk)] = sweep
-        assert len(chunk) == 2
-        for values, enh in zip(chunk, (50.0, 100.0)):
+        assert error is None and len(mixtures) == 2
+        for values, enh in zip(mixtures, (50.0, 100.0)):
             expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
             # bit for bit, the zeros' signs included, with +0.0 where nothing is held
             dense = np.zeros(expected.shape, dtype=complex)
@@ -231,27 +230,30 @@ class TestMixingRates:
             assert dense.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_a_failing_point_raises_after_the_chunk_before_it(
+    def test_a_failing_point_returns_the_rows_before_it_and_its_located_error(
         self, junction, geometry, fast_quad, monkeypatch, failing
     ):
-        """An infinite coherent rate at temperature ``failing``: the sweep yields one
-        chunk of the points before it, then raises that point's error."""
+        """An infinite coherent rate at temperature ``failing``: the sweep returns
+        the rows of the points before it, each its one-shot mixture, and that
+        point's error with the point appended."""
         basis = OamPairBasis.full(1)
         temps, enhancements = (0.3, 0.7), (10.0, 100.0)
         rates = mixing_rates(5.0, temps, junction, fast_quad)
         rates[failing] = (math.inf, rates[failing][1])
         monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
-        _, sweep = pair_state.mixture_sweep(
+        cells, mixtures, error = pair_state.mixture_sweep(
             CLOCKWISE, 1, basis, geometry, (), 5.0, temps, enhancements, junction, fast_quad
         )
-        contexts, values = next(sweep)
-        before = [(t, enh) for t in temps[:failing] for enh in enhancements]
-        assert [context.args for context in contexts] == before
-        assert len(values) == len(before)
-        with pytest.raises(DegenerateMixtureError, match="total rate is not finite") as raised:
-            next(sweep)
-        assert str(raised.value).endswith(f" (at t={temps[failing]}, enhancement=10.0)")
-        assert next(sweep, None) is None
+        before = [(r, enh) for r in rates[:failing] for enh in enhancements]
+        assert len(mixtures) == len(before)
+        coherent = pair_state.rho_cp(1, basis, geometry)
+        incoherent = pair_state.rho_bqp(basis, geometry)
+        for values, ((s_cp, s_bqp), enh) in zip(mixtures, before):
+            expected = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp).entries
+            assert values.tobytes() == expected.ravel()[cells].tobytes()
+        assert isinstance(error, DegenerateMixtureError)
+        assert str(error).startswith("total rate is not finite")
+        assert str(error).endswith(f" (at t={temps[failing]}, enhancement=10.0)")
 
     def test_coherent_share_monotone_in_enhancement(self, junction, fast_quad):
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
