@@ -124,9 +124,11 @@ def gap_at_temperature(sc: SuperconductorParams, t: float) -> float:
 def quasiparticle_energy(xi, delta, out=None):
     """Bogoliubov quasiparticle energy sqrt(delta^2 + xi^2), meV, written to ``out`` if given.
 
-    Accepts scalars or arrays; ``delta`` must be non-negative.
+    Accepts scalars or arrays; ``delta`` must be non-negative (a NaN passes).
     """
-    if np.any(np.asarray(delta) < 0):
+    # a float gap, as every band-table refill passes, needs no array for its check
+    negative = delta < 0 if isinstance(delta, float) else np.any(np.asarray(delta) < 0)
+    if negative:
         raise DomainError("delta must be non-negative")
     return np.hypot(xi, delta, out=out)
 

@@ -44,8 +44,10 @@ class HermitianEigen:
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    # one np.linalg.norm per matrix, so each norm rounds as for that matrix alone
-    return np.array([float(np.linalg.norm(m)) for m in stack])
+    """Frobenius norm of each matrix of a stack ``(k, n, n)``; 0.0 for 0 x 0 matrices."""
+    squares = np.square(stack.real).sum(axis=(-2, -1))
+    squares += np.square(stack.imag).sum(axis=(-2, -1))
+    return np.sqrt(squares)
 
 
 def eigh(a: np.ndarray) -> HermitianEigen:
@@ -62,7 +64,8 @@ def eigh(a: np.ndarray) -> HermitianEigen:
     their angles are computed elementwise with the scalar loop's operations
     in its order (``np.hypot`` of the parts is the scalar ``abs``, and
     broadcast complex products and complex-by-real quotients round as the
-    scalar ones do).  Norms are taken one matrix at a time.
+    scalar ones do).  The Frobenius norms of the convergence test are taken
+    for the whole stack at once.
     """
     a = pair_state.check_hermitian(a)
     n = a.shape[-1]

@@ -41,7 +41,9 @@ and ``rate_surfaces`` (a grid) are thin callers of it, on one thread.
 Every factor of the kernels that does not depend on the detuning (the pair
 weight, the four occupation products, the four quasiparticle numerators) is
 rebuilt once per temperature, in place, so a detuning costs only the four
-denominators and eight divisions per sign.  Those factors keep the operand
+denominators at +|d| and sixteen divisions: each denominator at -|d| is
+minus the conjugate of one at +|d|, so K(-d) is read off the same four
+arrays (see ``_BandTables``).  Those factors keep the operand
 order of the full per-detuning expressions on purpose: the rates stay bit
 for bit what the unhoisted kernels give, which ``tests/test_properties.py``
 checks against a verbatim copy of them, for fresh and for refilled tables.
@@ -146,15 +148,9 @@ class RateSurface:
 # on AVX-512 hardware, which loads whole cache lines.
 _PAGE = 4096
 
-# The four poles d -+ E^n -+ E^p + i Gamma (mm, mp, pm, pp): how each builds
-# its denominator from the two band energies and how its pair term joins the
-# running pair sum (the first term starts it).
-_POLES = (
-    (np.subtract, np.subtract, None),
-    (np.subtract, np.add, np.subtract),
-    (np.add, np.subtract, np.subtract),
-    (np.add, np.add, np.add),
-)
+# How the pair term of each pole (mm, mp, pm, pp) joins the running pair sum;
+# the first term starts it.
+_JOINS = (None, np.subtract, np.subtract, np.add)
 
 
 def _aligned_arrays(nodes: int, dtypes) -> list:
@@ -192,24 +188,40 @@ class _BandTables:
     operation anyway.  The kernels and the trapezoid sums run in place in
     work arrays held here, one ufunc call per operation of the full
     expressions, in their order (the trapezoid's exact halving is folded into
-    the stored step), so the rates are bit for bit those of evaluating the
-    full expressions at every detuning with ``np.trapezoid``.  No call casts
+    the stored step, and K(-d) comes from K(d)'s denominators as below), so
+    the rates are bit for bit those of evaluating the full expressions at
+    every detuning with ``np.trapezoid``.  No call casts
     an array, so none needs a buffer of its own, and ``fill`` writes its
     intermediate arrays into float views of the kernels' work arrays, so
     neither a refill nor a detuning allocates.  Every array starts on a page
     (see ``_aligned_arrays``).  With ``quad.verify`` the table also holds the
     weights of the two rules that ``halved_rates`` applies.
+
+    ``rates`` writes the four denominators den_mm, den_mp, den_pm, den_pp =
+    d -+ E^n -+ E^p + i Gamma at d into four work arrays and takes
+    K(-d) from them by two identities, exact up to the signs of zeros:
+
+    * den_i(-d) = -conj(den_si(d)), where s swaps mm with pp and mp with pm,
+      since (-d) -+ E^n = -(d +- E^n) exactly;
+    * w / (-conj D) = -conj(w / D) for a real w, in numpy's Smith division.
+
+    Negation and conjugation pass unchanged through the left-to-right sums
+    and the real ``uv`` product, so K(-d) is -conj of the kernels with the
+    weights in mm, mp, pm, pp order over the denominators in pp, pm, mp, mm
+    order, and K(d) + K(-d) = K(d) - conj of those.  No later step sees the
+    sign of a zero: a zero term adds nothing and the rates square moduli.
     """
 
     def __init__(self, jp: bcs.JunctionParams, quad: KQuadrature):
         self._jp = jp
         nodes = quad.nodes
-        arrays = _aligned_arrays(nodes, (np.float64,) * 7 + (np.complex128,) * 16)
+        arrays = _aligned_arrays(nodes, (np.float64,) * 7 + (np.complex128,) * 19)
         self.e_n, self.e_p, self.half_dx, self._xi_n, self._xi_p, self._near, self._mag = arrays[:7]
-        self.uv, self._half_dx_complex, self._den, self._term = arrays[7:11]
-        self.pair_weights = tuple(arrays[11:15])
-        self.qp_weights = tuple(arrays[15:19])
-        self._sums = arrays[19:]
+        self.uv, self._half_dx_complex, self._term = arrays[7:10]
+        self.pair_weights = tuple(arrays[10:14])
+        self.qp_weights = tuple(arrays[14:18])
+        self._dens = tuple(arrays[18:22])
+        self._sums = arrays[22:]
 
         mu_n = jp.conduction.quasi_fermi_level
         mu_p = jp.valence.quasi_fermi_level
@@ -230,14 +242,15 @@ class _BandTables:
         self._pair_real = [w.real for w in self.pair_weights]
         self._qp_real = [w.real for w in self.qp_weights]
         # fill's intermediates: float views of the work arrays that only the
-        # kernels write, never of _den, whose imaginary part is set once below
+        # kernels write, never of _dens, whose imaginary parts are set once below
         self._scratch = [
             half for w in (*self._sums, self._term) for half in w.view(np.float64).reshape(2, nodes)
         ]
         self.gamma = jp.broadening
         # den = near + i Gamma adds the imaginary parts 0.0 (near cast to
         # complex) and Gamma at every node and detuning, so they are set once
-        self._den.imag = 0.0 + (1j * self.gamma).imag
+        for den in self._dens:
+            den.imag = 0.0 + (1j * self.gamma).imag
         dos = bcs.dos_2d_per_mev_um2(jp.conduction.effective_mass)
         self.patch_states = dos * quad.patch_area_um2
         if quad.verify:
@@ -301,24 +314,21 @@ class _BandTables:
                 (u2_n, u2_p, f_n, f_p),
             ),
         ):
-            np.multiply(a, b, out=slot)
-            np.multiply(slot, c, out=slot)
-            np.multiply(slot, e, out=slot)
+            # the products run contiguously; only the last one writes the strided real part
+            np.multiply(a, b, out=self._near)
+            np.multiply(self._near, c, out=self._near)
+            np.multiply(self._near, e, out=slot)
 
-    def _kernels(self, d_mev: float, pair: np.ndarray, quasiparticle: np.ndarray) -> None:
-        """Pair and quasiparticle kernels at one signed detuning (meV), written in place.
+    def _kernels(self, dens, pair: np.ndarray, quasiparticle: np.ndarray) -> None:
+        """Pair and quasiparticle kernels over four denominators, written in place.
 
-        Term by term ``uv * (w_mm/den_mm - w_mp/den_mp - w_pm/den_pm + w_pp/den_pp)``
-        and ``q_mm/den_mm + q_mp/den_mp + q_pm/den_pm + q_pp/den_pp``, summed left
-        to right, with ``den = d -+ E^n -+ E^p + i Gamma``.
+        Term by term ``uv * (w_mm/den_0 - w_mp/den_1 - w_pm/den_2 + w_pp/den_3)``
+        and ``q_mm/den_0 + q_mp/den_1 + q_pm/den_2 + q_pp/den_3``, summed left to
+        right.
         """
-        ig_real = (1j * self.gamma).real
-        near, den, term = self._near, self._den, self._term
-        poles = zip(_POLES, self.pair_weights, self.qp_weights)
-        for (op_n, op_p, join), w, q in poles:
-            op_n(d_mev, self.e_n, out=near)
-            op_p(near, self.e_p, out=near)
-            np.add(near, ig_real, out=den.real)
+        term = self._term
+        terms = zip(_JOINS, self.pair_weights, self.qp_weights, dens)
+        for join, w, q, den in terms:
             if join is None:
                 np.divide(w, den, out=pair)
                 np.divide(q, den, out=quasiparticle)
@@ -343,14 +353,30 @@ class _BandTables:
         return s.sum()
 
     def rates(self, d_delta0: float, delta0: float) -> "tuple[float, float]":
-        """Raw (coherent, incoherent) rates; each kernel is K(d) + K(-d), so even in d."""
+        """Raw (coherent, incoherent) rates; each kernel is K(d) + K(-d), so even in d.
+
+        K(-d) is -conj of the kernels over the same four denominators in
+        reverse order (see the class docstring).
+        """
         d = d_delta0 * delta0
         pair, qp, pair_minus, qp_minus = self._sums
-        self._kernels(d, pair, qp)
-        self._kernels(-d, pair_minus, qp_minus)
-        np.add(pair, pair_minus, out=pair)
+        mm, mp, pm, pp = self._dens
+        # d - E^n and d + E^n, each shared by two poles; den's real part is
+        # written directly, as near + 0.0 is near (E^p > 0, so near is never -0.0)
+        near_minus, near_plus = self._near, self._mag
+        np.subtract(d, self.e_n, out=near_minus)
+        np.add(d, self.e_n, out=near_plus)
+        np.subtract(near_minus, self.e_p, out=mm.real)
+        np.add(near_minus, self.e_p, out=mp.real)
+        np.subtract(near_plus, self.e_p, out=pm.real)
+        np.add(near_plus, self.e_p, out=pp.real)
+        self._kernels(self._dens, pair, qp)
+        self._kernels(self._dens[::-1], pair_minus, qp_minus)
+        np.conjugate(pair_minus, out=pair_minus)
+        np.subtract(pair, pair_minus, out=pair)
         pair_sum = self._trapezoid(pair, self._half_dx_complex, self._term)
-        np.add(qp, qp_minus, out=qp)
+        np.conjugate(qp_minus, out=qp_minus)
+        np.subtract(qp, qp_minus, out=qp)
         np.abs(qp, out=self._mag)
         np.square(self._mag, out=self._mag)
         qp_sum = self._trapezoid(self._mag, self.half_dx, self._near)

@@ -75,6 +75,16 @@ class TestQuasiparticleEnergy:
         with pytest.raises(DomainError):
             quasiparticle_energy(1.0, -0.5)
 
+    @pytest.mark.parametrize("delta", [np.float64(-0.5), -1, np.array([0.5, -0.5])], ids=repr)
+    def test_a_negative_numpy_int_or_array_gap_is_rejected(self, delta):
+        with pytest.raises(DomainError, match="non-negative"):
+            quasiparticle_energy(np.array([1.0, 2.0]), delta)
+
+    def test_a_nan_gap_passes_through(self):
+        assert math.isnan(quasiparticle_energy(1.0, math.nan))
+        energies = quasiparticle_energy(np.array([1.0, 1.0]), np.array([0.5, math.nan]))
+        assert energies[0] == math.hypot(1.0, 0.5) and math.isnan(energies[1])
+
 
 class TestCoherenceFactors:
     def test_symmetry_point(self):

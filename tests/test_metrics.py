@@ -112,8 +112,16 @@ class TestEigh:
         out1 = eigh(np.array([[2.5]], dtype=complex))
         assert out1.eigenvalues[0] == 2.5
 
+    def test_stacked_norms_agree_with_one_norm_per_matrix(self, rng):
+        stack = np.array([random_hermitian(rng, 5) * scale for scale in (1e-150, 1.0, 1e150)])
+        expected = [np.linalg.norm(m) for m in stack]
+        assert np.allclose(metrics._frobenius_norms(stack), expected, rtol=1e-15, atol=0.0)
+        for shape in ((0, 3, 3), (2, 0, 0), (0, 0, 0)):
+            norms = metrics._frobenius_norms(np.zeros(shape, dtype=complex))
+            assert norms.shape == shape[:1] and not norms.any()
+
     def test_empty_matrices(self):
-        for shape in ((0, 0), (2, 0, 0)):
+        for shape in ((0, 0), (2, 0, 0), (0, 3, 3)):
             out = eigh(np.zeros(shape, dtype=complex))
             assert out.eigenvalues.shape == shape[:-1]
             assert out.eigenvectors.shape == shape

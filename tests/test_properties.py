@@ -219,6 +219,12 @@ class _ReferenceTables:
     dephasing_time_fs=st.floats(10.0, 1e4),
     nodes=st.integers(64, 512),
 )
+# the occupation products underflow to +0.0, so whole terms are zeros
+@example(detunings=[2.0, -0.5], t=0.01, gap_scales=(1.0, 1.0), dephasing_time_fs=1000.0, nodes=4096)
+# -d is -0.0
+@example(detunings=[0.0], t=0.5, gap_scales=(1.0, 1.0), dephasing_time_fs=1000.0, nodes=4096)
+# Gamma = 66 meV: |Re den| < Gamma at most nodes, so the division takes both branches
+@example(detunings=[0.0, 3.0], t=0.3, gap_scales=(1.0, 1.0), dephasing_time_fs=10.0, nodes=4096)
 def test_band_table_rates_equal_the_unhoisted_kernels(
     detunings, t, gap_scales, dephasing_time_fs, nodes
 ):

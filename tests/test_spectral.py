@@ -140,6 +140,55 @@ class TestNonFiniteRates:
             rate_surfaces(SMALL_GRID, junction)
 
 
+def _bits_up_to_zero_signs(z: np.ndarray) -> bytes:
+    # adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is
+    return (z + 0.0).tobytes()
+
+
+class TestConjugateIdentities:
+    """The two identities by which ``_BandTables.rates`` takes K(-d) from the
+    denominators at +d, bit for bit up to the signs of zeros."""
+
+    def test_each_denominator_at_minus_d_is_minus_the_conjugate_of_its_partner(self):
+        rng = np.random.default_rng(0)
+        gamma = 0.66
+        e_n = np.append(rng.uniform(0.0, 60.0, 4000), 1.5)
+        e_p = np.append(rng.uniform(0.0, 10.0, 4000), 2.0)
+        for d in (0.0, 3.5, rng.uniform(0.0, 12.0)):
+            # d = 0.0 makes -d = -0.0; d = 3.5 puts d - E^n - E^p at +0.0 on the last node
+            plus, minus = (
+                [
+                    sign - e_n - e_p + 1j * gamma,
+                    sign - e_n + e_p + 1j * gamma,
+                    sign + e_n - e_p + 1j * gamma,
+                    sign + e_n + e_p + 1j * gamma,
+                ]
+                for sign in (d, -d)
+            )
+            for den, partner in zip(minus, reversed(plus)):
+                expected = np.negative(np.conjugate(partner))
+                assert _bits_up_to_zero_signs(den) == _bits_up_to_zero_signs(expected)
+
+    def test_a_real_weight_over_minus_the_conjugate_is_minus_the_conjugate_quotient(self):
+        rng = np.random.default_rng(1)
+        n = 20000
+        gamma = np.exp(rng.uniform(-8.0, 5.0, n))
+        # Re D from 1e-3 to 1e3 of Gamma, either sign, plus |Re D| = Gamma and Re D = 0
+        real = gamma * np.exp(rng.uniform(-7.0, 7.0, n)) * rng.choice((-1.0, 1.0), n)
+        real[:100] = gamma[:100]
+        real[100:200] = 0.0
+        den = real + 1j * gamma
+        # real weights stored as complex, with zeros and tiny values among them
+        w = np.zeros(n, dtype=complex)
+        w.real = rng.normal(size=n) * np.exp(rng.uniform(-300.0, 300.0, n))
+        w.real[::7] = 0.0
+        first_branch = np.abs(den.real) >= np.abs(den.imag)
+        assert first_branch.any() and not first_branch.all()
+        lhs = w / np.negative(np.conjugate(den))
+        rhs = np.negative(np.conjugate(w / den))
+        assert _bits_up_to_zero_signs(lhs) == _bits_up_to_zero_signs(rhs)
+
+
 class TestRateSurface:
     def test_shape_and_finiteness(self, junction):
         surface = rate_surfaces(SMALL_GRID, junction)[0]
