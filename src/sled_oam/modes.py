@@ -10,26 +10,25 @@ radial nodes, so the Laguerre polynomial of the profile is 1.  Profiles are
 normalized so that the full-plane overlap of a mode with itself is exactly 1
 (the azimuthal 2*pi is factored out throughout).  A profile, and so every
 overlap, depends on l only through |l|, bit for bit.
-``kappa`` keeps no cache of overlaps: each call integrates afresh, and a
-caller that needs many overlaps (``pair_state``) computes each distinct one
-once.  The profile values its integrand samples are shared, though, through
-a bounded cache keyed by (|l|, waist, r), so the overlaps of one table
-evaluate each profile once at every point their quadratures have in common.
 
-The quadrature samples one radius at a time, so ``lg_radial`` evaluates a
-Python-number radius in plain float arithmetic (only the exponential goes
-through numpy), with the operations and operand order of its array path:
-each value is the float that 0-d numpy arithmetic gives, without the 0-d
-arrays, which cost several times the formula itself.  The cache still pays:
-without it an l_max = 6 table would evaluate about five times as many
-points.
+``kappa`` keeps no cache: each call integrates afresh, and a caller that
+needs many overlaps (``pair_state``) passes all its |l| pairs in one call.
+They are integrated together, in one adaptive Simpson sweep whose intervals
+each take the recursive rule's operations in their order, so each overlap,
+and each error, is the one the recursion gives for its pair alone.
+
+The quadrature's profiles come from ``_profile``, which gives each value as
+the float that plain float arithmetic gives for ``lg_radial``'s formula.
+The power goes through Python's ``**`` (the C library's ``pow``), since
+numpy's array power may round differently; the rest is numpy array
+arithmetic, whose exponential equals its scalar one.  ``lg_radial`` takes
+that path for a Python-number radius and the numpy formula for an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +36,13 @@ from .errors import ConvergenceError, DomainError
 
 MAX_OAM = 12
 KAPPA_REL_TOL = 1e-10
-# profile values kept for reuse across overlaps: an l_max = 6 table samples
-# 1147 distinct points, an l_max = 12 one 4681 on the default annulus
-PROFILE_CACHE_POINTS = 8192
+# open intervals refined per sweep step: an l_max = 6 table on the default
+# annulus refines at most 534 at once, wider annuli and larger tables more
+SWEEP_BATCH = 1024
+# sqrt(1/|l|!) of the profile normalization, by |l|
+_ROOT_INV_FACTORIALS = np.array([math.sqrt(1 / math.factorial(l)) for l in range(MAX_OAM + 1)])
+# the rows of a sweep's frontier, which has one column per open interval
+_WHICH, _X0, _X2, _F0, _F1, _F2, _WHOLE, _TOL, _DEPTH, _NODE = range(10)
 
 
 @dataclass(frozen=True)
@@ -73,31 +76,40 @@ def lg_radial(l: int, waist: float, r):
 
     u(r) = (2/w) sqrt(1/|l|!) (sqrt(2) r/w)^|l| exp(-r^2/w^2),
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
-    A Python-number radius gives a float, computed in plain float arithmetic
-    with ``np.exp`` the one numpy call; arrays take the same formula in numpy.
+    A Python-number radius gives the float of ``_profile``; arrays take the
+    same formula in numpy.
     """
     la = abs(l)
     if la > MAX_OAM:
         raise DomainError(f"OAM {l} outside supported range |l| <= {MAX_OAM}")
     if isinstance(r, (int, float)):  # numpy's float64 is a float
-        r = float(r)
-        negative = r < 0
-    else:
-        r = np.asarray(r, dtype=float)
-        negative = np.any(r < 0)
-    if negative:
+        if r < 0:
+            raise DomainError("radius must be non-negative")
+        return float(_profile(la, waist, np.array([float(r)]))[0])
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise DomainError("radius must be non-negative")
-    norm = (2.0 / waist) * math.sqrt(1 / math.factorial(la))
+    norm = (2.0 / waist) * _ROOT_INV_FACTORIALS[la]
     x = 2.0 * r * r / (waist * waist)
     val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0)
-    # a float radius (or a 0-d array) leaves a numpy float64 here
+    # a 0-d array leaves a numpy float64 here
     return val if isinstance(val, np.ndarray) else float(val)
 
 
-@lru_cache(maxsize=PROFILE_CACHE_POINTS)
-def _profile_point(abs_l: int, waist: float, r: float) -> float:
-    """``lg_radial`` at one radius, shared by every overlap that samples it."""
-    return lg_radial(abs_l, waist, r)
+def _profile(abs_l, waist: float, r: np.ndarray) -> np.ndarray:
+    """Profiles of the magnitudes ``abs_l`` at the radii ``r``, broadcast together.
+
+    Each value is the float that plain float arithmetic gives for
+    ``lg_radial``'s formula: the power takes Python's ``**`` per element and
+    the rest numpy arrays, under an ``errstate`` that lets overflow and NaN
+    pass silently, as float arithmetic does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 2.0 * r * r / (waist * waist)
+        abs_l, base = np.broadcast_arrays(abs_l, math.sqrt(2.0) * r / waist)
+        power = map(pow, base.ravel().tolist(), abs_l.ravel().tolist())
+        norm = (2.0 / waist) * _ROOT_INV_FACTORIALS[abs_l]
+        return (norm * np.fromiter(power, float, base.size).reshape(base.shape)) * np.exp(-x / 2.0)
 
 
 def _envelope_radius(abs_la: int, abs_lb: int, waist: float) -> float:
@@ -111,67 +123,142 @@ def _envelope_radius(abs_la: int, abs_lb: int, waist: float) -> float:
     return waist * math.sqrt(38.0 + 2.0 * degree)
 
 
-def _adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 32):
-    """Recursive adaptive Simpson rule with Richardson correction."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err
-        if depth >= max_depth:  # also where err or tol is NaN, which no refinement settles
-            raise ConvergenceError(
-                f"adaptive quadrature stalled on [{x0}, {x2}]",
-                coarse=whole,
-                refined=left + right + err,
-            )
-        return recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1
-        )
-
-    if hi <= lo:
-        return 0.0
-    mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
-    whole = simpson(lo, hi, f_lo, f_mid, f_hi)
-    return recurse(lo, hi, f_lo, f_mid, f_hi, whole, abs_tol, 0)
+def _simpson(x0, x2, f0, f1, f2):
+    return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def kappa(l_a: int, l_b: int, geom: AnnulusGeometry) -> float:
+def _cut(front: np.ndarray) -> np.ndarray:
+    """``front`` up to its first interval that holds a non-finite sample.
+
+    Such an interval's error estimate is not finite, and neither is that of
+    any descendant through the sample, so unless the tolerance is infinite
+    the rule stalls inside it before it reaches anything to its right.
+    """
+    bad = ~np.isfinite(front[_F0 : _F2 + 1]).all(axis=0) & (front[_TOL] != np.inf)
+    return front[:, : bad.argmax() + 1] if bad.any() else front
+
+
+def _adaptive_simpson(f, lo: float, hi: np.ndarray, abs_tol: np.ndarray, max_depth: int = 32):
+    """Adaptive Simpson rule with Richardson correction for integrand i on [lo, hi[i]].
+
+    ``f(which, r)`` gives integrand ``which[j]`` at radius ``r[j]``.  Needs
+    ``not hi <= lo``.  The open intervals of all integrands form one
+    frontier in depth-first order (by integrand, then by radius), and each
+    step refines the leftmost ``SWEEP_BATCH`` of them with one call of ``f``
+    at all their new radii.  Each interval is settled as the recursive rule
+    settles it: an error estimate within tolerance closes it with the
+    corrected sum, a failed one splits it in place with half the tolerance,
+    and at the depth limit (also where the estimate or the tolerance is
+    NaN) it stalls.  Each integral is the sum over its tree, reduced as the
+    recursion adds, and the error raised is the recursion's: the first
+    interval that must stall cuts the frontier (``_cut``), and when it
+    stalls no interval before it is open.
+    """
+    n = len(hi)
+    which = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        ends = np.full(n, lo)
+        mid = 0.5 * (lo + hi)
+        f0, f1, f2 = f(np.tile(which, 3), np.concatenate([ends, mid, hi])).reshape(3, n)
+        whole = _simpson(ends, hi, f0, f1, f2)
+        front = _cut(np.stack([which, ends, hi, f0, f1, f2, whole, abs_tol, np.zeros(n), which]))
+        # the tree of intervals, by node number: the closed leaves with their
+        # values, and each split node with its depth and the first of its two
+        # consecutive children
+        nodes, leaves, leaf_values, parents, children, depths = n, [], [], [], [], []
+        while front.shape[1]:
+            batch, rest = front[:, :SWEEP_BATCH], front[:, SWEEP_BATCH:]
+            which, x0, x2, f0, f1, f2, whole, tol, depth, node = batch
+            xm = 0.5 * (x0 + x2)
+            xl = 0.5 * (x0 + xm)
+            xr = 0.5 * (xm + x2)
+            fl, fr = f(np.tile(which.astype(int), 2), np.concatenate([xl, xr])).reshape(2, -1)
+            left = _simpson(x0, xm, f0, fl, f1)
+            right = _simpson(xm, x2, f1, fr, f2)
+            err = (left + right - whole) / 15.0
+            refined = left + right + err
+            done = abs(err) <= tol
+            split = ~done & (depth < max_depth)
+            stalled = ~(done | split)
+            if stalled.any():
+                # Nothing open precedes the first stall: each interval before
+                # it was refined whenever an ancestor of the stall was, so it
+                # too is at the depth limit, and has closed or stalled first.
+                j = stalled.argmax()
+                raise ConvergenceError(
+                    f"adaptive quadrature stalled on [{float(x0[j])}, {float(x2[j])}]",
+                    coarse=float(whole[j]),
+                    refined=float(refined[j]),
+                )
+            leaves.append(node[done])
+            leaf_values.append(refined[done])
+            halves, deeper = tol / 2.0, depth + 1
+            kids = np.stack(
+                [
+                    [which, x0, xm, f0, fl, f1, left, halves, deeper, node],
+                    [which, xm, x2, f1, fr, f2, right, halves, deeper, node],
+                ],
+                axis=-1,
+            )[:, split].reshape(10, -1)
+            kids[_NODE] = nodes + np.arange(kids.shape[1])
+            nodes += kids.shape[1]
+            parents.append(node[split])
+            children.append(kids[_NODE, ::2])
+            depths.append(depth[split])
+            front = _cut(np.concatenate([kids, rest], axis=1))
+    value = np.empty(nodes)
+    value[np.concatenate(leaves).astype(int)] = np.concatenate(leaf_values)
+    parents, children = (np.concatenate(a).astype(int) for a in (parents, children))
+    depths = np.concatenate(depths)
+    for d in range(int(depths.max(initial=-1)), -1, -1):  # bottom-up, one level at a time
+        at = depths == d
+        value[parents[at]] = value[children[at]] + value[children[at] + 1]
+    return value[:n]
+
+
+def kappa(l_a, l_b, geom: AnnulusGeometry):
     """Radial overlap of the profiles of OAM l_a and l_b over the annulus.
 
+    Two ints give a float.  Two equal-length integer arrays give the array of
+    their pairs' overlaps, integrated in one sweep, each the float a call on
+    its pair alone gives; the first pair in order that fails raises.
     Symmetric in the two modes bit for bit, since the integrand's product
     commutes; equals 1 on the diagonal when the annulus covers the full plane.
-    The integrand reads its profile values through the shared
-    ``_profile_point`` cache; a cached value is the very float ``lg_radial``
-    returns, so the result does not depend on what the cache holds.
     """
-    la, lb, waist = abs(l_a), abs(l_b), geom.waist
-    if max(la, lb) > MAX_OAM:  # checked here, as an empty annulus samples no profile
-        raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")
-    lo = geom.r_inner
+    pairs = list(zip(np.abs(l_a).ravel().tolist(), np.abs(l_b).ravel().tolist(), strict=True))
+    for la, lb in pairs:  # checked first, as an empty annulus samples no profile
+        if max(la, lb) > MAX_OAM:
+            raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")
+    lo, waist = geom.r_inner, geom.waist
     # the envelope's margin, measured from r_inner: the Gaussian falls by the
     # same factor over r^2 - r_inner^2 = envelope^2, so an annulus that lies
     # wholly past the envelope radius keeps its (tiny) overlap
-    hi = min(geom.r_outer, math.hypot(lo, _envelope_radius(la, lb, waist)))
-    if hi <= lo:
-        return 0.0
+    hi = np.array(
+        [min(geom.r_outer, math.hypot(lo, _envelope_radius(la, lb, waist))) for la, lb in pairs]
+    )
+    values = np.zeros(len(pairs))
+    live = ~(hi <= lo)  # a NaN upper limit integrates
+    if live.any():
+        la, lb = np.array(pairs)[live].T
+        hi = hi[live]
+        # scale each absolute tolerance by the L1 mass of its integrand on 513
+        # points, with no floor, so that an overlap however small is resolved
+        # to KAPPA_REL_TOL; one grid and one profile per |l| for each upper limit
+        grids, profiles, samples, products = {}, {}, [], []
+        for h, a, b in zip(hi.tolist(), la.tolist(), lb.tolist()):
+            if h not in grids:
+                grids[h] = np.linspace(lo, h, 513)
+            for l in (a, b):
+                if (h, l) not in profiles:
+                    profiles[h, l] = lg_radial(l, waist, grids[h])
+            samples.append(grids[h])
+            products.append(profiles[h, a] * profiles[h, b])
+        samples = np.stack(samples)
+        l1 = np.trapezoid(np.abs(np.stack(products)) * samples, samples, axis=-1)
 
-    def integrand(r: float) -> float:
-        return _profile_point(la, waist, r) * _profile_point(lb, waist, r) * r
+        def integrand(which, r):
+            pa, pb = _profile(np.stack([la[which], lb[which]]), waist, r)
+            return pa * pb * r
 
-    # scale the absolute tolerance by the L1 mass of the integrand, with no
-    # floor, so that an overlap however small is resolved to KAPPA_REL_TOL
-    sample = np.linspace(lo, hi, 513)
-    profiles = lg_radial(la, waist, sample) * lg_radial(lb, waist, sample)
-    l1 = float(np.trapezoid(np.abs(profiles) * sample, sample))
-    return _adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * l1)
+        values[live] = _adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * l1)
+    return values if np.ndim(l_a) else float(values[0])

@@ -176,11 +176,10 @@ class PairDensityMatrix:
 
 @lru_cache(maxsize=16)
 def _overlap_table(geom: AnnulusGeometry, magnitudes: tuple) -> np.ndarray:
-    """kappa by (|l1|, |l2|): one integral per unordered pair of ``magnitudes``."""
+    """kappa by (|l1|, |l2|): one call integrating each unordered pair of ``magnitudes`` once."""
+    l1, l2 = np.array(magnitudes)[np.array(np.triu_indices(len(magnitudes)))]
     table = np.zeros((magnitudes[-1] + 1,) * 2)
-    for i, l1 in enumerate(magnitudes):
-        for l2 in magnitudes[i:]:
-            table[l1, l2] = table[l2, l1] = kappa(l1, l2, geom)
+    table[l1, l2] = table[l2, l1] = kappa(l1, l2, geom)
     table.flags.writeable = False  # every caller of the cache gets this one array
     return table
 

@@ -145,7 +145,7 @@ class TestDm:
         calls = []
 
         def counting_kappa(a, b, geom):
-            calls.append((a, b))
+            calls.append(list(zip(np.ravel(a).tolist(), np.ravel(b).tolist())))
             return kappa(a, b, geom)
 
         pair_state._overlap_table.cache_clear()
@@ -153,9 +153,11 @@ class TestDm:
         out = str(tmp_path / "out")
         args = ["dm", "--config", write_config(tmp_path), "--out", out, "--set", "emission.l_max=6"]
         assert main(args) == 0
-        # 7 values of |l| give 28 unordered pairs, each integrated once for all matrices
-        assert len(calls) == len(set(calls)) == 28
-        assert all(0 <= a <= b for a, b in calls)
+        # 7 values of |l| give 28 unordered pairs, integrated once, in one
+        # batched call, for all matrices
+        (pairs,) = calls
+        assert len(pairs) == len(set(pairs)) == 28
+        assert all(0 <= a <= b for a, b in pairs)
 
     def test_the_sweep_builds_no_density_matrix(self, tmp_path, monkeypatch):
         built = []

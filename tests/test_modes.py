@@ -1,15 +1,16 @@
+import functools
 import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sled_oam import AnnulusGeometry, DomainError, kappa, lg_radial
 from sled_oam.errors import ConvergenceError
-from sled_oam.modes import _adaptive_simpson
+from sled_oam.modes import KAPPA_REL_TOL, MAX_OAM, _adaptive_simpson, _envelope_radius, _profile
 
 FULL_PLANE = AnnulusGeometry(r_inner=0.0, r_outer=1e3, waist=2.0)
 
@@ -49,6 +50,83 @@ def reference_lg_radial(mode: OracleMode, waist: float, r):
     if val.ndim == 0:
         return float(val)
     return val
+
+
+def float_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@functools.lru_cache(maxsize=8192)
+def oracle_profile_point(abs_l: int, waist: float, r: float) -> float:
+    return reference_lg_radial(OracleMode(0, abs_l), waist, r)
+
+
+def oracle_adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 32):
+    """The recursive rule that the batched sweep replaced, verbatim: the
+    bit-identity and error oracle of ``_adaptive_simpson``."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = f(xl)
+        fr = f(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        err = (left + right - whole) / 15.0
+        if abs(err) <= tol:
+            return left + right + err
+        if depth >= max_depth:  # also where err or tol is NaN, which no refinement settles
+            raise ConvergenceError(
+                f"adaptive quadrature stalled on [{x0}, {x2}]",
+                coarse=whole,
+                refined=left + right + err,
+            )
+        return recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1) + recurse(
+            xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1
+        )
+
+    if hi <= lo:
+        return 0.0
+    mid = 0.5 * (lo + hi)
+    f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
+    whole = simpson(lo, hi, f_lo, f_mid, f_hi)
+    return recurse(lo, hi, f_lo, f_mid, f_hi, whole, abs_tol, 0)
+
+
+def oracle_kappa(l_a: int, l_b: int, geom: AnnulusGeometry) -> float:
+    """``kappa`` of one pair as the recursion computed it, verbatim but for
+    its profiles, which are the numpy oracle's (scalar ones through a cache,
+    as the shared profile cache served them)."""
+    la, lb, waist = abs(l_a), abs(l_b), geom.waist
+    if max(la, lb) > MAX_OAM:  # checked here, as an empty annulus samples no profile
+        raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")
+    lo = geom.r_inner
+    hi = min(geom.r_outer, math.hypot(lo, _envelope_radius(la, lb, waist)))
+    if hi <= lo:
+        return 0.0
+
+    def integrand(r: float) -> float:
+        return oracle_profile_point(la, waist, r) * oracle_profile_point(lb, waist, r) * r
+
+    sample = np.linspace(lo, hi, 513)
+    profiles = reference_lg_radial(OracleMode(0, la), waist, sample) * reference_lg_radial(
+        OracleMode(0, lb), waist, sample
+    )
+    l1 = float(np.trapezoid(np.abs(profiles) * sample, sample))
+    return oracle_adaptive_simpson(integrand, lo, hi, KAPPA_REL_TOL * l1)
+
+
+def outcome(compute):
+    """The floats ``compute()`` returns, or the type, message and estimates of
+    the error it raises, as comparable bits."""
+    try:
+        return np.asarray(compute(), dtype=float).tobytes()
+    except ConvergenceError as exc:
+        return type(exc), str(exc), float_bits(exc.coarse), float_bits(exc.refined)
 
 
 def riemann_kappa(a, b, geom, nodes=1_000_000):
@@ -103,10 +181,6 @@ waists = st.floats(0.05, 100.0)
 # up to 1e4 um: beyond r/w of about 1e25 the power overflows, where the numpy
 # oracle warns and float ``**`` raises OverflowError
 radii = st.one_of(st.just(0.0), st.integers(0, 1000), st.floats(0.0, 1e4))
-
-
-def float_bits(value: float) -> bytes:
-    return np.float64(value).tobytes()
 
 
 class TestScalarProfileOracle:
@@ -267,23 +341,36 @@ class TestKappa:
             assert kappa(0, 1, geom) == 0.0
 
     def test_unreachable_tolerance_raises(self):
+        # the same stall as the recursion's, with its message and estimates
         def integrand(r):
             return lg_radial(2, 2.5, r) * lg_radial(1, 2.5, r) * r
 
-        with pytest.raises(ConvergenceError):
-            _adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-30)
+        def batched(which, r):
+            pa, pb = _profile(np.array([[2], [1]]), 2.5, r)
+            return pa * pb * r
+
+        expected = outcome(lambda: oracle_adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-30))
+        assert expected[0] is ConvergenceError
+        batched_outcome = outcome(
+            lambda: _adaptive_simpson(batched, 1.0, np.array([9.0]), np.array([1e-30]))
+        )
+        assert batched_outcome == expected
 
     def test_nan_integrand_raises_at_the_depth_limit(self):
         # a NaN error estimate never meets the tolerance; the rule must stop at
         # its first leaf at the depth limit, not walk all 2^32 of them
         calls = []
 
-        def integrand(r):
-            calls.append(r)
-            return math.nan
+        def integrand(which, r):
+            calls.extend(r.tolist())
+            return np.full(len(r), math.nan)
 
-        with pytest.raises(ConvergenceError):
-            _adaptive_simpson(integrand, 1.0, 9.0, abs_tol=1e-10)
+        expected = outcome(lambda: oracle_adaptive_simpson(lambda r: math.nan, 1.0, 9.0, 1e-10))
+        assert expected[0] is ConvergenceError
+        batched_outcome = outcome(
+            lambda: _adaptive_simpson(integrand, 1.0, np.array([9.0]), np.array([1e-10]))
+        )
+        assert batched_outcome == expected
         assert len(calls) < 100
 
     def test_overflowing_waist_raises(self):
@@ -291,6 +378,112 @@ class TestKappa:
         geom = AnnulusGeometry(4.0, 1e300, 7e299)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
             kappa(1, 1, geom)
+
+
+@st.composite
+def annuli_and_pairs(draw):
+    """A random annulus of one of six kinds, and a list of |l| pairs."""
+    kind = draw(
+        st.sampled_from(["thin", "wide", "past the envelope", "empty", "nan", "overflowing"])
+    )
+    waist = draw(st.floats(0.05, 20.0))
+    if kind == "thin":
+        r_inner = draw(st.floats(0.0, 8.0)) * waist
+        r_outer = r_inner + draw(st.floats(1e-9, 0.05)) * waist
+    elif kind == "wide":
+        r_inner = draw(st.floats(0.0, 1.0)) * waist
+        r_outer = r_inner + draw(st.floats(2.0, 12.0)) * waist
+    elif kind == "past the envelope":
+        r_inner = draw(st.floats(7.0, 15.0)) * waist
+        r_outer = r_inner + draw(st.floats(0.1, 5.0)) * waist
+    elif kind == "empty":
+        r_inner = r_outer = draw(st.floats(0.0, 10.0)) * waist
+    elif kind == "nan":
+        r_inner, r_outer = draw(st.floats(0.0, 10.0)) * waist, math.nan
+    else:
+        # w * w overflows, and so does r * r past about 1.34e154, where the
+        # profiles turn NaN: the pairs whose quadrature reaches that far stall
+        waist = draw(st.floats(1.4e154, 1e300))
+        r_inner = draw(st.floats(0.0, 1e154))
+        r_outer = r_inner + draw(st.floats(1e153, 1e300))
+    pairs = draw(st.lists(st.tuples(any_l, any_l), min_size=1, max_size=6))
+    return AnnulusGeometry(r_inner, r_outer, waist), pairs
+
+
+class TestBatchedOverlaps:
+    """One ``kappa`` call on many pairs gives, pair by pair, the recursion's
+    floats, or the error of the first pair in order that fails."""
+
+    @settings(ORACLE_SETTINGS, max_examples=60)
+    @given(case=annuli_and_pairs())
+    @example(case=(AnnulusGeometry.default(), [(0, 0), (1, -2), (12, 12), (6, 0)]))
+    @example(case=(AnnulusGeometry(4.0, 1e300, 7e299), [(1, 1), (0, 3)]))
+    @example(case=(AnnulusGeometry(0.0, 20.0, 3.0), [(12, 12), (0, 0), (-5, 7)]))
+    def test_a_batch_equals_the_recursion_pair_by_pair(self, case):
+        geom, pairs = case
+        l_a, l_b = np.array(pairs).T
+        # profiles that overflow warn in numpy and pass silently in float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = outcome(lambda: [oracle_kappa(a, b, geom) for a, b in pairs])
+            assert outcome(lambda: kappa(l_a, l_b, geom)) == expected
+        if not math.isnan(geom.r_outer) and geom.waist < 1e154:
+            assert type(expected) is bytes  # no sane annulus stalls
+
+    def test_scalars_give_a_float_and_arrays_an_array(self):
+        geom = AnnulusGeometry.default()
+        assert type(kappa(1, 2, geom)) is float
+        values = kappa(np.array([1, 0]), np.array([2, 0]), geom)
+        assert values.shape == (2,) and values.tolist() == [kappa(1, 2, geom), kappa(0, 0, geom)]
+        with pytest.raises(ValueError):
+            kappa(np.array([1, 0]), np.array([2]), geom)
+
+    def test_a_nan_outer_radius_still_integrates(self):
+        # not hi <= lo: the rule runs, its samples are NaN and it stalls
+        geom = AnnulusGeometry(4.0, math.nan, 2.0)
+        expected = outcome(lambda: oracle_kappa(0, 1, geom))
+        assert expected[0] is ConvergenceError
+        assert outcome(lambda: kappa(0, 1, geom)) == expected
+
+    @pytest.mark.parametrize(
+        "first_fails", [False, True], ids=["second stalls", "first stalls later"]
+    )
+    def test_the_first_stall_in_order_is_raised_once_the_intervals_before_it_close(
+        self, first_fails
+    ):
+        # integrand 1 is NaN from its first samples on, so it must stall while
+        # integrand 0 still refines.  The sweep finishes integrand 0 first, as
+        # the recursion did, and raises integrand 1's stall after it; unless
+        # integrand 0 meets a NaN deeper down (at r = 1, sampled by its second
+        # refinement), whose stall the recursion reached first
+        def scalar(which):
+            def integrand(r):
+                sampled[which].append(r)
+                if which == 1 or (first_fails and r == 1.0):
+                    return math.nan
+                return float(np.exp(-r) * r)
+
+            return integrand
+
+        def batched(which, r):
+            for i, x in zip(which.tolist(), r.tolist()):
+                sampled[i].append(x)
+            values = np.exp(-r) * r
+            values[(which == 1) | (first_fails & (r == 1.0))] = math.nan
+            return values
+
+        sampled = [[], []]
+        expected = outcome(
+            lambda: [oracle_adaptive_simpson(scalar(i), 0.0, 8.0, 1e-13) for i in (0, 1)]
+        )
+        recursion = sampled
+        sampled = [[], []]
+        assert outcome(
+            lambda: _adaptive_simpson(batched, 0.0, np.array([8.0, 8.0]), np.array([1e-13, 1e-13]))
+        ) == expected
+        assert expected[0] is ConvergenceError
+        if not first_fails:
+            assert sorted(sampled[0]) == sorted(recursion[0])  # integrand 0 was finished
+            assert len(recursion[0]) > 50 and len(sampled[1]) < 100
 
 
 class TestGeometry:

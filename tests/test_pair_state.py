@@ -31,7 +31,8 @@ from sled_oam import (
 
 from sled_oam.config import load_config
 from sled_oam.spectral import mixing_rates
-from test_modes import OracleMode, reference_lg_radial
+import test_modes
+from test_modes import OracleMode, oracle_kappa, reference_lg_radial
 
 FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
 
@@ -448,7 +449,7 @@ class TestSharedOverlapTable:
         calls = []
 
         def counting_kappa(a, b, geom):
-            calls.append((a, b))
+            calls.append(list(zip(np.ravel(a).tolist(), np.ravel(b).tolist())))
             return kappa(a, b, geom)
 
         pair_state._overlap_table.cache_clear()
@@ -458,11 +459,13 @@ class TestSharedOverlapTable:
         rho_cp(-1, basis, geom)
         rho_bqp(basis, geom)
         rho_superposition(QubitState.from_polar(0.6, 0.0, 0.8, 0.0), 3, basis, geom)
-        assert sorted(calls) == [(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]
+        # one batched call for all three matrices
+        assert calls == [[(0, 0), (0, 2), (0, 3), (2, 2), (2, 3), (3, 3)]]
 
 
 class TestSharedProfilePoints:
-    """The overlaps of one table share the profile values their quadratures sample."""
+    """The overlaps of one table are integrated in one sweep, which samples
+    the profiles at all their new radii at once."""
 
     @pytest.mark.parametrize(
         "geom", [AnnulusGeometry.default(), AnnulusGeometry(0.0, 20.0, 3.0)], ids=repr
@@ -470,12 +473,10 @@ class TestSharedProfilePoints:
     def test_table_entries_equal_standalone_overlaps(self, geom):
         magnitudes = tuple(range(7))
         pair_state._overlap_table.cache_clear()
-        modes._profile_point.cache_clear()
         table = pair_state._overlap_table(geom, magnitudes)
         standalone = np.zeros_like(table)
         for i, l1 in enumerate(magnitudes):
             for l2 in magnitudes[i:]:
-                modes._profile_point.cache_clear()
                 value = kappa(l1, l2, geom)
                 standalone[l1, l2] = standalone[l2, l1] = value
         assert np.array_equal(table, standalone)
@@ -488,43 +489,52 @@ class TestSharedProfilePoints:
     ):
         magnitudes = tuple(range(7))
         pair_state._overlap_table.cache_clear()
-        modes._profile_point.cache_clear()
         table = pair_state._overlap_table(geom, magnitudes)
 
         @functools.lru_cache(maxsize=None)
         def oracle_point(abs_l, waist, r):
             return reference_lg_radial(OracleMode(0, abs_l), waist, r)
 
-        monkeypatch.setattr(modes, "_profile_point", oracle_point)
+        def oracle_profile(abs_l, waist, r):
+            abs_l, r = np.broadcast_arrays(abs_l, r)
+            points = zip(abs_l.ravel().tolist(), r.ravel().tolist())
+            return np.reshape([oracle_point(l, waist, x) for l, x in points], r.shape)
+
+        monkeypatch.setattr(modes, "_profile", oracle_profile)
         pair_state._overlap_table.cache_clear()
         reference = pair_state._overlap_table(geom, magnitudes)
         pair_state._overlap_table.cache_clear()
         assert oracle_point.cache_info().misses > 1000
         assert table.tobytes() == reference.tobytes()
 
-    def test_l_max_6_table_evaluates_each_shared_point_once(self, monkeypatch):
+    def test_l_max_6_table_samples_the_recursions_radii_in_few_calls(self, monkeypatch):
+        recursion = []
+
+        def recording_simpson(f, *args):
+            return oracle_simpson(lambda r: recursion.append(r) or f(r), *args)
+
+        oracle_simpson = test_modes.oracle_adaptive_simpson
+        monkeypatch.setattr(test_modes, "oracle_adaptive_simpson", recording_simpson)
+        geom = AnnulusGeometry.default()
+        for a in range(7):
+            for b in range(a, 7):
+                oracle_kappa(a, b, geom)
+
         calls = []
-        lg_radial = modes.lg_radial
+        profile = modes._profile
 
-        def counting_lg_radial(l, waist, r):
-            calls.append(l)
-            return lg_radial(l, waist, r)
+        def recording_profile(abs_l, waist, r):
+            calls.append(r.copy())
+            return profile(abs_l, waist, r)
 
-        monkeypatch.setattr(modes, "lg_radial", counting_lg_radial)
+        monkeypatch.setattr(modes, "_profile", recording_profile)
         pair_state._overlap_table.cache_clear()
-        modes._profile_point.cache_clear()
-        pair_state._overlap_table(AnnulusGeometry.default(), tuple(range(7)))
-        # 6240 evaluations when each of the 28 overlaps sampled its own profiles
-        assert len(calls) < 1300
-
-    def test_a_cold_l_max_12_table_fits_in_the_profile_cache(self):
-        """No point of the largest table is evicted while the table is built."""
+        pair_state._overlap_table(geom, tuple(range(7)))
         pair_state._overlap_table.cache_clear()
-        modes._profile_point.cache_clear()
-        pair_state._overlap_table(AnnulusGeometry.default(), tuple(range(13)))
-        info = modes._profile_point.cache_info()
-        pair_state._overlap_table.cache_clear()
-        assert info.misses == info.currsize < info.maxsize
+        # the 28 recursions sampled 3092 radii, one integrand call each
+        assert len(recursion) == 3092
+        assert np.sort(np.concatenate(calls)).tobytes() == np.sort(recursion).tobytes()
+        assert len(calls) <= 10
 
 
 class TestPurity:
