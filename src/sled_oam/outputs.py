@@ -2,13 +2,15 @@
 
 Numbers are written in their shortest round-trip decimal form, so identical
 inputs always produce byte-identical files.  ``write_text`` performs every
-file write: it encodes each part once, writes it and feeds the same bytes to
-SHA-256, so each writer returns the digest of the bytes as written and the
-manifest lists those digests without reading any file back.  A density
-matrix comes as the cells it holds (ascending row-major indices and their
-values, +0.0 elsewhere), as a sweep holds it.  Its JSON is laid out as
-``json.dumps(to_json_dict, indent=2)`` lays it out: a cached text of ``0.0``
-cells into which only the held cells whose bits are not +0.0 are spliced.
+file write: it takes ``str`` parts, encoded once, and ``bytes`` parts as they
+are, writes each and feeds the same bytes to SHA-256, so each writer returns
+the digest of the bytes as written and the manifest lists those digests
+without reading any file back.  A density matrix comes as the cells it holds
+(ascending row-major indices and their values, +0.0 elsewhere), as a sweep
+holds it.  Its JSON is laid out as ``json.dumps(to_json_dict, indent=2)``
+lays it out, in bytes: a cached encoded header and basis block per basis,
+then per part one cached encoded template of ``0.0`` cells into which only
+the held cells whose bits are not +0.0 are spliced.
 SVG output is deliberately simple -- colored rects for heatmaps, polylines
 for curves -- and needs no external renderer.  Both heatmaps build their
 rects in ``_rects`` from held cells (every cell of a rate surface), with
@@ -48,12 +50,12 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_text(path: str, *parts: str) -> str:
-    """Write the parts one after another; return the SHA-256 hex digest of the file."""
+def write_text(path: str, *parts) -> str:
+    """Write the parts (``str`` as UTF-8, ``bytes`` as is); return the file's SHA-256 hex digest."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:
-            data = part.encode("utf-8")
+            data = part if isinstance(part, bytes) else part.encode("utf-8")
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()
@@ -74,17 +76,21 @@ def write_json(path: str, pairs, flat, values: np.ndarray) -> str:
     """
     if not pairs:  # json.dumps writes an empty list as []
         return write_text(path, '{\n  "basis": [],\n  "re": [],\n  "im": []\n}\n')
-    basis = ",\n    ".join(f"[\n      {l1},\n      {l2}\n    ]" for l1, l2 in pairs)
     return write_text(
         path,
-        '{\n  "basis": [\n    ',
-        basis,
-        '\n  ],\n  "re": [\n    ',
+        _json_head(tuple(pairs)),
         _float_rows(len(pairs), flat, values.real),
-        '\n  ],\n  "im": [\n    ',
+        b'\n  ],\n  "im": [\n    ',
         _float_rows(len(pairs), flat, values.imag),
-        "\n  ]\n}\n",
+        b"\n  ]\n}\n",
     )
+
+
+@lru_cache(maxsize=4)
+def _json_head(pairs: tuple) -> bytes:
+    """The encoded text of ``write_json`` before its first row: the basis and the "re" key."""
+    basis = ",\n    ".join(f"[\n      {l1},\n      {l2}\n    ]" for l1, l2 in pairs)
+    return f'{{\n  "basis": [\n    {basis}\n  ],\n  "re": [\n    '.encode()
 
 
 def _distinct(values: np.ndarray):
@@ -102,13 +108,13 @@ def _distinct(values: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _zero_rows(n: int) -> str:
-    """``_float_rows`` of n x n +0.0 cells; cell f = n i + j starts at 11 f + 12 i + 8."""
-    row = "[\n      " + ",\n      ".join(["0.0"] * n) + "\n    ]"
-    return ",\n    ".join([row] * n)
+def _zero_rows(n: int) -> bytes:
+    """``_float_rows`` of n x n +0.0 cells; cell f = n i + j starts at byte 11 f + 12 i + 8."""
+    row = b"[\n      " + b",\n      ".join([b"0.0"] * n) + b"\n    ]"
+    return b",\n    ".join([row] * n)
 
 
-def _float_rows(n: int, flat: np.ndarray, held: np.ndarray) -> str:
+def _float_rows(n: int, flat: np.ndarray, held: np.ndarray) -> bytes:
     """Rows of the n x n matrix of ``held`` at ascending row-major ``flat``, +0.0 elsewhere.
 
     They are laid out as ``json.dumps`` indents them under a key: the text of
@@ -121,14 +127,14 @@ def _float_rows(n: int, flat: np.ndarray, held: np.ndarray) -> str:
     spliced = bits != 0
     cells = flat[spliced]
     distinct, inverse = _distinct(bits[spliced])
-    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].encode().split(b", ")
     starts = (11 * cells + 12 * (cells // n) + 8).tolist()
     ends = [0, *(start + 3 for start in starts)]
     pieces = []
     for end, start, k in zip(ends, starts, inverse.tolist()):
         pieces += (template[end:start], texts[k])
     pieces.append(template[ends[-1] :])
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
 def write_manifest(
@@ -295,7 +301,7 @@ def svg_matrix(n: int, flat, magnitudes: np.ndarray, labels, title: str) -> str:
         f'<text x="{left + size / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>\n',
     ]
-    xs = ys = [f"{left + j * cell:.2f}" for j in range(n)]  # as left == top
+    xs = ys = _coordinates(n, cell, left)  # as left == top
     dims = f'width="{cell:.2f}" height="{cell:.2f}"'
     frame = f'x="{left:.2f}" y="{top:.2f}" width="{size:.2f}" height="{size:.2f}"'
 
@@ -308,6 +314,12 @@ def svg_matrix(n: int, flat, magnitudes: np.ndarray, labels, title: str) -> str:
 
     rects = _rects(flat, magnitudes, scale, xs, ys, dims, frame)
     return "".join(parts + rects + [_axis_labels(tuple(labels), cell, left, top)])
+
+
+@lru_cache(maxsize=4)
+def _coordinates(n: int, cell: float, left: float) -> tuple:
+    """The texts of ``left + j * cell`` for j < n: ``svg_matrix``'s columns and rows."""
+    return tuple(f"{left + j * cell:.2f}" for j in range(n))
 
 
 @lru_cache(maxsize=4)

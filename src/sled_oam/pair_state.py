@@ -228,10 +228,20 @@ def rho_superposition(
     """Unnormalized pure-state matrix for a qubit superposition of current directions.
 
     The emitted state is a |+ls sector> + b |-ls sector>, each sector carrying
-    its overlap amplitudes (``_pair_vector``); the matrix is its outer product.
+    its overlap amplitudes (``_pair_vector``); the matrix is its outer product,
+    with the diagonal formed as |psi|^2 in real arithmetic (``_norms``).
     """
     psi = _pair_vector(q, ls, basis, geom)
-    return PairDensityMatrix(basis, np.outer(psi, psi.conj()))
+    rho = np.outer(psi, psi.conj())
+    np.fill_diagonal(rho, _norms(psi))
+    return PairDensityMatrix(basis, rho)
+
+
+def _norms(psi: np.ndarray) -> np.ndarray:
+    """|psi_i|^2 as re^2 + im^2: psi_i times its conjugate in numpy's complex
+    product, which may fuse a multiply and an add, can keep an imaginary
+    residue of about 1e-18.  For a real psi both give the same bits."""
+    return psi.real**2 + psi.imag**2
 
 
 def mixture(
@@ -320,6 +330,7 @@ def mixture_sweep(
     rows, cols = np.divmod(cells, n)
     diagonal = np.flatnonzero(rows == cols)
     cp = psi[rows] * psi.conj()[cols]
+    cp[diagonal] = _norms(psi)
     bqp = np.zeros(len(cells), dtype=complex)
     bqp[diagonal] = w * w
     # the traces sum the full diagonal as complex numbers, as ``np.trace`` does

@@ -211,6 +211,22 @@ class TestDm:
                     blob_b = fh.read()
                 assert blob_a == blob_b
 
+    def test_a_complex_qubit_writes_a_diagonal_without_imaginary_parts(self, tmp_path):
+        """Each |psi_i|^2 is formed in real arithmetic: numpy's complex product
+        psi_i conj(psi_i) could leave an imaginary residue of about 1e-18."""
+        out = str(tmp_path / "out")
+        qubit = ["--set", "emission.qubit_a=0.6,0.3", "--set", "emission.qubit_b=0.8,1.1"]
+        assert main(["dm", "--config", "fig3", "--out", out, *qubit]) == 0
+        names = sorted(name for name in os.listdir(out) if name.startswith("dm_"))
+        assert len(names) == 8
+        for name in names[::2]:
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                payload = json.load(fh)
+            diagonal = [row[i] for i, row in enumerate(payload["im"])]
+            assert [repr(v) for v in diagonal] == ["0.0"] * len(diagonal)
+            # the qubit populates both sectors' cross blocks with complex values
+            assert any(v != 0.0 for row in payload["im"] for v in row)
+
     def test_qubit_sign_flip_touches_cross_sector_entries_only(self, tmp_path):
         inv = repr(float(1.0 / np.sqrt(2.0)))
         path = write_config(tmp_path)

@@ -115,10 +115,11 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
     """Bit for bit, zero signs included, with +0.0 at every cell it does not hold.
 
     Each held value is the conjugate of its transpose within a few ulps of the
-    largest (numpy's complex products may fuse a multiply and an add, so the
-    diagonal of psi psi^H can carry an imaginary part of about 1e-17), far inside
-    ``HERMITICITY_TOL``: the full matrix's Hermitian checks cannot fail where
-    the values are finite.
+    largest (numpy's complex products may fuse a multiply and an add, so
+    psi_i conj(psi_j) and the conjugate of psi_j conj(psi_i) can differ in
+    their last bits), far inside ``HERMITICITY_TOL``: the full matrix's
+    Hermitian checks cannot fail where the values are finite.  The diagonal,
+    formed as re^2 + im^2, has no imaginary part at all.
     """
     basis, ls, q, block = state
     n = len(basis)
@@ -143,6 +144,7 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
         dense = np.zeros((n, n), dtype=complex)
         dense.flat[cells] = values
         assert dense.tobytes() == expected.tobytes()
+        assert np.array_equal(dense.diagonal().imag, np.zeros(n))
         skew = np.abs(values - values[transposed].conj()).max()
         assert skew <= 2.0**-50 * np.abs(values).max()
 

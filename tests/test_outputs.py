@@ -599,10 +599,16 @@ def test_write_json_of_a_sparse_density_matrix():
 
 @pytest.mark.parametrize("parts", [(), ("",), ("a,b\n", "\u00e9\u00b5", "<svg/>\n" * 3000)])
 def test_write_text_returns_the_sha256_of_the_file(parts, tmp_path):
-    path = str(tmp_path / "out.txt")
-    digest = outputs.write_text(path, *parts)
-    with open(path, "rb") as fh:
-        assert digest == hashlib.sha256(fh.read()).hexdigest()
+    """The same text as ``str`` parts, as ``bytes`` parts, or mixed: one file, one digest."""
+    encoded = [part.encode("utf-8") for part in parts]
+    mixed = [part if k % 2 else data for k, (part, data) in enumerate(zip(parts, encoded))]
+    for name, given in (("str", parts), ("bytes", encoded), ("mixed", mixed)):
+        path = str(tmp_path / name)
+        digest = outputs.write_text(path, *given)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == b"".join(encoded)
+        assert digest == hashlib.sha256(written).hexdigest()
 
 
 @pytest.mark.parametrize("rows", [[], [(1.0, -0.0)], [(0.1, 2.5e-300), (math.inf, 3)]])

@@ -404,7 +404,10 @@ def _old_rho_superposition(q, ls, basis, geom):
         psi += q.a * _old_sector_vector(basis, geom, ls)
     if q.b != 0:
         psi += q.b * _old_sector_vector(basis, geom, -ls)
-    return np.outer(psi, psi.conj())
+    rho = np.outer(psi, psi.conj())
+    # each diagonal entry is |psi_i|^2 with no imaginary rounding residue
+    rho[np.diag_indices(n)] = [x.real * x.real + x.imag * x.imag for x in psi.tolist()]
+    return rho
 
 
 def _same_outcome(new, old):

@@ -10,6 +10,7 @@ from sled_oam import (
     DomainError,
     KQuadrature,
     OamPairBasis,
+    QubitState,
     SpectralGrid,
     bcs,
     gaas_nb_junction,
@@ -262,13 +263,18 @@ class TestBroadening:
 
 
 class TestMixingRates:
-    def test_mixtures_scale_only_the_coherent_rate(self, junction, geometry, fast_quad):
+    @pytest.mark.parametrize(
+        "qubit", [CLOCKWISE, QubitState.from_polar(0.6, 0.3, 0.8, 1.1)], ids=["real", "complex"]
+    )
+    def test_mixtures_scale_only_the_coherent_rate(self, junction, geometry, fast_quad, qubit):
+        """Both channel matrices, a complex qubit's diagonal |psi_i|^2 included,
+        are formed alike in the sweep and in ``rho_superposition``."""
         basis = OamPairBasis.full(1)
-        coherent = pair_state.rho_cp(1, basis, geometry)
+        coherent = pair_state.rho_superposition(qubit, 1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
         cells, mixtures, error = pair_state.mixture_sweep(
-            CLOCKWISE, 1, basis, geometry, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
+            qubit, 1, basis, geometry, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
         assert error is None and len(mixtures) == 2
         for values, enh in zip(mixtures, (50.0, 100.0)):
