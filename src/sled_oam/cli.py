@@ -1,26 +1,35 @@
 """Command-line entry point.
 
     sled-oam rates|dm|fidelity --config <path-or-preset> [--out DIR]
-             [--log-scale] [--set section.key=value]...
+             [--log-scale] [--set section.key=value]... [-h]
+    sled-oam -h | --version
 
 ``rates`` and ``fidelity`` write CSV, ``dm`` writes JSON; ``output.svg`` adds
 the plots.
 
-Exit codes: 0 success, 1 the config is valid but no state can be formed
-(e.g. an annulus of zero area), 2 configuration error (including a setting
-outside the range that ``config`` bounds it to, which would overflow the
-rates), 3 numerical-convergence error, 4 I/O error.  Errors are reported as
-a one-line JSON record on stderr.
+The command line is read in one plain pass (``_parse``).  Options may come in
+any order after the command, as ``--opt value`` or ``--opt=value``; the last
+``--config`` and ``--out`` win and each ``--set`` applies in turn.  Options
+are spelled out in full: an abbreviation such as ``--conf`` is an
+unrecognized argument.
+
+Exit codes: 0 success (also for ``-h`` and ``--version``, which print to
+stdout), 1 the config is valid but no state can be formed (e.g. an annulus
+of zero area), 2 usage or configuration error (including a setting outside
+the range that ``config`` bounds it to, which would overflow the rates),
+3 numerical-convergence error, 4 I/O error.  A usage error prints a usage
+line and a plain-text ``sled-oam <command>: error: <message>`` line on
+stderr; every other error is reported as a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from itertools import product
+from typing import NoReturn
 
 import numpy as np
 
@@ -184,56 +193,110 @@ def cmd_fidelity(config: RunConfig) -> dict:
 
 # each command returns the SHA-256 digest of every file it wrote, by file name
 _COMMANDS = {"rates": cmd_rates, "dm": cmd_dm, "fidelity": cmd_fidelity}
+_USAGE = "usage: sled-oam [-h] [--version] {rates,dm,fidelity} ..."
+_HELP = f"""{_USAGE}
+
+Two-photon OAM emission simulator for a ring-contact superconducting LED
+
+commands:
+  rates     rate surfaces over the detuning/temperature grid
+  dm        pair density matrices per (temperature, enhancement)
+  fidelity  Bell-state fidelity versus temperature
+
+options:
+  -h, --help  show this help message and exit
+  --version   show the version and exit"""
+_COMMAND_OPTIONS = f"""options:
+  -h, --help               show this help message and exit
+  --config CONFIG          config file path or built-in preset ({", ".join(PRESET_NAMES)})
+  --out DIR                output directory (overrides output.directory)
+  --log-scale              logarithmic color scale in rate-surface SVG heatmaps
+                           (dm matrices stay linear)
+  --set SECTION.KEY=VALUE  override any config key (repeatable; flag wins over file)"""
+# the options of a command that take a value, besides the flag --log-scale.
+# --threads is accepted and ignored, as every run is on one thread: the
+# benchmark's workload command lines pass --threads 1, and ROADMAP item 1
+# removes the flag together with those command lines; the help omits it
+_VALUE_OPTIONS = ("--config", "--out", "--set", "--threads")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sled-oam",
-        description="Two-photon OAM emission simulator for a ring-contact superconducting LED",
+def _usage(command) -> str:
+    if command is None:
+        return _USAGE
+    return (
+        f"usage: sled-oam {command} [-h] --config CONFIG [--out DIR] [--log-scale]"
+        " [--set SECTION.KEY=VALUE]..."
     )
-    parser.add_argument("--version", action="version", version=f"sled-oam {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "rates": "rate surfaces over the detuning/temperature grid",
-        "dm": "pair density matrices per (temperature, enhancement)",
-        "fidelity": "Bell-state fidelity versus temperature",
-    }
-    for name, text in helps.items():
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument(
-            "--config",
-            required=True,
-            help=f"config file path or built-in preset ({', '.join(PRESET_NAMES)})",
-        )
-        cmd.add_argument("--out", help="output directory (overrides output.directory)")
-        # accepted and ignored, as every run is on one thread: the benchmark's
-        # workload command lines pass --threads 1, and ROADMAP item 1 removes
-        # the flag together with those command lines
-        cmd.add_argument("--threads", type=int, choices=(1,), help=argparse.SUPPRESS)
-        cmd.add_argument(
-            "--log-scale",
-            action="store_const",
-            const=True,
-            help="logarithmic color scale in rate-surface SVG heatmaps (dm matrices stay linear)",
-        )
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override any config key (repeatable; flag wins over file)",
-        )
-    return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> list:
-    overrides = list(args.overrides)
-    if args.out is not None:
-        overrides.append(f"output.directory={args.out}")
-    if args.log_scale is not None:
+def _usage_error(command, message: str) -> NoReturn:
+    prog = "sled-oam" if command is None else f"sled-oam {command}"
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv) -> tuple:
+    """The (command, config, overrides) of a command line, read in one pass.
+
+    Help and the version print to stdout and exit 0; a usage error prints to
+    stderr and exits 2.  Options are spelled out in full, as ``--opt value`` or
+    ``--opt=value``; a value that starts with "-" needs the second form.
+    """
+    command, given, overrides, extra = None, {}, [], []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if name in ("-h", "--help"):
+            print(_HELP if command is None else f"{_usage(command)}\n\n{_COMMAND_OPTIONS}")
+            raise SystemExit(0)
+        if command is None:
+            if name == "--version":
+                print(f"sled-oam {__version__}")
+                raise SystemExit(0)
+            if token.startswith("-"):
+                extra.append(token)
+                continue
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _usage_error(
+                    None, f"argument command: invalid choice: {token!r} (choose from {choices})"
+                )
+            command = token
+        elif name == "--log-scale":
+            if eq:
+                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            given[name] = True
+        elif name not in _VALUE_OPTIONS:
+            extra.append(token)
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    _usage_error(command, f"argument {name}: expected one argument")
+            if name == "--set":
+                overrides.append(value)
+            elif name != "--threads":
+                given[name] = value
+            else:
+                try:
+                    threads = int(value)
+                except ValueError:
+                    _usage_error(command, f"argument --threads: invalid int value: {value!r}")
+                if threads != 1:
+                    _usage_error(
+                        command, f"argument --threads: invalid choice: {threads} (choose from 1)"
+                    )
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    if "--config" not in given:
+        _usage_error(command, "the following arguments are required: --config")
+    if extra:
+        _usage_error(command, f"unrecognized arguments: {' '.join(extra)}")
+    if "--out" in given:
+        overrides.append(f"output.directory={given['--out']}")
+    if "--log-scale" in given:
         overrides.append("output.log_scale=true")
-    return overrides
+    return command, given["--config"], overrides
 
 
 def _error_record(exc: BaseException) -> None:
@@ -242,12 +305,12 @@ def _error_record(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, config_path, overrides = _parse(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
-        config = load_config(args.config, _flag_overrides(args))
+        config = load_config(config_path, overrides)
         os.makedirs(config.out_dir, exist_ok=True)
-        written = _COMMANDS[args.command](config)
+        written = _COMMANDS[command](config)
         outputs.write_manifest(
             config.out_dir,
             config.resolved,

@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sled_oam import bell_target, cli, fidelity, kappa, pair_state, spectral
+from sled_oam import __version__, bell_target, cli, fidelity, kappa, pair_state, spectral
 from sled_oam.cli import main
 from sled_oam.config import load_config
 from sled_oam.errors import DegenerateMixtureError
@@ -855,3 +857,167 @@ class TestPresets:
         files = sorted(stem + ext for stem in expected for ext in (data, ".svg"))
         assert sorted(check_manifest(out)["outputs"]) == files
         assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
+
+
+class TestCommandLine:
+    """The command line is read in one plain pass; usage errors exit 2 in plain text."""
+
+    CANONICAL = ["--set", "grid.temperatures=0.5", "--set", "output.svg=false", "--log-scale"]
+    FORMS = {
+        "equals": lambda path, out: [
+            f"--config={path}",
+            f"--out={out}",
+            "--set=grid.temperatures=0.5",
+            "--set=output.svg=false",
+            "--log-scale",
+        ],
+        "any order": lambda path, out: [
+            "--log-scale",
+            "--set",
+            "grid.temperatures=0.5",
+            "--out",
+            out,
+            "--set",
+            "output.svg=false",
+            "--config",
+            path,
+        ],
+        "last wins": lambda path, out: [
+            "--config",
+            "fig5",
+            "--out",
+            out + "_not",
+            "--set",
+            "grid.temperatures=0.9",
+            "--config",
+            path,
+            "--out",
+            out,
+            "--set",
+            "grid.temperatures=0.5",
+            "--set",
+            "output.svg=false",
+            "--log-scale",
+        ],
+        "threads 1": lambda path, out: ["--config", path, "--out", out, "--threads", "1"]
+        + TestCommandLine.CANONICAL,
+        "threads=1": lambda path, out: ["--threads=1", "--config", path, "--out", out]
+        + TestCommandLine.CANONICAL,
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_each_accepted_form_echoes_the_canonical_config(self, tmp_path, form):
+        path, out = write_config(tmp_path), str(tmp_path / "out")
+        assert main(["rates", "--config", path, "--out", out] + self.CANONICAL) == 0
+        canonical = check_manifest(out)["config"]
+        assert canonical["grid.temperatures"] == "0.5"
+        assert canonical["output.log_scale"] == "true"
+        assert canonical["output.svg"] == "false"
+        for name in os.listdir(out):
+            os.remove(os.path.join(out, name))
+        assert main(["rates"] + self.FORMS[form](path, out)) == 0
+        assert check_manifest(out)["config"] == canonical
+        assert not os.path.exists(out + "_not")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "sled-oam: error: the following arguments are required: command"),
+            (
+                ["bogus", "--config", "fig3", "--out", "OUT"],
+                "sled-oam: error: argument command: invalid choice: 'bogus'"
+                " (choose from 'rates', 'dm', 'fidelity')",
+            ),
+            (
+                ["dm", "--out", "OUT"],
+                "sled-oam dm: error: the following arguments are required: --config",
+            ),
+            (
+                ["dm", "--out", "OUT", "--config"],
+                "sled-oam dm: error: argument --config: expected one argument",
+            ),
+            (
+                ["dm", "--config", "--out", "OUT"],
+                "sled-oam dm: error: argument --config: expected one argument",
+            ),
+            (
+                ["dm", "--config", "fig3", "--out", "OUT", "--threads", "8"],
+                "sled-oam dm: error: argument --threads: invalid choice: 8 (choose from 1)",
+            ),
+            (
+                ["rates", "--config", "fig2", "--out", "OUT", "--format", "csv"],
+                "sled-oam rates: error: unrecognized arguments: --format csv",
+            ),
+            # options are spelled out in full: an abbreviation is not one of them
+            (
+                ["dm", "--conf", "fig3", "--config", "fig3", "--out", "OUT"],
+                "sled-oam dm: error: unrecognized arguments: --conf fig3",
+            ),
+            (
+                ["dm", "--config", "fig3", "--out", "OUT", "--log-scale=1"],
+                "sled-oam dm: error: argument --log-scale: ignored explicit argument '1'",
+            ),
+        ],
+    )
+    def test_a_usage_error_exits_2_in_plain_text(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([out if token == "OUT" else token for token in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: sled-oam")
+        assert error == message
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["--version"], [f"sled-oam {__version__}"]),
+            (["-h"], ["usage: sled-oam", "--version", "rates", "dm", "fidelity"]),
+            (["--help", "bogus"], ["usage: sled-oam", "--version"]),
+            (
+                ["dm", "--help"],
+                ["usage: sled-oam dm", "--config", "fig2, fig3, fig4, fig5", "--set"],
+            ),
+            (["rates", "--config", "fig2", "-h"], ["usage: sled-oam rates", "--log-scale"]),
+        ],
+    )
+    def test_help_and_version_exit_0_on_stdout(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(text in captured.out for text in shown)
+        assert "--threads" not in captured.out
+
+    def test_no_arguments_read_the_process_arguments(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["sled-oam", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"sled-oam {__version__}\n"
+
+    def test_a_run_loads_neither_argparse_nor_gettext_nor_locale(self, tmp_path):
+        # modules the interpreter loaded before the import are not the CLI's
+        argv = ["rates", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import sled_oam.cli\n"
+            f"assert sled_oam.cli.main({argv!r}) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "[]\n"
+        assert os.path.exists(tmp_path / "out" / "manifest.json")

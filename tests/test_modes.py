@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -408,6 +410,48 @@ def annuli_and_pairs(draw):
         r_outer = r_inner + draw(st.floats(1e153, 1e300))
     pairs = draw(st.lists(st.tuples(any_l, any_l), min_size=1, max_size=6))
     return AnnulusGeometry(r_inner, r_outer, waist), pairs
+
+
+class TestFrozenReferences:
+    """``kappa`` of every |l| <= 12 pair against closed-form values from mpmath.
+
+    tests/reference/kappa_reference.json holds them at 40 digits; its generator,
+    make_kappa_reference.py, sits next to it.  The bound on each annulus is the
+    largest relative error measured, rounded up about threefold: on the 0-20 um
+    disc the adaptive rule's 1e-10 relative tolerance shows (1.3e-10 at
+    |l| = 12, 12), elsewhere the error is near rounding.
+    """
+
+    BOUNDS = {
+        "default": 1e-13,  # measured 3.6e-14
+        "disc_0_20_w3": 4e-10,  # measured 1.3e-10
+        "ring_1_2.5_w1.2": 1e-12,  # measured 3.2e-13
+        "thin_4_4.01": 1e-14,  # measured 3.7e-15
+    }
+
+    @staticmethod
+    def references():
+        path = os.path.join(os.path.dirname(__file__), "reference", "kappa_reference.json")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_every_annulus_and_pair_is_covered(self):
+        table = self.references()
+        assert sorted(table) == sorted(self.BOUNDS)
+        pairs = {f"{a},{b}" for a in range(MAX_OAM + 1) for b in range(a, MAX_OAM + 1)}
+        assert all(set(entry["kappa"]) == pairs for entry in table.values())
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_batched_kappa_matches_the_references(self, name):
+        entry = self.references()[name]
+        geom = AnnulusGeometry(entry["r_inner"], entry["r_outer"], entry["waist"])
+        if name == "default":
+            assert geom == AnnulusGeometry.default()
+        pairs = [tuple(map(int, key.split(","))) for key in entry["kappa"]]
+        expected = np.array([float(value) for value in entry["kappa"].values()])
+        la, lb = np.array(pairs).T
+        for got in (kappa(la, lb, geom), kappa(lb, -la, geom)):
+            assert np.max(np.abs(got - expected) / expected) < self.BOUNDS[name]
 
 
 class TestBatchedOverlaps:

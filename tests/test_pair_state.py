@@ -670,3 +670,37 @@ class TestPurityPlateau:
     def test_at_enhancement_10_it_does_not(self):
         values = self.purities(10.0)
         assert values[0] - values[-1] > 0.1
+
+
+class TestEntanglementEdge:
+    """Where the emitted state on fig5 stops being entangled (ROADMAP item 17).
+
+    The PPT test on photon B: at enhancement 10 the partial transpose of
+    rho_total has a negative eigenvalue at t = 0.90 (negativity 0.00723) and
+    none at t = 0.91 (smallest eigenvalue +0.0251).  The bounds leave room for
+    shifts of the rates of a few 1e-4.
+    """
+
+    def partial_transpose_eigenvalues(self, t):
+        config = load_config("fig5")
+        rho = rho_total(
+            config.winding,
+            config.basis,
+            config.geometry,
+            config.detuning_for_dm,
+            t,
+            config.junction,
+            CoherenceParams(10.0),
+            config.grid.k_integration,
+        ).entries
+        index = {pair: i for i, pair in enumerate(config.basis.pairs)}
+        # rho^T_B[(x, y), (u, v)] = rho[(x, v), (u, y)]
+        rows = [[rho[index[x, v], index[u, y]] for u, v in index] for x, y in index]
+        return np.linalg.eigvalsh(np.array(rows))
+
+    def test_entangled_at_t_0_90(self):
+        values = self.partial_transpose_eigenvalues(0.90)
+        assert -values[values < 0].sum() > 0.005
+
+    def test_separable_by_ppt_at_t_0_91(self):
+        assert self.partial_transpose_eigenvalues(0.91).min() > 0.02
