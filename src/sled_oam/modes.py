@@ -21,8 +21,9 @@ The quadrature's profiles come from ``_profile``, which gives each value as
 the float that plain float arithmetic gives for ``lg_radial``'s formula.
 The power goes through Python's ``**`` (the C library's ``pow``), since
 numpy's array power may round differently; the rest is numpy array
-arithmetic, whose exponential equals its scalar one.  ``lg_radial`` takes
-that path for a Python-number radius and the numpy formula for an array.
+arithmetic, whose exponential equals its scalar one.  ``lg_radial`` has the
+one numpy formula: at a scalar radius its power is numpy's scalar power,
+which is the same ``pow``, so it gives ``_profile``'s float there too.
 """
 
 from __future__ import annotations
@@ -76,16 +77,12 @@ def lg_radial(l: int, waist: float, r):
 
     u(r) = (2/w) sqrt(1/|l|!) (sqrt(2) r/w)^|l| exp(-r^2/w^2),
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
-    A Python-number radius gives the float of ``_profile``; arrays take the
-    same formula in numpy.
+    An array radius gives an array; a scalar one gives a float, which is
+    ``_profile``'s float, since numpy's scalar power is the C library's ``pow``.
     """
     la = abs(l)
     if la > MAX_OAM:
         raise DomainError(f"OAM {l} outside supported range |l| <= {MAX_OAM}")
-    if isinstance(r, (int, float)):  # numpy's float64 is a float
-        if r < 0:
-            raise DomainError("radius must be non-negative")
-        return float(_profile(la, waist, np.array([float(r)]))[0])
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")

@@ -7,10 +7,11 @@ are, writes each and feeds the same bytes to SHA-256, so each writer returns
 the digest of the bytes as written and the manifest lists those digests
 without reading any file back.  A density matrix comes as the cells it holds
 (ascending row-major indices and their values, +0.0 elsewhere), as a sweep
-holds it.  Its JSON is laid out as ``json.dumps(to_json_dict, indent=2)``
-lays it out, in bytes: a cached encoded header and basis block per basis,
-then per part one cached encoded template of ``0.0`` cells into which only
-the held cells whose bits are not +0.0 are spliced.
+holds it.  Its JSON is the object {"basis": [[l1, l2], ...], "re": rows,
+"im": rows} as ``json.dumps(..., indent=2)`` lays it out, written in bytes:
+a cached encoded header and basis block per basis, then per part one cached
+encoded template of ``0.0`` cells into which only the held cells whose bits
+are not +0.0 are spliced.
 SVG output is deliberately simple -- colored rects for heatmaps, polylines
 for curves -- and needs no external renderer.  Both heatmaps build their
 rects in ``_rects`` from held cells (every cell of a rate surface), with
@@ -72,7 +73,9 @@ def write_json(path: str, pairs, flat, values: np.ndarray) -> str:
     """Write a density matrix over ``pairs`` as ``json.dumps(payload, indent=2)`` and a newline.
 
     The matrix holds ``values`` at the ascending row-major indices ``flat``
-    and +0.0 elsewhere; the payload is its ``PairDensityMatrix.to_json_dict``.
+    and +0.0 elsewhere.  The payload is {"basis": [[l1, l2] per pair],
+    "re": real parts, "im": imaginary parts}, each part a list of rows in
+    basis order, each float as ``json.dumps`` writes it.
     """
     if not pairs:  # json.dumps writes an empty list as []
         return write_text(path, '{\n  "basis": [],\n  "re": [],\n  "im": []\n}\n')

@@ -156,23 +156,6 @@ class PairDensityMatrix:
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": [[l1, l2] for l1, l2 in self.basis.pairs],
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PairDensityMatrix":
-        pairs = [tuple(p) for p in payload["basis"]]
-        l_max = max((max(abs(l1), abs(l2)) for l1, l2 in pairs), default=0)
-        basis = OamPairBasis(pairs, l_max)
-        entries = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
-            payload["im"], dtype=float
-        )
-        return cls(basis, entries)
-
 
 @lru_cache(maxsize=16)
 def _overlap_table(geom: AnnulusGeometry, magnitudes: tuple) -> np.ndarray:

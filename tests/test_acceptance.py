@@ -35,6 +35,7 @@ from sled_oam import (
 from sled_oam.cli import main
 from sled_oam.config import load_config
 
+from dm_json import from_json_dict
 from test_modes import riemann_kappa
 
 
@@ -275,7 +276,7 @@ def test_criterion_9_a_temperature_does_not_depend_on_the_rest_of_the_sweep(tmp_
     assert sorted_rows(forward) == sorted_rows(backward)
     assert forward != backward  # the rows did come out in the other order
 
-    rho = PairDensityMatrix.from_json_dict(json.loads(dm_full["dm_0.5_100.json"]))
+    rho = from_json_dict(json.loads(dm_full["dm_0.5_100.json"]))
     assert len(rho.basis) == 49
     for i, pi in enumerate(rho.basis.pairs):
         for j, pj in enumerate(rho.basis.pairs):

@@ -132,12 +132,18 @@ class TestFermiOccupation:
         assert fermi_occupation(e, t) == pytest.approx(INV_1_PLUS_E, rel=1e-14)
 
     def test_complement_identity(self):
+        # f + fbar = 1 within one ulp of 1, not exactly (see the docstring)
         t = 3.3
         energies = np.linspace(-40, 40, 101)
         f = fermi_occupation(energies, t)
         fb = fermi_occupation_complement(energies, t)
-        assert np.max(np.abs(f + fb - 1.0)) <= 1e-14
-        assert np.max(np.abs(f + fermi_occupation(-energies, t) - 1.0)) <= 1e-14
+        assert np.max(np.abs(f + fb - 1.0)) <= 2**-52
+        assert np.max(np.abs(f + fermi_occupation(-energies, t) - 1.0)) <= 2**-52
+        energies = np.linspace(-50, 50, 200_001)
+        for t in (0.1, 1.0, 4.6, 8.7):
+            f = fermi_occupation(energies, t)
+            fb = fermi_occupation_complement(energies, t)
+            assert np.max(np.abs(f + fb - 1.0)) <= 2**-52
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(DomainError):

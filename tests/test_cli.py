@@ -14,6 +14,7 @@ from sled_oam.cli import main
 from sled_oam.config import load_config
 from sled_oam.errors import DegenerateMixtureError
 from sled_oam.pair_state import PairDensityMatrix
+from dm_json import from_json_dict, to_json_dict
 from test_outputs import assert_paints_like, painted, rects
 from test_outputs import svg_heatmap as per_cell_svg_heatmap
 from test_outputs import svg_matrix as per_cell_svg_matrix
@@ -123,7 +124,7 @@ class TestDm:
             path = os.path.join(out, name)
             assert os.path.exists(path)
             with open(path, encoding="utf-8") as fh:
-                rho = PairDensityMatrix.from_json_dict(json.load(fh))
+                rho = from_json_dict(json.load(fh))
             assert len(rho.basis) == 9
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
             assert float(np.linalg.eigvalsh(rho.entries).min()) >= -1e-10
@@ -133,7 +134,7 @@ class TestDm:
         out = str(tmp_path / "out")
         assert main(["dm", "--config", write_config(tmp_path), "--out", out]) == 0
         with open(os.path.join(out, "dm_0.3_100.json"), encoding="utf-8") as fh:
-            rho = PairDensityMatrix.from_json_dict(json.load(fh))
+            rho = from_json_dict(json.load(fh))
         pairs = rho.basis.pairs
         for i, pi in enumerate(pairs):
             for j, pj in enumerate(pairs):
@@ -241,9 +242,9 @@ class TestDm:
             main(common + ["--set", f"emission.qubit_b={inv}, {pi}", "--out", out_minus]) == 0
         )
         with open(os.path.join(out_plus, "dm_0.3_100.json"), encoding="utf-8") as fh:
-            plus = PairDensityMatrix.from_json_dict(json.load(fh))
+            plus = from_json_dict(json.load(fh))
         with open(os.path.join(out_minus, "dm_0.3_100.json"), encoding="utf-8") as fh:
-            minus = PairDensityMatrix.from_json_dict(json.load(fh))
+            minus = from_json_dict(json.load(fh))
         pos = np.array([p[0] + p[1] == 1 for p in plus.basis.pairs])
         neg = np.array([p[0] + p[1] == -1 for p in plus.basis.pairs])
         cross = np.outer(pos, neg) | np.outer(neg, pos)
@@ -720,7 +721,7 @@ class TestSvgOutputs:
         for stem, enh in zip(stems, config.enhancements):
             rho = pair_state.mixture(coherent, incoherent, enh * rates[0][0], rates[0][1])
             with open(out / f"{stem}.json", encoding="utf-8") as fh:
-                assert fh.read() == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+                assert fh.read() == json.dumps(to_json_dict(rho), indent=2) + "\n"
 
     def test_the_l_max_6_matrix_svg_paints_like_the_per_cell_writer(self, tmp_path):
         """One 169-pair heatmap paints every cell as the per-cell writer does, in under

@@ -9,7 +9,7 @@ byte.  Their first rect is the background: it covers every cell, in the
 colour of the most cells (the lowest colour name on a tie), and each cell of
 another colour keeps the oracle's rect line, in the oracle's order, so a
 document has one rect more than it has cells of another colour.
-``write_json`` must write exactly what ``json.dumps(rho.to_json_dict(),
+``write_json`` must write exactly what ``json.dumps(to_json_dict(rho),
 indent=2)`` writes.  ``write_json`` and ``svg_matrix`` take a matrix as the
 cells it holds (ascending row-major indices and their values, +0.0
 elsewhere): each is given every cell whose bits are not +0.0's and none,
@@ -45,6 +45,8 @@ from hypothesis import strategies as st
 
 from sled_oam import outputs
 from sled_oam.pair_state import OamPairBasis, PairDensityMatrix
+
+from dm_json import to_json_dict
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -520,7 +522,7 @@ def assert_writes_json_dumps(rho) -> None:
     """``write_json`` writes ``json.dumps`` of rho's dict form when it holds the cells whose
     bits are not +0.0's in either part; those and the diagonal, as a sweep's positions
     do; or every cell."""
-    expected = json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    expected = json.dumps(to_json_dict(rho), indent=2) + "\n"
     n = len(rho.basis)
     nonzero = np.union1d(support(rho.entries.real), support(rho.entries.imag))
     for flat in (nonzero, np.union1d(nonzero, np.arange(0, n * n, n + 1)), np.arange(n * n)):
@@ -574,7 +576,7 @@ def test_write_json_splices_a_held_minus_zero_but_writes_a_held_plus_zero_as_zer
     # (0, 0) is a held +0.0 in both parts, (1, 0) a held +0.0 in its real part
     flat = np.arange(4)
     text = _written_json(rho.basis.pairs, flat, rho.entries.take(flat))
-    assert text == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+    assert text == json.dumps(to_json_dict(rho), indent=2) + "\n"
     assert text.count("-0.0") == 2
 
 

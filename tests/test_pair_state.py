@@ -1,8 +1,11 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sled_oam import (
     modes,
@@ -27,10 +30,12 @@ from sled_oam import (
     rho_total,
     rho_total_superposition,
     sector_pairs,
+    bcs,
 )
 
 from sled_oam.config import load_config
 from sled_oam.spectral import mixing_rates
+from dm_json import from_json_dict, to_json_dict
 import test_modes
 from test_modes import OracleMode, oracle_kappa, reference_lg_radial
 
@@ -39,6 +44,46 @@ FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
 
 def sector_mask(basis, ls):
     return np.array([l1 + l2 == ls for l1, l2 in basis.pairs])
+
+
+def partial_transpose(rho: np.ndarray, basis) -> np.ndarray:
+    """rho^T_B[(x, y), (u, v)] = rho[(x, v), (u, y)] on a product basis of pair labels."""
+    index = {pair: i for i, pair in enumerate(basis.pairs)}
+    return np.array([[rho[index[x, v], index[u, y]] for u, v in index] for x, y in index])
+
+
+def negativity(rho: np.ndarray, basis) -> float:
+    """Sum of |negative eigenvalues| of the partial transpose, from ``eigvalsh``."""
+    values = np.linalg.eigvalsh(partial_transpose(rho, basis))
+    return float(-values[values < 0].sum())
+
+
+def one_sector_negativity(rho: np.ndarray, basis, sector: int) -> float:
+    """The negativity of a mixture whose coherent part lies in one total-OAM sector.
+
+    The partial transpose on photon B of p psi psi^H / |psi|^2 + (1 - p) diag
+    moves the coherent cell [(l1, s - l1), (l1', s - l1')] to
+    [(l1, s - l1'), (l1', s - l1)].  So it is diagonal but for 2 x 2 blocks
+    on x = (l1, m), y = (s - m, s - l1), x != y, with diagonal A = rho[x, x],
+    B = rho[y, y] and corner c = rho[(l1, s - l1), (s - m, m)] (0 where those
+    pairs are not in the basis).  A block's smaller eigenvalue is
+    (A + B)/2 - sqrt(((A - B)/2)^2 + |c|^2), and the negativity is the sum of
+    max(0, -that) over the blocks.
+    """
+    index = {pair: i for i, pair in enumerate(basis.pairs)}
+    total = 0.0
+    for l1, m in basis.pairs:
+        y = (sector - m, sector - l1)
+        if y not in index or not (l1, m) < y:
+            continue
+        a, b = index[l1, m], index[y]
+        corner_row, corner_col = (l1, sector - l1), (sector - m, m)
+        c = 0.0
+        if corner_row in index and corner_col in index:
+            c = rho[index[corner_row], index[corner_col]]
+        mean, half = (rho[a, a].real + rho[b, b].real) / 2, (rho[a, a].real - rho[b, b].real) / 2
+        total += max(0.0, math.sqrt(half**2 + abs(c) ** 2) - mean)
+    return total
 
 
 class TestBasis:
@@ -66,7 +111,7 @@ class TestBasis:
         with pytest.raises(DomainError, match="empty"):
             OamPairBasis.from_l_values([])
         with pytest.raises(DomainError, match="empty"):
-            PairDensityMatrix.from_json_dict({"basis": [], "re": [], "im": []})
+            from_json_dict({"basis": [], "re": [], "im": []})
 
     def test_index_lookup(self):
         basis = OamPairBasis.full(2)
@@ -317,8 +362,8 @@ class TestMatrixContracts:
         q = QubitState.from_polar(1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.1)
         rho = rho_total_superposition(q, 1, basis, geometry, 5.0, 0.5, junction,
                                       CoherenceParams(50.0), FUZZ_QUAD)
-        payload = json.loads(json.dumps(rho.to_json_dict()))
-        back = PairDensityMatrix.from_json_dict(payload)
+        payload = json.loads(json.dumps(to_json_dict(rho)))
+        back = from_json_dict(payload)
         assert back.basis == rho.basis
         assert np.array_equal(back.entries, rho.entries)
 
@@ -693,10 +738,7 @@ class TestEntanglementEdge:
             CoherenceParams(10.0),
             config.grid.k_integration,
         ).entries
-        index = {pair: i for i, pair in enumerate(config.basis.pairs)}
-        # rho^T_B[(x, y), (u, v)] = rho[(x, v), (u, y)]
-        rows = [[rho[index[x, v], index[u, y]] for u, v in index] for x, y in index]
-        return np.linalg.eigvalsh(np.array(rows))
+        return np.linalg.eigvalsh(partial_transpose(rho, config.basis))
 
     def test_entangled_at_t_0_90(self):
         values = self.partial_transpose_eigenvalues(0.90)
@@ -704,3 +746,120 @@ class TestEntanglementEdge:
 
     def test_separable_by_ppt_at_t_0_91(self):
         assert self.partial_transpose_eigenvalues(0.91).min() > 0.02
+
+
+class TestNegativityClosedForm:
+    """The one-sector closed form of the negativity against ``eigvalsh`` (ROADMAP item 17).
+
+    Within 1e-13 relative on fig3 (49 pairs, ls = 2) and fig5 (4 pairs,
+    ls = 1), measured at most 5.3e-15 (fig3 at t = 0.95, enhancement 10).
+    The absolute 1e-15, of a unit trace, admits the rounding of either side
+    where the negativity is 0 (fig5 at t = 0.95, enhancement 10) or small:
+    over random annuli, bases, one-sector qubits and rates the two differ by
+    at most 5.4e-17, which is 8.4e-14 of a negativity of 4.9e-4.
+    """
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5"])
+    def test_presets_match_eigvalsh(self, preset):
+        config = load_config(preset)
+        for t in (0.05, 0.5, 0.7, 0.9, 0.95):
+            for enhancement in (10.0, 100.0):
+                rho = rho_total(
+                    config.winding,
+                    config.basis,
+                    config.geometry,
+                    config.detuning_for_dm,
+                    t,
+                    config.junction,
+                    CoherenceParams(enhancement),
+                    config.grid.k_integration,
+                ).entries
+                closed = one_sector_negativity(rho, config.basis, config.winding)
+                assert closed == pytest.approx(negativity(rho, config.basis), rel=1e-13, abs=1e-15)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        r_inner=st.floats(0.0, 6.0),
+        width=st.floats(0.1, 4.0),
+        waist=st.floats(1.0, 8.0),
+        l_values=st.lists(st.integers(-4, 4), min_size=2, max_size=5, unique=True),
+        picks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        clockwise=st.booleans(),
+        phase=st.floats(0.0, 6.3),
+        rates=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    )
+    def test_random_one_sector_mixtures_match_eigvalsh(
+        self, r_inner, width, waist, l_values, picks, clockwise, phase, rates
+    ):
+        basis = OamPairBasis.from_l_values(l_values)
+        geom = AnnulusGeometry(r_inner, r_inner + width, waist)
+        sector = sum(l_values[k % len(l_values)] for k in picks)
+        amplitude = complex(math.cos(phase), math.sin(phase))
+        q = QubitState(amplitude, 0.0) if clockwise else QubitState(0.0, amplitude)
+        ls = sector if clockwise else -sector
+        coherent = rho_superposition(q, ls, basis, geom)
+        rho = pair_state.mixture(coherent, rho_bqp(basis, geom), *rates).entries
+        closed = one_sector_negativity(rho, basis, sector)
+        assert closed == pytest.approx(negativity(rho, basis), rel=1e-13, abs=1e-15)
+
+
+class TestThermalOccupation:
+    """What the thermal quasiparticle occupation does to the fig5 mixture at d = 5.
+
+    Setting f = 0 and fbar = 1 at the same gap (``bcs.fermi_occupation`` and
+    ``fermi_occupation_complement`` patched) raises both rates at every
+    temperature but t = 0.05, where they are the same bits: at t = 0.95 the
+    incoherent rate goes 34.05 -> 50.80 and the coherent one 0.474 -> 1.834.
+    So thermal occupation lowers the coherent share p = r_cp / (r_cp + r_bqp):
+    p with the real occupations is at most p with f = 0, equal at t = 0.05,
+    and at enhancement 10 it is 0.864 against 0.870 at t = 0.5 and 0.122
+    against 0.265 at t = 0.95.  The occupation alone costs less than 1% of p
+    for t <= 0.5 (0.66% at t = 0.5, enhancement 10), so the loss of purity
+    there does not come from thermally excited quasiparticles; near Tc much
+    of it does.
+    """
+
+    @staticmethod
+    def rates(monkeypatch, unoccupied):
+        config = load_config("fig5")
+        if unoccupied:
+
+            def empty(e, t, out=None):
+                out[...] = 0.0
+                return out
+
+            def full(e, t, out=None):
+                out[...] = 1.0
+                return out
+
+            monkeypatch.setattr(bcs, "fermi_occupation", empty)
+            monkeypatch.setattr(bcs, "fermi_occupation_complement", full)
+        temperatures = config.grid.temperatures
+        rates = mixing_rates(
+            config.detuning_for_dm, temperatures, config.junction, config.grid.k_integration
+        )
+        return config, dict(zip(temperatures, rates))
+
+    def test_occupation_lowers_both_rates_and_the_coherent_share(self, monkeypatch):
+        config, real = self.rates(monkeypatch, unoccupied=False)
+        _, empty = self.rates(monkeypatch, unoccupied=True)
+        assert len(real) == 19
+        for t, (s_cp, s_bqp) in real.items():
+            e_cp, e_bqp = empty[t]
+            if t == 0.05:
+                assert (s_cp, s_bqp) == (e_cp, e_bqp)
+            else:
+                assert s_cp < e_cp and s_bqp < e_bqp
+            for enhancement in config.enhancements:
+                p = enhancement * s_cp / (enhancement * s_cp + s_bqp)
+                p_empty = enhancement * e_cp / (enhancement * e_cp + e_bqp)
+                assert p <= p_empty
+                if t <= 0.5:
+                    assert p_empty - p < 0.01 * p_empty
+        assert real[0.95] == pytest.approx((0.474, 34.05), rel=2e-3)
+        assert empty[0.95] == pytest.approx((1.834, 50.80), rel=2e-3)
+        shares = {
+            t: [10 * cp / (10 * cp + bqp) for cp, bqp in (real[t], empty[t])] for t in (0.5, 0.95)
+        }
+        assert shares[0.5] == pytest.approx([0.864, 0.870], abs=1e-3)
+        assert shares[0.95] == pytest.approx([0.122, 0.265], abs=1e-3)

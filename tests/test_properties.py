@@ -48,7 +48,6 @@ from sled_oam import (
     ConvergenceError,
     KQuadrature,
     OamPairBasis,
-    PairDensityMatrix,
     SpectralGrid,
     bcs,
     bell_target,
@@ -65,6 +64,8 @@ from sled_oam.cli import main
 from sled_oam.config import _SCHEMA, load_config
 from sled_oam.bcs import dos_2d_per_mev_um2
 from sled_oam.spectral import CONVERGENCE_RTOL, _BandTables
+
+from dm_json import from_json_dict, to_json_dict
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -387,7 +388,7 @@ def test_every_dm_matrix_is_a_density_matrix(overrides):
         assert names
         for name in names:
             with open(os.path.join(out, name), encoding="utf-8") as fh:
-                rho = PairDensityMatrix.from_json_dict(json.load(fh)).entries
+                rho = from_json_dict(json.load(fh)).entries
             assert np.abs(rho - rho.conj().T).max() <= 1e-12
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert float(np.linalg.eigvalsh(rho).min()) >= -1e-10
@@ -399,7 +400,7 @@ def test_every_dm_matrix_is_a_density_matrix(overrides):
         assert sorted(names) == sorted(expected)
         for name, rho in expected.items():
             with open(os.path.join(out, name), encoding="utf-8") as fh:
-                assert json.load(fh) == rho.to_json_dict()
+                assert json.load(fh) == to_json_dict(rho)
 
 
 def one_shot_dm(config, t, enh):
@@ -672,7 +673,7 @@ def test_the_widest_and_a_gapped_basis_write_their_files(command, basis):
             text = fh.read()
     if command == "dm":
         rho = one_shot_dm(load_config("fig3", overrides), 0.5, 10.0)
-        assert text == json.dumps(rho.to_json_dict(), indent=2) + "\n"
+        assert text == json.dumps(to_json_dict(rho), indent=2) + "\n"
     else:
         [row] = text.splitlines()[1:]
         assert 0.0 <= float(row.split(",")[2]) <= 1.0

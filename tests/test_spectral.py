@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from sled_oam import (
     rate_surfaces,
     spectral,
 )
+from sled_oam.config import load_config
 from sled_oam.errors import ConvergenceError
 from sled_oam.pair_state import CLOCKWISE
 from sled_oam.spectral import _BandTables
@@ -122,6 +125,48 @@ class TestConvergence:
         with pytest.raises(ConvergenceError) as err:
             rate_surfaces(grid, jp)[0]
         assert "t=0.1" in str(err.value) and "|d|=2.0" in str(err.value)
+
+
+class TestFrozenBodyRates:
+    """The 4096-node trapezoid rates against frozen body rates of the fig2 junction.
+
+    tests/reference/rate_reference.json holds (coherent, incoherent) at
+    1000 fs for t in {0.05, 0.5, 0.95} and |d| in {0, 2, 5, 6}: the package's
+    own kernels at the default cutoff, integrated by Gregory's rule on 8193
+    nodes, which agrees with the same rule on 16 385 nodes within 4.3e-16.
+    Its generator, make_rate_reference.py, sits next to it.  Today's rates
+    are within 1.35e-9 (coherent) and 7.7e-9 (incoherent) of them; the bound
+    is 1e-8.  These are integrals to the cutoff only: the tail beyond it and
+    the references at 1e4 and 1e5 fs are not frozen yet.
+    """
+
+    BOUND = 1e-8
+
+    @staticmethod
+    def references():
+        path = os.path.join(os.path.dirname(__file__), "reference", "rate_reference.json")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_the_references_cover_the_fig2_grid_points(self):
+        table = self.references()
+        jp = load_config("fig2").junction
+        assert jp == gaas_nb_junction(dephasing_time=table["dephasing_time_fs"])
+        assert table["dephasing_time_fs"] == 1000.0
+        assert sorted(table["rates"]) == sorted(
+            f"{t!r},{d!r}" for t in (0.05, 0.5, 0.95) for d in (0.0, 2.0, 5.0, 6.0)
+        )
+
+    def test_default_rates_match_the_body_references(self):
+        table = self.references()
+        jp = gaas_nb_junction(dephasing_time=table["dephasing_time_fs"])
+        keys = [tuple(map(float, key.split(","))) for key in table["rates"]]
+        temperatures = sorted({t for t, _ in keys})
+        for d in sorted({d for _, d in keys}):
+            for t, rates in zip(temperatures, mixing_rates(d, temperatures, jp)):
+                expected = table["rates"][f"{t!r},{d!r}"]
+                for channel, value in zip(("coherent", "incoherent"), rates):
+                    assert abs(value - expected[channel]) <= self.BOUND * expected[channel]
 
 
 class TestNonFiniteRates:
