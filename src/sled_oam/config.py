@@ -73,10 +73,10 @@ R_OUTER_UM_RANGE = (1e-2, 5e3)
 WAIST_UM_RANGE = (1e-3, 1e4)
 # Grid sizes, which set array lengths: past these the arrays grow until an
 # allocation fails.  The quadrature needs 64 nodes, and at 2^17 + 1 its band
-# tables hold about 40 MB (23 arrays of 8-16 B per node); verification reads
-# the same tables and adds two weight arrays of 8 B per node.  No preset uses
-# more than 121 detunings; 10 001 leave 80 times that, and a rates CSV of 19
-# temperatures then holds about 5.5 MB.
+# tables hold about 47 MB (7 float64 and 19 complex128 arrays, 360 B per
+# node); verification reads the same tables and adds two weight arrays of 8 B
+# per node.  No preset uses more than 121 detunings; 10 001 leave 80 times
+# that, and a rates CSV of 19 temperatures then holds about 5.5 MB.
 QUADRATURE_NODES_RANGE = (64, 2**17 + 1)
 DETUNING_POINTS_RANGE = (2, 10_001)
 

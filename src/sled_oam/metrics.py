@@ -342,7 +342,8 @@ def fidelity_curve(
     full mixture of its point, with the same checks and the same errors.
     Only the unit-trace check of ``fidelity`` is not repeated: each mixture
     has just been divided by the sum of its non-negative diagonal, so its
-    trace is 1 within rounding, and a NaN fails the mixture's own checks.
+    trace is 1 within rounding, and a weight that could make it NaN fails
+    the sweep's check that both weights lie in [0, 1].
     """
     target = bell_target(basis, ls)
     support = target.support

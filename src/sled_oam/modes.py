@@ -59,7 +59,7 @@ class AnnulusGeometry:
     waist: float
 
     def __post_init__(self):
-        if self.r_inner < 0 or self.r_outer < self.r_inner:
+        if not 0 <= self.r_inner <= self.r_outer:  # NaN fails; r_outer = inf is the full plane
             raise DomainError(
                 f"need 0 <= r_inner <= r_outer, got [{self.r_inner}, {self.r_outer}]"
             )

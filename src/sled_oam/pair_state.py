@@ -9,8 +9,8 @@ are weighted by the spectral rates evaluated at a fixed detuning.
 (temperature, enhancement) from the coherent vector and the squared overlaps,
 in one pass that returns every point, each held only at the cells where it
 can be nonzero (279 of 28 561 at l_max = 6) and +0.0 at every other.  Both
-take each point's weights and its mixture from ``_Mixer``, so the package
-has one mixing formula.
+take each point's weights from ``_weights`` and mix by its formula, so the
+package has one mixing formula and one check of its weights.
 """
 
 from __future__ import annotations
@@ -231,42 +231,34 @@ def mixture(
     coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
 ) -> PairDensityMatrix:
     """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
-    mix = _Mixer(coherent.entries, incoherent.entries, coherent.trace(), incoherent.trace())
-    return PairDensityMatrix(coherent.basis, mix.mixed(*mix.weights(r_cp, r_bqp))).normalize()
+    tr_cp, tr_bqp = coherent.trace(), incoherent.trace()
+    a, b = _weights(tr_cp, tr_bqp, r_cp, r_bqp)
+    mixed = a * (coherent.entries / tr_cp) + b * (incoherent.entries / tr_bqp)
+    return PairDensityMatrix(coherent.basis, mixed).normalize()
 
 
-class _Mixer:
-    """Trace-1 mixtures of two channel matrices as functions of the two rates.
+def _weights(tr_cp: float, tr_bqp: float, r_cp: float, r_bqp: float) -> tuple:
+    """Each channel's share a, b of the total rate; raises where no mixture can be formed.
 
-    Takes the entries of both channel matrices, all of them or the same
-    subset of each, and their traces.  Each is divided by its trace once,
-    here, and not again per pair of rates; the mixer holds only the
-    quotients.
+    The mixture is a (cp / tr_cp) + b (bqp / tr_bqp), for ``mixture`` and
+    ``mixture_sweep`` alike.  Both shares must lie in [0, 1], which also
+    makes them finite.
     """
-
-    def __init__(self, cp: np.ndarray, bqp: np.ndarray, tr_cp: float, tr_bqp: float):
-        self.degenerate = None
-        if tr_cp <= 0 or tr_bqp <= 0:
-            self.degenerate = f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
-        else:
-            self.unit_cp, self.unit_bqp = cp / tr_cp, bqp / tr_bqp
-
-    def weights(self, r_cp: float, r_bqp: float) -> tuple:
-        """Each channel's share a, b of the total rate; raises where no mixture can be formed."""
-        if self.degenerate:
-            raise DegenerateMixtureError(self.degenerate)
-        total = r_cp + r_bqp
-        if total <= 0:
-            raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
-        if not math.isfinite(total):
-            raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
-        return r_cp / total, r_bqp / total
-
-    def mixed(self, a, b) -> np.ndarray:
-        """The mixing formula, unnormalized: ``a`` and ``b`` broadcast against the units."""
-        out = a * self.unit_cp
-        out += b * self.unit_bqp  # in place: a stack of mixtures takes no third array of its size
-        return out
+    if tr_cp <= 0 or tr_bqp <= 0:
+        raise DegenerateMixtureError(
+            f"component traces must be positive, got cp={tr_cp}, bqp={tr_bqp}"
+        )
+    total = r_cp + r_bqp
+    if total <= 0:
+        raise DegenerateMixtureError(f"total rate vanished (r_cp={r_cp}, r_bqp={r_bqp})")
+    if not math.isfinite(total):
+        raise DegenerateMixtureError(f"total rate is not finite (r_cp={r_cp}, r_bqp={r_bqp})")
+    a, b = r_cp / total, r_bqp / total
+    if not (0 <= a <= 1 and 0 <= b <= 1):  # NaN fails too
+        raise DegenerateMixtureError(
+            f"rate shares must lie in [0, 1], got {a} and {b} (r_cp={r_cp}, r_bqp={r_bqp})"
+        )
+    return a, b
 
 
 def mixture_sweep(
@@ -293,13 +285,15 @@ def mixture_sweep(
 
     Row k of ``mixtures`` holds the k-th point, temperature-major, at the
     cells, with the bits of ``mixture`` on the full matrix there.  The rows
-    stop before the first point that fails a check; ``error`` is that
-    point's error, with the point appended by ``locate`` as ``at_point``
-    appends it, or None.  The rates of all temperatures come from one
-    ``spectral.mixing_rates`` call, and rate errors are raised unchanged.
-    A mixture of this form is Hermitian wherever it is finite, so of the
-    full matrix's checks only finiteness before and after the division by
-    the trace and the trace's sign are left.
+    stop before the first point whose weights fail ``_weights``; ``error``
+    is that point's error, with the point appended by ``locate`` as
+    ``at_point`` appends it, or None.  The rates of all temperatures come
+    from one ``spectral.mixing_rates`` call, and rate errors are raised
+    unchanged.  Nothing after the weights can fail: a and b lie in [0, 1];
+    each unit cp / tr_cp, bqp / tr_bqp has trace 1 and entries of modulus
+    at most 1 (|psi_i psi_j| <= (|psi_i|^2 + |psi_j|^2) / 2); so every row
+    is finite and Hermitian, with a non-negative diagonal whose sum is
+    within rounding of a + b = 1, and dividing by that sum is safe.
     """
     psi, w = _pair_vector(q, ls, basis, geom), _overlaps(basis, geom)
     n = len(basis)
@@ -318,31 +312,21 @@ def mixture_sweep(
     bqp[diagonal] = w * w
     # the traces sum the full diagonal as complex numbers, as ``np.trace`` does
     tr_cp, tr_bqp = (float(m.take(diagonal).sum().real) for m in (cp, bqp))
-    mix = _Mixer(cp, bqp, tr_cp, tr_bqp)
     points = [(t, enh, s) for t, s in zip(temperatures, rates) for enh in enhancements]
     weights, error = [], None
     for t, enh, (s_cp, s_bqp) in points:
         try:
-            weights.append(mix.weights(spectral.CoherenceParams(enh).enhancement * s_cp, s_bqp))
+            r_cp = spectral.CoherenceParams(enh).enhancement * s_cp
+            weights.append(_weights(tr_cp, tr_bqp, r_cp, s_bqp))
         except SledOamError as exc:
             error = locate(exc, t, enh)
             break
     mixtures = np.zeros((0, len(cells)), dtype=complex)
-    if weights:  # none where the units were never formed
+    if weights:
         a, b = np.array(weights, dtype=float).T[:, :, None]
-        mixtures = mix.mixed(a, b)
-        # a weight that is not finite makes a diagonal value so too: each
-        # unit, of positive trace, is positive on some diagonal cell
-        before = np.isfinite(mixtures).all(axis=-1)
-        trace = mixtures.take(diagonal, axis=-1).sum(axis=-1).real
-        with np.errstate(divide="ignore", invalid="ignore"):  # only where trace <= 0 fails
-            mixtures /= trace[:, None]
-        passed = before & ~(trace <= 0) & np.isfinite(mixtures).all(axis=-1)
-        if not passed.all():
-            k = int(np.argmin(passed))
-            untraceable = before[k] and trace[k] <= 0
-            message = _UNTRACEABLE.format(float(trace[k])) if untraceable else _NOT_HERMITIAN
-            error, mixtures = locate(ContractError(message), *points[k][:2]), mixtures[:k]
+        mixtures = a * (cp / tr_cp)
+        mixtures += b * (bqp / tr_bqp)  # in place: no third array of the stack's size
+        mixtures /= mixtures.take(diagonal, axis=-1).sum(axis=-1).real[:, None]
     return cells, mixtures, error
 
 

@@ -414,13 +414,16 @@ def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detu
 
     One band table serves every temperature, both channels and every
     detuning; it is refilled per temperature and freed on return, and each
-    |d| is evaluated once per temperature.  A rate that is not finite raises
-    ConvergenceError.  With ``quad.verify`` so does a rate whose error
-    estimate |T_m - T_m/2| / 3 (see ``_BandTables.halved_rates``) exceeds
-    ``CONVERGENCE_RTOL`` of it; the error carries T_m/2 as ``coarse`` and the
-    reported rate as ``refined``.
+    |d| is evaluated once per temperature.  A detuning that is not finite
+    raises DomainError, a rate that is not finite ConvergenceError.  With
+    ``quad.verify`` so does a rate whose error estimate |T_m - T_m/2| / 3
+    (see ``_BandTables.halved_rates``) exceeds ``CONVERGENCE_RTOL`` of it;
+    the error carries T_m/2 as ``coarse`` and the reported rate as
+    ``refined``.
     """
     magnitudes = [abs(d) for d in detunings]
+    if not all(map(math.isfinite, magnitudes)):  # before numpy would warn on them
+        raise DomainError(f"detunings must be finite, got {tuple(detunings)}")
     tables = _BandTables(jp, quad)
     rows = []
     for t in temperatures:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sled_oam import (
+    cli,
     modes,
     pair_state,
     AnnulusGeometry,
@@ -366,6 +368,45 @@ class TestMatrixContracts:
         back = from_json_dict(payload)
         assert back.basis == rho.basis
         assert np.array_equal(back.entries, rho.entries)
+
+
+class TestRateShares:
+    """A rate source returning (-0.05, 1.0) at every temperature: at enhancement
+    10 the coherent share is -1 and the incoherent one 2.  Both traces and the
+    total rate pass, so only the check that each share lies in [0, 1] stops the
+    matrix of trace 1 and smallest eigenvalue -0.93 that they would mix."""
+
+    MESSAGE = "rate shares must lie in [0, 1], got -1.0 and 2.0 (r_cp=-0.5, r_bqp=1.0)"
+
+    @pytest.fixture()
+    def negative_rates(self, monkeypatch):
+        monkeypatch.setattr(
+            pair_state.spectral, "mixing_rates", lambda d, temps, *rest: [(-0.05, 1.0)] * len(temps)
+        )
+
+    def test_the_sweep_returns_no_rows_and_the_located_error(self, negative_rates, junction):
+        basis, geom = OamPairBasis.full(3), AnnulusGeometry.default()
+        cells, mixtures, error = pair_state.mixture_sweep(
+            pair_state.CLOCKWISE, 2, basis, geom, (), 5.0, (0.5, 0.9), (10.0, 100.0), junction
+        )
+        assert mixtures.shape == (0, len(cells))
+        assert isinstance(error, DegenerateMixtureError)
+        assert str(error) == self.MESSAGE + " (at t=0.5, enhancement=10.0)"
+
+    def test_the_one_shot_mixture_raises_it(self, geometry):
+        basis = OamPairBasis.full(3)
+        coherent, incoherent = rho_cp(2, basis, geometry), rho_bqp(basis, geometry)
+        with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(self.MESSAGE)}$"):
+            pair_state.mixture(coherent, incoherent, 10.0 * -0.05, 1.0)
+
+    def test_dm_exits_1_and_writes_no_matrix(self, negative_rates, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["dm", "--config", "fig3", "--out", str(out), "--set", "output.svg=false"]
+        assert cli.main(args) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DegenerateMixtureError"
+        assert record["message"] == self.MESSAGE + " (at t=0.5, enhancement=10.0)"
+        assert not list(out.glob("dm_*"))
 
 
 class TestFuzzedInvariants:

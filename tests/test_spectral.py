@@ -74,6 +74,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             CoherenceParams(0.5)
 
+    @pytest.mark.parametrize("detunings", [(math.nan,), (-math.inf, math.inf)])
+    def test_a_non_finite_detuning_is_a_domain_error_before_numpy_warns(
+        self, junction, fast_quad, detunings
+    ):
+        # the grid accepts both; the rates reject them before building a band
+        # table, where numpy would warn (an error under this suite's filters)
+        grid = SpectralGrid(detunings, (0.5,), fast_quad)
+        with pytest.raises(DomainError, match="^detunings must be finite, got "):
+            rate_surfaces(grid, junction)
+        with pytest.raises(DomainError, match="^detunings must be finite, got "):
+            mixing_rates(detunings[-1], (0.5,), junction, fast_quad)
+
 
 class TestDetuningSymmetry:
     def test_both_channels_exactly_even(self, junction, fast_quad):
