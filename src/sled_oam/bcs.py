@@ -14,6 +14,8 @@ Units and conventions
   used in the conduction and valence bands unless overridden per band.
 - Quasi Fermi levels are measured from the respective band edge and are
   positive for degenerate carrier populations.
+- Gaps, critical temperatures, masses, Fermi levels and gap scales are positive
+  and finite, temperatures non-negative; else ``DomainError`` (NaN fails too).
 
 All functions accept numpy arrays where that is meaningful and are pure;
 they are safe to call concurrently.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 KB_MEV_PER_K = 0.08617333262145178  # Boltzmann constant, meV/K (1.380649e-23 J/K, exact)
 HBAR_JS = 1.054571817e-34  # reduced Planck constant
@@ -43,10 +45,8 @@ class SuperconductorParams:
     tc: float
 
     def __post_init__(self):
-        if not self.delta0 > 0:
-            raise DomainError(f"delta0 must be positive, got {self.delta0}")
-        if not self.tc > 0:
-            raise DomainError(f"tc must be positive, got {self.tc}")
+        require_positive("delta0", self.delta0)
+        require_positive("tc", self.tc)
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,9 @@ class BandParams:
     gap_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.effective_mass > 0:
-            raise DomainError(f"effective_mass must be positive, got {self.effective_mass}")
-        if not self.quasi_fermi_level > 0:
-            raise DomainError(
-                f"quasi_fermi_level must be positive, got {self.quasi_fermi_level}"
-            )
-        if not self.gap_scale > 0:
-            raise DomainError(f"gap_scale must be positive, got {self.gap_scale}")
+        require_positive("effective_mass", self.effective_mass)
+        require_positive("quasi_fermi_level", self.quasi_fermi_level)
+        require_positive("gap_scale", self.gap_scale)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def gap_at_temperature(sc: SuperconductorParams, t: float) -> float:
     float
         Gap in meV: delta0 at t = 0, zero at and above Tc.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"temperature must be non-negative, got {t}")
     if t == 0:
         return sc.delta0
@@ -165,7 +160,7 @@ def fermi_occupation(e, t: float, out=None):
     At t = 0 the step limit is returned: 1 below, 1/2 at, 0 above zero energy.
     With ``out`` every step is written there (``out`` may be ``e`` itself).
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"temperature must be non-negative, got {t}")
     e = np.asarray(e, dtype=float)
     if t == 0:
@@ -200,10 +195,8 @@ def fermi_level_from_density(density_cm2: float, mass: float) -> float:
     mu = pi hbar^2 n / (m m_e), with n the areal density in cm^-2 and m the
     effective-mass multiple.
     """
-    if not density_cm2 > 0:
-        raise DomainError(f"density must be positive, got {density_cm2}")
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    require_positive("density", density_cm2)
+    require_positive("mass", mass)
     n_m2 = density_cm2 * 1e4
     return math.pi * HBAR_JS**2 * n_m2 / (mass * ELECTRON_MASS_KG) / MEV_J
 

@@ -91,14 +91,12 @@ def cmd_dm(config: RunConfig) -> dict:
     _check_tokens("grid.temperatures", config.grid.temperatures)
     _check_tokens("emission.enhancements", config.enhancements)
     basis = config.basis
-    # no target block: each point is mixed, checked and written only where
-    # psi psi^H or the diagonal can be nonzero
+    # each point is mixed, checked and written only where it can be nonzero
     cells, mixtures, error = pair_state.mixture_sweep(
         config.qubit,
         config.winding,
         basis,
         config.geometry,
-        (),
         config.detuning_for_dm,
         config.grid.temperatures,
         config.enhancements,

@@ -1,6 +1,7 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, the check of a positive finite
+parameter, and ``locate``, the one way an error names its point of a sweep."""
 
-from contextlib import contextmanager
+import math
 
 
 class SledOamError(Exception):
@@ -39,17 +40,15 @@ class ConfigError(SledOamError, ValueError):
     """A run configuration failed to parse or validate."""
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise a ``DomainError`` unless ``value`` is positive and finite (NaN fails)."""
+    if not value > 0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 def locate(exc: SledOamError, t: float, enhancement: float) -> SledOamError:
     """Append the point to the message of a simulator error, keeping its type and attributes."""
     exc.args = (f"{exc} (at t={t}, enhancement={enhancement})",)
     return exc
-
-
-@contextmanager
-def at_point(t: float, enhancement: float):
-    """``locate`` a simulator error raised inside at the point."""
-    try:
-        yield
-    except SledOamError as exc:
-        locate(exc, t, enhancement)
-        raise

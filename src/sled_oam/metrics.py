@@ -5,33 +5,35 @@ kept dependency-free and deterministic; matrix square roots and fidelities are
 built on top of it.  Each of them takes a whole stack of matrices in one call,
 each bit for bit as if alone.  A fidelity sweep never forms a full-size
 matrix: it takes all its mixtures, each rank one plus diagonal, in one
-pass of ``pair_state.mixture_sweep``, held only where they can be nonzero,
-works only on the block of the target's support, outside which every
-matrix is zero, as is the target's square root, and decomposes the blocks
-of all its points in one call (see ``_fidelities``, also for where this
-keeps the full-size bits).  The general mixed-state fidelity is evaluated
-alongside the pure-target shortcut <psi|rho|psi>, and the two must agree at
-every point -- this cross-validates the whole eigenvalue pipeline on every
-call.
+pass of ``pair_state.mixture_sweep``, held only where they can be nonzero
+(the cells ``dm`` writes), reads from them the block of the target's
+support, outside which the target's square root is zero, with +0.0 at a
+cell not held, and decomposes the blocks of all its points in one call
+(see ``_fidelities``, also for where this keeps the full-size bits).  The
+general mixed-state fidelity is evaluated alongside the pure-target
+shortcut <psi|rho|psi>, and the two must agree at every point -- this
+cross-validates the whole eigenvalue pipeline on every call.  A check that
+fails at a point of a sweep names the point through ``errors.locate``.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError, at_point
+from .errors import ContractError, ConvergenceError, locate
 from .modes import AnnulusGeometry
 from .pair_state import CLOCKWISE, OamPairBasis, PairDensityMatrix, QubitState
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
 FIDELITY_XCHECK_TOL = 1e-9
+_NOT_PSD = "matrix is not PSD: min eigenvalue {}"
 
 
 @dataclass
@@ -153,7 +155,7 @@ def _psd_root(decomp: HermitianEigen) -> np.ndarray:
     if failed.size:
         lowest = float(vals.min(axis=-1).flat[failed[0]])
         where = f" (matrix {failed[0]} of the stack)" if vals.ndim > 1 else ""
-        raise ContractError(f"matrix is not PSD: min eigenvalue {lowest}{where}")
+        raise ContractError(_NOT_PSD.format(lowest) + where)
     floor = 1e-12 * vals.max(axis=-1, keepdims=True, initial=0.0)
     vals = np.where(vals < floor, 0.0, vals)
     v = decomp.eigenvectors
@@ -237,7 +239,7 @@ def fidelity(rho: PairDensityMatrix, target: TargetState) -> float:
     if not abs(trace - 1.0) <= 1e-9:
         raise ContractError(f"density matrix must have unit trace, got {trace}")
     block = rho.entries[np.ix_(target.support, target.support)]
-    return _fidelities([nullcontext], block[None], None, target)[0]
+    return _fidelities([None], block[None], target)[0]
 
 
 def _passed(ok: np.ndarray) -> int:
@@ -245,17 +247,17 @@ def _passed(ok: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-def _fidelities(contexts: list, rho: np.ndarray, error, target: TargetState) -> list:
+def _fidelities(points: list, rho: np.ndarray, target: TargetState) -> list:
     """Cross-checked general fidelity against ``target`` of each mixture of a sweep.
 
     ``rho`` stacks the blocks S x S of trace-1 mixtures on the target's
     basis, S being the target's support (the nonzero entries of psi), and
-    ``contexts[k]`` is the error context of block k.  ``error`` is None or
-    the error of the point after the last block.  ``target.root`` is the
-    square root on that block, and the full-size one is zero outside it, so
-    ``inner`` and its square root are too.  Every step is stacked numpy that
-    acts on each point as if alone, so each value has the bits that
-    ``fidelity`` gives its mixture on its own.  Three passes:
+    ``points[k]`` is the (t, enhancement) of block k, or None for a single
+    matrix that has no point.  ``target.root`` is the square root on that
+    block, and the full-size one is zero outside it, so ``inner`` and its
+    square root are too.  Every step is stacked numpy that acts on each
+    point as if alone, so each value has the bits that ``fidelity`` gives
+    its mixture on its own.  Three passes:
 
     1. Form ``inner = root @ rho @ root`` on the block, one matrix product
        per point, and the shortcut <psi|rho|psi> on it.  Up to fig3's 49
@@ -275,11 +277,10 @@ def _fidelities(contexts: list, rho: np.ndarray, error, target: TargetState) -> 
        bits of the full-size root's trace, at every basis size; a sum over
        the block's diagonal alone would not.
 
-    After its mixture's checks, each point gets the PSD and 1e-9
-    cross-check tests, and NaN fails each.  ``error`` is raised only after
-    the points before it have passed them, so the error raised is that of
-    the first point in sweep order that fails any check, in its context,
-    and of the first check it fails.
+    Each point gets the PSD and 1e-9 cross-check tests, and NaN fails each.
+    The error raised is that of the first point in sweep order that fails
+    either, with that point appended by ``errors.locate``, and of the first
+    test it fails.
     """
     psi, support, root = target.coefficients, target.support, target.root
     inner = root @ rho @ root
@@ -293,18 +294,16 @@ def _fidelities(contexts: list, rho: np.ndarray, error, target: TargetState) -> 
     diagonal = np.zeros((rooted, len(psi)), dtype=complex)
     diagonal[:, support] = roots.diagonal(axis1=-2, axis2=-1)
     values = [x**2 for x in diagonal.sum(axis=-1).real.tolist()]
+    # the first failing point: its cross-check if it was rooted, else its PSD test
     agree = _passed(abs(np.array(values) - shortcuts[:rooted]) <= FIDELITY_XCHECK_TOL)
-    if agree < rooted:
-        with contexts[agree]():
-            raise ContractError(
-                f"fidelity cross-check failed: general {values[agree]}"
-                f" vs shortcut {float(shortcuts[agree])}"
-            )
-    if rooted < len(rho):
-        with contexts[rooted]():
-            _psd_root(HermitianEigen(vals[rooted], vecs[rooted]))  # raises
-    if error is not None:
-        raise error
+    if agree < len(rho):
+        failed = ContractError(
+            f"fidelity cross-check failed: general {values[agree]}"
+            f" vs shortcut {float(shortcuts[agree])}"
+            if agree < rooted
+            else _NOT_PSD.format(float(vals[agree].min()))
+        )
+        raise failed if points[agree] is None else locate(failed, *points[agree])
     return values
 
 
@@ -335,9 +334,11 @@ def fidelity_curve(
     The coherent channel carries the current superposition ``qubit``, as in
     ``rho_total_superposition``.
     The mixtures come from ``pair_state.mixture_sweep``, held only on the
-    nonzero cells of the coherent channel, the diagonal and the target's
-    support block (69 of 2401 cells for fig3), and the general forms of all
-    points share one stacked ``eigh`` call (see ``_fidelities``).  No density
+    nonzero cells of the coherent channel and the diagonal (69 of 2401 cells
+    for fig3); a target block cell not held (for a counterclockwise current,
+    the +ls block off its diagonal) reads +0.0, the full mixture's value
+    there.  The general forms of all points share one stacked ``eigh`` call
+    (see ``_fidelities``).  No density
     matrix is built, and each value is the one ``fidelity`` gives for the
     full mixture of its point, with the same checks and the same errors.
     Only the unit-trace check of ``fidelity`` is not repeated: each mixture
@@ -350,10 +351,16 @@ def fidelity_curve(
     temps = tuple(float(t) for t in temps)
     enhancements = tuple(float(e) for e in enhancements)
     cells, mixtures, error = pair_state.mixture_sweep(
-        qubit, ls, basis, geom, support, d, temps, enhancements, jp, quad
+        qubit, ls, basis, geom, d, temps, enhancements, jp, quad
     )
-    blocks = mixtures.take(np.searchsorted(cells, support[:, None] * len(basis) + support), -1)
+    # each target block cell, +0.0 where not held (``cells`` holds the diagonal)
+    wanted = support[:, None] * len(basis) + support
+    at = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
+    held = cells[at] == wanted
+    blocks = np.zeros((len(mixtures), *wanted.shape), dtype=complex)
+    blocks[:, held] = mixtures[:, at[held]]
     del mixtures  # only the blocks are kept past here
-    contexts = [partial(at_point, t, enh) for t in temps for enh in enhancements]
-    values = np.array(_fidelities(contexts, blocks, error, target))
+    values = np.array(_fidelities(list(product(temps, enhancements)), blocks, target))
+    if error is not None:  # raised once the points before it have passed their checks
+        raise error
     return FidelityTable(temps, enhancements, values.reshape(len(temps), len(enhancements)))

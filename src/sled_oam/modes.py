@@ -9,7 +9,8 @@ A mode is labelled by its OAM number l alone: the emitted modes have no
 radial nodes, so the Laguerre polynomial of the profile is 1.  Profiles are
 normalized so that the full-plane overlap of a mode with itself is exactly 1
 (the azimuthal 2*pi is factored out throughout).  A profile, and so every
-overlap, depends on l only through |l|, bit for bit.
+overlap, depends on l only through |l|, bit for bit.  ``AnnulusGeometry``
+and ``lg_radial`` reject every input outside this domain as ``DomainError``.
 
 ``kappa`` keeps no cache: each call integrates afresh, and a caller that
 needs many overlaps (``pair_state``) passes all its |l| pairs in one call.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 
 MAX_OAM = 12
 KAPPA_REL_TOL = 1e-10
@@ -51,7 +52,8 @@ class AnnulusGeometry:
     """Emitting annulus radii and beam waist, all in um.
 
     ``r_inner == r_outer`` is allowed and describes an empty emitting region
-    (all overlaps vanish).
+    (all overlaps vanish); ``r_outer = inf`` is the full plane past
+    ``r_inner``, which must be finite, and the waist is positive and finite.
     """
 
     r_inner: float
@@ -63,8 +65,9 @@ class AnnulusGeometry:
             raise DomainError(
                 f"need 0 <= r_inner <= r_outer, got [{self.r_inner}, {self.r_outer}]"
             )
-        if not self.waist > 0:
-            raise DomainError(f"waist must be positive, got {self.waist}")
+        if self.r_inner == math.inf:
+            raise DomainError(f"r_inner must be finite, got {self.r_inner}")
+        require_positive("waist", self.waist)
 
     @classmethod
     def default(cls) -> "AnnulusGeometry":
@@ -79,12 +82,15 @@ def lg_radial(l: int, waist: float, r):
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
     An array radius gives an array; a scalar one gives a float, which is
     ``_profile``'s float, since numpy's scalar power is the C library's ``pow``.
+    The waist must be positive and finite and each radius non-negative (NaN
+    fails both), else ``DomainError``.
     """
     la = abs(l)
     if la > MAX_OAM:
         raise DomainError(f"OAM {l} outside supported range |l| <= {MAX_OAM}")
+    require_positive("waist", waist)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise DomainError("radius must be non-negative")
     norm = (2.0 / waist) * _ROOT_INV_FACTORIALS[la]
     x = 2.0 * r * r / (waist * waist)

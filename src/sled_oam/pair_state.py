@@ -6,11 +6,10 @@ equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background, so every mixture is rank one plus diagonal.  Mixtures
 are weighted by the spectral rates evaluated at a fixed detuning.
 ``mixture`` forms one on the full matrix; ``mixture_sweep`` sweeps them over
-(temperature, enhancement) from the coherent vector and the squared overlaps,
-in one pass that returns every point, each held only at the cells where it
-can be nonzero (279 of 28 561 at l_max = 6) and +0.0 at every other.  Both
-take each point's weights from ``_weights`` and mix by its formula, so the
-package has one mixing formula and one check of its weights.
+(temperature, enhancement) in one pass, each point held at the same cells
+for ``dm`` and ``fidelity_curve``, those where it can be nonzero (279 of
+28 561 at l_max = 6), and +0.0 at every other.  Both mix by the one formula
+and weight check of ``_weights``, and name a failing point by ``locate``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import (
     DomainError,
     EmptySectorError,
     SledOamError,
-    at_point,
     locate,
 )
 from .modes import AnnulusGeometry, kappa
@@ -266,7 +264,6 @@ def mixture_sweep(
     ls,
     basis: OamPairBasis,
     geom: AnnulusGeometry,
-    block,
     d: float,
     temperatures,
     enhancements,
@@ -276,31 +273,30 @@ def mixture_sweep(
     """Trace-1 mixtures of the emitted state over a (temperature, enhancement) grid.
 
     Returns ``(cells, mixtures, error)``.  The cells are ascending row-major
-    indices of the matrix: the nonzero cells of psi psi^H (psi the coherent
-    channel's vector, as in ``rho_superposition``), the diagonal, where the
-    incoherent channel lies, and ``block`` x ``block`` for the basis indices
-    ``block`` (which may be empty).  Every other entry of a mixture is
-    a*0 + b*0 with +0.0 in both parts: an exact +0.0 for finite weights
-    a, b >= 0, and so is its quotient by a positive trace.
+    indices of the matrix, the same for ``dm`` and ``fidelity_curve``: the
+    nonzero cells of psi psi^H (psi the coherent channel's vector, as in
+    ``rho_superposition``) and the diagonal, where the incoherent channel
+    lies.  Every other entry of a mixture is a*0 + b*0 with +0.0 in both
+    parts: an exact +0.0 for finite weights a, b >= 0, and so is its
+    quotient by a positive trace.  A caller reads such a cell as +0.0.
 
     Row k of ``mixtures`` holds the k-th point, temperature-major, at the
     cells, with the bits of ``mixture`` on the full matrix there.  The rows
     stop before the first point whose weights fail ``_weights``; ``error``
-    is that point's error, with the point appended by ``locate`` as
-    ``at_point`` appends it, or None.  The rates of all temperatures come
-    from one ``spectral.mixing_rates`` call, and rate errors are raised
-    unchanged.  Nothing after the weights can fail: a and b lie in [0, 1];
-    each unit cp / tr_cp, bqp / tr_bqp has trace 1 and entries of modulus
-    at most 1 (|psi_i psi_j| <= (|psi_i|^2 + |psi_j|^2) / 2); so every row
-    is finite and Hermitian, with a non-negative diagonal whose sum is
-    within rounding of a + b = 1, and dividing by that sum is safe.
+    is that point's error, its point appended by ``locate``, or None.  The
+    rates of all temperatures come from one ``spectral.mixing_rates`` call,
+    and rate errors are raised unchanged.  Nothing after the weights can
+    fail: a and b lie in [0, 1]; each unit cp / tr_cp, bqp / tr_bqp has
+    trace 1 and entries of modulus at most 1 (|psi_i psi_j| <= (|psi_i|^2 +
+    |psi_j|^2) / 2); so every row is finite and Hermitian, with a
+    non-negative diagonal whose sum is within rounding of a + b = 1, and
+    dividing by that sum is safe.
     """
     psi, w = _pair_vector(q, ls, basis, geom), _overlaps(basis, geom)
     n = len(basis)
     held = np.zeros((n, n), dtype=bool)
     on = psi != 0
     held[np.ix_(on, on)] = np.outer(psi[on], psi[on].conj()) != 0
-    held[np.ix_(block, block)] = True
     held.flat[:: n + 1] = True
     cells = np.flatnonzero(held)
     rates = spectral.mixing_rates(d, tuple(temperatures), jp, quad)
@@ -358,5 +354,7 @@ def rho_total_superposition(
     """Trace-1 mixture with the coherent channel carrying a qubit superposition."""
     coherent, incoherent = rho_superposition(q, ls, basis, geom), rho_bqp(basis, geom)
     [(s_cp, s_bqp)] = spectral.mixing_rates(d, (t,), jp, quad)
-    with at_point(t, coh.enhancement):
+    try:
         return mixture(coherent, incoherent, coh.enhancement * s_cp, s_bqp)
+    except SledOamError as exc:
+        raise locate(exc, t, coh.enhancement)

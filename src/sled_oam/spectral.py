@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bcs
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 
 CONVERGENCE_RTOL = 1e-3
 
@@ -88,10 +88,8 @@ class KQuadrature:
     def __post_init__(self):
         if self.nodes < 64:
             raise DomainError(f"need at least 64 quadrature nodes, got {self.nodes}")
-        if not self.cutoff_delta0 > 0:
-            raise DomainError(f"cutoff must be positive, got {self.cutoff_delta0}")
-        if not self.patch_area_um2 > 0:
-            raise DomainError(f"patch area must be positive, got {self.patch_area_um2}")
+        require_positive("cutoff", self.cutoff_delta0)
+        require_positive("patch area", self.patch_area_um2)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,11 @@ class TestGap:
         with pytest.raises(DomainError):
             gap_at_temperature(sc, -0.1)
 
+    def test_a_nan_temperature_is_rejected(self):
+        sc = SuperconductorParams(delta0=1.0, tc=9.2)
+        with pytest.raises(DomainError, match="non-negative, got nan"):
+            gap_at_temperature(sc, math.nan)
+
     def test_monotone_nonincreasing(self):
         sc = SuperconductorParams(delta0=1.4, tc=9.2)
         temps = np.linspace(0.0, 9.2, 200)
@@ -149,6 +154,10 @@ class TestFermiOccupation:
         with pytest.raises(DomainError):
             fermi_occupation(1.0, -2.0)
 
+    def test_a_nan_temperature_is_rejected(self):
+        with pytest.raises(DomainError, match="non-negative, got nan"):
+            fermi_occupation(1.0, math.nan)
+
 
 class TestFermiLevel:
     def test_reference_value(self):
@@ -195,6 +204,25 @@ class TestJunctionParams:
             BandParams(-0.1, 30.0)
         with pytest.raises(DomainError):
             SuperconductorParams(0.0, 9.2)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: SuperconductorParams(math.inf, 9.2), "delta0"),
+            (lambda: SuperconductorParams(1.4, math.inf), "tc"),
+            (lambda: BandParams(math.inf, 35.7), "effective_mass"),
+            (lambda: BandParams(0.067, math.inf), "quasi_fermi_level"),
+            (lambda: BandParams(0.067, 35.7, gap_scale=math.inf), "gap_scale"),
+        ],
+        ids=["delta0", "tc", "mass", "fermi_level", "gap_scale"],
+    )
+    def test_an_infinite_parameter_is_rejected(self, build, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be finite, got inf$"):
+            build()
+
+    def test_a_non_positive_parameter_keeps_its_message(self):
+        with pytest.raises(DomainError, match=r"^tc must be positive, got nan$"):
+            SuperconductorParams(1.4, math.nan)
 
     def test_preset_fermi_levels(self):
         jp = gaas_nb_junction()

@@ -72,9 +72,32 @@ def test_an_empty_sweep_has_no_rows_and_no_error(junction, geometry, temps, enha
     table = fidelity_curve(temps, enhancements, WINDING, BASIS, geometry, D, junction, QUAD)
     assert table.values.shape == (len(temps), len(enhancements))
     cells, mixtures, error = pair_state.mixture_sweep(
-        CLOCKWISE, WINDING, BASIS, geometry, (), D, temps, enhancements, junction, QUAD
+        CLOCKWISE, WINDING, BASIS, geometry, D, temps, enhancements, junction, QUAD
     )
     assert mixtures.shape == (0, len(cells)) and error is None
+
+
+def test_a_counterclockwise_target_block_off_the_held_cells_reads_zero(junction, geometry):
+    """A pure counterclockwise current populates only the -ls sector, so the
+    sweep holds the +ls target block on its diagonal alone; ``fidelity_curve``
+    reads +0.0 at the rest, the full mixture's value there."""
+    basis, q = OamPairBasis.full(2), QubitState(0, 1)
+    support = bell_target(basis, WINDING).support
+    cells, _, _ = pair_state.mixture_sweep(
+        q, WINDING, basis, geometry, D, TEMPS[:1], ENHANCEMENTS[:1], junction, QUAD
+    )
+    block = (support[:, None] * len(basis) + support).ravel()
+    assert set(block) & set(cells) == set(support * (len(basis) + 1))
+    table = fidelity_curve(
+        TEMPS, ENHANCEMENTS, WINDING, basis, geometry, D, junction, QUAD, qubit=q
+    )
+    target = bell_target(basis, WINDING)
+    for i, t in enumerate(TEMPS):
+        for j, enh in enumerate(ENHANCEMENTS):
+            rho = pair_state.rho_total_superposition(
+                q, WINDING, basis, geometry, D, t, junction, CoherenceParams(enh), QUAD
+            )
+            assert table.values[i, j] == fidelity(rho, target)
 
 
 def test_the_sweep_builds_no_density_matrix(junction, geometry, monkeypatch):
@@ -92,7 +115,7 @@ def test_the_sweep_builds_no_density_matrix(junction, geometry, monkeypatch):
 
 @st.composite
 def emitted_states(draw):
-    """A basis on an ``l_values`` list, a winding it populates, a qubit and a block.
+    """A basis on an ``l_values`` list, a winding it populates and a qubit.
 
     The qubit has a -ls amplitude only where the basis populates -ls too.
     """
@@ -105,8 +128,7 @@ def emitted_states(draw):
         theta = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2))
     phases = draw(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
     q = QubitState.from_polar(math.cos(theta), phases[0], math.sin(theta), phases[1])
-    block = draw(st.lists(st.integers(0, len(basis) - 1), max_size=len(basis), unique=True))
-    return basis, ls, q, np.array(block, dtype=int)
+    return basis, ls, q
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -121,14 +143,14 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
     Hermitian checks cannot fail where the values are finite.  The diagonal,
     formed as re^2 + im^2, has no imaginary part at all.
     """
-    basis, ls, q, block = state
+    basis, ls, q = state
     n = len(basis)
     cells, swept, error = pair_state.mixture_sweep(
-        q, ls, basis, geometry, block, D, TEMPS, enhancements, junction, QUAD
+        q, ls, basis, geometry, D, TEMPS, enhancements, junction, QUAD
     )
     assert error is None
     assert np.array_equal(cells, np.unique(cells))
-    assert set(np.arange(n) * (n + 1)) | set((block[:, None] * n + block).ravel()) <= set(cells)
+    assert set(np.arange(n) * (n + 1)) <= set(cells)
     coherent = pair_state.rho_superposition(q, ls, basis, geometry)
     incoherent = pair_state.rho_bqp(basis, geometry)
     rates = mixing_rates(D, TEMPS, junction, QUAD)

@@ -535,6 +535,31 @@ class TestGeometry:
         with pytest.raises(DomainError, match=r"need 0 <= r_inner <= r_outer, got \[.*nan"):
             AnnulusGeometry(*radii, 3.0)
 
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ((4.0, 5.0, math.inf), r"^waist must be finite, got inf$"),
+            ((math.inf, math.inf, 3.0), r"^r_inner must be finite, got inf$"),
+        ],
+        ids=["infinite waist", "infinite inner radius"],
+    )
+    def test_an_infinite_waist_or_inner_radius_is_rejected(self, geometry, message):
+        # both used to construct, and kappa(1, 1) then read 0.0
+        with pytest.raises(DomainError, match=message):
+            AnnulusGeometry(*geometry)
+
+    @pytest.mark.parametrize("waist", [0.0, -1.0, math.nan, math.inf])
+    def test_lg_radial_rejects_a_waist_that_is_not_positive_and_finite(self, waist):
+        # 0.0 used to raise ZeroDivisionError, -1.0 to give 1.040520190045778
+        # here, NaN and inf to give NaN and 0.0
+        with pytest.raises(DomainError, match=r"^waist must be"):
+            lg_radial(1, waist, 1.0)
+
+    @pytest.mark.parametrize("r", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"])
+    def test_lg_radial_rejects_a_nan_radius(self, r):
+        with pytest.raises(DomainError, match=r"^radius must be non-negative$"):
+            lg_radial(1, 2.0, r)
+
     def test_an_infinite_outer_radius_is_the_full_plane_tail(self):
         # the l = 1 intensity past a carries exp(-2a^2/w^2) (1 + 2a^2/w^2) of the norm
         x = 2 * 4.0**2 / 3.0**2

@@ -387,7 +387,7 @@ class TestRateShares:
     def test_the_sweep_returns_no_rows_and_the_located_error(self, negative_rates, junction):
         basis, geom = OamPairBasis.full(3), AnnulusGeometry.default()
         cells, mixtures, error = pair_state.mixture_sweep(
-            pair_state.CLOCKWISE, 2, basis, geom, (), 5.0, (0.5, 0.9), (10.0, 100.0), junction
+            pair_state.CLOCKWISE, 2, basis, geom, 5.0, (0.5, 0.9), (10.0, 100.0), junction
         )
         assert mixtures.shape == (0, len(cells))
         assert isinstance(error, DegenerateMixtureError)

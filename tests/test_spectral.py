@@ -42,6 +42,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             KQuadrature(patch_area_um2=-1.0)
 
+    def test_an_infinite_cutoff_or_patch_area_is_rejected(self):
+        with pytest.raises(DomainError, match=r"^cutoff must be finite, got inf$"):
+            KQuadrature(cutoff_delta0=math.inf)
+        with pytest.raises(DomainError, match=r"^patch area must be finite, got inf$"):
+            KQuadrature(patch_area_um2=math.inf)
+
     def test_grid_requires_increasing_detunings(self):
         with pytest.raises(DomainError):
             SpectralGrid(detunings=(1.0, 0.0, -1.0), temperatures=(0.5,))
@@ -331,7 +337,7 @@ class TestMixingRates:
         incoherent = pair_state.rho_bqp(basis, geometry)
         r_cp, r_bqp = mixing_rates(5.0, (0.5,), junction, fast_quad)[0]
         cells, mixtures, error = pair_state.mixture_sweep(
-            qubit, 1, basis, geometry, (), 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
+            qubit, 1, basis, geometry, 5.0, (0.5,), (50.0, 100.0), junction, fast_quad
         )
         assert error is None and len(mixtures) == 2
         for values, enh in zip(mixtures, (50.0, 100.0)):
@@ -354,7 +360,7 @@ class TestMixingRates:
         rates[failing] = (math.inf, rates[failing][1])
         monkeypatch.setattr(spectral, "mixing_rates", lambda *args: rates)
         cells, mixtures, error = pair_state.mixture_sweep(
-            CLOCKWISE, 1, basis, geometry, (), 5.0, temps, enhancements, junction, fast_quad
+            CLOCKWISE, 1, basis, geometry, 5.0, temps, enhancements, junction, fast_quad
         )
         before = [(r, enh) for r in rates[:failing] for enh in enhancements]
         assert len(mixtures) == len(before)
