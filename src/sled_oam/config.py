@@ -52,8 +52,10 @@ DENSITY_CM2_RANGE = (1e6, 1e16)
 # rates overflow as for a tiny gap, above about 1e307 the pair weights do.
 GAP_SCALE_RANGE = (1e-3, 1e3)
 # The largest detuning, in gap units, like the cutoff; at 1.7e308 the
-# detuning grid itself overflows.  Zero would give no increasing grid.
+# detuning grid itself overflows.  Zero would give no increasing grid.  The
+# dm detuning may lie as far either side of zero; at 1e300 both rates vanish.
 DETUNING_MAX_RANGE = (_ABOVE_ZERO, 1e6)
+DETUNING_FOR_DM_RANGE = (-DETUNING_MAX_RANGE[1], DETUNING_MAX_RANGE[1])
 # The critical temperature, K.  Known superconductors lie between a fraction
 # of a millikelvin and a few hundred kelvin.  No large value breaks the
 # arithmetic, but at 1e-320 K the thermal energy k_B T at t = 0.001
@@ -74,9 +76,9 @@ WAIST_UM_RANGE = (1e-3, 1e4)
 # Grid sizes, which set array lengths: past these the arrays grow until an
 # allocation fails.  The quadrature needs 64 nodes, and at 2^17 + 1 its band
 # tables hold about 47 MB (7 float64 and 19 complex128 arrays, 360 B per
-# node); verification reads the same tables and adds two weight arrays of 8 B
-# per node.  No preset uses more than 121 detunings; 10 001 leave 80 times
-# that, and a rates CSV of 19 temperatures then holds about 5.5 MB.
+# node); every run's error estimate reads the same tables and adds the weights
+# of two rules, 48 B per node.  No preset uses more than 121 detunings; 10 001
+# leave 80 times that, and a rates CSV of 19 temperatures then holds 5.5 MB.
 QUADRATURE_NODES_RANGE = (64, 2**17 + 1)
 DETUNING_POINTS_RANGE = (2, 10_001)
 
@@ -153,14 +155,16 @@ _SCHEMA = {
         "quadrature_nodes": ("4096", _parse_int, QUADRATURE_NODES_RANGE),
         "cutoff_delta0": ("40.0", _parse_float, CUTOFF_DELTA0_RANGE),
         "patch_area_um2": ("0.1", _parse_float, None),
-        "verify_quadrature": ("false", _parse_bool, None),
+        # only true, which changes nothing: the benchmark's dm_wide command line
+        # sets it, and ROADMAP item 1 drops it from there, then from here
+        "verify_quadrature": ("true", _parse_bool, None),
     },
     "emission": {
         "winding": ("2", _parse_int, None),
         "l_max": ("3", _parse_int, (0, MAX_OAM)),
         # optional restriction of detected OAM values
         "l_values": (None, _ints, None),
-        "detuning_for_dm": ("5.0", _parse_float, None),
+        "detuning_for_dm": ("5.0", _parse_float, DETUNING_FOR_DM_RANGE),
         "enhancements": ("10, 100", _floats, (1.0, math.inf)),
         # "magnitude, phase"; both qubit keys or neither
         "qubit_a": (None, _parse_pair, None),
@@ -306,12 +310,13 @@ def load_config(path_or_preset: str, overrides=()) -> RunConfig:
             f"grid.detuning_max: {d_max!r} is too small for {d_points} strictly "
             "increasing detunings (grid.detuning_points)"
         )
+    if not v["grid.verify_quadrature"]:
+        raise ConfigError("grid.verify_quadrature: the error estimate runs on every run")
     try:
         quad = KQuadrature(
             nodes=v["grid.quadrature_nodes"],
             cutoff_delta0=v["grid.cutoff_delta0"],
             patch_area_um2=v["grid.patch_area_um2"],
-            verify=v["grid.verify_quadrature"],
         )
         grid = SpectralGrid(
             detunings=tuple(detunings),

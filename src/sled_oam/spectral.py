@@ -32,10 +32,10 @@ Both channels come from one evaluator, ``_channel_rates``: for a sequence
 of reduced temperatures it builds one band table, refills it in place for
 each temperature and returns the raw rates of both channels for a tuple of
 detunings.  Each kernel is built as K(d) + K(-d), so both rates are exactly
-even in d and each |d| is evaluated only once.  The evaluator also holds the
-only ``verify`` check: an error estimate from the same rule on every second
-node of the kernel values already computed, so it needs no kernel call and
-no second table.  ``mixing_rates`` (one detuning over a temperature sweep)
+even in d and each |d| is evaluated only once.  Every rate it returns has
+passed an error estimate from the same rule on every second node of the
+kernel values already computed, which needs no kernel call and no second
+table.  ``mixing_rates`` (one detuning over a temperature sweep)
 and ``rate_surfaces`` (a grid) are thin callers of it, on one thread.
 
 Every factor of the kernels that does not depend on the detuning (the pair
@@ -73,17 +73,16 @@ class KQuadrature:
 
     ``nodes`` kinetic-energy samples on [0, mu^n + cutoff_delta0 * delta0];
     ``patch_area_um2`` is the coherence-patch area fixing the state count that
-    calibrates the coherent/incoherent ratio.  With ``verify`` set, every rate
-    gets the error estimate |T_m - T_m/2| / 3 of the trapezoid T_m over nodes
-    0..m (m the largest even node index) against the same rule T_m/2 on every
-    second node, and an estimate above 0.1% of the rate raises
-    ConvergenceError.
+    calibrates the coherent/incoherent ratio.  Every rate gets the error
+    estimate |T_m - T_m/2| / 3 of the trapezoid T_m over nodes 0..m (m the
+    largest even node index) against the same rule T_m/2 on every second
+    node, and an estimate above 0.1% of the rate raises ConvergenceError, so
+    a table too coarse for its resonances fails instead of returning.
     """
 
     nodes: int = 4096
     cutoff_delta0: float = 40.0
     patch_area_um2: float = 0.1
-    verify: bool = False
 
     def __post_init__(self):
         if self.nodes < 64:
@@ -192,8 +191,8 @@ class _BandTables:
     an array, so none needs a buffer of its own, and ``fill`` writes its
     intermediate arrays into float views of the kernels' work arrays, so
     neither a refill nor a detuning allocates.  Every array starts on a page
-    (see ``_aligned_arrays``).  With ``quad.verify`` the table also holds the
-    weights of the two rules that ``halved_rates`` applies.
+    (see ``_aligned_arrays``).  The table also holds the weights of the two
+    rules that ``halved_rates`` applies, as float64 and as complex128.
 
     ``rates`` writes the four denominators den_mm, den_mp, den_pm, den_pp =
     d -+ E^n -+ E^p + i Gamma at d into four work arrays and takes
@@ -251,15 +250,17 @@ class _BandTables:
             den.imag = 0.0 + (1j * self.gamma).imag
         dos = bcs.dos_2d_per_mev_um2(jp.conduction.effective_mass)
         self.patch_states = dos * quad.patch_area_um2
-        if quad.verify:
-            # trapezoid weights over nodes 0..m, m the largest even index, and
-            # those of the same rule on every second node (zero on the odd ones)
-            m = (nodes - 1) // 2 * 2
-            self._rules = np.zeros((2, m + 1))
-            for rule, step in zip(self._rules, (1, 2)):
-                half = np.diff(eps[: m + 1 : step]) / 2.0
-                rule[:m:step] += half
-                rule[step::step] += half
+        # trapezoid weights over nodes 0..m, m the largest even index, and those
+        # of the same rule on every second node (zero on the odd ones); a complex
+        # copy takes the pair kernel's sums in one matrix-vector product
+        m = (nodes - 1) // 2 * 2
+        self._rules = np.zeros((2, m + 1))
+        for rule, step in zip(self._rules, (1, 2)):
+            half = np.diff(eps[: m + 1 : step]) / 2.0
+            rule[:m:step] += half
+            rule[step::step] += half
+        self._pair_rules = self._rules.astype(np.complex128)
+        self._pair_head, self._qp_head = self._sums[0][: m + 1], self._mag[: m + 1]
 
     def fill(self, t: float) -> None:
         """Rewrite the band energies and every detuning-free factor for reduced temperature t."""
@@ -380,31 +381,23 @@ class _BandTables:
         qp_sum = self._trapezoid(self._mag, self.half_dx, self._near)
         return self._channel_values(pair_sum, qp_sum)
 
-    def halved_rates(self) -> "tuple[tuple[float, float], tuple[float, float]]":
+    def halved_rates(self) -> "tuple[list, list]":
         """(coherent, incoherent) rates of the last ``rates`` call by two rules on its kernels.
 
-        The first pair applies the trapezoid over nodes 0..m, m the largest
-        even node index; the second the same rule on every second of those
-        nodes.  Both read what ``rates`` left in the work arrays, the summed
-        pair kernel in ``_sums[0]`` and |qp|^2 in ``_mag``, so neither calls a
-        kernel.  Only a table built with ``quad.verify`` holds their weights.
+        Each channel's list holds the trapezoid over nodes 0..m, m the largest
+        even node index, then the same rule on every second of those nodes,
+        both applied to what ``rates`` left in ``_sums[0]`` and ``_mag``.
         """
-        k = self._rules.shape[1]
-        # the pair kernel's real and imaginary parts as two columns, so each
-        # rule's two sums come back side by side as one complex
-        pair = self._sums[0][:k].view(np.float64).reshape(k, 2)
-        pair_sums = (self._rules @ pair).view(np.complex128)[:, 0]
-        qp_sums = self._rules @ self._mag[:k]
-        return tuple(map(self._channel_values, pair_sums, qp_sums))
+        pair_sums = np.dot(self._pair_rules, self._pair_head)
+        return self._channel_values(pair_sums, np.dot(self._rules, self._qp_head))
 
-    def _channel_values(self, pair_sum, qp_sum) -> "tuple[float, float]":
-        """(coherent, incoherent) rates from the pair and |qp|^2 momentum sums."""
-        # an overflow leaves inf, which the caller reports as not finite
+    def _channel_values(self, pair_sum, qp_sum):
+        """(coherent, incoherent) rates from pair and |qp|^2 sums: floats, or lists for arrays."""
+        # an overflow leaves inf, which fails the caller's finite or estimate check
         with np.errstate(over="ignore"):
-            amp = self.patch_states * pair_sum
-            coherent = abs(amp) ** 2
+            coherent = abs(self.patch_states * pair_sum) ** 2
             incoherent = self.patch_states * qp_sum
-        return float(coherent), float(incoherent)
+        return coherent.tolist(), incoherent.tolist()
 
 
 def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detunings) -> list:
@@ -413,11 +406,10 @@ def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detu
     One band table serves every temperature, both channels and every
     detuning; it is refilled per temperature and freed on return, and each
     |d| is evaluated once per temperature.  A detuning that is not finite
-    raises DomainError, a rate that is not finite ConvergenceError.  With
-    ``quad.verify`` so does a rate whose error estimate |T_m - T_m/2| / 3
-    (see ``_BandTables.halved_rates``) exceeds ``CONVERGENCE_RTOL`` of it;
-    the error carries T_m/2 as ``coarse`` and the reported rate as
-    ``refined``.
+    raises DomainError, a rate that is not finite ConvergenceError, and so
+    does every rate whose error estimate |T_m - T_m/2| / 3 (see
+    ``_BandTables.halved_rates``) exceeds ``CONVERGENCE_RTOL`` of it; the
+    error carries T_m/2 as ``coarse`` and the reported rate as ``refined``.
     """
     magnitudes = [abs(d) for d in detunings]
     if not all(map(math.isfinite, magnitudes)):  # before numpy would warn on them
@@ -436,18 +428,17 @@ def _channel_rates(temperatures, jp: bcs.JunctionParams, quad: KQuadrature, detu
                     f"(coherent, incoherent) rate at |d|={m}, t={t} is not finite "
                     f"with {quad.nodes} quadrature nodes: {rates}"
                 )
-            if quad.verify:
-                channels = zip(("coherent", "incoherent"), rates, *tables.halved_rates())
-                for channel, value, full, half in channels:
-                    estimate = abs(full - half) / 3
-                    if not estimate <= CONVERGENCE_RTOL * value:
-                        raise ConvergenceError(
-                            f"{channel} rate at |d|={m}, t={t} with {quad.nodes} quadrature "
-                            f"nodes has the error estimate {estimate:.3g}, over "
-                            f"{CONVERGENCE_RTOL:g} of the rate {value:.6g}",
-                            coarse=half,
-                            refined=value,
-                        )
+            channels = zip(("coherent", "incoherent"), rates, tables.halved_rates())
+            for channel, value, (full, half) in channels:
+                estimate = abs(full - half) / 3
+                if not estimate <= CONVERGENCE_RTOL * value:
+                    raise ConvergenceError(
+                        f"{channel} rate at |d|={m}, t={t} with {quad.nodes} quadrature "
+                        f"nodes has the error estimate {estimate:.3g}, over "
+                        f"{CONVERGENCE_RTOL:g} of the rate {value:.6g}",
+                        coarse=half,
+                        refined=value,
+                    )
             by_magnitude[m] = rates
         rows.append([by_magnitude[m] for m in magnitudes])
     return rows

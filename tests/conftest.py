@@ -16,8 +16,13 @@ def geometry():
 
 @pytest.fixture(scope="session")
 def fast_quad():
-    """Coarse momentum grid for tests that probe structure, not precision."""
-    return KQuadrature(nodes=256)
+    """Coarse momentum grid for tests that probe structure, not precision.
+
+    512 is the smallest power of two whose quadrature error estimate passes
+    on the default junction at every detuning up to 8 gap units and every
+    reduced temperature in [0.01, 0.99].
+    """
+    return KQuadrature(nodes=512)
 
 
 @pytest.fixture()

@@ -214,7 +214,7 @@ def test_criterion_8_numerical_oracles(junction, rng):
 
     # density-matrix structural invariants under fuzzing
     geom = AnnulusGeometry.default()
-    quad = KQuadrature(nodes=64, cutoff_delta0=10.0)
+    quad = KQuadrature(nodes=512, cutoff_delta0=10.0)
     for _ in range(300):
         l_max = int(rng.integers(1, 4))
         basis = OamPairBasis.full(l_max)

@@ -24,7 +24,7 @@ FAST = """
 detuning_max = 2.0
 detuning_points = 5
 temperatures = 0.3, 0.7
-quadrature_nodes = 128
+quadrature_nodes = 512
 
 [emission]
 winding = 1
@@ -101,7 +101,7 @@ class TestRates:
         )
         out = str(tmp_path / "out")
         args = ["rates", "--config", "fig2", "--out", out, "--threads", "1"]
-        args += ["--set", "grid.quadrature_nodes=256", "--set", "grid.temperatures=0.3, 0.9"]
+        args += ["--set", "grid.quadrature_nodes=512", "--set", "grid.temperatures=0.3, 0.9"]
         assert main(args) == 0
         assert len(evaluated) == 2 * 61  # one evaluation per |d| and temperature
         for name in ("rates_cp.csv", "rates_bqp.csv"):
@@ -276,7 +276,7 @@ class TestFidelity:
     def test_the_configured_current_sets_the_fidelity(self, tmp_path, qubit_a, qubit_b):
         overrides = [
             "grid.temperatures=0.5, 0.9",
-            "grid.quadrature_nodes=256",
+            "grid.quadrature_nodes=512",
             f"emission.qubit_a={qubit_a}",
             f"emission.qubit_b={qubit_b}",
         ]
@@ -562,6 +562,7 @@ class TestNonFiniteResults:
             ("grid.detuning_max", "1.7e308"),
             ("grid.quadrature_nodes", "1000000000000000"),
             ("grid.detuning_points", "1000000000000000"),
+            ("emission.detuning_for_dm", "1e300"),
         ],
     )
     def test_settings_that_would_overflow_exit_2_at_load(self, tmp_path, capsys, key, value):
@@ -594,6 +595,8 @@ class TestNonFiniteResults:
 
 
 class TestConvergenceGate:
+    """Every run estimates each rate's quadrature error; there is no way to skip it."""
+
     def test_unresolvable_resonance_exits_with_code_3(self, tmp_path, capsys):
         args = [
             "rates",
@@ -601,8 +604,6 @@ class TestConvergenceGate:
             write_config(tmp_path),
             "--out",
             str(tmp_path / "out"),
-            "--set",
-            "grid.verify_quadrature=true",
             "--set",
             "grid.quadrature_nodes=64",
             "--set",
@@ -616,12 +617,9 @@ class TestConvergenceGate:
     def test_the_error_estimate_gates_fig2_at_a_long_dephasing_time(
         self, tmp_path, capsys, dephasing_time_fs, status
     ):
-        args = ["rates", "--config", "fig2", "--out", str(tmp_path / "out")]
-        for setting in (
-            "grid.temperatures=0.05",
-            f"material.dephasing_time_fs={dephasing_time_fs}",
-            "grid.verify_quadrature=true",
-        ):
+        out = tmp_path / "out"
+        args = ["rates", "--config", "fig2", "--out", str(out)]
+        for setting in ("grid.temperatures=0.05", f"material.dephasing_time_fs={dephasing_time_fs}"):
             args += ["--set", setting]
         assert main(args) == status
         err = capsys.readouterr().err
@@ -631,7 +629,11 @@ class TestConvergenceGate:
         assert err.count("\n") == 1
         record = json.loads(err)
         assert record["error"] == "ConvergenceError"
-        assert "with 4096 quadrature nodes has the error estimate " in record["message"]
+        assert record["message"].startswith(
+            "coherent rate at |d|=6.0, t=0.05 with 4096 quadrature nodes "
+            "has the error estimate 6.47, over 0.001 of the rate "
+        )
+        assert os.listdir(out) == []
 
     def test_default_resolution_passes_verification(self, tmp_path):
         args = [
@@ -641,11 +643,29 @@ class TestConvergenceGate:
             "--out",
             str(tmp_path / "out"),
             "--set",
-            "grid.verify_quadrature=true",
-            "--set",
             "grid.quadrature_nodes=4096",
         ]
         assert main(args) == 0
+
+    def test_turning_the_estimate_off_exits_2_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["rates", "--config", write_config(tmp_path), "--out", str(out)]
+        assert main(args + ["--set", "grid.verify_quadrature=false"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("grid.verify_quadrature: ")
+        assert "every run" in record["message"]
+        assert not os.path.exists(out)
+
+    def test_the_benchmark_flag_changes_no_data_file(self, tmp_path):
+        # dm_wide's command line; only the manifest's config echo may differ
+        digests = []
+        for flag in ([], ["--set", "grid.verify_quadrature=true"]):
+            out = str(tmp_path / f"out{len(digests)}")
+            args = ["dm", "--config", "fig3", "--out", out, "--set", "emission.l_max=6"]
+            assert main(args + flag) == 0
+            digests.append(check_manifest(out)["outputs"])
+        assert digests[0] and digests[0] == digests[1]
 
 
 class TestSvgOutputs:
@@ -785,7 +805,7 @@ class TestSvgOutputs:
         assert_paints_like(text, oracle)
 
     def test_log_scale_heatmaps_on_the_fig2_grid(self, tmp_path):
-        fast = ["--set", "grid.quadrature_nodes=256"]
+        fast = ["--set", "grid.quadrature_nodes=512"]
         linear, log = str(tmp_path / "linear"), str(tmp_path / "log")
         assert main(["rates", "--config", "fig2", "--out", linear] + fast) == 0
         assert main(["rates", "--config", "fig2", "--out", log, "--log-scale"] + fast) == 0

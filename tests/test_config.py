@@ -86,6 +86,13 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"^unknown config key output\.threads$"):
             load_config(write(tmp_path, MINIMAL + "[output]\nthreads = 1\n"))
 
+    def test_the_quadrature_error_estimate_cannot_be_turned_off(self, tmp_path):
+        # true is the default and changes nothing; the estimate runs on every run
+        assert load_config(write(tmp_path, MINIMAL)).resolved["grid.verify_quadrature"] == "true"
+        load_config(write(tmp_path, MINIMAL), ["grid.verify_quadrature=true"])
+        with pytest.raises(ConfigError, match=r"^grid\.verify_quadrature: .* every run$"):
+            load_config(write(tmp_path, MINIMAL), ["grid.verify_quadrature=false"])
+
     def test_svg_must_be_a_boolean(self, tmp_path):
         with pytest.raises(ConfigError, match="output.svg"):
             load_config(write(tmp_path, MINIMAL + "[output]\nsvg = pdf\n"))
@@ -137,6 +144,8 @@ class TestRejection:
             ("geometry.waist_um", "9.9e-4"),
             ("geometry.waist_um", "1e-300"),
             ("geometry.waist_um", "10000.1"),
+            ("emission.detuning_for_dm", "1e300"),
+            ("emission.detuning_for_dm", "-1000000.1"),
         ],
     )
     def test_value_outside_its_finite_range_names_its_key(self, tmp_path, key, value):
@@ -169,6 +178,8 @@ class TestRejection:
             "material.tc_k=1e3",
             "geometry.waist_um=1e-3",
             "geometry.waist_um=1e4",
+            "emission.detuning_for_dm=1e6",
+            "emission.detuning_for_dm=-1e6",
         ):
             load_config(write(tmp_path, MINIMAL), [setting])
 

@@ -39,7 +39,7 @@ WINDING = 2
 TEMPS = (0.2, 0.5, 0.8)
 ENHANCEMENTS = (10.0, 100.0)
 D = 5.0
-QUAD = KQuadrature(nodes=256)
+QUAD = KQuadrature(nodes=512)
 
 
 @pytest.mark.parametrize("l_max", [3, 6])

@@ -363,7 +363,7 @@ class TestFidelityCurve:
         monkeypatch.setattr(metrics, "eigh", counting_eigh)
         basis = OamPairBasis.from_l_values([0, 1])
         args = ((0.2, 0.5, 0.8), (10.0, 100.0), 1, basis, geometry, 5.0, junction)
-        fidelity_curve(*args, quad=KQuadrature(nodes=256))
+        fidelity_curve(*args, quad=KQuadrature(nodes=512))
         # the target's projector once, then the blocks of all 3 x 2 points, all on
         # the 2 x 2 support block
         assert calls == [(2, 2), (3 * 2, 2, 2)]

@@ -303,7 +303,7 @@ class TestCrossCheckRunsEveryCall:
     def curve(self, junction, geometry):
         basis = OamPairBasis.from_l_values([0, 1])
         return fidelity_curve(
-            *self.ARGS, basis, geometry, 5.0, junction, quad=KQuadrature(nodes=256)
+            *self.ARGS, basis, geometry, 5.0, junction, quad=KQuadrature(nodes=512)
         )
 
     def test_general_fidelity_at_every_point(self, junction, geometry, monkeypatch):

@@ -41,7 +41,7 @@ from dm_json import from_json_dict, to_json_dict
 import test_modes
 from test_modes import OracleMode, oracle_kappa, reference_lg_radial
 
-FUZZ_QUAD = KQuadrature(nodes=64, cutoff_delta0=10.0)
+FUZZ_QUAD = KQuadrature(nodes=512, cutoff_delta0=10.0)
 
 
 def sector_mask(basis, ls):

@@ -1,21 +1,24 @@
 """Property tests for the invariants of the single spectral evaluation path.
 
-Random small configurations (64-256 nodes, exactly symmetric detuning grids of
-3-9 points, 1-3 temperatures, the quadrature error estimate on or off) must give
-surfaces that are the per-point rates divided by one normalization, rows that
-are exact mirror images, and fidelity curves equal to the one-shot mixture at
-every point, all bit for bit.  The band-table rates must equal, bit for bit, a
-verbatim copy of the kernels as they were before their per-temperature
-factors were hoisted, and a table refilled for a second temperature must give
-the rates of a fresh table for it.  Small random ``dm`` and ``fidelity`` runs must write
+Random small configurations (256-1024 nodes, exactly symmetric detuning grids
+of 3-9 points, 1-3 temperatures) must give surfaces that are the per-point
+rates divided by one normalization, rows that are exact mirror images, and
+fidelity curves equal to the one-shot mixture at every point, all bit for
+bit, or fail the quadrature error estimate at the same point.  The band-table
+rates must equal, bit for bit, a verbatim copy of the kernels as they were
+before their per-temperature factors were hoisted, so must every rate that
+passes the error estimate, and a table refilled for a second temperature must
+give the rates of a fresh table for it.  Small random ``dm`` and ``fidelity`` runs must write
 Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
 the one-shot mixture at its (temperature, enhancement), and fidelities in
-[0, 1], and the mode overlap ``kappa`` must be symmetric in its two modes
-and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
+[0, 1], or exit 3 with a one-line error where a dephasing time outruns the
+nodes' error estimate, and the mode overlap ``kappa`` must be symmetric in
+its two modes and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
 cutoff and dephasing time, any positive effective masses, or any positive
 value of the gap, a carrier density, a gap scale, the largest detuning or the
 patch area must succeed or exit 2 or 3 with a one-line JSON error, without a
-warning; at every corner of the ranges in the config schema it must succeed.
+warning; at every corner of the ranges in the config schema its rates must be
+finite: it succeeds, or fails only the error estimate.
 A small ``dm`` run with any positive annulus radius or beam waist must
 succeed or exit 1, 2 or 3 with a one-line JSON error, without a warning.
 A small ``rates``, ``dm`` or ``fidelity`` run with SVG output, given any
@@ -69,7 +72,8 @@ from dm_json import from_json_dict, to_json_dict
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
-quadratures = st.builds(KQuadrature, nodes=st.integers(64, 256), verify=st.booleans())
+# about one draw in twelve at the coarse end fails the error estimate somewhere
+quadratures = st.builds(KQuadrature, nodes=st.integers(256, 1024))
 temperatures = st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True).map(tuple)
 
 
@@ -302,9 +306,7 @@ def _first_estimate_failure(jp, quad, temperatures, detunings):
     ids=["1e4 fs", "1e5 fs at t=0.05"],
 )
 def test_the_error_estimate_fails_exactly_where_the_oracle_rule_does(nodes, sets, fails):
-    config = load_config(
-        "fig2", [*sets, f"grid.quadrature_nodes={nodes}", "grid.verify_quadrature=true"]
-    )
+    config = load_config("fig2", [*sets, f"grid.quadrature_nodes={nodes}"])
     grid = config.grid
     expected = _first_estimate_failure(
         config.junction, grid.k_integration, grid.temperatures, grid.detunings
@@ -331,21 +333,28 @@ def test_the_error_estimate_fails_exactly_where_the_oracle_rule_does(nodes, sets
 def test_verification_never_changes_a_reported_rate(
     detunings, temps, half_nodes, odd, dephasing_time_fs
 ):
+    # every rate that passes the estimate is the unhoisted kernels' np.trapezoid
+    # rate, bit for bit, from both callers of the one evaluator
     jp = gaas_nb_junction(dephasing_time=dephasing_time_fs)
-    plain, verified = (KQuadrature(nodes=2 * half_nodes + odd, verify=v) for v in (False, True))
-    for d in detunings:
+    nodes = 2 * half_nodes + odd
+    quad = KQuadrature(nodes=nodes)
+    references = [_ReferenceTables(t, jp, quad, nodes) for t in temps]
+    expected = [[ref.rates(d, jp.sc.delta0) for d in detunings] for ref in references]
+    for j, d in enumerate(detunings):
         try:
-            checked = mixing_rates(d, temps, jp, verified)
+            checked = mixing_rates(d, temps, jp, quad)
         except ConvergenceError:
             continue
-        assert checked == mixing_rates(d, temps, jp, plain)
+        assert checked == [row[j] for row in expected]
     try:
-        checked = rate_surfaces(SpectralGrid(detunings, temps, verified), jp)
+        cp, bqp = rate_surfaces(SpectralGrid(detunings, temps, quad), jp)
     except ConvergenceError:
         return
-    for surface, expected in zip(checked, rate_surfaces(SpectralGrid(detunings, temps, plain), jp)):
-        assert surface.normalization == expected.normalization
-        assert np.array_equal(surface.values, expected.values)
+    raw = np.array(expected)
+    norm = raw[..., 0].max()
+    assert cp.normalization == bqp.normalization == norm
+    assert np.array_equal(cp.values, raw[..., 0] / norm)
+    assert np.array_equal(bqp.values, raw[..., 1] / norm)
 
 
 @st.composite
@@ -362,7 +371,8 @@ def small_runs(draw):
         "geometry.r_outer_um": r_inner + draw(st.sampled_from([0.5, 1.0, 3.0])),
         "material.dephasing_time_fs": draw(st.floats(100.0, 5000.0)),
         "grid.temperatures": ", ".join(map(repr, draw(temperatures))),
-        "grid.quadrature_nodes": draw(st.integers(64, 256)),
+        # dephasing times past about 2000 fs need more than 512 nodes
+        "grid.quadrature_nodes": draw(st.integers(1024, 2048)),
         "emission.l_max": l_max,
         "emission.winding": draw(st.integers(-2 * l_max, 2 * l_max)),
         "emission.detuning_for_dm": draw(st.floats(0.0, 6.0)),
@@ -377,13 +387,28 @@ def small_runs(draw):
     return [arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")]
 
 
+def run_or_fail_the_estimate(args) -> bool:
+    """Run ``main``: True on exit 0, False on exit 3 with one ConvergenceError line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    if code == 0:
+        assert err.getvalue() == ""
+        return True
+    assert code == 3
+    [line] = err.getvalue().splitlines()
+    assert json.loads(line)["error"] == "ConvergenceError"
+    return False
+
+
 @SETTINGS
 @given(overrides=small_runs())
 def test_every_dm_matrix_is_a_density_matrix(overrides):
     config = load_config("fig3", overrides[1::2])
     with tempfile.TemporaryDirectory() as out:
         args = ["dm", "--config", "fig3", "--out", out, "--set", "output.svg=false"]
-        assert main(args + overrides) == 0
+        if not run_or_fail_the_estimate(args + overrides):
+            return
         names = [name for name in os.listdir(out) if name.startswith("dm_")]
         assert names
         for name in names:
@@ -415,7 +440,8 @@ def one_shot_dm(config, t, enh):
 def test_every_fidelity_lies_in_the_unit_interval(overrides):
     with tempfile.TemporaryDirectory() as out:
         args = ["fidelity", "--config", "fig3", "--out", out, "--set", "output.svg=false"]
-        assert main(args + overrides) == 0
+        if not run_or_fail_the_estimate(args + overrides):
+            return
         path = os.path.join(out, "fidelity.csv")
         values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
         assert values.size
@@ -515,10 +541,24 @@ corners = st.builds(
 @example(corner=with_radii({k: ends[-1] for k, ends in SCHEMA_ENDS.items()}, ORDERED_RADII[-1]))
 def test_every_corner_of_the_bounded_ranges_gives_finite_rates(corner):
     # winding 0 is the one sector reached at the l_max = 0 corner
-    code = assert_small_run_fails_cleanly(
-        "emission.winding=0", *(f"{k}={v!r}" for k, v in corner.items())
-    )
-    assert code == 0
+    settings = ["emission.winding=0", *(f"{k}={v!r}" for k, v in corner.items())]
+    code = assert_small_run_fails_cleanly(*settings)
+    if code == 0:
+        return
+    # a corner whose resonances the nodes cannot resolve (say 1e12 fs) fails the
+    # error estimate; every rate of its grid is still finite, and the coherent
+    # maximum positive, so it fails nothing else
+    assert code == 3
+    config = load_config("fig2", [*SMALL_RUN, *settings])
+    jp, grid = config.junction, config.grid
+    tables = _BandTables(jp, grid.k_integration)
+    for t in grid.temperatures:
+        tables.fill(t)
+        rates = np.array([tables.rates(d, jp.sc.delta0) for d in grid.detunings])
+        assert np.isfinite(rates).all() and rates[:, 0].max() > 0
+
+
+SMALL_RUN = ["grid.temperatures=0.5", "grid.detuning_points=3", "grid.quadrature_nodes=512"]
 
 
 def assert_small_run_fails_cleanly(*settings, command="rates") -> int:
@@ -528,7 +568,7 @@ def assert_small_run_fails_cleanly(*settings, command="rates") -> int:
     modes miss leaves no state to form.  Returns the exit code.
     """
     args = [command, "--config", "fig2"]
-    base = ["grid.temperatures=0.5", "grid.detuning_points=3", "grid.quadrature_nodes=64"]
+    base = list(SMALL_RUN)
     if command == "dm":
         base += ["emission.l_max=1", "emission.enhancements=10"]
     for setting in (*base, *settings):
@@ -579,7 +619,7 @@ def numeric_runs(draw):
     value.  Half the runs also list ``l_values``: up to 4 values, within
     ``l_max`` when that is typical, or one time in four any |l| <= 3 (so
     also past ``l_max``, repeated, or none); a typical winding is then a
-    total OAM of two listed values.  A small grid (64 nodes, 3
+    total OAM of two listed values.  A small grid (512 nodes, 3
     detunings, 1-2 temperatures) and |l| <= 3 inside its range keep each
     run short.
     """
@@ -622,7 +662,7 @@ def test_any_numeric_emission_settings_write_their_files_or_fail_cleanly(run):
     """Under warnings as errors (this suite's setting), a run never ends in a traceback."""
     command, overrides = run
     args = [command, "--config", "fig3"]
-    for setting in ("grid.detuning_points=3", "grid.quadrature_nodes=64", *overrides):
+    for setting in ("grid.detuning_points=3", "grid.quadrature_nodes=512", *overrides):
         args += ["--set", setting]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
@@ -651,7 +691,7 @@ def test_any_numeric_emission_settings_write_their_files_or_fail_cleanly(run):
 @pytest.mark.parametrize("command", ["dm", "fidelity"])
 def test_the_widest_and_a_gapped_basis_write_their_files(command, basis):
     """Pinned runs past the fuzz's l_max <= 3, with SVG output and warnings as errors."""
-    overrides = ["grid.temperatures=0.5", "emission.enhancements=10", "grid.quadrature_nodes=256"]
+    overrides = ["grid.temperatures=0.5", "emission.enhancements=10", "grid.quadrature_nodes=512"]
     overrides += basis
     args = [command, "--config", "fig3"]
     for setting in overrides:

@@ -121,14 +121,14 @@ class TestPositivity:
 
 class TestConvergence:
     def test_default_nodes_pass_the_error_estimate(self, junction):
-        quad = KQuadrature(nodes=4096, verify=True)
+        quad = KQuadrature(nodes=4096)
         for d in (0.0, 2.0, 5.0):
             mixing_rates(d, (0.1, 0.9), junction, quad)
 
     def test_sharp_resonance_on_coarse_grid_raises(self):
         # tiny broadening at minimal node count cannot resolve the resonance
         jp = gaas_nb_junction(dephasing_time=1e6)
-        quad = KQuadrature(nodes=64, verify=True)
+        quad = KQuadrature(nodes=64)
         with pytest.raises(ConvergenceError) as err:
             mixing_rates(2.0, (0.1,), jp, quad)[0][0]
         assert err.value.coarse is not None and err.value.refined is not None
@@ -138,7 +138,7 @@ class TestConvergence:
         grid = SpectralGrid(
             detunings=(-2.0, 0.0, 2.0),
             temperatures=(0.1,),
-            k_integration=KQuadrature(nodes=64, verify=True),
+            k_integration=KQuadrature(nodes=64),
         )
         with pytest.raises(ConvergenceError) as err:
             rate_surfaces(grid, jp)[0]
@@ -190,7 +190,7 @@ class TestFrozenBodyRates:
 class TestNonFiniteRates:
     def test_an_infinite_rate_raises_before_the_error_estimate(self, junction):
         # an infinite rate's estimate would be inf - inf = NaN; it is named not finite first
-        quad = KQuadrature(nodes=64, patch_area_um2=1e308, verify=True)
+        quad = KQuadrature(nodes=64, patch_area_um2=1e308)
         with pytest.raises(ConvergenceError, match=r"at \|d\|=2.0, t=0.5 is not finite"):
             mixing_rates(-2.0, (0.5,), junction, quad)[0][0]
 
@@ -405,9 +405,11 @@ class TestBandTableLayout:
         tables = _BandTables(junction, KQuadrature(nodes=nodes))
         tables.fill(0.5)
         tables.rates(1.0, junction.sc.delta0)
+        tables.halved_rates()
         tracemalloc.start()
         try:
             tables.rates(1.5, junction.sc.delta0)
+            tables.halved_rates()  # the error estimate every rate gets
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -428,14 +430,11 @@ class TestBandTableLayout:
     @pytest.mark.parametrize(
         "sweep, tables",
         [
-            (lambda jp, temps: mixing_rates(2.0, temps, jp, KQuadrature(nodes=64)), 1),
-            (
-                lambda jp, temps: mixing_rates(5.0, temps, jp, KQuadrature(1024, verify=True)),
-                1,
-            ),
+            (lambda jp, temps: mixing_rates(2.0, temps, jp, KQuadrature(nodes=512)), 1),
+            (lambda jp, temps: mixing_rates(5.0, temps, jp, KQuadrature(1024)), 1),
             (
                 lambda jp, temps: rate_surfaces(
-                    SpectralGrid((-1.0, 1.0), temps, KQuadrature(nodes=64)), jp
+                    SpectralGrid((-1.0, 1.0), temps, KQuadrature(nodes=512)), jp
                 ),
                 1,
             ),
