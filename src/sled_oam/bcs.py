@@ -179,16 +179,6 @@ def fermi_occupation(e, t: float, out=None):
     return occ
 
 
-def fermi_occupation_complement(e, t: float, out=None):
-    """1 - f(e, t), evaluated as f(-e, t) to avoid the cancellation in 1 - f.
-
-    f + fbar is then 1 within 2**-52, one ulp of 1, not exactly: over 200 001
-    energies in [-50, 50] meV the sum misses 1 at 368 of them at 0.1 K and
-    at 29 746 at 8.7 K.
-    """
-    return fermi_occupation(np.negative(e, out=out), t, out=out)
-
-
 def fermi_level_from_density(density_cm2: float, mass: float) -> float:
     """Quasi Fermi level of a spin-degenerate 2D band, meV.
 

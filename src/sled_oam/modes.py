@@ -82,8 +82,10 @@ def lg_radial(l: int, waist: float, r):
     which satisfies the radial normalization  integral |u|^2 r dr = 1 on [0, inf).
     An array radius gives an array; a scalar one gives a float, which is
     ``_profile``'s float, since numpy's scalar power is the C library's ``pow``.
-    The waist must be positive and finite and each radius non-negative (NaN
-    fails both), else ``DomainError``.
+    Where exp(-r^2/w^2) underflows to 0 the profile is 0.0, also where the
+    power overflows (at |l| <= 12 it is finite wherever the exponential is
+    not).  The waist must be positive and finite and each radius non-negative
+    (NaN fails both), else ``DomainError``.
     """
     la = abs(l)
     if la > MAX_OAM:
@@ -93,10 +95,11 @@ def lg_radial(l: int, waist: float, r):
     if not np.all(r >= 0):
         raise DomainError("radius must be non-negative")
     norm = (2.0 / waist) * _ROOT_INV_FACTORIALS[la]
-    x = 2.0 * r * r / (waist * waist)
-    val = norm * (math.sqrt(2.0) * r / waist) ** la * np.exp(-x / 2.0)
-    # a 0-d array leaves a numpy float64 here
-    return val if isinstance(val, np.ndarray) else float(val)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, replaced below
+        x = 2.0 * r * r / (waist * waist)
+        gauss = np.exp(-x / 2.0)
+        val = np.where(gauss == 0.0, 0.0, norm * (math.sqrt(2.0) * r / waist) ** la * gauss)
+    return val if val.ndim else float(val)
 
 
 def _profile(abs_l, waist: float, r: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from sled_oam import (
     gap_at_temperature,
     quasiparticle_energy,
 )
-from sled_oam.bcs import KB_MEV_PER_K, fermi_occupation_complement
+from sled_oam.bcs import KB_MEV_PER_K
 
 # frozen reference values, evaluated independently with mpmath at 30 digits
 TANH_174 = 0.940226640392727532
@@ -137,17 +137,16 @@ class TestFermiOccupation:
         assert fermi_occupation(e, t) == pytest.approx(INV_1_PLUS_E, rel=1e-14)
 
     def test_complement_identity(self):
-        # f + fbar = 1 within one ulp of 1, not exactly (see the docstring)
+        # fbar = f(-e), as spectral's band tables take it: f + fbar = 1 within
+        # one ulp of 1, not exactly
         t = 3.3
         energies = np.linspace(-40, 40, 101)
         f = fermi_occupation(energies, t)
-        fb = fermi_occupation_complement(energies, t)
-        assert np.max(np.abs(f + fb - 1.0)) <= 2**-52
         assert np.max(np.abs(f + fermi_occupation(-energies, t) - 1.0)) <= 2**-52
         energies = np.linspace(-50, 50, 200_001)
         for t in (0.1, 1.0, 4.6, 8.7):
             f = fermi_occupation(energies, t)
-            fb = fermi_occupation_complement(energies, t)
+            fb = fermi_occupation(-energies, t)
             assert np.max(np.abs(f + fb - 1.0)) <= 2**-52
 
     def test_negative_temperature_rejected(self):

@@ -217,3 +217,45 @@ def test_an_earlier_cross_check_failure_wins_over_a_later_mixture_failure(
     failed = r"^fidelity cross-check failed: general nan .* \(at t=0.2, enhancement=100.0\)$"
     with pytest.raises(ContractError, match=failed):
         fidelity_curve(TEMPS, ENHANCEMENTS, WINDING, BASIS, geometry, D, junction, QUAD)
+
+
+# the fidelity_scan command's temperatures: 0.01, 0.02, ..., 0.95
+SCAN_TEMPERATURES = ",".join(f"{k / 100:g}" for k in range(1, 96))
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("fig3", [f"grid.temperatures={SCAN_TEMPERATURES}", "emission.enhancements=10,30,100"]),
+        ("fig5", []),
+        ("fig3", ["emission.qubit_a=0.6,0.3", "emission.qubit_b=0.8,1.1"]),
+        ("fig3", ["emission.qubit_a=0,0", "emission.qubit_b=1,0"]),
+        ("fig3", ["emission.l_max=6"]),
+    ],
+    ids=["fidelity_scan", "fig5", "complex_qubit", "counterclockwise", "l_max_6"],
+)
+def test_the_closed_form_fidelity_equals_the_sweep(preset, overrides):
+    """The emitted state is rank one plus diagonal, p v v^H/|v|^2 + (1 - p) diag(w^2)/sum w^2,
+    so against a pure target psi its fidelity is
+
+        F = p |psi^H v|^2/|v|^2 + (1 - p) sum |psi_i|^2 w_i^2 / sum w^2,
+
+    p = e r_cp / (e r_cp + r_bqp) (ROADMAP item 8).  The sweep's eigensolver
+    route gives it within 4.2e-15 relative at every point of these runs."""
+    config = load_config(preset, overrides)
+    basis, ls, geom, d = config.basis, config.winding, config.geometry, config.detuning_for_dm
+    temps, enhancements = config.grid.temperatures, config.enhancements
+    quad = config.grid.k_integration
+    table = fidelity_curve(
+        temps, enhancements, ls, basis, geom, d, config.junction, quad, config.qubit
+    )
+    psi = bell_target(basis, ls).coefficients
+    v = pair_state._pair_vector(config.qubit, ls, basis, geom)
+    w2 = pair_state._overlaps(basis, geom) ** 2
+    pure = abs(np.vdot(psi, v)) ** 2 / np.vdot(v, v).real
+    diagonal = np.sum(abs(psi) ** 2 * w2) / np.sum(w2)
+    rates = mixing_rates(d, temps, config.junction, quad)
+    for row, (s_cp, s_bqp) in zip(table.values, rates):
+        for value, e in zip(row, enhancements):
+            p = e * s_cp / (e * s_cp + s_bqp)
+            assert abs(p * pure + (1 - p) * diagonal - value) <= 1e-12 * value

@@ -171,6 +171,15 @@ class TestLgRadial:
                     kappa(l, 0, geom)
         assert kappa(12, 0, AnnulusGeometry(4.0, 4.0, 2.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "l, waist, r", [(1, 2.0, math.inf), (2, 1.0, 1e200), (6, 1.0, 1e60), (-12, 1.0, 1e30)]
+    )
+    def test_the_profile_is_zero_where_the_gaussian_underflows(self, l, waist, r):
+        # the power is inf there, and inf * 0 would be NaN (and warn, an error here)
+        assert lg_radial(l, waist, r) == 0.0
+        values = lg_radial(l, waist, np.array([1.0, r]))
+        assert values[1] == 0.0 and values[0] == lg_radial(l, waist, np.array([1.0]))[0] > 0.0
+
     @pytest.mark.parametrize("r", [-1.0, -1, -5e-324, np.array([0.0, -1.0])])
     def test_negative_radius_rejected(self, r):
         with pytest.raises(DomainError):

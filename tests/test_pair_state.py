@@ -847,8 +847,8 @@ class TestNegativityClosedForm:
 class TestThermalOccupation:
     """What the thermal quasiparticle occupation does to the fig5 mixture at d = 5.
 
-    Setting f = 0 and fbar = 1 at the same gap (``bcs.fermi_occupation`` and
-    ``fermi_occupation_complement`` patched) raises both rates at every
+    Setting f = 0 and fbar = 1 at the same gap (``bcs.fermi_occupation``
+    patched to its zero-temperature step, 0 at E > 0 and 1 at -E) raises both rates at every
     temperature but t = 0.05, where they are the same bits: at t = 0.95 the
     incoherent rate goes 34.05 -> 50.80 and the coherent one 0.474 -> 1.834.
     So thermal occupation lowers the coherent share p = r_cp / (r_cp + r_bqp):
@@ -864,17 +864,8 @@ class TestThermalOccupation:
     def rates(monkeypatch, unoccupied):
         config = load_config("fig5")
         if unoccupied:
-
-            def empty(e, t, out=None):
-                out[...] = 0.0
-                return out
-
-            def full(e, t, out=None):
-                out[...] = 1.0
-                return out
-
-            monkeypatch.setattr(bcs, "fermi_occupation", empty)
-            monkeypatch.setattr(bcs, "fermi_occupation_complement", full)
+            step = bcs.fermi_occupation
+            monkeypatch.setattr(bcs, "fermi_occupation", lambda e, t, out=None: step(e, 0.0, out))
         temperatures = config.grid.temperatures
         rates = mixing_rates(
             config.detuning_for_dm, temperatures, config.junction, config.grid.k_integration

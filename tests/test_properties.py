@@ -176,8 +176,8 @@ class _ReferenceTables:
         self.e_p = bcs.quasiparticle_energy(xi_p, delta_p)
         self.f_n = bcs.fermi_occupation(self.e_n, t_kelvin)
         self.f_p = bcs.fermi_occupation(self.e_p, t_kelvin)
-        self.fb_n = bcs.fermi_occupation_complement(self.e_n, t_kelvin)
-        self.fb_p = bcs.fermi_occupation_complement(self.e_p, t_kelvin)
+        self.fb_n = bcs.fermi_occupation(-self.e_n, t_kelvin)
+        self.fb_p = bcs.fermi_occupation(-self.e_p, t_kelvin)
         self.uv_n = delta_n / (2.0 * self.e_n)
         self.uv_p = delta_p / (2.0 * self.e_p)
         u2_n, v2_n = bcs.coherence_factors(xi_n, delta_n)
@@ -243,7 +243,7 @@ def test_band_table_rates_equal_the_unhoisted_kernels(
     tables.fill(t)
     reference = _ReferenceTables(t, jp, quad, nodes)
     for d in detunings:
-        assert tables.rates(d, jp.sc.delta0) == reference.rates(d, jp.sc.delta0)
+        assert tables.rates(d, jp.sc.delta0)[0] == reference.rates(d, jp.sc.delta0)
 
 
 @SETTINGS
@@ -554,7 +554,7 @@ def test_every_corner_of_the_bounded_ranges_gives_finite_rates(corner):
     tables = _BandTables(jp, grid.k_integration)
     for t in grid.temperatures:
         tables.fill(t)
-        rates = np.array([tables.rates(d, jp.sc.delta0) for d in grid.detunings])
+        rates = np.array([tables.rates(d, jp.sc.delta0)[0] for d in grid.detunings])
         assert np.isfinite(rates).all() and rates[:, 0].max() > 0
 
 

@@ -145,6 +145,26 @@ class TestConvergence:
         assert "t=0.1" in str(err.value) and "|d|=2.0" in str(err.value)
 
 
+def _frozen_rates(name):
+    path = os.path.join(os.path.dirname(__file__), "reference", name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _deviations(table, channel):
+    """|rate - reference| / reference of the default rates at every point of ``table``."""
+    jp = gaas_nb_junction(dephasing_time=table["dephasing_time_fs"])
+    keys = [tuple(map(float, key.split(","))) for key in table["rates"]]
+    temperatures = sorted({t for t, _ in keys})
+    index = ("coherent", "incoherent").index(channel)
+    deviations = []
+    for d in sorted({d for _, d in keys}):
+        for t, rates in zip(temperatures, mixing_rates(d, temperatures, jp)):
+            expected = table["rates"][f"{t!r},{d!r}"][channel]
+            deviations.append(abs(rates[index] - expected) / expected)
+    return deviations
+
+
 class TestFrozenBodyRates:
     """The 4096-node trapezoid rates against frozen body rates of the fig2 junction.
 
@@ -154,20 +174,15 @@ class TestFrozenBodyRates:
     nodes, which agrees with the same rule on 16 385 nodes within 4.3e-16.
     Its generator, make_rate_reference.py, sits next to it.  Today's rates
     are within 1.35e-9 (coherent) and 7.7e-9 (incoherent) of them; the bound
-    is 1e-8.  These are integrals to the cutoff only: the tail beyond it and
-    the references at 1e4 and 1e5 fs are not frozen yet.
+    is 1e-8.  These are integrals to the cutoff only; the tail beyond it is
+    in the untruncated references (``TestFrozenUntruncatedRates``), and the
+    references at 1e4 and 1e5 fs are not frozen yet.
     """
 
     BOUND = 1e-8
 
-    @staticmethod
-    def references():
-        path = os.path.join(os.path.dirname(__file__), "reference", "rate_reference.json")
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-
     def test_the_references_cover_the_fig2_grid_points(self):
-        table = self.references()
+        table = _frozen_rates("rate_reference.json")
         jp = load_config("fig2").junction
         assert jp == gaas_nb_junction(dephasing_time=table["dephasing_time_fs"])
         assert table["dephasing_time_fs"] == 1000.0
@@ -176,15 +191,44 @@ class TestFrozenBodyRates:
         )
 
     def test_default_rates_match_the_body_references(self):
-        table = self.references()
-        jp = gaas_nb_junction(dephasing_time=table["dephasing_time_fs"])
-        keys = [tuple(map(float, key.split(","))) for key in table["rates"]]
-        temperatures = sorted({t for t, _ in keys})
-        for d in sorted({d for _, d in keys}):
-            for t, rates in zip(temperatures, mixing_rates(d, temperatures, jp)):
-                expected = table["rates"][f"{t!r},{d!r}"]
-                for channel, value in zip(("coherent", "incoherent"), rates):
-                    assert abs(value - expected[channel]) <= self.BOUND * expected[channel]
+        table = _frozen_rates("rate_reference.json")
+        for channel in ("coherent", "incoherent"):
+            assert max(_deviations(table, channel)) <= self.BOUND
+
+
+class TestFrozenUntruncatedRates:
+    """The 4096-node trapezoid rates against frozen rates of the momentum sum to infinity.
+
+    tests/reference/untruncated_rate_reference.json holds the points of
+    ``TestFrozenBodyRates``: Gregory's rule on 16 385 nodes to the cutoff
+    Lambda = mu^n + 40 delta0, plus the tail past it by a 64-node
+    Gauss-Legendre rule in u = Lambda/eps on the package's own kernels, which
+    agrees with 128 tail nodes within 2.9e-16; make_rate_reference.py writes
+    it.  The incoherent rates are within 7.7e-9 of these.  The coherent ones
+    stop at the cutoff and miss the tail, up to 2.4e-3 of the rate.
+    """
+
+    BOUND = 1e-8
+
+    def test_the_references_cover_the_body_points(self):
+        table = _frozen_rates("untruncated_rate_reference.json")
+        body = _frozen_rates("rate_reference.json")
+        assert (table["nodes"], table["tail_nodes"]) == (16385, 64)
+        assert table["dephasing_time_fs"] == body["dephasing_time_fs"]
+        assert sorted(table["rates"]) == sorted(body["rates"])
+
+    def test_default_incoherent_rates_match_the_untruncated_references(self):
+        table = _frozen_rates("untruncated_rate_reference.json")
+        assert max(_deviations(table, "incoherent")) <= self.BOUND
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the coherent rates miss the tail past the cutoff, up to 2.4e-3 of the "
+        "rate, until the momentum sum is integrated to infinity (ROADMAP item 13)",
+    )
+    def test_default_coherent_rates_match_the_untruncated_references(self):
+        table = _frozen_rates("untruncated_rate_reference.json")
+        assert max(_deviations(table, "coherent")) <= self.BOUND
 
 
 class TestNonFiniteRates:
@@ -405,11 +449,9 @@ class TestBandTableLayout:
         tables = _BandTables(junction, KQuadrature(nodes=nodes))
         tables.fill(0.5)
         tables.rates(1.0, junction.sc.delta0)
-        tables.halved_rates()
         tracemalloc.start()
         try:
-            tables.rates(1.5, junction.sc.delta0)
-            tables.halved_rates()  # the error estimate every rate gets
+            tables.rates(1.5, junction.sc.delta0)  # with the rules of its error estimate
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
