@@ -1,5 +1,6 @@
-"""Exception types shared across the simulator, the check of a positive finite
-parameter, and ``locate``, the one way an error names its point of a sweep."""
+"""Exception types shared across the simulator, the checks of a positive finite
+parameter and of a whole number, and ``locate``, the one way an error names its
+point of a sweep."""
 
 import math
 
@@ -46,6 +47,16 @@ def require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive, got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_whole(name: str, value) -> int:
+    """``value`` as an int; a ``DomainError`` unless it is a whole number (NaN and inf fail)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a whole number, got {value}")
 
 
 def locate(exc: SledOamError, t: float, enhancement: float) -> SledOamError:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import pair_state, spectral
 from .bcs import JunctionParams
-from .errors import ContractError, ConvergenceError, locate
+from .errors import ContractError, ConvergenceError, locate, require_whole
 from .modes import AnnulusGeometry
 from .pair_state import CLOCKWISE, OamPairBasis, PairDensityMatrix, QubitState
 
@@ -213,7 +213,7 @@ def bell_target(basis: OamPairBasis, ls) -> TargetState:
     For a winding of 1 detected with l in {0, 1} this is the symmetric
     two-photon Bell state (|0,1> + |1,0>)/sqrt(2).
     """
-    ls = int(ls)
+    ls = require_whole("winding", ls)
     members = pair_state.sector_pairs(basis, ls)
     if not members:
         raise ContractError(f"basis has no pairs with total OAM {ls}")

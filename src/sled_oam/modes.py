@@ -9,8 +9,9 @@ A mode is labelled by its OAM number l alone: the emitted modes have no
 radial nodes, so the Laguerre polynomial of the profile is 1.  Profiles are
 normalized so that the full-plane overlap of a mode with itself is exactly 1
 (the azimuthal 2*pi is factored out throughout).  A profile, and so every
-overlap, depends on l only through |l|, bit for bit.  ``AnnulusGeometry``
-and ``lg_radial`` reject every input outside this domain as ``DomainError``.
+overlap, depends on l only through |l|, bit for bit.  ``AnnulusGeometry``,
+``lg_radial`` and ``kappa`` reject every input outside this domain as
+``DomainError``, an l that is not a whole number included.
 
 ``kappa`` keeps no cache: each call integrates afresh, and a caller that
 needs many overlaps (``pair_state``) passes all its |l| pairs in one call.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_positive, require_whole
 
 MAX_OAM = 12
 KAPPA_REL_TOL = 1e-10
@@ -84,10 +85,11 @@ def lg_radial(l: int, waist: float, r):
     ``_profile``'s float, since numpy's scalar power is the C library's ``pow``.
     Where exp(-r^2/w^2) underflows to 0 the profile is 0.0, also where the
     power overflows (at |l| <= 12 it is finite wherever the exponential is
-    not).  The waist must be positive and finite and each radius non-negative
-    (NaN fails both), else ``DomainError``.
+    not).  l must be a whole number of at most ``MAX_OAM`` in modulus, the
+    waist positive and finite and each radius non-negative (NaN fails both),
+    else ``DomainError``.
     """
-    la = abs(l)
+    la = abs(require_whole("OAM", l))
     if la > MAX_OAM:
         raise DomainError(f"OAM {l} outside supported range |l| <= {MAX_OAM}")
     require_positive("waist", waist)
@@ -225,13 +227,16 @@ def _adaptive_simpson(f, lo: float, hi: np.ndarray, abs_tol: np.ndarray, max_dep
 def kappa(l_a, l_b, geom: AnnulusGeometry):
     """Radial overlap of the profiles of OAM l_a and l_b over the annulus.
 
-    Two ints give a float.  Two equal-length integer arrays give the array of
-    their pairs' overlaps, integrated in one sweep, each the float a call on
-    its pair alone gives; the first pair in order that fails raises.
+    Two whole numbers give a float.  Two equal-length arrays of them give the
+    array of their pairs' overlaps, integrated in one sweep, each the float a
+    call on its pair alone gives; the first pair in order that fails raises.
     Symmetric in the two modes bit for bit, since the integrand's product
     commutes; equals 1 on the diagonal when the annulus covers the full plane.
     """
-    pairs = list(zip(np.abs(l_a).ravel().tolist(), np.abs(l_b).ravel().tolist(), strict=True))
+    pairs = [
+        (abs(require_whole("OAM", a)), abs(require_whole("OAM", b)))
+        for a, b in zip(np.ravel(l_a).tolist(), np.ravel(l_b).tolist(), strict=True)
+    ]
     for la, lb in pairs:  # checked first, as an empty annulus samples no profile
         if max(la, lb) > MAX_OAM:
             raise DomainError(f"OAM {max(la, lb)} outside supported range |l| <= {MAX_OAM}")

@@ -5,11 +5,11 @@ fixed at zero).  The coherent channel populates only pairs whose total OAM
 equals the supercurrent winding number; the incoherent channel contributes a
 diagonal background, so every mixture is rank one plus diagonal.  Mixtures
 are weighted by the spectral rates evaluated at a fixed detuning.
-``mixture`` forms one on the full matrix; ``mixture_sweep`` sweeps them over
-(temperature, enhancement) in one pass, each point held at the same cells
-for ``dm`` and ``fidelity_curve``, those where it can be nonzero (279 of
-28 561 at l_max = 6), and +0.0 at every other.  Both mix by the one formula
-and weight check of ``_weights``, and name a failing point by ``locate``.
+``mixture_sweep`` forms every mixture: over (temperature, enhancement) in one
+pass, each point held at the same cells for ``dm`` and ``fidelity_curve``,
+those where it can be nonzero (279 of 28 561 at l_max = 6), and +0.0 at
+every other, a failing point named by ``locate``.  ``rho_total_superposition``
+is its one-point sweep on the full matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     EmptySectorError,
     SledOamError,
     locate,
+    require_whole,
 )
 from .modes import AnnulusGeometry, kappa
 
@@ -88,7 +89,8 @@ class OamPairBasis:
     """Lexicographically ordered set of (l1, l2) pair labels with |l| <= l_max."""
 
     def __init__(self, pairs, l_max: int):
-        pairs = [(int(l1), int(l2)) for l1, l2 in pairs]
+        l_max = require_whole("l_max", l_max)
+        pairs = [tuple(require_whole("pair label", l) for l in pair) for pair in pairs]
         if len(set(pairs)) != len(pairs):
             raise DomainError("pair basis contains duplicates")
         if any(abs(l1) > l_max or abs(l2) > l_max for l1, l2 in pairs):
@@ -96,16 +98,17 @@ class OamPairBasis:
         if not pairs:
             raise DomainError("pair basis is empty")
         self.pairs = tuple(sorted(pairs))
-        self.l_max = int(l_max)
+        self.l_max = l_max
         self._index = {p: i for i, p in enumerate(self.pairs)}
 
     @classmethod
     def full(cls, l_max: int) -> "OamPairBasis":
+        l_max = require_whole("l_max", l_max)
         return cls.from_l_values(range(-l_max, l_max + 1))
 
     @classmethod
     def from_l_values(cls, l_values) -> "OamPairBasis":
-        values = sorted(set(int(v) for v in l_values))
+        values = sorted(set(require_whole("l value", v) for v in l_values))
         l_max = max((abs(v) for v in values), default=0)
         return cls(list(product(values, values)), l_max)
 
@@ -196,8 +199,9 @@ def _pair_vector(q: QubitState, ls, basis: OamPairBasis, geom: AnnulusGeometry) 
 
     A sector is only required to be populated when its amplitude is nonzero.
     """
+    ls = require_whole("winding", ls)
     psi = np.zeros(len(basis), dtype=complex)
-    for amplitude, sector in ((q.a, int(ls)), (q.b, -int(ls))):
+    for amplitude, sector in ((q.a, ls), (q.b, -ls)):
         if amplitude != 0:
             psi += amplitude * (_sector_mask(basis, sector) * _overlaps(basis, geom))
     return psi
@@ -225,22 +229,11 @@ def _norms(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def mixture(
-    coherent: PairDensityMatrix, incoherent: PairDensityMatrix, r_cp: float, r_bqp: float
-) -> PairDensityMatrix:
-    """Trace-1 mixture of the two unnormalized channel matrices weighted by their rates."""
-    tr_cp, tr_bqp = coherent.trace(), incoherent.trace()
-    a, b = _weights(tr_cp, tr_bqp, r_cp, r_bqp)
-    mixed = a * (coherent.entries / tr_cp) + b * (incoherent.entries / tr_bqp)
-    return PairDensityMatrix(coherent.basis, mixed).normalize()
-
-
 def _weights(tr_cp: float, tr_bqp: float, r_cp: float, r_bqp: float) -> tuple:
     """Each channel's share a, b of the total rate; raises where no mixture can be formed.
 
-    The mixture is a (cp / tr_cp) + b (bqp / tr_bqp), for ``mixture`` and
-    ``mixture_sweep`` alike.  Both shares must lie in [0, 1], which also
-    makes them finite.
+    ``mixture_sweep`` mixes a (cp / tr_cp) + b (bqp / tr_bqp).  Both shares
+    must lie in [0, 1], which also makes them finite.
     """
     if tr_cp <= 0 or tr_bqp <= 0:
         raise DegenerateMixtureError(
@@ -281,7 +274,7 @@ def mixture_sweep(
     quotient by a positive trace.  A caller reads such a cell as +0.0.
 
     Row k of ``mixtures`` holds the k-th point, temperature-major, at the
-    cells, with the bits of ``mixture`` on the full matrix there.  The rows
+    cells; ``rho_total_superposition`` is row 0 of a one-point sweep.  The rows
     stop before the first point whose weights fail ``_weights``; ``error``
     is that point's error, its point appended by ``locate``, or None.  The
     rates of all temperatures come from one ``spectral.mixing_rates`` call,
@@ -351,10 +344,11 @@ def rho_total_superposition(
     coh: spectral.CoherenceParams,
     quad: spectral.KQuadrature = spectral.KQuadrature(),
 ) -> PairDensityMatrix:
-    """Trace-1 mixture with the coherent channel carrying a qubit superposition."""
-    coherent, incoherent = rho_superposition(q, ls, basis, geom), rho_bqp(basis, geom)
-    [(s_cp, s_bqp)] = spectral.mixing_rates(d, (t,), jp, quad)
-    try:
-        return mixture(coherent, incoherent, coh.enhancement * s_cp, s_bqp)
-    except SledOamError as exc:
-        raise locate(exc, t, coh.enhancement)
+    """Trace-1 mixture with the coherent channel carrying a qubit superposition:
+    ``mixture_sweep`` at the one point (t, enhancement), +0.0 off its cells."""
+    cells, rows, error = mixture_sweep(q, ls, basis, geom, d, (t,), (coh.enhancement,), jp, quad)
+    if error is not None:
+        raise error
+    entries = np.zeros(len(basis) ** 2, dtype=complex)
+    entries[cells] = rows[0]
+    return PairDensityMatrix(basis, entries.reshape(len(basis), -1))

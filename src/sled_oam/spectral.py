@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bcs
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_positive, require_whole
 
 CONVERGENCE_RTOL = 1e-3
 
@@ -85,6 +85,7 @@ class KQuadrature:
     patch_area_um2: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", require_whole("quadrature nodes", self.nodes))
         if self.nodes < 64:
             raise DomainError(f"need at least 64 quadrature nodes, got {self.nodes}")
         require_positive("cutoff", self.cutoff_delta0)

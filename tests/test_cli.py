@@ -14,6 +14,7 @@ from sled_oam.cli import main
 from sled_oam.config import load_config
 from sled_oam.errors import DegenerateMixtureError
 from sled_oam.pair_state import PairDensityMatrix
+from dense_mixture import mixture
 from dm_json import from_json_dict, to_json_dict
 from test_outputs import assert_paints_like, painted, rects
 from test_outputs import svg_heatmap as per_cell_svg_heatmap
@@ -717,7 +718,7 @@ class TestSvgOutputs:
         self, tmp_path, monkeypatch
     ):
         """A non-finite total rate at the second temperature: the first temperature's
-        matrices are written, each equal to its one-shot mixture, and the error names
+        matrices are written, each equal to the dense mixture, and the error names
         the failing point."""
         out = tmp_path / "out"
         config = load_config(write_config(tmp_path), [f"output.directory={out}"])
@@ -739,7 +740,7 @@ class TestSvgOutputs:
         coherent = pair_state.rho_cp(config.winding, basis, config.geometry)
         incoherent = pair_state.rho_bqp(basis, config.geometry)
         for stem, enh in zip(stems, config.enhancements):
-            rho = pair_state.mixture(coherent, incoherent, enh * rates[0][0], rates[0][1])
+            rho = mixture(coherent, incoherent, enh * rates[0][0], rates[0][1])
             with open(out / f"{stem}.json", encoding="utf-8") as fh:
                 assert fh.read() == json.dumps(to_json_dict(rho), indent=2) + "\n"
 

@@ -5,10 +5,12 @@ import re
 
 import pytest
 
+from sled_oam.bcs import gaas_nb_junction
 from sled_oam.config import _SCHEMA, PRESET_NAMES, load_config
 from sled_oam.errors import ConfigError
-from sled_oam.modes import MAX_OAM
+from sled_oam.modes import MAX_OAM, AnnulusGeometry
 from sled_oam.pair_state import QubitState
+from sled_oam.spectral import KQuadrature
 
 MINIMAL = ""
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -33,6 +35,13 @@ class TestDefaults:
         assert "grid.temperatures" in config.defaulted
         assert "geometry.waist_um" in config.defaulted
         assert config.resolved["emission.winding"] == "2"
+
+    def test_schema_defaults_are_the_library_defaults(self, tmp_path):
+        # _SCHEMA repeats these three; a change to one side only fails here
+        config = load_config(write(tmp_path, MINIMAL))
+        assert config.junction == gaas_nb_junction()
+        assert config.geometry == AnnulusGeometry.default()
+        assert config.grid.k_integration == KQuadrature()
 
     def test_basis_uses_l_max_by_default(self, tmp_path):
         config = load_config(write(tmp_path, MINIMAL))

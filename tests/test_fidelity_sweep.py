@@ -2,10 +2,11 @@
 
 ``pair_state.mixture_sweep`` forms each mixture only at the cells where it
 can be nonzero, every point in one pass; each must equal, bit for bit, the
-full one-shot mixture at that point.  ``fidelity_curve`` takes their
-fidelities in stacked numpy.  Each value must equal, bit for bit,
-``fidelity`` of the full one-shot mixture at that point, and the sweep must
-fail exactly where the one-shot route first fails, with the same error.
+dense mixture of ``dense_mixture`` on the full matrix at that point.
+``fidelity_curve`` takes their fidelities in stacked numpy.  Each value must
+equal, bit for bit, ``fidelity`` of ``rho_total`` (the sweep at that one
+point, on the full matrix), and the sweep must fail exactly where the
+one-point route first fails, with the same error.
 """
 
 import math
@@ -33,6 +34,7 @@ from sled_oam import (
 )
 from sled_oam.config import load_config
 from sled_oam.pair_state import CLOCKWISE
+from dense_mixture import mixture
 
 BASIS = OamPairBasis.from_l_values([0, 1, 2])
 WINDING = 2
@@ -155,7 +157,7 @@ def test_the_sweep_holds_the_full_mixture_at_its_cells(junction, geometry, state
     incoherent = pair_state.rho_bqp(basis, geometry)
     rates = mixing_rates(D, TEMPS, junction, QUAD)
     full = [
-        pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp).entries
+        mixture(coherent, incoherent, enh * s_cp, s_bqp).entries
         for s_cp, s_bqp in rates
         for enh in enhancements
     ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sled_oam import (
     ContractError,
     ConvergenceError,
+    DomainError,
     KQuadrature,
     OamPairBasis,
     PairDensityMatrix,
@@ -22,6 +23,7 @@ from sled_oam import (
 )
 from sled_oam import metrics, pair_state
 from sled_oam.config import load_config
+from test_modes import NOT_WHOLE, not_whole
 
 
 def random_hermitian(rng, n):
@@ -222,6 +224,24 @@ class TestTargetState:
     def test_bell_target_requires_populated_sector(self):
         with pytest.raises(ContractError):
             bell_target(OamPairBasis.from_l_values([0, 1]), 5)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_bell_target_rejects_a_winding_that_is_not_whole(self, ls):
+        # 1.5 used to be taken as 1, NaN and inf to raise Python's own errors
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            bell_target(OamPairBasis.from_l_values([0, 1]), ls)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_fidelity_curve_rejects_a_winding_that_is_not_whole(self, junction, geometry, ls):
+        basis, quad = OamPairBasis.from_l_values([0, 1]), KQuadrature(nodes=512)
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            fidelity_curve((0.5,), (10.0,), ls, basis, geometry, 5.0, junction, quad)
+
+    def test_a_whole_winding_of_any_type_is_an_int(self):
+        basis = OamPairBasis.from_l_values([0, 1])
+        expected = bell_target(basis, 1).coefficients.tobytes()
+        for ls in (1.0, np.int64(1), np.float32(1.0)):
+            assert bell_target(basis, ls).coefficients.tobytes() == expected
 
 
 class TestFidelity:

@@ -43,6 +43,7 @@ from sled_oam import metrics
 from sled_oam.config import load_config
 from sled_oam.metrics import sqrtm_psd
 from sled_oam.pair_state import PairDensityMatrix, check_hermitian
+from dense_mixture import mixture
 
 JACOBI_OFF_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -291,7 +292,7 @@ def test_fig3_fidelity_matrices_equal_the_full_loop(t):
         config.detuning_for_dm, (t,), config.junction, config.grid.k_integration
     )
     for enh in config.enhancements:
-        rho = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp)
+        rho = mixture(coherent, incoherent, enh * s_cp, s_bqp)
         inner = root @ rho.entries @ root
         assert_same_decomposition(0.5 * (inner + inner.conj().T))
         assert fidelity(rho, target) == full_size_fidelity(rho, target)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -15,6 +16,13 @@ from sled_oam.errors import ConvergenceError
 from sled_oam.modes import KAPPA_REL_TOL, MAX_OAM, _adaptive_simpson, _envelope_radius, _profile
 
 FULL_PLANE = AnnulusGeometry(r_inner=0.0, r_outer=1e3, waist=2.0)
+# integer inputs that are not whole numbers, each a DomainError at every entry point
+NOT_WHOLE = [1.5, math.nan, math.inf, -math.inf]
+
+
+def not_whole(name: str, value) -> str:
+    """The ``match`` pattern of the ``DomainError`` for ``value`` given as ``name``."""
+    return rf"^{name} must be a whole number, got {re.escape(str(value))}$"
 
 
 # the label the oracle below reads: m radial nodes, OAM l
@@ -563,6 +571,33 @@ class TestGeometry:
         # here, NaN and inf to give NaN and 0.0
         with pytest.raises(DomainError, match=r"^waist must be"):
             lg_radial(1, waist, 1.0)
+
+    @pytest.mark.parametrize("l", NOT_WHOLE)
+    def test_lg_radial_rejects_an_l_that_is_not_whole(self, l):
+        # 1.5 and NaN used to raise numpy's IndexError, inf the range error
+        with pytest.raises(DomainError, match=not_whole("OAM", l)):
+            lg_radial(l, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "l_a, l_b, bad",
+        [
+            (1.5, 2, 1.5),
+            (2, math.nan, math.nan),
+            (np.array([0, 1]), np.array([1, math.inf]), math.inf),
+            (np.array([-math.inf]), np.array([0]), -math.inf),
+        ],
+        ids=["1.5", "nan", "inf in an array", "-inf in an array"],
+    )
+    def test_kappa_rejects_an_l_that_is_not_whole(self, l_a, l_b, bad):
+        with pytest.raises(DomainError, match=not_whole("OAM", bad)):
+            kappa(l_a, l_b, AnnulusGeometry.default())
+
+    def test_whole_numbers_of_any_type_are_ints(self):
+        geom = AnnulusGeometry.default()
+        for l in (2.0, np.int64(2), np.float32(-2.0)):
+            assert lg_radial(l, 2.0, 1.0) == lg_radial(2, 2.0, 1.0)
+        floats = kappa(np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0, 0.0]), geom)
+        assert floats.tobytes() == kappa(np.array([0, 1, 2]), np.array([2, -1, 0]), geom).tobytes()
 
     @pytest.mark.parametrize("r", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"])
     def test_lg_radial_rejects_a_nan_radius(self, r):

@@ -37,9 +37,10 @@ from sled_oam import (
 
 from sled_oam.config import load_config
 from sled_oam.spectral import mixing_rates
+from dense_mixture import mixture
 from dm_json import from_json_dict, to_json_dict
 import test_modes
-from test_modes import OracleMode, oracle_kappa, reference_lg_radial
+from test_modes import NOT_WHOLE, OracleMode, not_whole, oracle_kappa, reference_lg_radial
 
 FUZZ_QUAD = KQuadrature(nodes=512, cutoff_delta0=10.0)
 
@@ -119,6 +120,37 @@ class TestBasis:
         basis = OamPairBasis.full(2)
         for i, pair in enumerate(basis.pairs):
             assert basis.index(pair) == i
+
+    @pytest.mark.parametrize(
+        "pairs, l_max, name, bad",
+        [
+            ([(0.5, 1)], 3, "pair label", 0.5),
+            ([(0, math.nan)], 3, "pair label", math.nan),
+            ([(0, 1)], 3.5, "l_max", 3.5),
+            ([(0, 1)], math.inf, "l_max", math.inf),
+        ],
+    )
+    def test_a_label_or_l_max_that_is_not_whole_is_rejected(self, pairs, l_max, name, bad):
+        # 0.5 used to become 0 and 3.5 to become 3
+        with pytest.raises(DomainError, match=not_whole(name, bad)):
+            OamPairBasis(pairs, l_max)
+
+    @pytest.mark.parametrize("value", [0.5, *NOT_WHOLE])
+    def test_from_l_values_rejects_a_value_that_is_not_whole(self, value):
+        with pytest.raises(DomainError, match=not_whole("l value", value)):
+            OamPairBasis.from_l_values([value, 1])
+
+    @pytest.mark.parametrize("l_max", NOT_WHOLE)
+    def test_full_rejects_an_l_max_that_is_not_whole(self, l_max):
+        with pytest.raises(DomainError, match=not_whole("l_max", l_max)):
+            OamPairBasis.full(l_max)
+
+    def test_whole_numbers_of_any_type_are_ints(self):
+        basis = OamPairBasis([(0.0, np.int64(1))], np.float32(3.0))
+        assert basis.pairs == ((0, 1),) and basis.l_max == 3
+        assert all(type(l) is int for pair in basis.pairs for l in (*pair, basis.l_max))
+        assert OamPairBasis.from_l_values([0.0, np.int32(1)]) == OamPairBasis.from_l_values([0, 1])
+        assert OamPairBasis.full(2.0) == OamPairBasis.full(2)
 
 
 class TestQubitState:
@@ -204,6 +236,46 @@ class TestRhoBqp:
             assert rho.entries[i, i].real == pytest.approx(
                 kappa(l1, l2, geometry) ** 2, rel=1e-12
             )
+
+
+class TestWinding:
+    """A winding that is not a whole number fails before any rate is computed;
+    1.5 used to be taken as 1, NaN and inf to raise Python's own errors."""
+
+    BASIS = OamPairBasis.full(2)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_rho_cp_rejects_it(self, geometry, ls):
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            rho_cp(ls, self.BASIS, geometry)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_mixture_sweep_rejects_it(self, junction, geometry, fast_quad, ls):
+        args = (self.BASIS, geometry, 5.0, (0.5,), (10.0,), junction, fast_quad)
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            pair_state.mixture_sweep(pair_state.CLOCKWISE, ls, *args)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_rho_total_rejects_it(self, junction, geometry, fast_quad, ls):
+        coh = CoherenceParams(10.0)
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            rho_total(ls, self.BASIS, geometry, 5.0, 0.5, junction, coh, fast_quad)
+
+    @pytest.mark.parametrize("ls", NOT_WHOLE)
+    def test_rho_total_superposition_rejects_it(self, junction, geometry, fast_quad, ls):
+        q, coh = QubitState.from_polar(0.6, 0.3, 0.8, 1.1), CoherenceParams(10.0)
+        with pytest.raises(DomainError, match=not_whole("winding", ls)):
+            rho_total_superposition(q, ls, self.BASIS, geometry, 5.0, 0.5, junction, coh, fast_quad)
+
+    def test_a_whole_winding_of_any_type_is_an_int(self, junction, geometry, fast_quad):
+        coh = CoherenceParams(10.0)
+        expected = rho_total(1, self.BASIS, geometry, 5.0, 0.5, junction, coh, fast_quad)
+        for ls in (1.0, np.int64(1), np.float32(1.0)):
+            assert rho_cp(ls, self.BASIS, geometry).entries.tobytes() == (
+                rho_cp(1, self.BASIS, geometry).entries.tobytes()
+            )
+            rho = rho_total(ls, self.BASIS, geometry, 5.0, 0.5, junction, coh, fast_quad)
+            assert rho.entries.tobytes() == expected.entries.tobytes()
 
 
 class TestRhoTotal:
@@ -347,12 +419,16 @@ class TestMatrixContracts:
         with pytest.raises(ContractError):
             PairDensityMatrix(basis, bad)
 
-    def test_non_finite_total_rate_rejected(self, geometry):
+    def test_non_finite_total_rate_rejected(self, junction, geometry, monkeypatch):
         basis = OamPairBasis.full(1)
-        coherent, incoherent = rho_cp(1, basis, geometry), rho_bqp(basis, geometry)
         for r_cp in (np.inf, np.nan):
-            with pytest.raises(DegenerateMixtureError, match="total rate is not finite"):
-                pair_state.mixture(coherent, incoherent, r_cp, 1.0)
+            monkeypatch.setattr(
+                pair_state.spectral, "mixing_rates", lambda d, temps, *rest: [(r_cp, 1.0)]
+            )
+            message = f"total rate is not finite (r_cp={r_cp}, r_bqp=1.0)"
+            message += " (at t=0.5, enhancement=1.0)"
+            with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(message)}$"):
+                rho_total(1, basis, geometry, 5.0, 0.5, junction, CoherenceParams(1.0))
 
     def test_shape_mismatch_rejected(self):
         basis = OamPairBasis.from_l_values([0, 1])
@@ -393,11 +469,12 @@ class TestRateShares:
         assert isinstance(error, DegenerateMixtureError)
         assert str(error) == self.MESSAGE + " (at t=0.5, enhancement=10.0)"
 
-    def test_the_one_shot_mixture_raises_it(self, geometry):
+    def test_the_one_shot_mixture_raises_it(self, negative_rates, junction, geometry):
+        """``rho_total``, the sweep at one point, raises the sweep's located error."""
         basis = OamPairBasis.full(3)
-        coherent, incoherent = rho_cp(2, basis, geometry), rho_bqp(basis, geometry)
-        with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(self.MESSAGE)}$"):
-            pair_state.mixture(coherent, incoherent, 10.0 * -0.05, 1.0)
+        message = self.MESSAGE + " (at t=0.5, enhancement=10.0)"
+        with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(message)}$"):
+            rho_total(2, basis, geometry, 5.0, 0.5, junction, CoherenceParams(10.0))
 
     def test_dm_exits_1_and_writes_no_matrix(self, negative_rates, tmp_path, capsys):
         out = tmp_path / "out"
@@ -664,7 +741,7 @@ class TestPurity:
                 r_cp = enh * s_cp
                 p = r_cp / (r_cp + s_bqp)
                 closed = p**2 + 2 * p * (1 - p) * shared + (1 - p) ** 2 * spread
-                rho = pair_state.mixture(coherent, incoherent, r_cp, s_bqp).entries
+                rho = mixture(coherent, incoherent, r_cp, s_bqp).entries
                 assert closed == pytest.approx(np.vdot(rho, rho).real, rel=0, abs=1e-12)
                 assert 0 < closed <= 1
                 checked += 1
@@ -839,7 +916,7 @@ class TestNegativityClosedForm:
         q = QubitState(amplitude, 0.0) if clockwise else QubitState(0.0, amplitude)
         ls = sector if clockwise else -sector
         coherent = rho_superposition(q, ls, basis, geom)
-        rho = pair_state.mixture(coherent, rho_bqp(basis, geom), *rates).entries
+        rho = mixture(coherent, rho_bqp(basis, geom), *rates).entries
         closed = one_sector_negativity(rho, basis, sector)
         assert closed == pytest.approx(negativity(rho, basis), rel=1e-13, abs=1e-15)
 

@@ -3,14 +3,14 @@
 Random small configurations (256-1024 nodes, exactly symmetric detuning grids
 of 3-9 points, 1-3 temperatures) must give surfaces that are the per-point
 rates divided by one normalization, rows that are exact mirror images, and
-fidelity curves equal to the one-shot mixture at every point, all bit for
+fidelity curves equal to ``fidelity`` of ``rho_total`` at every point, all bit for
 bit, or fail the quadrature error estimate at the same point.  The band-table
 rates must equal, bit for bit, a verbatim copy of the kernels as they were
 before their per-temperature factors were hoisted, so must every rate that
 passes the error estimate, and a table refilled for a second temperature must
 give the rates of a fresh table for it.  Small random ``dm`` and ``fidelity`` runs must write
 Hermitian, positive semidefinite, trace-1 matrices, each equal bit for bit to
-the one-shot mixture at its (temperature, enhancement), and fidelities in
+``rho_total_superposition`` at its (temperature, enhancement), and fidelities in
 [0, 1], or exit 3 with a one-line error where a dephasing time outruns the
 nodes' error estimate, and the mode overlap ``kappa`` must be symmetric in
 its two modes and blind to the sign of l, bit for bit.  A ``rates`` run with any positive
@@ -27,8 +27,11 @@ finite temperatures, ``detuning_for_dm``, enhancements and qubit, any
 write files that match its manifest or exit 1, 2, 3 or 4 with a one-line
 JSON error, without a warning.  Pinned ``dm`` and
 ``fidelity`` runs on the largest basis (l_max = 12) and on a gapped list of
-l values must write theirs, the ``dm`` JSON equal to ``json.dumps`` of the
-one-shot mixture.
+l values must write theirs, the ``dm`` JSON equal to ``json.dumps`` of
+``rho_total_superposition``.  That is the sweep's one point on the full
+matrix, so these hold the writers and the stacked fidelity, and
+``test_fidelity_sweep`` holds the mixing against the dense mixture of
+``dense_mixture``.
 """
 
 import contextlib
@@ -429,7 +432,7 @@ def test_every_dm_matrix_is_a_density_matrix(overrides):
 
 
 def one_shot_dm(config, t, enh):
-    """The matrix ``dm`` must write at (t, enh), formed by the one-shot mixture."""
+    """The matrix ``dm`` must write at (t, enh): ``rho_total_superposition`` there."""
     args = (config.winding, config.basis, config.geometry, config.detuning_for_dm, t)
     args += (config.junction, CoherenceParams(enh), config.grid.k_integration)
     return rho_total_superposition(config.qubit, *args)

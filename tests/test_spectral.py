@@ -25,6 +25,8 @@ from sled_oam.config import load_config
 from sled_oam.errors import ConvergenceError
 from sled_oam.pair_state import CLOCKWISE
 from sled_oam.spectral import _BandTables
+from dense_mixture import mixture
+from test_modes import NOT_WHOLE, not_whole
 
 SMALL_GRID = SpectralGrid(
     detunings=(-1.0, 0.0, 1.0),
@@ -41,6 +43,18 @@ class TestValidation:
             KQuadrature(cutoff_delta0=0.0)
         with pytest.raises(DomainError):
             KQuadrature(patch_area_um2=-1.0)
+
+    @pytest.mark.parametrize("nodes", [100.5, *NOT_WHOLE[1:]])
+    def test_a_node_count_that_is_not_whole_is_rejected(self, nodes):
+        # 100.5, NaN and inf used to construct, and the band table then
+        # failed with a TypeError
+        with pytest.raises(DomainError, match=not_whole("quadrature nodes", nodes)):
+            KQuadrature(nodes=nodes)
+
+    def test_a_whole_node_count_of_any_type_is_an_int(self):
+        for nodes in (4096.0, np.int64(4096), np.float32(4096.0)):
+            quad = KQuadrature(nodes=nodes)
+            assert quad == KQuadrature() and type(quad.nodes) is int
 
     def test_an_infinite_cutoff_or_patch_area_is_rejected(self):
         with pytest.raises(DomainError, match=r"^cutoff must be finite, got inf$"):
@@ -385,7 +399,7 @@ class TestMixingRates:
         )
         assert error is None and len(mixtures) == 2
         for values, enh in zip(mixtures, (50.0, 100.0)):
-            expected = pair_state.mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
+            expected = mixture(coherent, incoherent, enh * r_cp, r_bqp).entries
             # bit for bit, the zeros' signs included, with +0.0 where nothing is held
             dense = np.zeros(expected.shape, dtype=complex)
             dense.flat[cells] = values
@@ -396,7 +410,7 @@ class TestMixingRates:
         self, junction, geometry, fast_quad, monkeypatch, failing
     ):
         """An infinite coherent rate at temperature ``failing``: the sweep returns
-        the rows of the points before it, each its one-shot mixture, and that
+        the rows of the points before it, each the dense mixture, and that
         point's error with the point appended."""
         basis = OamPairBasis.full(1)
         temps, enhancements = (0.3, 0.7), (10.0, 100.0)
@@ -411,7 +425,7 @@ class TestMixingRates:
         coherent = pair_state.rho_cp(1, basis, geometry)
         incoherent = pair_state.rho_bqp(basis, geometry)
         for values, ((s_cp, s_bqp), enh) in zip(mixtures, before):
-            expected = pair_state.mixture(coherent, incoherent, enh * s_cp, s_bqp).entries
+            expected = mixture(coherent, incoherent, enh * s_cp, s_bqp).entries
             assert values.tobytes() == expected.ravel()[cells].tobytes()
         assert isinstance(error, DegenerateMixtureError)
         assert str(error).startswith("total rate is not finite")
