@@ -47,16 +47,6 @@ def _pair_label(pair) -> str:
     return f"({pair[0]},{pair[1]})"
 
 
-def _table_rows(temperatures, columns, values):
-    """The (t, column, value) CSV rows of a temperature x column table, row by row.
-
-    A generator: the rows are gone once written.
-    """
-    return (
-        (t, c, values[i, j]) for i, t in enumerate(temperatures) for j, c in enumerate(columns)
-    )
-
-
 def cmd_rates(config: RunConfig) -> dict:
     """Rate surfaces for both channels: rates_cp.csv, rates_bqp.csv (+ heatmaps)."""
     cp, bqp = spectral.rate_surfaces(config.grid, config.junction)
@@ -67,7 +57,9 @@ def cmd_rates(config: RunConfig) -> dict:
         written[f"{name}.csv"] = outputs.write_csv(
             os.path.join(config.out_dir, f"{name}.csv"),
             "t_over_tc,detuning_over_delta0,rate_normalized",
-            _table_rows(temps, detunings, surface.values),
+            temps,
+            detunings,
+            surface.values,
         )
         if config.svg:
             svg = outputs.svg_heatmap(
@@ -168,7 +160,9 @@ def cmd_fidelity(config: RunConfig) -> dict:
         "fidelity.csv": outputs.write_csv(
             os.path.join(config.out_dir, "fidelity.csv"),
             "t_over_tc,enhancement,fidelity",
-            _table_rows(table.temperatures, table.enhancements, table.values),
+            table.temperatures,
+            table.enhancements,
+            table.values,
         )
     }
     if config.svg:

@@ -46,11 +46,6 @@ _VIRIDIS_STOPS = np.array([
 ])
 
 
-def fmt(value: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(value))
-
-
 def write_text(path: str, *parts) -> str:
     """Write the parts (``str`` as UTF-8, ``bytes`` as is); return the file's SHA-256 hex digest."""
     digest = hashlib.sha256()
@@ -62,11 +57,15 @@ def write_text(path: str, *parts) -> str:
     return digest.hexdigest()
 
 
-def write_csv(path: str, header: str, rows) -> str:
+def write_csv(path: str, header: str, temperatures, columns, values: np.ndarray) -> str:
+    """Write the table ``values`` (a row per temperature, a column per entry of ``columns``)
+    under ``header`` as one ``t,column,value`` line per cell, temperature-major."""
+    cols = [f",{float(c)!r}," for c in columns]
     lines = [header]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    lines.append("")
-    return write_text(path, "\n".join(lines))
+    for t, row in zip(temperatures, values.tolist()):
+        head = repr(float(t))
+        lines += [head + c + repr(float(v)) for c, v in zip(cols, row)]
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, pairs, flat, values: np.ndarray) -> str:

@@ -324,6 +324,53 @@ class TestErrorReporting:
 
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("material.delta0_mev=nan", "material.delta0_mev: value must be finite, got 'nan'"),
+            ("material.delta0_mev=inf", "material.delta0_mev: value must be finite, got 'inf'"),
+            ("grid.detuning_points=12.5", "grid.detuning_points: expected an integer, got '12.5'"),
+            ("grid.temperatures=,", "grid.temperatures: expected a comma-separated list, got ','"),
+            ("emission.qubit_a=0.6", "emission.qubit_a: expected 'magnitude, phase', got '0.6'"),
+            ("grid", "override 'grid' must look like section.key=value"),
+        ],
+    )
+    def test_a_value_that_does_not_parse_exits_2_with_its_message(
+        self, tmp_path, capsys, override, message
+    ):
+        out = tmp_path / "out"
+        assert main(["rates", "--config", "fig2", "--out", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "below, error", [("", "FileExistsError"), ("sub", "NotADirectoryError")]
+    )
+    def test_an_output_directory_through_a_regular_file_exits_4(
+        self, tmp_path, capsys, below, error
+    ):
+        regular = tmp_path / "regular"
+        regular.write_text("kept", encoding="utf-8")
+        out = str(regular / below) if below else str(regular)
+        assert main(["rates", "--config", "fig2", "--out", out]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == error
+        assert regular.read_text(encoding="utf-8") == "kept"
+
+    def test_a_manifest_that_cannot_be_placed_exits_4(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("cannot replace")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out"
+        assert main(["rates", "--config", write_config(tmp_path), "--out", str(out)]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "OSError", "message": "cannot replace"}
+        # the data files stay; neither the manifest nor its temporary file is left
+        names = ["rates_bqp.csv", "rates_bqp.svg", "rates_cp.csv", "rates_cp.svg"]
+        assert sorted(os.listdir(out)) == names
+
+    @pytest.mark.parametrize(
         "content, overrides, message",
         [
             (FAST.encode(), ["DEFAULT.x=1"], "unknown config section [DEFAULT]"),
@@ -969,6 +1016,14 @@ class TestCommandLine:
             (
                 ["rates", "--config", "fig2", "--out", "OUT", "--format", "csv"],
                 "sled-oam rates: error: unrecognized arguments: --format csv",
+            ),
+            (
+                ["--bogus", "rates", "--config", "fig2", "--out", "OUT"],
+                "sled-oam rates: error: unrecognized arguments: --bogus",
+            ),
+            (
+                ["rates", "--config", "fig2", "--out", "OUT", "--threads", "x"],
+                "sled-oam rates: error: argument --threads: invalid int value: 'x'",
             ),
             # options are spelled out in full: an abbreviation is not one of them
             (

@@ -213,6 +213,11 @@ class TestTargetState:
         with pytest.raises(ContractError, match="unit norm, got nan"):
             TargetState(basis, [np.nan, 0.0, 0.0, 0.0])
 
+    def test_a_coefficient_vector_of_the_wrong_length_is_rejected(self):
+        basis = OamPairBasis.from_l_values([0, 1])
+        with pytest.raises(ContractError, match=r"^coefficient vector length \(3,\) does not"):
+            TargetState(basis, [1.0, 0.0, 0.0])
+
     def test_bell_target_on_standard_basis(self):
         basis = OamPairBasis.from_l_values([0, 1])
         target = bell_target(basis, 1)
@@ -296,6 +301,12 @@ class TestFidelity:
         rho = PairDensityMatrix(basis, np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(ContractError):
             fidelity(rho, TargetState(basis, np.array([1.0, 0.0])))
+
+    def test_a_trace_one_matrix_that_is_not_psd_is_rejected(self):
+        basis = OamPairBasis.from_l_values([0, 1])
+        rho = PairDensityMatrix(basis, np.diag([0.6, -0.05, -0.05, 0.5]).astype(complex))
+        with pytest.raises(ContractError, match=r"^matrix is not PSD: min eigenvalue -0\.0499"):
+            fidelity(rho, bell_target(basis, 1))
 
     def test_basis_mismatch(self):
         rho = PairDensityMatrix(line_basis(2), np.diag([1.0, 0.0]).astype(complex))

@@ -26,8 +26,11 @@ and -0.0, no held cell, and every cell held and nonzero (so that the colour
 of 0.0 is not the background); where the oracle
 raises, the writers must raise too.  The SVG
 writers return their document as one string that ends in a newline.
-``write_csv`` must end every line, the last one included, with
-one newline, and ``write_text`` returns the SHA-256 of the bytes it wrote.
+``write_csv`` must write one ``t,column,value`` line per cell of its table,
+temperature-major, each number as ``repr(float(x))``, and end every line, the
+last one included, with one newline; ``write_text`` returns the SHA-256 of
+the bytes it wrote, and ``write_manifest`` leaves no file when its final
+rename fails.
 """
 
 import hashlib
@@ -613,10 +616,36 @@ def test_write_text_returns_the_sha256_of_the_file(parts, tmp_path):
         assert digest == hashlib.sha256(written).hexdigest()
 
 
-@pytest.mark.parametrize("rows", [[], [(1.0, -0.0)], [(0.1, 2.5e-300), (math.inf, 3)]])
-def test_write_csv_is_one_line_per_row_with_a_final_newline(rows, tmp_path):
+@pytest.mark.parametrize(
+    "temperatures, columns, values, lines",
+    [
+        ((), (1.0,), np.zeros((0, 1)), []),
+        ((1.0,), (-0.0,), np.array([[-0.0]]), ["1.0,-0.0,-0.0"]),
+        (
+            (0.1, math.inf),
+            (2.5e-300, 3),
+            np.array([[5e-324, math.inf], [3.0, -0.0]]),
+            ["0.1,2.5e-300,5e-324", "0.1,3.0,inf", "inf,2.5e-300,3.0", "inf,3.0,-0.0"],
+        ),
+        ((0.5,), (1, 2), np.array([[3, -4]]), ["0.5,1.0,3.0", "0.5,2.0,-4.0"]),
+    ],
+)
+def test_write_csv_is_one_line_per_row_with_a_final_newline(
+    temperatures, columns, values, lines, tmp_path
+):
     path = str(tmp_path / "table.csv")
-    outputs.write_csv(path, "a,b", rows)
-    expected = "".join(line + "\n" for line in ["a,b", *(f"{a!r},{float(b)!r}" for a, b in rows)])
+    outputs.write_csv(path, "t,c,v", temperatures, columns, values)
     with open(path, encoding="utf-8", newline="") as fh:
-        assert fh.read() == expected
+        assert fh.read() == "".join(line + "\n" for line in ["t,c,v", *lines])
+
+
+def test_a_manifest_that_cannot_be_placed_leaves_no_file(tmp_path, monkeypatch):
+    """``write_manifest`` removes its temporary file when the final rename fails."""
+
+    def refuse(src, dst):
+        raise OSError("cannot replace")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="^cannot replace$"):
+        outputs.write_manifest(str(tmp_path), {"grid.temperatures": "0.5"}, [], "0", 0.1, {})
+    assert os.listdir(tmp_path) == []

@@ -116,6 +116,12 @@ class TestBasis:
         with pytest.raises(DomainError, match="empty"):
             from_json_dict({"basis": [], "re": [], "im": []})
 
+    def test_equal_bases_hash_alike(self):
+        basis, same = OamPairBasis.full(1), OamPairBasis.from_l_values([1, 0, -1])
+        assert basis == same
+        assert hash(basis) == hash(same)
+        assert len({basis, same}) == 1
+
     def test_index_lookup(self):
         basis = OamPairBasis.full(2)
         for i, pair in enumerate(basis.pairs):
@@ -429,6 +435,15 @@ class TestMatrixContracts:
             message += " (at t=0.5, enhancement=1.0)"
             with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(message)}$"):
                 rho_total(1, basis, geometry, 5.0, 0.5, junction, CoherenceParams(1.0))
+
+    def test_a_vanished_total_rate_is_located(self, junction, geometry, monkeypatch):
+        monkeypatch.setattr(
+            pair_state.spectral, "mixing_rates", lambda d, temps, *rest: [(0.0, 0.0)]
+        )
+        basis = OamPairBasis.full(1)
+        message = "total rate vanished (r_cp=0.0, r_bqp=0.0) (at t=0.5, enhancement=10.0)"
+        with pytest.raises(DegenerateMixtureError, match=rf"^{re.escape(message)}$"):
+            rho_total(1, basis, geometry, 5.0, 0.5, junction, CoherenceParams(10.0))
 
     def test_shape_mismatch_rejected(self):
         basis = OamPairBasis.from_l_values([0, 1])

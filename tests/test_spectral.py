@@ -62,6 +62,11 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"^patch area must be finite, got inf$"):
             KQuadrature(patch_area_um2=math.inf)
 
+    def test_grid_requires_a_detuning_and_a_temperature(self):
+        for detunings, temperatures in (((), (0.5,)), ((0.0,), ())):
+            with pytest.raises(DomainError, match="at least one detuning and one temperature"):
+                SpectralGrid(detunings, temperatures)
+
     def test_grid_requires_increasing_detunings(self):
         with pytest.raises(DomainError):
             SpectralGrid(detunings=(1.0, 0.0, -1.0), temperatures=(0.5,))
